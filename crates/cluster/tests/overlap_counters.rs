@@ -1,15 +1,19 @@
 //! The latency-hiding telemetry contract: a distributed deferred-walk
 //! run must surface its overlap counters (`walk.deferred`,
-//! `walk.resumed`, `abm.coalesced`, `abm.flush_deadline`) in the
-//! structural summary, and on a fault-free machine every parked walk
-//! must be resumed exactly as many times as it parked. The golden-trace
+//! `walk.resumed`, `abm.coalesced`, `abm.flush_deadline`) and its
+//! sharing counters (`walk.groups`, `walk.list_entries`) in the
+//! structural summary, on a fault-free machine every parked walk must be
+//! resumed exactly as many times as it parked, and the bodies of a group
+//! must share their interaction-list entries. The golden-trace
 //! worlds replicate physics on every rank and never exercise the
 //! distributed engine, so this is the test that keeps the overlap
 //! telemetry observable end to end (engine -> Comm recorder -> merged
 //! WorldTrace -> summary text).
 
 use cluster::ics::golden_ics;
+use hot::models::plummer;
 use hot::parallel::{parallel_accelerations, ParallelConfig};
+use hot::tree::Body;
 use msg::Machine;
 
 const RANKS: usize = 4;
@@ -29,9 +33,8 @@ fn counter_total(summary: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("unparseable counter line: {line}"))
 }
 
-#[test]
-fn overlap_counters_surface_in_structural_summary() {
-    let ics = golden_ics(96, 42);
+/// Structural summary of a 4-rank strided-split distributed walk.
+fn summary_of(ics: &[Body]) -> String {
     let (_, trace) = msg::run_observed(Machine::ideal(RANKS as u32), RANKS, |comm| {
         let size = comm.size();
         let rank = comm.rank();
@@ -43,11 +46,18 @@ fn overlap_counters_surface_in_structural_summary() {
             .collect();
         parallel_accelerations(comm, mine, &ParallelConfig::default());
     });
-    let summary = obs::structural_summary(&trace);
+    obs::structural_summary(&trace)
+}
+
+#[test]
+fn overlap_counters_surface_in_structural_summary() {
+    let summary = summary_of(&golden_ics(96, 42));
 
     for name in [
         "walk.deferred",
         "walk.resumed",
+        "walk.groups",
+        "walk.list_entries",
         "abm.coalesced",
         "abm.flush_deadline",
     ] {
@@ -67,5 +77,30 @@ fn overlap_counters_surface_in_structural_summary() {
     assert_eq!(
         deferred, resumed,
         "parked walks leaked: {deferred} parks vs {resumed} resumes"
+    );
+}
+
+#[test]
+fn groups_share_their_interaction_lists() {
+    // One descent serves a whole group: an accepted cell or gathered leaf
+    // body is stored once for all the bodies that take it. If the engine
+    // went back to one list per body the factor would be exactly 1 (and
+    // resident memory several times what it is).
+    let summary = summary_of(&plummer(1536, 42));
+    let deferred = counter_total(&summary, "walk.deferred");
+    assert!(deferred > 0, "no walk ever deferred on a remote fetch");
+    assert_eq!(deferred, counter_total(&summary, "walk.resumed"));
+
+    let groups = counter_total(&summary, "walk.groups");
+    assert!(
+        (1536 / 8..1536 / 8 + RANKS as u64).contains(&groups),
+        "{groups} walks for 1536 bodies on {RANKS} ranks"
+    );
+    let interactions = counter_total(&summary, "walk.interactions");
+    let entries = counter_total(&summary, "walk.list_entries");
+    assert!(
+        interactions >= 3 * entries,
+        "sharing factor {:.2}: {interactions} interactions from {entries} list entries",
+        interactions as f64 / entries as f64
     );
 }

@@ -30,22 +30,22 @@ pub struct Decomposition {
 }
 
 impl Decomposition {
-    /// All ranks whose bodies could fall inside `cell`'s key range.
-    pub fn owners_of(&self, cell: Key) -> Vec<usize> {
+    /// All ranks whose bodies could fall inside `cell`'s key range: those
+    /// whose `(first, last)` range overlaps it, in rank order.
+    pub fn owners_of(&self, cell: Key) -> impl Iterator<Item = usize> + '_ {
         let (lo, hi) = cell.key_range();
         self.ranges
             .iter()
             .enumerate()
-            .filter_map(|(r, range)| {
+            .filter_map(move |(r, range)| {
                 range.and_then(|(first, last)| (first <= hi.0 && last >= lo.0).then_some(r))
             })
-            .collect()
     }
 
     /// Is `rank` the only possible owner of `cell`?
     pub fn purely_local(&self, cell: Key, rank: usize) -> bool {
-        let owners = self.owners_of(cell);
-        owners.len() == 1 && owners[0] == rank
+        let mut owners = self.owners_of(cell);
+        owners.next() == Some(rank) && owners.next().is_none()
     }
 
     /// Total ranks holding at least one body.
@@ -215,17 +215,23 @@ mod tests {
             let mine = split(&all, nranks, c.rank());
             let (shard, d) = decompose(c, mine);
             // The root must be owned by every populated rank.
-            let root_owners = d.owners_of(Key::ROOT);
-            assert_eq!(root_owners.len(), d.populated_ranks());
+            assert_eq!(d.owners_of(Key::ROOT).count(), d.populated_ranks());
             // Every local body's leaf-level key has this rank among its
             // owners.
             for b in &shard {
                 let k = d.bbox.key_of(b.pos);
                 assert!(
-                    d.owners_of(k).contains(&c.rank()),
+                    d.owners_of(k).any(|r| r == c.rank()),
                     "rank {} missing from owners of its own body",
                     c.rank()
                 );
+                // `purely_local` is "the owners are exactly this rank",
+                // at every level from the body's key up to the root.
+                for level in 0..=crate::morton::MAX_LEVEL {
+                    let cell = k.ancestor_at(level);
+                    let owners: Vec<usize> = d.owners_of(cell).collect();
+                    assert_eq!(d.purely_local(cell, c.rank()), owners == [c.rank()]);
+                }
             }
             shard.len()
         });
@@ -243,8 +249,7 @@ mod tests {
                 // purely local.
                 let mid = d.bbox.key_of(shard[shard.len() / 2].pos);
                 let deep = mid.ancestor_at(15);
-                let owners = d.owners_of(deep);
-                assert!(owners.contains(&c.rank()));
+                assert!(d.owners_of(deep).any(|r| r == c.rank()));
             }
         });
     }

@@ -8,12 +8,14 @@
 //! 'context switching' using a software queue to keep track of which
 //! computations have been put aside waiting for messages to arrive."
 //!
-//! Concretely: each local body's traversal is a `Walk` with an explicit
-//! key stack. When a walk needs a cell that is not purely local and whose
-//! data has not yet arrived, the walk is parked on the pending request and
-//! the engine switches to another walk; requests accumulate in
-//! asynchronous batched messages ([`msg::Abm`]) and the walk resumes when
-//! the merged reply is in. Quiescence is detected with the Safra token
+//! Concretely: a run of [`GROUP`] consecutive Morton-sorted local bodies
+//! shares one `Walk` with an explicit stack of `(key, mask)`, the mask
+//! naming the bodies that still have to look at that cell. When a walk
+//! needs a cell that is not purely local and whose data has not yet
+//! arrived, the walk is parked on the pending request and the engine
+//! switches to another walk; requests accumulate in asynchronous batched
+//! messages ([`msg::Abm`]) and the walk resumes when the merged reply is
+//! in. Quiescence is detected with the Safra token
 //! ([`msg::abm::Termination`]).
 //!
 //! Because the domain decomposition splits a Morton-sorted list, a cell
@@ -24,6 +26,7 @@
 
 use crate::domain::{decompose, Decomposition};
 use crate::gravity::{self, Accel, GravityConfig};
+use crate::hash::KeyMap;
 use crate::mac::Mac;
 use crate::morton::{Key, MAX_LEVEL};
 use crate::multipole::Multipole;
@@ -127,31 +130,65 @@ where
     }
 }
 
+/// Bodies per walk. Wider groups share more of the descent but park fewer
+/// walks at once, so fewer fetches overlap (measured: DESIGN.md, *Latency
+/// hiding*); a [`Mask`] has one bit per body of the group.
+const GROUP: usize = 8;
+type Mask = u8;
+const _: () = assert!(GROUP <= Mask::BITS as usize);
+
+/// The bodies of `mask` for which `f` holds.
+#[inline]
+fn select(mask: Mask, mut f: impl FnMut(usize) -> bool) -> Mask {
+    let mut out = 0;
+    let mut rest = mask;
+    while rest != 0 {
+        let b = rest.trailing_zeros() as usize;
+        if f(b) {
+            out |= 1 << b;
+        }
+        rest &= rest - 1;
+    }
+    out
+}
+
+/// One traversal shared by local bodies `first .. first + GROUP`.
+///
+/// The stack restricted to one body's bit is that body's solo depth-first
+/// stack, so each body meets its cells and leaf bodies in the order a
+/// walk of its own would.
 struct Walk {
-    body: u32,
-    stack: Vec<Key>,
-    out: Accel,
-    p2p: u64,
-    m2p: u64,
-    /// Interaction list accumulated across suspensions: accepted
-    /// multipoles (with their evaluation point) and gathered leaf
-    /// bodies. Evaluated exactly once, at walk completion, so the
+    first: u32,
+    stack: Vec<(Key, Mask)>,
+    /// Interaction lists accumulated across suspensions: each accepted
+    /// multipole and gathered leaf body once, tagged with the bodies that
+    /// take it. A body's slice (the entries carrying its bit, in list
+    /// order) is evaluated exactly once, at walk completion, so the
     /// floating-point summation order — and hence the accelerations —
     /// are a pure function of the traversal, independent of where the
     /// walk happened to suspend or how messages were scheduled.
-    icells: Vec<([f64; 3], Multipole)>,
-    ibodies: Vec<([f64; 3], f64)>,
+    cells: Vec<(Mask, Multipole)>,
+    bodies: Vec<(Mask, [f64; 3], f64)>,
 }
 
-enum StepOutcome {
-    Complete,
-    Suspended,
+impl Walk {
+    /// Append a leaf body for the bodies of `mask` (none, when the only
+    /// body that opened the leaf is this one).
+    #[inline]
+    fn gather(&mut self, mask: Mask, pos: [f64; 3], mass: f64) {
+        if mask != 0 {
+            self.bodies.push((mask, pos, mass));
+        }
+    }
 }
 
-#[derive(Debug, Clone)]
-struct Ghost {
+/// A shared or remote cell: merged moments, and its children and leaf
+/// bodies once they have been fetched.
+struct GhostCell {
     mom: Multipole,
     nbody: u32,
+    kids: Option<Vec<Key>>,
+    bodies: Option<Vec<BodyPart>>,
 }
 
 struct PendingChildren {
@@ -178,9 +215,14 @@ struct Engine<'a> {
     cfg: ParallelConfig,
     mac: Mac,
     eps2: f64,
-    ghost: HashMap<u64, Ghost>,
-    ghost_children: HashMap<u64, Vec<Key>>,
-    ghost_bodies: HashMap<u64, Vec<BodyPart>>,
+    /// Slot of each ghost key in `ghosts` (the Fibonacci-hashed table the
+    /// local tree uses for its cells).
+    ghost_at: KeyMap,
+    ghosts: Vec<GhostCell>,
+    /// Acceleration per local body and interaction totals, filled in as
+    /// walks complete.
+    accel: Vec<Accel>,
+    stats: TraverseStats,
     pending_children: HashMap<u64, PendingChildren>,
     pending_bodies: HashMap<u64, PendingBodies>,
     req_children: Abm<u64>,
@@ -199,6 +241,10 @@ struct Engine<'a> {
     /// pending map catches duplicates first, so this is where nearly all
     /// coalescing lands.
     coalesced: u64,
+    /// Walks completed, and the summed length of their shared lists
+    /// (`stats.interactions()` over this is the sharing factor).
+    groups: u64,
+    list_entries: u64,
     /// Interactions accumulated since the last virtual-time charge.
     uncharged: u64,
     /// Batches already reported to the termination counter; lets
@@ -221,9 +267,10 @@ impl<'a> Engine<'a> {
             mac: Mac::new(cfg.gravity.mac, cfg.gravity.theta),
             eps2: cfg.gravity.eps * cfg.gravity.eps,
             cfg,
-            ghost: HashMap::new(),
-            ghost_children: HashMap::new(),
-            ghost_bodies: HashMap::new(),
+            ghost_at: KeyMap::with_capacity(64),
+            ghosts: Vec::new(),
+            accel: vec![Accel::default(); tree.map_or(0, |t| t.bodies.len())],
+            stats: TraverseStats::default(),
             pending_children: HashMap::new(),
             pending_bodies: HashMap::new(),
             req_children: tune(Abm::new(comm.size(), 1, cfg.batch), cfg.adaptive),
@@ -233,9 +280,27 @@ impl<'a> Engine<'a> {
             deferred: 0,
             resumed: 0,
             coalesced: 0,
+            groups: 0,
+            list_entries: 0,
             uncharged: 0,
             reported_sent: 0,
         }
+    }
+
+    fn insert_ghost(&mut self, key: Key, mom: Multipole, nbody: u32) {
+        self.ghost_at.insert(key, self.ghosts.len() as u32);
+        self.ghosts.push(GhostCell {
+            mom,
+            nbody,
+            kids: None,
+            bodies: None,
+        });
+    }
+
+    /// The ghost record of a key some walk has already visited.
+    fn ghost_mut(&mut self, key: Key) -> &mut GhostCell {
+        let slot = self.ghost_at.get(key).expect("fetch for an unvisited key");
+        &mut self.ghosts[slot as usize]
     }
 
     /// Bodies of the local shard lying inside `key`'s range.
@@ -383,7 +448,7 @@ impl<'a> Engine<'a> {
                         // the resulting forces) schedule-independent.
                         done.bodies.sort_unstable_by_key(|b| b.id);
                         wake.extend(done.waiting.iter().copied());
-                        self.ghost_bodies.insert(p.cell, done.bodies);
+                        self.ghost_mut(Key(p.cell)).bodies = Some(done.bodies);
                     }
                 } else {
                     pending.bodies.push(p);
@@ -409,28 +474,32 @@ impl<'a> Engine<'a> {
             let parts: Vec<Multipole> = moms.iter().map(|&(_, m)| m).collect();
             let merged = Multipole::combine(&parts);
             let ck = parent.child(oct);
-            self.ghost.insert(ck.0, Ghost { mom: merged, nbody });
+            self.insert_ghost(ck, merged, nbody);
             kids.push(ck);
         }
-        self.ghost_children.insert(parent.0, kids);
+        self.ghost_mut(parent).kids = Some(kids);
         wake.extend(done.waiting.iter().copied());
     }
 
-    /// Request the merged children of `key`, parking `walk_id` on it.
-    fn request_children(&mut self, comm: &mut Comm, key: Key, walk_id: u32) {
+    /// Request the merged children of `key`. Returns whether `walk_id` was
+    /// parked on the fetch; if no other rank owns any of the cell the
+    /// children are in place already and the caller retries at once.
+    fn request_children(&mut self, comm: &mut Comm, key: Key, walk_id: u32) -> bool {
         if let Some(p) = self.pending_children.get_mut(&key.0) {
             p.waiting.push(walk_id);
             self.coalesced += 1;
-            return;
+            return true;
         }
-        let owners = self.decomp.owners_of(key);
-        let remote: Vec<usize> = owners.into_iter().filter(|&r| r != self.rank).collect();
         let mut pending = PendingChildren {
-            remaining: remote.len(),
+            remaining: 0,
             moms: Default::default(),
             counts: [0; 8],
             waiting: vec![walk_id],
         };
+        for dst in self.decomp.owners_of(key).filter(|&r| r != self.rank) {
+            self.req_children.post_unique(comm, dst, key.0);
+            pending.remaining += 1;
+        }
         // Fold in our own partial immediately, tagged with our rank so
         // the merge sorts it into the same slot every schedule.
         for part in self.partial_children(key) {
@@ -446,179 +515,174 @@ impl<'a> Engine<'a> {
             pending.counts[part.oct as usize] += part.nbody;
         }
         if pending.remaining == 0 {
-            let mut wake = Vec::new();
-            self.finalize_children(key, pending, &mut wake);
-            // Caller immediately retries the walk; no parking needed.
-            return;
-        }
-        for dst in remote {
-            self.req_children.post_unique(comm, dst, key.0);
+            self.finalize_children(key, pending, &mut Vec::new());
+            return false;
         }
         self.pending_children.insert(key.0, pending);
+        true
     }
 
-    /// Request the merged body list of `key`, parking `walk_id` on it.
-    fn request_bodies(&mut self, comm: &mut Comm, key: Key, walk_id: u32) {
+    /// Request the merged body list of `key`; returns as
+    /// [`Engine::request_children`] does.
+    fn request_bodies(&mut self, comm: &mut Comm, key: Key, walk_id: u32) -> bool {
         if let Some(p) = self.pending_bodies.get_mut(&key.0) {
             p.waiting.push(walk_id);
             self.coalesced += 1;
-            return;
+            return true;
         }
-        let owners = self.decomp.owners_of(key);
-        let remote: Vec<usize> = owners.into_iter().filter(|&r| r != self.rank).collect();
         let mut pending = PendingBodies {
-            remaining: remote.len(),
+            remaining: 0,
             bodies: self.partial_bodies(key),
             waiting: vec![walk_id],
         };
+        for dst in self.decomp.owners_of(key).filter(|&r| r != self.rank) {
+            self.req_bodies.post_unique(comm, dst, key.0);
+            pending.remaining += 1;
+        }
         if pending.remaining == 0 {
             // Same canonical id order as the remote-merge path in
             // `service`, so the two ways a leaf list can materialize
             // yield identical summation order.
             pending.bodies.sort_unstable_by_key(|b| b.id);
-            self.ghost_bodies
-                .insert(key.0, std::mem::take(&mut pending.bodies));
-            return;
-        }
-        for dst in remote {
-            self.req_bodies.post_unique(comm, dst, key.0);
+            self.ghost_mut(key).bodies = Some(pending.bodies);
+            return false;
         }
         self.pending_bodies.insert(key.0, pending);
+        true
     }
 
-    /// Advance one walk until it completes or suspends.
+    /// Advance one walk until it completes (`true`) or suspends.
     ///
-    /// Accepted multipoles and leaf bodies accumulate in the walk's own
-    /// interaction list, which survives suspensions; on completion the
-    /// list is loaded into the thread-local SoA scratch
-    /// ([`crate::ilist`]) and evaluated as spans in one pass — the same
-    /// engine the single-address-space walks use. A single evaluation
-    /// (rather than one per suspension) means the summation order never
-    /// depends on where remote fetches happened to break the walk, so
-    /// deferred and blocking traversals produce bit-identical forces.
-    fn run_walk(&mut self, comm: &mut Comm, walks: &mut [Walk], walk_id: u32) -> StepOutcome {
+    /// Each popped cell is tested against the MAC once per body still in
+    /// its mask; the bodies that accept share one list entry, the rest go
+    /// on to the leaf's bodies, the children, or the fetch. The lists
+    /// survive suspensions; on completion each body's slice is loaded
+    /// into the thread-local SoA scratch ([`crate::ilist`]) and evaluated
+    /// as spans in one pass — the same engine the single-address-space
+    /// walks use. A single evaluation (rather than one per suspension)
+    /// means the summation order never depends on where remote fetches
+    /// happened to break the walk, so deferred and blocking traversals
+    /// produce bit-identical forces.
+    fn run_walk(&mut self, comm: &mut Comm, w: &mut Walk, walk_id: u32) -> bool {
         let leaf_max = self.cfg.gravity.leaf_max;
-        let quadrupole = self.cfg.gravity.quadrupole;
         let tree = self.tree.expect("rank with no bodies has no walks");
-        let w = &mut walks[walk_id as usize];
-        let pos = tree.bodies[w.body as usize].pos;
-        let my_id = tree.bodies[w.body as usize].id;
+        let lo = w.first as usize;
+        let group = &tree.bodies[lo..tree.bodies.len().min(lo + GROUP)];
+        // A body never interacts with itself: local leaves and raw ranges
+        // know it by index, imported leaves by id.
+        let own = |j: usize| -> Mask {
+            match j.wrapping_sub(lo) {
+                b if b < GROUP => 1 << b,
+                _ => 0,
+            }
+        };
 
-        while let Some(key) = w.stack.pop() {
+        while let Some((key, mask)) = w.stack.pop() {
             if self.decomp.purely_local(key, self.rank) {
                 // Entirely ours: use the local tree (or the raw body range
                 // when the local tree didn't subdivide this far).
-                if let Some(idx) = tree.map.get(key) {
-                    let cell = &tree.cells[idx as usize];
-                    if cell.nbody == 0 {
-                        continue;
+                let Some(idx) = tree.map.get(key) else {
+                    let (a, b) = self.local_range(key);
+                    for j in a..b {
+                        let bd = &tree.bodies[j];
+                        w.gather(mask & !own(j), bd.pos, bd.mass);
                     }
-                    if self.mac.accept(cell, pos) {
-                        w.icells.push((cell.mom.com, cell.mom));
-                        w.m2p += 1;
-                    } else if cell.is_leaf {
-                        let first = cell.first_body as usize;
-                        for (j, b) in tree.leaf_bodies(cell).iter().enumerate() {
-                            if first + j == w.body as usize {
-                                continue;
-                            }
-                            w.ibodies.push((b.pos, b.mass));
-                            w.p2p += 1;
-                        }
-                    } else {
-                        for &ch in &cell.children {
-                            if ch != crate::tree::NO_CELL {
-                                w.stack.push(tree.cells[ch as usize].key);
-                            }
-                        }
+                    continue;
+                };
+                let cell = &tree.cells[idx as usize];
+                if cell.nbody == 0 {
+                    continue;
+                }
+                let accept = select(mask, |b| self.mac.accept(cell, group[b].pos));
+                let open = mask & !accept;
+                if accept != 0 {
+                    w.cells.push((accept, cell.mom));
+                }
+                if open == 0 {
+                    continue;
+                }
+                if cell.is_leaf {
+                    let first = cell.first_body as usize;
+                    for (j, b) in tree.leaf_bodies(cell).iter().enumerate() {
+                        w.gather(open & !own(first + j), b.pos, b.mass);
                     }
                 } else {
-                    // No local cell: p2p over the (small) raw range.
-                    let (a, b) = {
-                        let (lo, hi) = key.key_range();
-                        let a = tree.keys.partition_point(|k| k.0 < lo.0);
-                        let b = tree.keys.partition_point(|k| k.0 <= hi.0);
-                        (a, b)
-                    };
-                    for j in a..b {
-                        if j == w.body as usize {
-                            continue;
+                    for &ch in &cell.children {
+                        if ch != crate::tree::NO_CELL {
+                            w.stack.push((tree.cells[ch as usize].key, open));
                         }
-                        let bd = &tree.bodies[j];
-                        w.ibodies.push((bd.pos, bd.mass));
-                        w.p2p += 1;
                     }
                 }
                 continue;
             }
 
             // Shared or remote cell: use the ghost store.
-            let Some(g) = self.ghost.get(&key.0) else {
+            let Some(slot) = self.ghost_at.get(key) else {
                 panic!("walk reached key {key:?} with no ghost entry");
             };
-            let g = g.clone();
+            let g = &self.ghosts[slot as usize];
             if g.nbody == 0 {
                 continue;
             }
-            let side = if key == Key::ROOT {
-                f64::INFINITY
-            } else {
-                2.0 * self.decomp.bbox.cell_geometry(key).1
-            };
-            if key != Key::ROOT && self.mac.accept_raw(side, &g.mom, pos) {
-                w.icells.push((g.mom.com, g.mom));
-                w.m2p += 1;
-            } else if g.nbody as usize <= leaf_max || key.level() == MAX_LEVEL {
-                if let Some(parts) = self.ghost_bodies.get(&key.0) {
+            // (The synthesized root, with its unbounded `bmax`, is never
+            // accepted.)
+            let side = 2.0 * self.decomp.bbox.cell_geometry(key).1;
+            let accept = select(mask, |b| self.mac.accept_raw(side, &g.mom, group[b].pos));
+            let open = mask & !accept;
+            if accept != 0 {
+                w.cells.push((accept, g.mom));
+            }
+            if open == 0 {
+                continue;
+            }
+            let parked = if g.nbody as usize <= leaf_max || key.level() == MAX_LEVEL {
+                if let Some(parts) = &g.bodies {
                     for p in parts {
-                        if p.id == my_id {
-                            continue;
-                        }
-                        w.ibodies.push((p.pos, p.mass));
-                        w.p2p += 1;
+                        let me = select(open, |b| group[b].id == p.id);
+                        w.gather(open & !me, p.pos, p.mass);
                     }
-                } else {
-                    w.stack.push(key);
-                    let wid = walk_id;
-                    self.request_bodies(comm, key, wid);
-                    if self.ghost_bodies.contains_key(&key.0) {
-                        // Satisfied locally without any remote owner.
-                        continue;
-                    }
-                    self.deferred += 1;
-                    return StepOutcome::Suspended;
-                }
-            } else if let Some(kids) = self.ghost_children.get(&key.0) {
-                for k in kids {
-                    w.stack.push(*k);
-                }
-            } else {
-                w.stack.push(key);
-                self.request_children(comm, key, walk_id);
-                if self.ghost_children.contains_key(&key.0) {
                     continue;
                 }
+                self.request_bodies(comm, key, walk_id)
+            } else {
+                if let Some(kids) = &g.kids {
+                    w.stack.extend(kids.iter().map(|&k| (k, open)));
+                    continue;
+                }
+                self.request_children(comm, key, walk_id)
+            };
+            // Come back to this cell, for the bodies that opened it, once
+            // its data is in.
+            w.stack.push((key, open));
+            if parked {
                 self.deferred += 1;
-                return StepOutcome::Suspended;
+                return false;
             }
         }
 
-        // Single evaluation of the whole gathered list.
+        // Single evaluation of each body's slice of the gathered lists.
+        let quadrupole = self.cfg.gravity.quadrupole;
         crate::ilist::with_scratch(|sc| {
-            sc.clear();
-            for (com, mom) in &w.icells {
-                sc.push_mom(*com, mom);
+            for (b, body) in group.iter().enumerate() {
+                sc.clear();
+                for (_, mom) in w.cells.iter().filter(|e| e.0 >> b & 1 != 0) {
+                    sc.push_mom(mom.com, mom);
+                }
+                for (_, p, m) in w.bodies.iter().filter(|e| e.0 >> b & 1 != 0) {
+                    sc.push_body(*p, *m);
+                }
+                let (m2p, p2p) = sc.eval(body.pos, self.eps2, quadrupole, &mut self.accel[lo + b]);
+                self.stats.m2p += m2p;
+                self.stats.p2p += p2p;
+                self.uncharged += m2p + p2p;
             }
-            for (p, m) in &w.ibodies {
-                sc.push_body(*p, *m);
-            }
-            sc.eval(pos, self.eps2, quadrupole, &mut w.out);
         });
-        // Completed walks never run again; return the list's memory.
-        w.icells = Vec::new();
-        w.ibodies = Vec::new();
-        self.uncharged += w.p2p + w.m2p;
-        StepOutcome::Complete
+        self.groups += 1;
+        self.list_entries += (w.cells.len() + w.bodies.len()) as u64;
+        // Completed walks never run again; return the lists' memory.
+        w.cells = Vec::new();
+        w.bodies = Vec::new();
+        true
     }
 
     /// Charge accumulated interactions to the virtual clock.
@@ -675,80 +739,66 @@ pub fn parallel_accelerations(
     comm.span_exit("hot.tree_build");
 
     let mut engine = Engine::new(comm, &decomp, tree.as_ref(), *cfg);
-    // Synthesize the root ghost: never MAC-accepted (side = ∞ handled in
-    // the walk), always descended.
-    engine.ghost.insert(
-        Key::ROOT.0,
-        Ghost {
-            mom: Multipole {
-                mass: 1.0,
-                com: decomp.bbox.center,
-                quad: [0.0; 6],
-                bmax: f64::INFINITY,
-            },
-            nbody: global_n as u32,
-        },
-    );
+    // Synthesize the root ghost: its unbounded `bmax` contains every
+    // body, so it is never MAC-accepted, always descended.
+    let root = Multipole {
+        mass: 1.0,
+        com: decomp.bbox.center,
+        quad: [0.0; 6],
+        bmax: f64::INFINITY,
+    };
+    engine.insert_ghost(Key::ROOT, root, global_n as u32);
 
     let nlocal = tree.as_ref().map_or(0, |t| t.bodies.len());
     let mut walks: Vec<Walk> = (0..nlocal)
-        .map(|i| Walk {
-            body: i as u32,
-            stack: vec![Key::ROOT],
-            out: Accel::default(),
-            p2p: 0,
-            m2p: 0,
-            icells: Vec::new(),
-            ibodies: Vec::new(),
+        .step_by(GROUP)
+        .map(|first| Walk {
+            first: first as u32,
+            // One bit per body: the last group of a shard may be short.
+            stack: vec![(
+                Key::ROOT,
+                Mask::MAX >> (Mask::BITS as usize - (nlocal - first).min(GROUP)),
+            )],
+            cells: Vec::new(),
+            bodies: Vec::new(),
         })
         .collect();
-    let mut active: VecDeque<u32> = (0..nlocal as u32).collect();
-    let mut done = vec![false; nlocal];
+    let mut active: VecDeque<u32> = (0..walks.len() as u32).collect();
     let mut completed = 0usize;
     let mut term = Termination::new();
 
     comm.span_enter("hot.walk");
-    while completed < nlocal || !term.poll(comm) {
+    while completed < walks.len() || !term.poll(comm) {
         // Service traffic first so replies wake parked walks.
         let (wake, received) = engine.service(comm);
         if received > 0 {
             term.on_recv(received);
         }
-        for w in wake {
-            active.push_back(w);
-        }
+        active.extend(wake);
         if let Some(id) = active.pop_front() {
-            match engine.run_walk(comm, &mut walks, id) {
-                StepOutcome::Complete => {
-                    if !done[id as usize] {
-                        done[id as usize] = true;
-                        completed += 1;
+            if engine.run_walk(comm, &mut walks[id as usize], id) {
+                completed += 1;
+                engine.charge(comm);
+            } else if !cfg.latency_hiding {
+                // Ablation mode: spin until this walk can resume.
+                // Flush every iteration, not just on entry: serving
+                // another rank's request posts reply parts into a
+                // batch that only auto-flushes when full, and if
+                // every rank parks here waiting on someone else's
+                // unflushed batch the whole world livelocks.
+                loop {
+                    let (wake, received) = engine.service(comm);
+                    if received > 0 {
+                        term.on_recv(received);
                     }
-                    engine.charge(comm);
-                }
-                StepOutcome::Suspended => {
-                    if !cfg.latency_hiding {
-                        // Ablation mode: spin until this walk can resume.
-                        // Flush every iteration, not just on entry: serving
-                        // another rank's request posts reply parts into a
-                        // batch that only auto-flushes when full, and if
-                        // every rank parks here waiting on someone else's
-                        // unflushed batch the whole world livelocks.
-                        loop {
-                            let (wake, received) = engine.service(comm);
-                            if received > 0 {
-                                term.on_recv(received);
-                            }
-                            engine.flush(comm, &mut term);
-                            if !wake.is_empty() {
-                                for w in wake {
-                                    active.push_front(w);
-                                }
-                                break;
-                            }
-                            std::thread::yield_now();
+                    engine.flush(comm, &mut term);
+                    if !wake.is_empty() {
+                        for w in wake {
+                            active.push_front(w);
                         }
+                        break;
                     }
+                    std::thread::yield_now();
                 }
             }
         } else {
@@ -763,13 +813,7 @@ pub fn parallel_accelerations(
     engine.charge(comm);
     comm.span_exit("hot.walk");
 
-    let mut stats = TraverseStats::default();
-    let mut accel = Vec::with_capacity(nlocal);
-    for w in &walks {
-        accel.push(w.out);
-        stats.p2p += w.p2p;
-        stats.m2p += w.m2p;
-    }
+    let stats = engine.stats;
     let requests = engine.req_children.sent + engine.req_bodies.sent;
     comm.obs_count("walk.p2p", stats.p2p);
     comm.obs_count("walk.m2p", stats.m2p);
@@ -783,6 +827,10 @@ pub fn parallel_accelerations(
     // aggregation reshaped wire traffic.
     comm.obs_count("walk.deferred", engine.deferred);
     comm.obs_count("walk.resumed", engine.resumed);
+    // Sharing telemetry: interactions per shared-list entry is how many
+    // bodies of a group each gathered cell or leaf body served.
+    comm.obs_count("walk.groups", engine.groups);
+    comm.obs_count("walk.list_entries", engine.list_entries);
     comm.obs_count(
         "abm.coalesced",
         engine.coalesced
@@ -800,8 +848,8 @@ pub fn parallel_accelerations(
     );
     let vtime = comm.time();
     ParallelResult {
+        accel: engine.accel,
         bodies: tree.map_or(Vec::new(), |t| t.bodies),
-        accel,
         stats,
         requests,
         vtime,
@@ -939,6 +987,94 @@ mod tests {
                         b.acc[d].to_bits(),
                         "{nranks} ranks, body {id_d}, axis {d}"
                     );
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over the bits of `(id, acc, pot)` in id order, with the summed
+    /// `(p2p, m2p)` counts, of a run on the Space Simulator fabric.
+    fn force_digest(all: &[Body], nranks: usize) -> (u64, u64, u64) {
+        let outs = msg::run_with(msg::Machine::space_simulator_lam(), nranks, |c| {
+            let mine = split(all, nranks, c.rank());
+            let r = parallel_accelerations(c, mine, &ParallelConfig::default());
+            let forces: Vec<(u64, Accel)> = r.bodies.iter().map(|b| b.id).zip(r.accel).collect();
+            (forces, r.stats.p2p, r.stats.m2p)
+        });
+        let p2p = outs.iter().map(|o| o.1).sum();
+        let m2p = outs.iter().map(|o| o.2).sum();
+        let mut forces: Vec<(u64, Accel)> = outs.into_iter().flat_map(|o| o.0).collect();
+        forces.sort_by_key(|f| f.0);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (id, a) in &forces {
+            let [x, y, z] = a.acc.map(f64::to_bits);
+            for word in [*id, x, y, z, a.pot.to_bits()] {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        (h, p2p, m2p)
+    }
+
+    #[test]
+    fn shared_walk_reproduces_per_body_walk_bit_for_bit() {
+        // Recorded at the last commit whose engine walked one body at a
+        // time (e6d39fe): the shared traversal must hand every body the
+        // interaction sequence its own walk produced.
+        let small = plummer(192, 77);
+        let pins = [
+            (&small, 1, (0xcf0c_f2bc_b538_6626, 17_019, 6_234)),
+            (&small, 2, (0x8d6a_53dd_18c7_1045, 17_019, 6_234)),
+            (&small, 4, (0x772a_f51a_a85d_dba5, 17_208, 6_078)),
+            (&small, 16, (0xb289_68f4_f830_c04b, 17_149, 6_145)),
+            (
+                &plummer(2048, 5),
+                4,
+                (0x8b8a_7dd7_3059_f4a2, 356_201, 553_213),
+            ),
+        ];
+        for (all, nranks, want) in pins {
+            let got = force_digest(all, nranks);
+            assert_eq!(got, want, "{} bodies on {nranks} ranks", all.len());
+        }
+    }
+
+    #[test]
+    fn group_edges_match_serial_per_body_walk() {
+        // Fewer bodies than one group, counts that are no multiple of the
+        // width, ranks left with no bodies, and a clump tight enough that
+        // a whole group shares one imported leaf, so self-exclusion by id
+        // is what keeps a body off its own list.
+        let cfg = ParallelConfig::default();
+        for n in 1..=40usize {
+            let mut all = plummer(n, 900 + n as u64);
+            for (i, b) in all.iter_mut().enumerate().take(12) {
+                b.pos = [0.3 + 1e-7 * i as f64, 0.3, 0.3 - 1e-7 * i as f64];
+            }
+            let tree = Tree::build(all.clone(), cfg.gravity.leaf_max);
+            let (_, serial_stats) = tree_accelerations(&tree, &cfg.gravity);
+            let ser = serial_reference(&all, &cfg.gravity);
+            for nranks in 1..=5usize {
+                let outs = msg::run(nranks, |c| {
+                    let r = parallel_accelerations(c, split(&all, nranks, c.rank()), &cfg);
+                    let ids: Vec<u64> = r.bodies.iter().map(|b| b.id).collect();
+                    (ids, r.accel, r.stats.interactions())
+                });
+                let interactions: u64 = outs.iter().map(|o| o.2).sum();
+                let mut par: Vec<(u64, Accel)> = outs
+                    .into_iter()
+                    .flat_map(|o| o.0.into_iter().zip(o.1))
+                    .collect();
+                par.sort_by_key(|&(id, _)| id);
+                // `assert_close` also checks every id came back once.
+                if n > 1 {
+                    assert_close(&par, &ser, 1e-3);
+                } else {
+                    assert_eq!((par.len(), par[0].1.acc), (1, [0.0; 3]));
+                }
+                if nranks == 1 {
+                    assert_eq!(interactions, serial_stats.interactions(), "{n} bodies");
                 }
             }
         }
