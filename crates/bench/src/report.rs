@@ -13,19 +13,8 @@
 use obs::{CriticalPath, Efficiency, WorldTrace};
 
 /// Bump whenever a field is added, removed, or changes meaning; the
-/// comparator refuses to diff across versions.
-///
-/// v2: query-service columns (`queries`, `queries_per_s`,
-/// `query_p50_s`/`p95`/`p99`) for scenarios driven by a client fleet.
-///
-/// v3: scaling-sweep columns (`mode`, `fabric`, `bodies`,
-/// `scaling_efficiency`) so the `scaling_sweep` bin's weak/strong
-/// curves ride the same report format; absent fields parse to the
-/// standing-scenario defaults, so v2 files still load.
-///
-/// v4: snapshot-store columns (`store_write_mb_s`, `store_read_mb_s`,
-/// `incremental_ratio`) for the `store_bench` scenario; absent fields
-/// parse to 0 (no store claim), so v3 files still load.
+/// comparator refuses to diff across versions and the parser refuses
+/// files older than this one.
 pub const SCHEMA_VERSION: u64 = 4;
 
 /// One scenario's folded metrics.
@@ -510,6 +499,12 @@ pub fn from_json(text: &str) -> Result<BenchReport, String> {
     };
     let root = p.value()?;
     let schema_version = root.num("schema_version")? as u64;
+    if schema_version < SCHEMA_VERSION {
+        return Err(format!(
+            "schema version changed: file {schema_version} vs current {SCHEMA_VERSION} \
+             (regenerate the baseline)"
+        ));
+    }
     let Some(Value::Arr(rows)) = root.get("scenarios") else {
         return Err("missing \"scenarios\" array".to_string());
     };
@@ -526,11 +521,10 @@ pub fn from_json(text: &str) -> Result<BenchReport, String> {
         scenarios.push(ScenarioReport {
             name: row.str("name")?.to_string(),
             ranks: row.num("ranks")? as u64,
-            // Absent before v3: standing-scenario defaults.
-            mode: row.str("mode").unwrap_or("standing").to_string(),
-            fabric: row.str("fabric").unwrap_or("").to_string(),
-            bodies: row.num("bodies").unwrap_or(0.0) as u64,
-            scaling_efficiency: row.num("scaling_efficiency").unwrap_or(0.0),
+            mode: row.str("mode")?.to_string(),
+            fabric: row.str("fabric")?.to_string(),
+            bodies: row.num("bodies")? as u64,
+            scaling_efficiency: row.num("scaling_efficiency")?,
             end_vtime_s: row.num("end_vtime_s")?,
             interactions: row.num("interactions")? as u64,
             interactions_per_s: row.num("interactions_per_s")?,
@@ -547,18 +541,14 @@ pub fn from_json(text: &str) -> Result<BenchReport, String> {
             comm_efficiency: row.num("comm_efficiency")?,
             transfer_efficiency: row.num("transfer_efficiency")?,
             serialization_efficiency: row.num("serialization_efficiency")?,
-            // Absent in v1 files; default 0 so a stale baseline parses
-            // and the comparator reports the schema drift instead of a
-            // parse error.
-            queries: row.num("queries").unwrap_or(0.0) as u64,
-            queries_per_s: row.num("queries_per_s").unwrap_or(0.0),
-            query_p50_s: row.num("query_p50_s").unwrap_or(0.0),
-            query_p95_s: row.num("query_p95_s").unwrap_or(0.0),
-            query_p99_s: row.num("query_p99_s").unwrap_or(0.0),
-            // Absent before v4: no store claim.
-            store_write_mb_s: row.num("store_write_mb_s").unwrap_or(0.0),
-            store_read_mb_s: row.num("store_read_mb_s").unwrap_or(0.0),
-            incremental_ratio: row.num("incremental_ratio").unwrap_or(0.0),
+            queries: row.num("queries")? as u64,
+            queries_per_s: row.num("queries_per_s")?,
+            query_p50_s: row.num("query_p50_s")?,
+            query_p95_s: row.num("query_p95_s")?,
+            query_p99_s: row.num("query_p99_s")?,
+            store_write_mb_s: row.num("store_write_mb_s")?,
+            store_read_mb_s: row.num("store_read_mb_s")?,
+            incremental_ratio: row.num("incremental_ratio")?,
         });
     }
     Ok(BenchReport {
@@ -959,36 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_v3_files_parse_with_standing_defaults() {
-        // A v2 writer never emitted the scaling columns; strip them from
-        // a v3 serialization and the row must load with the standing
-        // defaults rather than a parse error.
-        let mut r = sample();
-        r.schema_version = 2;
-        let text: String = to_json(&r)
-            .lines()
-            .filter(|l| {
-                ![
-                    "\"mode\"",
-                    "\"fabric\"",
-                    "\"bodies\"",
-                    "\"scaling_efficiency\"",
-                ]
-                .iter()
-                .any(|k| l.trim_start().starts_with(k))
-            })
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let back = from_json(&text).unwrap();
-        assert_eq!(back.schema_version, 2);
-        let s = &back.scenarios[0];
-        assert_eq!(s.mode, "standing");
-        assert_eq!(s.fabric, "");
-        assert_eq!(s.bodies, 0);
-        assert_eq!(s.scaling_efficiency, 0.0);
-    }
-
-    #[test]
     fn store_columns_are_compared_and_floorable() {
         let base = sample();
         // Shipping relatively more bytes per committed state is a
@@ -1006,35 +966,6 @@ mod tests {
         assert!(r[0].contains("below committed floor"), "{r:?}");
         assert!(check_floors(&base, &[f("store_write_mb_s", 100.0)]).is_empty());
         assert!(check_floors(&base, &[f("store_read_mb_s", 400.0)]).is_empty());
-
-        // Files from before the store columns existed parse with the
-        // no-claim default.
-        let mut old = base.clone();
-        old.schema_version = 3;
-        let text: String = to_json(&old)
-            .lines()
-            .filter(|l| {
-                ![
-                    "\"store_write_mb_s\"",
-                    "\"store_read_mb_s\"",
-                    "\"incremental_ratio\"",
-                ]
-                .iter()
-                .any(|k| l.trim_start().starts_with(k))
-            })
-            // The store columns were the row's tail: un-comma the new
-            // last field, as the v3 writer did.
-            .map(|l| {
-                if l.trim_start().starts_with("\"query_p99_s\"") {
-                    format!("{}\n", l.trim_end_matches(','))
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        let back = from_json(&text).unwrap();
-        assert_eq!(back.scenarios[0].incremental_ratio, 0.0);
-        assert_eq!(back.scenarios[0].store_write_mb_s, 0.0);
     }
 
     #[test]
@@ -1070,5 +1001,9 @@ mod tests {
         assert!(from_json("not json").is_err());
         assert!(from_json("{\"schema_version\": 1}").is_err());
         assert!(from_json("{\"scenarios\": []}").is_err());
+        // A v3 file: older than the parser's schema, so refused with the
+        // schema-version error rather than loaded with guessed columns.
+        let err = from_json("{\"schema_version\": 3, \"scenarios\": []}").unwrap_err();
+        assert!(err.contains("schema version"), "{err}");
     }
 }

@@ -26,7 +26,7 @@ use ckpt::{CkptError, Pack};
 use hot::gravity::{Accel, GravityConfig};
 use hot::traverse::group_accelerations;
 use hot::tree::{Body, Tree};
-use msg::{run_with_faults, run_with_faults_observed, Comm, FaultPlan, Machine, WorldOutcome};
+use msg::{Comm, FaultPlan, Machine, World, WorldOutcome, WorldRun};
 use std::sync::Mutex;
 use store::{GenerationLog, RecordKind, StoreConfig};
 
@@ -559,14 +559,11 @@ fn run_treecode_impl(
             let final_bodies = if comm.rank() == 0 { bodies } else { Vec::new() };
             (final_bodies, comm.time(), comm.stats())
         };
-        let (outcome, trace) = if traced {
-            run_with_faults_observed(machine.clone(), nranks, plan, clock0, world)
-        } else {
-            (
-                run_with_faults(machine.clone(), nranks, plan, clock0, world),
-                None,
-            )
-        };
+        let WorldRun { outcome, trace, .. } = World::new(machine.clone(), nranks)
+            .faults(plan)
+            .clock0(clock0)
+            .observe(traced)
+            .run(world);
         // Commits outlive the attempt that made them.
         if let Some((step, vtime, bytes)) = store.into_inner().unwrap() {
             if step > committed.0 {
@@ -739,6 +736,7 @@ fn run_treecode_impl(
                     break;
                 }
             }
+            WorldOutcome::Stalled { .. } => unreachable!("no schedule installed"),
         }
     }
     report.completed = false;

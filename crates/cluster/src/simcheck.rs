@@ -37,14 +37,11 @@
 //! first-match delivery).
 
 use crate::golden_ics;
-use crate::ics::SplitMix64;
 use hot::gravity::{Accel, GravityConfig};
 use hot::traverse::group_accelerations;
 use hot::tree::{Body, Tree};
 use msg::{
-    replay_with_faults_and_schedule_observed, replay_with_schedule_observed,
-    run_with_faults_and_schedule_observed, run_with_schedule_observed, Abm, Comm, FaultPlan,
-    Machine, SchedOutcome, SchedPlan, ScheduleLog, Termination,
+    Abm, Comm, FaultPlan, Machine, SchedPlan, ScheduleLog, SplitMix64, Termination, WorldOutcome,
 };
 use obs::WorldTrace;
 
@@ -654,107 +651,56 @@ fn run_world(
     // schedule- or fault-driven divergence breaks digest equality).
     let ics = golden_ics(cfg.bodies, 42);
     let per_rank = 12u64;
-    let (outcome, trace, log) = match world {
-        World::Treecode => {
-            let body = |c: &mut Comm| treecode_world(c, &ics, &gcfg, cfg.steps, 0.01, None);
-            match replay {
-                None => run_with_schedule_observed(machine, cfg.ranks, splan, body),
-                Some((log, prefix)) => {
-                    replay_with_schedule_observed(machine, cfg.ranks, splan, log, prefix, body)
-                }
-            }
-        }
-        World::Overlap => {
-            let body = |c: &mut Comm| overlap_world(c, &ics, &gcfg);
-            match replay {
-                None => run_with_schedule_observed(machine, cfg.ranks, splan, body),
-                Some((log, prefix)) => {
-                    replay_with_schedule_observed(machine, cfg.ranks, splan, log, prefix, body)
-                }
-            }
-        }
-        World::Chaos => {
-            let body = |c: &mut Comm| treecode_world(c, &ics, &gcfg, cfg.steps, 0.01, None);
-            let fp = fplan.as_ref().expect("chaos world has a fault plan");
-            match replay {
-                None => {
-                    run_with_faults_and_schedule_observed(machine, cfg.ranks, fp, splan, 0.0, body)
-                }
-                Some((log, prefix)) => replay_with_faults_and_schedule_observed(
-                    machine, cfg.ranks, fp, splan, 0.0, log, prefix, body,
-                ),
-            }
-        }
-        World::Degraded => {
-            let drag = Some((cfg.ranks - 1, DRAG_S));
-            let body = |c: &mut Comm| treecode_world(c, &ics, &gcfg, cfg.steps, 0.01, drag);
-            let fp = fplan.as_ref().expect("degraded world has a fault plan");
-            match replay {
-                None => {
-                    run_with_faults_and_schedule_observed(machine, cfg.ranks, fp, splan, 0.0, body)
-                }
-                Some((log, prefix)) => replay_with_faults_and_schedule_observed(
-                    machine, cfg.ranks, fp, splan, 0.0, log, prefix, body,
-                ),
-            }
-        }
-        World::Queries => {
-            let body = |c: &mut Comm| queries_world(c, &ics, cfg.steps);
-            let (outcome, trace, log) = match replay {
-                None => run_with_schedule_observed(machine, cfg.ranks, splan, body),
-                Some((rlog, prefix)) => {
-                    replay_with_schedule_observed(machine, cfg.ranks, splan, rlog, prefix, body)
-                }
-            };
-            // Like the storm world, completion runs a world-specific
-            // absolute oracle (exactly-once replies) on the raw returns
-            // before collapsing them to digests.
-            let outcome = match outcome {
-                SchedOutcome::Completed(lists) => {
-                    return (finish_queries(lists, trace), log);
-                }
-                SchedOutcome::Crashed { rank, at } => SchedOutcome::Crashed { rank, at },
-                SchedOutcome::Stalled { rank, at, deadlock } => {
-                    SchedOutcome::Stalled { rank, at, deadlock }
-                }
-            };
-            (outcome, trace, log)
-        }
-        World::Storm => {
-            let body = |c: &mut Comm| storm_world(c, per_rank);
-            let fp = fplan.as_ref().expect("storm world has a fault plan");
-            let (outcome, trace, log) = match replay {
-                None => {
-                    run_with_faults_and_schedule_observed(machine, cfg.ranks, fp, splan, 0.0, body)
-                }
-                Some((rlog, prefix)) => replay_with_faults_and_schedule_observed(
-                    machine, cfg.ranks, fp, splan, 0.0, rlog, prefix, body,
-                ),
-            };
-            // Collapse each rank's id list to a digest for uniform
-            // handling; exactly-once is checked separately on the lists.
-            let outcome = match outcome {
-                SchedOutcome::Completed(lists) => {
-                    return (finish_storm(cfg, per_rank, lists, trace), log);
-                }
-                SchedOutcome::Crashed { rank, at } => SchedOutcome::Crashed { rank, at },
-                SchedOutcome::Stalled { rank, at, deadlock } => {
-                    SchedOutcome::Stalled { rank, at, deadlock }
-                }
-            };
-            (outcome, trace, log)
-        }
+    // One builder for every world: scheduled and observed always, under
+    // the world's fault plan if it has one, replaying if asked to.
+    let mut sim = msg::World::new(machine, cfg.ranks)
+        .schedule(splan)
+        .observe(true);
+    if let Some(fp) = &fplan {
+        sim = sim.faults(fp);
+    }
+    if let Some((log, prefix)) = replay {
+        sim = sim.replay(log, prefix);
+    }
+    let physics = |digests, trace: Option<WorldTrace>| WorldResult::Done {
+        digests,
+        trace: trace.expect("completed scheduled world always yields a trace"),
+        delivery_error: None,
     };
-    let result = match outcome {
-        SchedOutcome::Completed(digests) => WorldResult::Done {
-            digests,
-            trace: trace.expect("completed scheduled world always yields a trace"),
-            delivery_error: None,
-        },
-        SchedOutcome::Stalled { rank, at, deadlock } => WorldResult::Stalled { rank, at, deadlock },
-        SchedOutcome::Crashed { rank, at } => WorldResult::Crashed { rank, at },
+    match world {
+        World::Treecode | World::Chaos | World::Degraded => {
+            let drag = (world == World::Degraded).then_some((cfg.ranks - 1, DRAG_S));
+            settle(
+                sim.run(|c| treecode_world(c, &ics, &gcfg, cfg.steps, 0.01, drag)),
+                physics,
+            )
+        }
+        World::Overlap => settle(sim.run(|c| overlap_world(c, &ics, &gcfg)), physics),
+        // The queries and storm worlds run a world-specific absolute
+        // oracle (exactly-once replies / delivery) on the raw per-rank
+        // returns before collapsing them to digests.
+        World::Queries => settle(
+            sim.run(|c| queries_world(c, &ics, cfg.steps)),
+            finish_queries,
+        ),
+        World::Storm => settle(sim.run(|c| storm_world(c, per_rank)), |lists, trace| {
+            finish_storm(cfg, per_rank, lists, trace)
+        }),
+    }
+}
+
+/// Fold a finished world into the harness's result: `done` judges a
+/// completed world's per-rank returns; stalls and crashes pass through.
+fn settle<T>(
+    run: msg::WorldRun<T>,
+    done: impl FnOnce(Vec<T>, Option<WorldTrace>) -> WorldResult,
+) -> (WorldResult, ScheduleLog) {
+    let result = match run.outcome {
+        WorldOutcome::Completed(out) => done(out, run.trace),
+        WorldOutcome::Stalled { rank, at, deadlock } => WorldResult::Stalled { rank, at, deadlock },
+        WorldOutcome::Crashed { rank, at } => WorldResult::Crashed { rank, at },
     };
-    (result, log)
+    (result, run.log)
 }
 
 /// Storm completion: check exactly-once *here* (it needs the raw id
@@ -1221,15 +1167,12 @@ mod tests {
                         .with_heartbeat(mutant.clone());
                 let drag = Some((cfg.ranks - 1, DRAG_S));
                 let body = |c: &mut Comm| treecode_world(c, &ics, &gcfg, cfg.steps, 0.01, drag);
-                let (outcome, _, _) = run_with_faults_and_schedule_observed(
-                    Machine::ideal(cfg.ranks as u32),
-                    cfg.ranks,
-                    &fplan,
-                    &splan,
-                    0.0,
-                    body,
-                );
-                if matches!(outcome, SchedOutcome::Crashed { .. }) {
+                let run = msg::World::new(Machine::ideal(cfg.ranks as u32), cfg.ranks)
+                    .faults(&fplan)
+                    .schedule(&splan)
+                    .observe(true)
+                    .run(body);
+                if matches!(run.outcome, WorldOutcome::Crashed { .. }) {
                     caught = true;
                     break;
                 }

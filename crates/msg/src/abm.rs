@@ -24,7 +24,7 @@ const DONE_TAG: Tag = (1 << 61) | 2;
 
 /// A batching sender/receiver for messages of type `M`.
 ///
-/// Batches flush through **one** routine ([`Abm::flush_dst`]) regardless of
+/// Batches flush through **one** routine (`Abm::flush_dst`) regardless of
 /// what triggered the flush — count limit, byte budget, deadline, or an
 /// explicit [`Abm::flush_all`] — so the Safra `sent` counter is updated in
 /// exactly one place and cannot diverge between flush paths again (the

@@ -1,29 +1,33 @@
-//! The world, ranks, and point-to-point messaging.
+//! Ranks and point-to-point messaging.
 //!
-//! [`run_with`] spawns one thread per rank; each thread gets a [`Comm`]
-//! wired to the shared fabric. Sends are asynchronous (unbounded channels),
-//! receives block with tag/source matching, and every operation advances
-//! the rank's virtual clock per the machine model.
+//! [`crate::World::run`] spawns one thread per rank; each thread gets a
+//! [`Comm`] wired to the shared fabric. Sends are asynchronous (unbounded
+//! channels), receives block with tag/source matching, and every
+//! operation advances the rank's virtual clock per the machine model.
+//! [`run`], [`run_with`] and [`run_observed`] are shorthands for the
+//! plain world: no fault plan, no schedule.
 //!
-//! Worlds started through [`crate::fault::run_with_faults`] additionally
-//! carry a reliable-delivery transport (sequence numbers, cumulative acks,
+//! Worlds built with [`crate::World::faults`] additionally carry a
+//! reliable-delivery transport (sequence numbers, cumulative acks,
 //! timeout/retransmit with exponential backoff) underneath the tag-matched
 //! interface, so application protocols survive the injected packet loss,
 //! corruption, duplication and reordering of a [`crate::fault::FaultPlan`].
-//! Fault-free worlds skip that machinery entirely: the `fault` field is
+//! Worlds built with [`crate::World::schedule`] carry the adversarial
+//! delivery scheduler and its liveness watchdogs ([`crate::sched`]).
+//! Plain worlds skip both entirely: the `fault` and `sched` fields are
 //! `None` and every call takes the original code path.
 
 use crate::fault::{FaultCtx, QuietCrash, RankCrash, WorldAborted};
 use crate::machine::Machine;
 use crate::payload::{AnyPayload, Payload};
-use crate::sched::{SchedCtx, Stall, StallAbort};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::sched::{SchedCtx, SchedShared, Stall, StallAbort};
+use crate::world::World;
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use obs::{RankTrace, Recorder, WorldTrace};
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::panic_any;
 use std::sync::atomic::Ordering;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Message tag. User tags should stay below [`Tag::MAX`]`/2`; the library
@@ -273,6 +277,7 @@ impl Comm {
         senders: Vec<Sender<Packet>>,
         rx: Receiver<Packet>,
         fault: Option<Box<FaultCtx>>,
+        sched: Option<Box<SchedCtx>>,
     ) -> Comm {
         Comm {
             rank,
@@ -287,16 +292,10 @@ impl Comm {
             stats: CommStats::default(),
             idle_polls: 0,
             fault,
-            sched: None,
+            sched,
             obs: None,
             obs_folded: CommStats::default(),
         }
-    }
-
-    /// Arm the adversarial delivery scheduler (see `crate::sched`).
-    pub(crate) fn install_sched(&mut self, ctx: Box<SchedCtx>) {
-        assert!(self.sched.is_none(), "scheduler already installed");
-        self.sched = Some(ctx);
     }
 
     /// Mark this rank's program as finished for the deadlock detector.
@@ -326,6 +325,86 @@ impl Comm {
     fn note_tx(&self) {
         if let Some(s) = &self.sched {
             s.shared.inflight.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Hand one packet pulled off the channel to the reliable transport
+    /// (`ctx` is the fault ctx, checked out of `self.fault`) or, on
+    /// fault-free worlds, straight to the mailbox.
+    #[inline]
+    fn deliver(&mut self, ctx: Option<&mut FaultCtx>, pkt: Packet) {
+        self.note_rx_pull();
+        match ctx {
+            Some(ctx) => self.ingest(ctx, pkt),
+            None => self.mailbox.push(pkt),
+        }
+    }
+
+    /// [`Comm::deliver`] for callers that do not hold the fault ctx.
+    fn deliver_unheld(&mut self, pkt: Packet) {
+        let mut ctx = self.fault.take();
+        self.deliver(ctx.as_deref_mut(), pkt);
+        self.fault = ctx;
+    }
+
+    /// Deliver everything already sitting in the channel, without
+    /// blocking.
+    #[inline]
+    fn drain_channel(&mut self, mut ctx: Option<&mut FaultCtx>) {
+        while let Ok(pkt) = self.rx.try_recv() {
+            self.deliver(ctx.as_deref_mut(), pkt);
+        }
+    }
+
+    /// Wait up to one `POLL_WALL` for a packet. With `park` set on a
+    /// scheduled world, the rank counts as parked for the deadlock
+    /// detector while it waits, and a timeout runs the detector's check.
+    fn poll_channel(&self, park: bool) -> Option<Packet> {
+        let parked = self.sched.as_ref().filter(|_| park).map(|s| &*s.shared);
+        if let Some(shared) = parked {
+            shared.parked.fetch_add(1, Ordering::SeqCst);
+        }
+        let polled = self.rx.recv_timeout(POLL_WALL);
+        if let Some(shared) = parked {
+            if matches!(polled, Err(RecvTimeoutError::Timeout)) {
+                // Run the deadlock check while this rank still counts as
+                // parked, or the all-parked state is unreachable.
+                self.check_deadlock(shared);
+            }
+            shared.parked.fetch_sub(1, Ordering::SeqCst);
+        }
+        match polled {
+            Ok(pkt) => Some(pkt),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => panic!("world disconnected"),
+        }
+    }
+
+    /// The parked-world deadlock check: tear down if some rank already
+    /// stalled; flag a deadlock if every rank is parked or retired with
+    /// nothing in flight. Called by a rank that counts as parked.
+    fn check_deadlock(&self, shared: &SchedShared) {
+        if shared.stalled.load(Ordering::SeqCst) {
+            shared.parked.fetch_sub(1, Ordering::SeqCst);
+            panic_any(StallAbort);
+        }
+        // Every rank ends up parked in the transport drain at normal
+        // termination: a fully drained world is finishing, not stuck.
+        let finishing = self
+            .fault
+            .as_ref()
+            .is_some_and(|c| c.drained.load(Ordering::SeqCst) >= self.size);
+        let everyone_blocked = shared.parked.load(Ordering::SeqCst)
+            + shared.retired.load(Ordering::SeqCst)
+            >= shared.size;
+        if everyone_blocked && !finishing && shared.inflight.load(Ordering::SeqCst) <= 0 {
+            shared.stalled.store(true, Ordering::SeqCst);
+            shared.parked.fetch_sub(1, Ordering::SeqCst);
+            panic_any(Stall {
+                rank: self.rank,
+                at: self.clock,
+                deadlock: true,
+            });
         }
     }
 
@@ -811,43 +890,12 @@ impl Comm {
     fn recv_sched<T: Payload>(&mut self, src: Option<usize>, tag: Tag) -> (usize, T) {
         loop {
             self.check_sched();
-            while let Ok(pkt) = self.rx.try_recv() {
-                self.note_rx_pull();
-                self.mailbox.push(pkt);
-            }
+            self.drain_channel(None);
             if let Some(pkt) = self.take_from_mailbox(src, tag) {
                 return self.accept(pkt);
             }
-            let shared = self.sched.as_ref().expect("sched ctx").shared.clone();
-            shared.parked.fetch_add(1, Ordering::SeqCst);
-            match self.rx.recv_timeout(POLL_WALL) {
-                Ok(pkt) => {
-                    shared.parked.fetch_sub(1, Ordering::SeqCst);
-                    self.note_rx_pull();
-                    self.mailbox.push(pkt);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Run the deadlock check while this rank still counts
-                    // as parked, or the all-parked state is unreachable.
-                    if shared.stalled.load(Ordering::SeqCst) {
-                        shared.parked.fetch_sub(1, Ordering::SeqCst);
-                        panic_any(StallAbort);
-                    }
-                    let everyone_blocked = shared.parked.load(Ordering::SeqCst)
-                        + shared.retired.load(Ordering::SeqCst)
-                        >= shared.size;
-                    if everyone_blocked && shared.inflight.load(Ordering::SeqCst) <= 0 {
-                        shared.stalled.store(true, Ordering::SeqCst);
-                        shared.parked.fetch_sub(1, Ordering::SeqCst);
-                        panic_any(Stall {
-                            rank: self.rank,
-                            at: self.clock,
-                            deadlock: true,
-                        });
-                    }
-                    shared.parked.fetch_sub(1, Ordering::SeqCst);
-                }
-                Err(RecvTimeoutError::Disconnected) => panic!("world disconnected"),
+            if let Some(pkt) = self.poll_channel(true) {
+                self.deliver(None, pkt);
             }
         }
     }
@@ -859,64 +907,26 @@ impl Comm {
             self.check_liveness();
             let mut ctx = self.fault.take().expect("fault ctx");
             self.service_transport(&mut ctx);
-            while let Ok(pkt) = self.rx.try_recv() {
-                self.note_rx_pull();
-                self.ingest(&mut ctx, pkt);
-            }
+            self.drain_channel(Some(&mut ctx));
             let idle_dt = self.idle_step(&ctx);
             // A rank with unacked or held packets will make progress on
             // its own (timers fire as the poll charge advances its
             // clock), so only a transport-idle rank counts as parked for
             // the deadlock detector.
-            let idle =
-                ctx.tx.iter().all(|t| t.unacked.is_empty()) && ctx.held.iter().all(Option::is_none);
+            let idle = ctx.transport_idle();
             self.fault = Some(ctx);
             if let Some(pkt) = self.take_from_mailbox(src, tag) {
                 return self.accept(pkt);
             }
-            let parked = match &self.sched {
-                Some(s) if idle => {
-                    let shared = s.shared.clone();
-                    shared.parked.fetch_add(1, Ordering::SeqCst);
-                    Some(shared)
-                }
-                _ => None,
-            };
-            match self.rx.recv_timeout(POLL_WALL) {
-                Ok(pkt) => {
-                    if let Some(shared) = parked {
-                        shared.parked.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    self.note_rx_pull();
-                    let mut ctx = self.fault.take().expect("fault ctx");
-                    self.ingest(&mut ctx, pkt);
-                    self.fault = Some(ctx);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(shared) = parked {
-                        // Deadlock check while this rank still counts as
-                        // parked (see recv_sched for the rationale).
-                        let everyone_blocked = shared.parked.load(Ordering::SeqCst)
-                            + shared.retired.load(Ordering::SeqCst)
-                            >= shared.size;
-                        if everyone_blocked && shared.inflight.load(Ordering::SeqCst) <= 0 {
-                            shared.stalled.store(true, Ordering::SeqCst);
-                            shared.parked.fetch_sub(1, Ordering::SeqCst);
-                            panic_any(Stall {
-                                rank: self.rank,
-                                at: self.clock,
-                                deadlock: true,
-                            });
-                        }
-                        shared.parked.fetch_sub(1, Ordering::SeqCst);
-                    }
+            match self.poll_channel(idle) {
+                Some(pkt) => self.deliver_unheld(pkt),
+                None => {
                     // Charge the idle quantum so virtual time moves and
                     // ack timeouts can expire while we sit here (jumping
                     // straight to the next timer when one is pending).
                     self.clock += idle_dt;
                     self.stats.wait_s += idle_dt;
                 }
-                Err(RecvTimeoutError::Disconnected) => panic!("world disconnected"),
             }
         }
     }
@@ -928,10 +938,7 @@ impl Comm {
             self.check_liveness();
             let mut ctx = self.fault.take().expect("fault ctx");
             self.service_transport(&mut ctx);
-            while let Ok(pkt) = self.rx.try_recv() {
-                self.note_rx_pull();
-                self.ingest(&mut ctx, pkt);
-            }
+            self.drain_channel(Some(&mut ctx));
             let probe_s = ctx.cfg.probe_s;
             self.fault = Some(ctx);
             return match self.take_from_mailbox(src, tag) {
@@ -944,10 +951,7 @@ impl Comm {
                 }
             };
         }
-        while let Ok(pkt) = self.rx.try_recv() {
-            self.note_rx_pull();
-            self.mailbox.push(pkt);
-        }
+        self.drain_channel(None);
         match self.take_from_mailbox(src, tag) {
             Some(pkt) => Some(self.accept(pkt)),
             None => {
@@ -976,19 +980,12 @@ impl Comm {
         let deadline = Instant::now() + wall;
         loop {
             self.check_liveness();
-            if let Some(mut ctx) = self.fault.take() {
-                self.service_transport(&mut ctx);
-                while let Ok(pkt) = self.rx.try_recv() {
-                    self.note_rx_pull();
-                    self.ingest(&mut ctx, pkt);
-                }
-                self.fault = Some(ctx);
-            } else {
-                while let Ok(pkt) = self.rx.try_recv() {
-                    self.note_rx_pull();
-                    self.mailbox.push(pkt);
-                }
+            let mut ctx = self.fault.take();
+            if let Some(ctx) = ctx.as_deref_mut() {
+                self.service_transport(ctx);
             }
+            self.drain_channel(ctx.as_deref_mut());
+            self.fault = ctx;
             if let Some(pkt) = self.take_from_mailbox(src, tag) {
                 return Ok(self.accept(pkt));
             }
@@ -1007,15 +1004,7 @@ impl Comm {
             }
             let slice = POLL_WALL.min(deadline - now);
             match self.rx.recv_timeout(slice) {
-                Ok(pkt) => {
-                    self.note_rx_pull();
-                    if let Some(mut ctx) = self.fault.take() {
-                        self.ingest(&mut ctx, pkt);
-                        self.fault = Some(ctx);
-                    } else {
-                        self.mailbox.push(pkt);
-                    }
-                }
+                Ok(pkt) => self.deliver_unheld(pkt),
                 Err(RecvTimeoutError::Timeout) => {
                     if let Some(ctx) = self.fault.take() {
                         let dt = self.idle_step(&ctx);
@@ -1054,24 +1043,17 @@ impl Comm {
             loop {
                 Self::liveness_probe(self.rank, self.clock, &ctx);
                 self.service_transport(&mut ctx);
-                while let Ok(pkt) = self.rx.try_recv() {
-                    self.note_rx_pull();
-                    self.ingest(&mut ctx, pkt);
-                }
+                self.drain_channel(Some(&mut ctx));
                 if ctx.tx[dst].unacked.len() < ctx.cfg.window {
                     break;
                 }
                 let dt = self.idle_step(&ctx);
-                match self.rx.recv_timeout(POLL_WALL) {
-                    Ok(pkt) => {
-                        self.note_rx_pull();
-                        self.ingest(&mut ctx, pkt);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
+                match self.poll_channel(false) {
+                    Some(pkt) => self.deliver(Some(&mut ctx), pkt),
+                    None => {
                         self.clock += dt;
                         self.stats.wait_s += dt;
                     }
-                    Err(RecvTimeoutError::Disconnected) => panic!("world disconnected"),
                 }
             }
         }
@@ -1197,10 +1179,7 @@ impl Comm {
         // fresh heartbeat already sitting in the queue must be able to
         // clear a suspicion before the sweep re-judges (and possibly
         // condemns on) stale liveness state.
-        while let Ok(pkt) = self.rx.try_recv() {
-            self.note_rx_pull();
-            self.ingest(ctx, pkt);
-        }
+        self.drain_channel(Some(ctx));
         self.service_health(ctx);
         for dst in 0..self.size {
             if ctx.held[dst]
@@ -1552,12 +1531,8 @@ impl Comm {
             self.check_liveness();
             let mut ctx = self.fault.take().expect("fault ctx");
             self.service_transport(&mut ctx);
-            while let Ok(pkt) = self.rx.try_recv() {
-                self.note_rx_pull();
-                self.ingest(&mut ctx, pkt);
-            }
-            let empty =
-                ctx.tx.iter().all(|t| t.unacked.is_empty()) && ctx.held.iter().all(Option::is_none);
+            self.drain_channel(Some(&mut ctx));
+            let empty = ctx.transport_idle();
             let idle_dt = self.idle_step(&ctx);
             let drained = ctx.drained.clone();
             self.fault = Some(ctx);
@@ -1573,50 +1548,9 @@ impl Comm {
             // A drained rank waiting out its peers counts as parked for
             // the deadlock detector: if a peer is deadlocked mid-program
             // the drain would otherwise mask the all-blocked state.
-            let parked = match &self.sched {
-                Some(s) if empty => {
-                    let shared = s.shared.clone();
-                    shared.parked.fetch_add(1, Ordering::SeqCst);
-                    Some(shared)
-                }
-                _ => None,
-            };
-            match self.rx.recv_timeout(POLL_WALL) {
-                Ok(pkt) => {
-                    if let Some(shared) = parked {
-                        shared.parked.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    self.note_rx_pull();
-                    let mut ctx = self.fault.take().expect("fault ctx");
-                    self.ingest(&mut ctx, pkt);
-                    self.fault = Some(ctx);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(shared) = parked {
-                        // Every drained rank ends up here at normal
-                        // termination, so re-check the exit condition
-                        // before calling an all-parked world deadlocked.
-                        if drained.load(Ordering::SeqCst) >= size {
-                            shared.parked.fetch_sub(1, Ordering::SeqCst);
-                            return;
-                        }
-                        let everyone_blocked = shared.parked.load(Ordering::SeqCst)
-                            + shared.retired.load(Ordering::SeqCst)
-                            >= shared.size;
-                        if everyone_blocked && shared.inflight.load(Ordering::SeqCst) <= 0 {
-                            shared.stalled.store(true, Ordering::SeqCst);
-                            shared.parked.fetch_sub(1, Ordering::SeqCst);
-                            panic_any(Stall {
-                                rank: self.rank,
-                                at: self.clock,
-                                deadlock: true,
-                            });
-                        }
-                        shared.parked.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    self.clock += idle_dt;
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
+            match self.poll_channel(empty) {
+                Some(pkt) => self.deliver_unheld(pkt),
+                None => self.clock += idle_dt,
             }
         }
     }
@@ -1650,18 +1584,6 @@ impl Comm {
     }
 }
 
-/// Build the channel mesh for an `nranks` world.
-pub(crate) fn world_channels(nranks: usize) -> (Vec<Sender<Packet>>, Vec<Receiver<Packet>>) {
-    let mut senders = Vec::with_capacity(nranks);
-    let mut receivers = Vec::with_capacity(nranks);
-    for _ in 0..nranks {
-        let (tx, rx) = unbounded();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    (senders, receivers)
-}
-
 /// Run an `nranks`-way program on `machine`. Each rank executes `f` on its
 /// own thread; the per-rank return values come back in rank order.
 ///
@@ -1671,37 +1593,9 @@ where
     T: Send,
     F: Fn(&mut Comm) -> T + Sync,
 {
-    assert!(nranks >= 1, "need at least one rank");
-    assert!(
-        (machine.fabric.topology().total_ports() as usize) >= nranks,
-        "machine has too few ports for {nranks} ranks"
-    );
-    let (senders, receivers) = world_channels(nranks);
-    let f = &f;
-    let mut out: Vec<Option<T>> = (0..nranks).map(|_| None).collect();
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nranks);
-        for (rank, rx) in receivers.into_iter().enumerate() {
-            let machine = machine.clone();
-            let senders = senders.clone();
-            let h = thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(16 << 20)
-                .spawn_scoped(scope, move || {
-                    let mut comm = Comm::construct(rank, nranks, 0.0, machine, senders, rx, None);
-                    f(&mut comm)
-                })
-                .expect("failed to spawn rank thread");
-            handles.push(h);
-        }
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(v) => out[rank] = Some(v),
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
-    });
-    out.into_iter().map(Option::unwrap).collect()
+    let run = World::new(machine, nranks).run(f);
+    run.outcome
+        .expect_completed("a plain world cannot crash or stall")
 }
 
 /// Run on an ideal crossbar (unit tests, algorithm development).
@@ -1721,14 +1615,12 @@ where
     T: Send,
     F: Fn(&mut Comm) -> T + Sync,
 {
-    let out = run_with(machine, nranks, |c| {
-        c.install_recorder();
-        let v = f(c);
-        let trace = c.take_trace().expect("recorder installed above");
-        (v, trace)
-    });
-    let (values, traces): (Vec<T>, Vec<RankTrace>) = out.into_iter().unzip();
-    (values, WorldTrace::from_ranks(traces))
+    let run = World::new(machine, nranks).observe(true).run(f);
+    (
+        run.outcome
+            .expect_completed("a plain world cannot crash or stall"),
+        run.trace.expect("a completed observed world has a trace"),
+    )
 }
 
 #[cfg(test)]

@@ -10,25 +10,22 @@
 //!   duplication / reordering at the `Comm` boundary, applies
 //!   [`netsim::LinkFault`] windows to switch ports, and crashes ranks at
 //!   scheduled virtual times;
-//! * [`run_with_faults`] runs a world under a plan: every rank gets the
-//!   reliable-delivery transport (sequence numbers, cumulative acks,
-//!   timeout/retransmit with exponential backoff — see `comm.rs`), and a
-//!   rank crash tears the world down and reports
-//!   [`WorldOutcome::Crashed`] so a harness can restore a checkpoint and
-//!   rerun.
+//! * [`World::faults`](crate::World::faults) runs a world under a plan:
+//!   every rank gets the reliable-delivery transport (sequence numbers,
+//!   cumulative acks, timeout/retransmit with exponential backoff — see
+//!   `comm.rs`), and a rank crash tears the world down and reports
+//!   [`WorldOutcome::Crashed`](crate::WorldOutcome::Crashed) so a harness
+//!   can restore a checkpoint and rerun.
 //!
 //! Fault-free worlds ([`crate::run`], [`crate::run_with`]) never touch any
 //! of this: injection is pay-for-what-you-inject.
 
-use crate::comm::{world_channels, Comm, Packet, Tag};
-use crate::machine::Machine;
+use crate::comm::{Packet, Tag};
 use crate::payload::AnyPayload;
 use netsim::LinkFault;
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::{Arc, Once};
-use std::thread;
 
 /// Seconds in the 30.44-day month used by the §2.1 monthly rates.
 pub const MONTH_S: f64 = 30.44 * 86_400.0;
@@ -211,7 +208,8 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan that injects nothing (still usable with
-    /// [`run_with_faults`], e.g. as the control arm of an experiment).
+    /// [`World::faults`](crate::World::faults), e.g. as the control arm
+    /// of an experiment).
     pub fn none(seed: u64) -> Self {
         FaultPlan {
             seed,
@@ -304,7 +302,7 @@ impl FaultPlan {
         seed: u64,
     ) -> Self {
         use nodesim::ComponentClass;
-        let mut rng = SplitMix64::new(seed ^ 0xFA17_0000_0000_0001);
+        let mut rng = SplitMix64(seed ^ 0xFA17_0000_0000_0001);
         // Per-node fatal failures per month (cluster rate / 294 nodes).
         let nodes = 294.0;
         let mut node_rate = 0.0;
@@ -339,32 +337,6 @@ impl FaultPlan {
             retransmit: RetransmitConfig::default(),
             heartbeat: None,
         }
-    }
-}
-
-/// How a faulted world ended.
-#[derive(Debug)]
-pub enum WorldOutcome<T> {
-    /// Every rank ran to completion; per-rank results in rank order.
-    Completed(Vec<T>),
-    /// A rank died (scheduled crash or unreachable peer); the earliest
-    /// death is reported. Restore a checkpoint and rerun.
-    Crashed { rank: usize, at: f64 },
-}
-
-impl<T> WorldOutcome<T> {
-    /// The results of a world that must have completed.
-    pub fn expect_completed(self, msg: &str) -> Vec<T> {
-        match self {
-            WorldOutcome::Completed(v) => v,
-            WorldOutcome::Crashed { rank, at } => {
-                panic!("{msg}: world crashed (rank {rank} at t={at:.3})")
-            }
-        }
-    }
-
-    pub fn crashed(&self) -> bool {
-        matches!(self, WorldOutcome::Crashed { .. })
     }
 }
 
@@ -412,14 +384,15 @@ pub(crate) fn install_quiet_hook() {
     });
 }
 
-/// splitmix64: small, seedable, and good enough for injection draws.
-pub(crate) struct SplitMix64(u64);
+/// SplitMix64 (Steele et al.): small, seedable, dependency-free — the
+/// workspace's one generator for injection draws, schedule decisions,
+/// deterministic initial conditions and the query fleet. Integer mixing
+/// and IEEE-754 multiplies only, so seeded artifacts are bit-stable
+/// across platforms.
+#[derive(Debug, Clone, Copy)]
+pub struct SplitMix64(pub u64);
 
 impl SplitMix64 {
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
     pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut x = self.0;
@@ -428,9 +401,14 @@ impl SplitMix64 {
         x ^ (x >> 31)
     }
 
-    /// Uniform in `[0, 1)`.
+    /// Uniform in `[0, 1)` with 53 bits.
     pub fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
+    }
+
+    /// Uniform in `[-1, 1)`.
+    pub fn sym(&mut self) -> f64 {
+        2.0 * self.unit() - 1.0
     }
 }
 
@@ -558,7 +536,7 @@ impl FaultCtx {
             duplicate_p: plan.duplicate,
             reorder_p: plan.reorder,
             cfg: plan.retransmit,
-            rng: SplitMix64::new(stream),
+            rng: SplitMix64(stream),
             crash_at,
             abort,
             drained,
@@ -583,180 +561,11 @@ impl FaultCtx {
                 .map(|cfg| HealthState::new(cfg, size, clock0)),
         }
     }
-}
 
-enum RankEnd<T> {
-    Done(T),
-    Crash(RankCrash),
-    Aborted,
-    Panic(Box<dyn std::any::Any + Send>),
-}
-
-/// Run an `nranks`-way program under `plan`, with every rank's virtual
-/// clock starting at `clock0` (so a restart attempt continues the absolute
-/// cluster timeline and crash events stay comparable across attempts —
-/// events at or before `clock0` are treated as already spent).
-///
-/// All messaging goes through the reliable transport; scheduled crashes
-/// (and senders exhausting their retries against a dead peer) tear the
-/// world down and report [`WorldOutcome::Crashed`] with the earliest death.
-/// Genuine panics (assertion failures) still propagate.
-pub fn run_with_faults<T, F>(
-    machine: Machine,
-    nranks: usize,
-    plan: &FaultPlan,
-    clock0: f64,
-    f: F,
-) -> WorldOutcome<T>
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    assert!(nranks >= 1, "need at least one rank");
-    assert!(
-        (machine.fabric.topology().total_ports() as usize) >= nranks,
-        "machine has too few ports for {nranks} ranks"
-    );
-    install_quiet_hook();
-    // The fabric is shared (Arc) and may be reused across restart
-    // attempts; make the fault set exactly the plan's, not accumulated.
-    machine.fabric.clear_link_faults();
-    for lf in &plan.link_faults {
-        machine.fabric.inject_link_fault(*lf);
-    }
-    let abort = Arc::new(AtomicBool::new(false));
-    let drained = Arc::new(AtomicUsize::new(0));
-    let (senders, receivers) = world_channels(nranks);
-    let f = &f;
-    let mut ends: Vec<Option<RankEnd<T>>> = (0..nranks).map(|_| None).collect();
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nranks);
-        for (rank, rx) in receivers.into_iter().enumerate() {
-            let machine = machine.clone();
-            let senders = senders.clone();
-            let abort = abort.clone();
-            let drained = drained.clone();
-            let h = thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(16 << 20)
-                .spawn_scoped(scope, move || {
-                    let ctx = FaultCtx::new(plan, rank, nranks, clock0, abort.clone(), drained);
-                    let mut comm = Comm::construct(
-                        rank,
-                        nranks,
-                        clock0,
-                        machine,
-                        senders,
-                        rx,
-                        Some(Box::new(ctx)),
-                    );
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        let v = f(&mut comm);
-                        // A rank may still owe its peers retransmissions
-                        // of packets the injector ate; stay at the NIC
-                        // until the whole world's unacked queues drain.
-                        comm.drain_transport();
-                        v
-                    })) {
-                        Ok(v) => RankEnd::Done(v),
-                        Err(p) => {
-                            if let Some(c) = p.downcast_ref::<QuietCrash>() {
-                                // Silent death: the world keeps running —
-                                // the failure detector on the surviving
-                                // ranks must notice and raise the abort
-                                // itself (via a quorum verdict).
-                                RankEnd::Crash(RankCrash {
-                                    rank: c.rank,
-                                    at: c.at,
-                                })
-                            } else {
-                                abort.store(true, std::sync::atomic::Ordering::SeqCst);
-                                if let Some(c) = p.downcast_ref::<RankCrash>() {
-                                    RankEnd::Crash(*c)
-                                } else if p.downcast_ref::<WorldAborted>().is_some() {
-                                    RankEnd::Aborted
-                                } else {
-                                    RankEnd::Panic(p)
-                                }
-                            }
-                        }
-                    }
-                })
-                .expect("failed to spawn rank thread");
-            handles.push(h);
-        }
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(end) => ends[rank] = Some(end),
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
-    });
-    let mut crash: Option<RankCrash> = None;
-    let mut results = Vec::with_capacity(nranks);
-    for end in &ends {
-        match end.as_ref().expect("rank end recorded") {
-            RankEnd::Crash(c) => {
-                if crash.is_none_or(|b| c.at < b.at) {
-                    crash = Some(*c);
-                }
-            }
-            _ => continue,
-        }
-    }
-    for end in ends {
-        match end.expect("rank end recorded") {
-            RankEnd::Done(v) => results.push(v),
-            RankEnd::Panic(p) => std::panic::resume_unwind(p),
-            RankEnd::Crash(_) | RankEnd::Aborted => {}
-        }
-    }
-    match crash {
-        Some(c) => WorldOutcome::Crashed {
-            rank: c.rank,
-            at: c.at,
-        },
-        None => {
-            assert_eq!(results.len(), nranks, "aborted world without a crash");
-            WorldOutcome::Completed(results)
-        }
-    }
-}
-
-/// Like [`run_with_faults`], but every rank records a virtual-time trace.
-///
-/// Traces are finalized when the program function returns, *before* the
-/// post-program transport drain — the drain's virtual cost depends on how
-/// many real-time polls each rank spins through, which would poison the
-/// trace's determinism. Crashed worlds return no trace: a surviving
-/// rank's timeline ends wherever it happened to observe the abort flag,
-/// which is a wall-clock race, not a virtual-time fact.
-pub fn run_with_faults_observed<T, F>(
-    machine: Machine,
-    nranks: usize,
-    plan: &FaultPlan,
-    clock0: f64,
-    f: F,
-) -> (WorldOutcome<T>, Option<obs::WorldTrace>)
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    let out = run_with_faults(machine, nranks, plan, clock0, |c| {
-        c.install_recorder();
-        let v = f(c);
-        let trace = c.take_trace().expect("recorder installed above");
-        (v, trace)
-    });
-    match out {
-        WorldOutcome::Completed(pairs) => {
-            let (values, traces): (Vec<T>, Vec<obs::RankTrace>) = pairs.into_iter().unzip();
-            (
-                WorldOutcome::Completed(values),
-                Some(obs::WorldTrace::from_ranks(traces)),
-            )
-        }
-        WorldOutcome::Crashed { rank, at } => (WorldOutcome::Crashed { rank, at }, None),
+    /// Nothing unacked and nothing held: this rank's transport makes no
+    /// progress on its own, only a peer can wake it.
+    pub(crate) fn transport_idle(&self) -> bool {
+        self.tx.iter().all(|t| t.unacked.is_empty()) && self.held.iter().all(Option::is_none)
     }
 }
 
@@ -764,6 +573,8 @@ where
 mod tests {
     use super::*;
     use crate::abm::{Abm, Termination};
+    use crate::machine::Machine;
+    use crate::world::{World, WorldOutcome};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -781,39 +592,42 @@ mod tests {
     /// The union of receipts must be exactly the union of sends — once
     /// each — no matter what the transport injected.
     fn storm_exactly_once(nranks: usize, per_rank: u64, plan: &FaultPlan) {
-        let out = run_with_faults(Machine::ideal(nranks as u32), nranks, plan, 0.0, |c| {
-            let mut rng = SmallRng::seed_from_u64(1000 + c.rank() as u64);
-            let mut abm: Abm<u64> = Abm::new(c.size(), 3, 4);
-            let mut term = Termination::new();
-            for i in 0..per_rank {
-                let id = (c.rank() as u64) << 32 | i;
-                let dst = rng.gen_range(0..c.size());
-                abm.post(c, dst, id);
-            }
-            abm.flush_all(c);
-            term.on_send(abm.sent);
-            let mut sent_acc = abm.sent;
-            let mut got: Vec<u64> = Vec::new();
-            loop {
-                let batches = abm.poll(c);
-                let mut busy = false;
-                for (_, batch) in batches {
-                    term.on_recv(1);
-                    busy = true;
-                    got.extend(batch);
+        let out = World::new(Machine::ideal(nranks as u32), nranks)
+            .faults(plan)
+            .run(|c| {
+                let mut rng = SmallRng::seed_from_u64(1000 + c.rank() as u64);
+                let mut abm: Abm<u64> = Abm::new(c.size(), 3, 4);
+                let mut term = Termination::new();
+                for i in 0..per_rank {
+                    let id = (c.rank() as u64) << 32 | i;
+                    let dst = rng.gen_range(0..c.size());
+                    abm.post(c, dst, id);
                 }
                 abm.flush_all(c);
-                if abm.sent > sent_acc {
-                    term.on_send(abm.sent - sent_acc);
-                    sent_acc = abm.sent;
+                term.on_send(abm.sent);
+                let mut sent_acc = abm.sent;
+                let mut got: Vec<u64> = Vec::new();
+                loop {
+                    let batches = abm.poll(c);
+                    let mut busy = false;
+                    for (_, batch) in batches {
+                        term.on_recv(1);
+                        busy = true;
+                        got.extend(batch);
+                    }
+                    abm.flush_all(c);
+                    if abm.sent > sent_acc {
+                        term.on_send(abm.sent - sent_acc);
+                        sent_acc = abm.sent;
+                    }
+                    if !busy && term.poll(c) {
+                        break;
+                    }
                 }
-                if !busy && term.poll(c) {
-                    break;
-                }
-            }
-            (got, c.stats())
-        })
-        .expect_completed("no crashes scheduled");
+                (got, c.stats())
+            })
+            .outcome
+            .expect_completed("no crashes scheduled");
         let mut all: Vec<u64> = out.iter().flat_map(|(g, _)| g.iter().copied()).collect();
         all.sort_unstable();
         let expect: Vec<u64> = (0..nranks as u64)
@@ -829,45 +643,55 @@ mod tests {
     fn zero_fault_plan_delivers_and_injects_nothing() {
         let plan = FaultPlan::none(chaos_seed());
         assert!(plan.is_trivial());
-        let vals = run_with_faults(Machine::ideal(4), 4, &plan, 0.0, |c| {
-            let right = (c.rank() + 1) % c.size();
-            c.send(right, 1, c.rank() as u64);
-            let (_, v) = c.recv::<u64>(None, 1);
-            assert_eq!(c.stats().fault.drops, 0);
-            assert_eq!(c.stats().fault.retransmits, 0);
-            v
-        })
-        .expect_completed("trivial plan");
+        let vals = World::new(Machine::ideal(4), 4)
+            .faults(&plan)
+            .run(|c| {
+                let right = (c.rank() + 1) % c.size();
+                c.send(right, 1, c.rank() as u64);
+                let (_, v) = c.recv::<u64>(None, 1);
+                assert_eq!(c.stats().fault.drops, 0);
+                assert_eq!(c.stats().fault.retransmits, 0);
+                v
+            })
+            .outcome
+            .expect_completed("trivial plan");
         assert_eq!(vals, vec![3, 0, 1, 2]);
     }
 
     #[test]
     fn clock0_offsets_the_virtual_timeline() {
         let plan = FaultPlan::none(7);
-        let times = run_with_faults(Machine::ideal(2), 2, &plan, 100.0, |c| {
-            c.compute(1e8, 0.0);
-            c.time()
-        })
-        .expect_completed("no faults");
+        let times = World::new(Machine::ideal(2), 2)
+            .faults(&plan)
+            .clock0(100.0)
+            .run(|c| {
+                c.compute(1e8, 0.0);
+                c.time()
+            })
+            .outcome
+            .expect_completed("no faults");
         assert!(times.iter().all(|&t| t > 100.0), "{times:?}");
     }
 
     #[test]
     fn lossy_ring_recovers_via_retransmit() {
         let plan = FaultPlan::none(chaos_seed()).with_drop(0.4);
-        let out = run_with_faults(Machine::ideal(4), 4, &plan, 0.0, |c| {
-            let right = (c.rank() + 1) % c.size();
-            // Enough traffic that some of it is certain to be dropped.
-            for i in 0..50u64 {
-                c.send(right, 2, i);
-            }
-            let mut sum = 0u64;
-            for _ in 0..50 {
-                sum += c.recv::<u64>(None, 2).1;
-            }
-            (sum, c.stats())
-        })
-        .expect_completed("drops are recoverable");
+        let out = World::new(Machine::ideal(4), 4)
+            .faults(&plan)
+            .run(|c| {
+                let right = (c.rank() + 1) % c.size();
+                // Enough traffic that some of it is certain to be dropped.
+                for i in 0..50u64 {
+                    c.send(right, 2, i);
+                }
+                let mut sum = 0u64;
+                for _ in 0..50 {
+                    sum += c.recv::<u64>(None, 2).1;
+                }
+                (sum, c.stats())
+            })
+            .outcome
+            .expect_completed("drops are recoverable");
         let total_drops: u64 = out.iter().map(|(_, s)| s.fault.drops).sum();
         let total_retx: u64 = out.iter().map(|(_, s)| s.fault.retransmits).sum();
         assert!(total_drops > 0, "40% loss over 200 sends must drop some");
@@ -894,18 +718,21 @@ mod tests {
         let plan = FaultPlan::none(3)
             .with_link_fault(LinkFault::dead(1, 0.0, 100.0))
             .with_retransmit(slow);
-        let out = run_with_faults(Machine::ideal(2), 2, &plan, 0.0, |c| {
-            if c.rank() == 0 {
-                c.send(1, 4, 99u64);
-                let (_, echo) = c.recv::<u64>(Some(1), 4);
-                (echo, c.time(), c.stats().fault.retransmits)
-            } else {
-                let (_, v) = c.recv::<u64>(Some(0), 4);
-                c.send(0, 4, v);
-                (v, c.time(), c.stats().fault.retransmits)
-            }
-        })
-        .expect_completed("port cured before the retransmit fires");
+        let out = World::new(Machine::ideal(2), 2)
+            .faults(&plan)
+            .run(|c| {
+                if c.rank() == 0 {
+                    c.send(1, 4, 99u64);
+                    let (_, echo) = c.recv::<u64>(Some(1), 4);
+                    (echo, c.time(), c.stats().fault.retransmits)
+                } else {
+                    let (_, v) = c.recv::<u64>(Some(0), 4);
+                    c.send(0, 4, v);
+                    (v, c.time(), c.stats().fault.retransmits)
+                }
+            })
+            .outcome
+            .expect_completed("port cured before the retransmit fires");
         assert_eq!(out[0].0, 99);
         assert_eq!(out[1].0, 99);
         // The echo cannot exist before the t = 200 s retransmit delivered
@@ -923,15 +750,18 @@ mod tests {
         let plan = FaultPlan::none(chaos_seed())
             .with_corrupt(0.2)
             .with_duplicate(0.3);
-        let out = run_with_faults(Machine::ideal(2), 2, &plan, 0.0, |c| {
-            let peer = 1 - c.rank();
-            for i in 0..60u64 {
-                c.send(peer, 5, i);
-            }
-            let got: Vec<u64> = (0..60).map(|_| c.recv_from::<u64>(peer, 5)).collect();
-            (got, c.stats())
-        })
-        .expect_completed("recoverable faults");
+        let out = World::new(Machine::ideal(2), 2)
+            .faults(&plan)
+            .run(|c| {
+                let peer = 1 - c.rank();
+                for i in 0..60u64 {
+                    c.send(peer, 5, i);
+                }
+                let got: Vec<u64> = (0..60).map(|_| c.recv_from::<u64>(peer, 5)).collect();
+                (got, c.stats())
+            })
+            .outcome
+            .expect_completed("recoverable faults");
         for (got, _) in &out {
             // FIFO per (src, tag) stream must survive: exactly 0..60.
             assert_eq!(*got, (0..60).collect::<Vec<u64>>());
@@ -944,28 +774,31 @@ mod tests {
     #[test]
     fn scheduled_crash_is_reported_with_rank_and_time() {
         let plan = FaultPlan::none(1).with_crash(1, 0.5);
-        let out: WorldOutcome<u64> = run_with_faults(Machine::ideal(2), 2, &plan, 0.0, |c| {
-            // Ping-pong forever; rank 1 dies at t=0.5 and rank 0 must
-            // notice (abort flag) instead of hanging.
-            let peer = 1 - c.rank();
-            let mut n = 0u64;
-            loop {
-                if c.rank() == 0 {
-                    c.send(peer, 1, n);
-                    n = c.recv_from::<u64>(peer, 1);
-                } else {
-                    n = c.recv_from::<u64>(peer, 1);
-                    c.send(peer, 1, n + 1);
+        let out: WorldOutcome<u64> = World::new(Machine::ideal(2), 2)
+            .faults(&plan)
+            .run(|c| {
+                // Ping-pong forever; rank 1 dies at t=0.5 and rank 0 must
+                // notice (abort flag) instead of hanging.
+                let peer = 1 - c.rank();
+                let mut n = 0u64;
+                loop {
+                    if c.rank() == 0 {
+                        c.send(peer, 1, n);
+                        n = c.recv_from::<u64>(peer, 1);
+                    } else {
+                        n = c.recv_from::<u64>(peer, 1);
+                        c.send(peer, 1, n + 1);
+                    }
+                    c.compute(1e7, 0.0); // ~4 ms/iteration: crash hits fast
                 }
-                c.compute(1e7, 0.0); // ~4 ms/iteration: crash hits fast
-            }
-        });
+            })
+            .outcome;
         match out {
             WorldOutcome::Crashed { rank, at } => {
                 assert_eq!(rank, 1);
                 assert!(at >= 0.5, "crash at {at}");
             }
-            WorldOutcome::Completed(_) => panic!("world must crash"),
+            _ => panic!("world must crash"),
         }
     }
 
@@ -974,7 +807,11 @@ mod tests {
         // Restart semantics: an event at t=0.5 must not re-fire in an
         // attempt starting at clock0=1.0.
         let plan = FaultPlan::none(1).with_crash(1, 0.5);
-        let vals = run_with_faults(Machine::ideal(2), 2, &plan, 1.0, |c| c.rank() as u64)
+        let vals = World::new(Machine::ideal(2), 2)
+            .faults(&plan)
+            .clock0(1.0)
+            .run(|c| c.rank() as u64)
+            .outcome
             .expect_completed("crash already in the past");
         assert_eq!(vals, vec![0, 1]);
     }
@@ -984,13 +821,16 @@ mod tests {
         // Port 1's link is dead for the first 20 ms of virtual time; the
         // transport must carry the ring through it via retransmits.
         let plan = FaultPlan::none(chaos_seed()).with_link_fault(LinkFault::dead(1, 0.0, 2.0e-2));
-        let out = run_with_faults(Machine::ideal(3), 3, &plan, 0.0, |c| {
-            let right = (c.rank() + 1) % c.size();
-            c.send(right, 1, c.rank() as u64);
-            let (_, v) = c.recv::<u64>(None, 1);
-            (v, c.stats())
-        })
-        .expect_completed("link heals in time");
+        let out = World::new(Machine::ideal(3), 3)
+            .faults(&plan)
+            .run(|c| {
+                let right = (c.rank() + 1) % c.size();
+                c.send(right, 1, c.rank() as u64);
+                let (_, v) = c.recv::<u64>(None, 1);
+                (v, c.stats())
+            })
+            .outcome
+            .expect_completed("link heals in time");
         let vals: Vec<u64> = out.iter().map(|(v, _)| *v).collect();
         assert_eq!(vals, vec![2, 0, 1]);
         let retx: u64 = out.iter().map(|(_, s)| s.fault.retransmits).sum();
@@ -1059,24 +899,27 @@ mod tests {
         let plan = FaultPlan::none(9)
             .with_link_fault(LinkFault::dead(1, 0.0, 5.0e-2))
             .with_retransmit(cfg);
-        let out = run_with_faults(Machine::ideal(2), 2, &plan, 0.0, |c| {
-            if c.rank() == 0 {
-                for i in 0..n {
-                    c.send(1, 7, i);
+        let out = World::new(Machine::ideal(2), 2)
+            .faults(&plan)
+            .run(|c| {
+                if c.rank() == 0 {
+                    for i in 0..n {
+                        c.send(1, 7, i);
+                    }
+                    let (_, sum) = c.recv::<u64>(Some(1), 8);
+                    assert_eq!(sum, (0..n).sum::<u64>());
+                    c.stats().fault
+                } else {
+                    let mut sum = 0u64;
+                    for _ in 0..n {
+                        sum += c.recv_from::<u64>(0, 7);
+                    }
+                    c.send(0, 8, sum);
+                    c.stats().fault
                 }
-                let (_, sum) = c.recv::<u64>(Some(1), 8);
-                assert_eq!(sum, (0..n).sum::<u64>());
-                c.stats().fault
-            } else {
-                let mut sum = 0u64;
-                for _ in 0..n {
-                    sum += c.recv_from::<u64>(0, 7);
-                }
-                c.send(0, 8, sum);
-                c.stats().fault
-            }
-        })
-        .expect_completed("the outage heals");
+            })
+            .outcome
+            .expect_completed("the outage heals");
         out[0]
     }
 
@@ -1113,27 +956,30 @@ mod tests {
         let plan = FaultPlan::none(5)
             .with_crash(2, 2.0e-2)
             .with_heartbeat(HeartbeatConfig::default());
-        let out: WorldOutcome<u64> = run_with_faults(Machine::ideal(4), 4, &plan, 0.0, |c| {
-            let mut n = 0u64;
-            loop {
-                for p in 0..c.size() {
-                    if p != c.rank() {
-                        c.send(p, 3, n);
+        let out: WorldOutcome<u64> = World::new(Machine::ideal(4), 4)
+            .faults(&plan)
+            .run(|c| {
+                let mut n = 0u64;
+                loop {
+                    for p in 0..c.size() {
+                        if p != c.rank() {
+                            c.send(p, 3, n);
+                        }
                     }
+                    for _ in 0..c.size() - 1 {
+                        let _ = c.recv::<u64>(None, 3);
+                    }
+                    n += 1;
+                    c.compute(1e6, 0.0);
                 }
-                for _ in 0..c.size() - 1 {
-                    let _ = c.recv::<u64>(None, 3);
-                }
-                n += 1;
-                c.compute(1e6, 0.0);
-            }
-        });
+            })
+            .outcome;
         match out {
             WorldOutcome::Crashed { rank, at } => {
                 assert_eq!(rank, 2, "the verdict must name the dead rank");
                 assert!(at >= 2.0e-2, "detected at t={at}");
             }
-            WorldOutcome::Completed(_) => panic!("world must crash"),
+            _ => panic!("world must crash"),
         }
     }
 
@@ -1144,31 +990,34 @@ mod tests {
     /// while its own clock leapt ahead.
     fn straggler_world(seed: u64, hb: HeartbeatConfig) -> WorldOutcome<(u64, crate::FaultStats)> {
         let plan = FaultPlan::none(seed).with_heartbeat(hb);
-        run_with_faults(Machine::ideal(4), 4, &plan, 0.0, |c| {
-            for round in 0..3u64 {
-                for p in 0..c.size() {
-                    if p != c.rank() {
-                        c.send(p, 11, round);
+        World::new(Machine::ideal(4), 4)
+            .faults(&plan)
+            .run(|c| {
+                for round in 0..3u64 {
+                    for p in 0..c.size() {
+                        if p != c.rank() {
+                            c.send(p, 11, round);
+                        }
+                    }
+                    for _ in 0..c.size() - 1 {
+                        let _ = c.recv::<u64>(None, 11);
                     }
                 }
+                if c.rank() == 3 {
+                    c.compute(5e8, 0.0); // ~0.2 s virtual, threshold is ~4 ms
+                }
+                for p in 0..c.size() {
+                    if p != c.rank() {
+                        c.send(p, 12, c.rank() as u64);
+                    }
+                }
+                let mut sum = 0u64;
                 for _ in 0..c.size() - 1 {
-                    let _ = c.recv::<u64>(None, 11);
+                    sum += c.recv::<u64>(None, 12).1;
                 }
-            }
-            if c.rank() == 3 {
-                c.compute(5e8, 0.0); // ~0.2 s virtual, threshold is ~4 ms
-            }
-            for p in 0..c.size() {
-                if p != c.rank() {
-                    c.send(p, 12, c.rank() as u64);
-                }
-            }
-            let mut sum = 0u64;
-            for _ in 0..c.size() - 1 {
-                sum += c.recv::<u64>(None, 12).1;
-            }
-            (sum, c.stats().fault)
-        })
+                (sum, c.stats().fault)
+            })
+            .outcome
     }
 
     #[test]

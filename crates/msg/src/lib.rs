@@ -18,13 +18,27 @@
 //! `max(local clock + overhead, message arrival time)` — makes virtual
 //! time causally consistent for deterministic programs.
 //!
+//! A run is described once, on the [`World`] builder — machine and rank
+//! count, plus whichever of a [`FaultPlan`], an adversarial [`SchedPlan`],
+//! a recorded [`ScheduleLog`] to replay, a restart `clock0` and a trace
+//! recorder it carries — and started with [`World::run`], the one loop
+//! that spawns the rank threads and classifies how they ended. Swapping
+//! what is underneath a program never changes its entry point: [`run`],
+//! [`run_with`] and [`run_observed`] are shorthands for the plain world.
+//!
 //! Modules:
-//! * [`comm`] — the world, ranks, point-to-point send/recv;
+//! * [`world`] — the [`World`] builder and its spawn/join/classify loop;
+//! * [`comm`] — ranks, point-to-point send/recv, the reliable transport;
 //! * [`collectives`] — barrier, broadcast, reduce, allreduce, gather,
 //!   allgather, alltoallv, scan;
 //! * [`abm`] — "asynchronous batched messages": the paper's §4.2 paradigm
 //!   (batched active-message-style traffic with Dijkstra-token
 //!   termination detection);
+//! * [`fault`] — seeded fault plans (loss, corruption, duplication,
+//!   reordering, dead switch ports, rank crashes) and the failure
+//!   detector's tuning;
+//! * [`sched`] — adversarial delivery schedules, their decision logs and
+//!   the liveness watchdogs;
 //! * [`group`] — sub-communicators (`MPI_Comm_split`) for row/column
 //!   collectives;
 //! * [`machine`] — the (node model, fabric) pair a world runs on;
@@ -41,18 +55,13 @@ pub mod machine;
 pub mod payload;
 pub mod sched;
 pub mod sort;
+pub mod world;
 
 pub use abm::{Abm, Termination};
 pub use comm::{run, run_observed, run_with, Comm, CommStats, FaultStats, MailboxTimeout, Tag};
-pub use fault::{
-    run_with_faults, run_with_faults_observed, CrashEvent, FaultPlan, HeartbeatConfig,
-    RetransmitConfig, WorldOutcome,
-};
+pub use fault::{CrashEvent, FaultPlan, HeartbeatConfig, RetransmitConfig, SplitMix64};
 pub use group::Group;
 pub use machine::Machine;
 pub use payload::Payload;
-pub use sched::{
-    replay_with_faults_and_schedule_observed, replay_with_schedule_observed,
-    run_with_faults_and_schedule, run_with_faults_and_schedule_observed, run_with_schedule,
-    run_with_schedule_observed, SchedOutcome, SchedPlan, ScheduleLog,
-};
+pub use sched::{SchedPlan, ScheduleLog};
+pub use world::{World, WorldOutcome, WorldRun};

@@ -6,7 +6,7 @@
 //! (mailbox FIFO reorder, the Safra send under-count, the blocking-mode
 //! livelock) were delivery-order bugs found by luck. This module makes
 //! the hunt systematic: a seeded [`SchedPlan`] arms three per-rank
-//! perturbations inside [`Comm`]:
+//! perturbations inside [`crate::Comm`]:
 //!
 //! * **match permutation** — a wildcard receive chooses uniformly among
 //!   the head-of-line packet of each source currently queued, instead of
@@ -21,10 +21,14 @@
 //! * **liveness watchdogs** — a deadlock detector (every rank parked in a
 //!   blocking receive with nothing in flight) and a virtual-time budget
 //!   (livelocks keep the clock moving, so a run that blows past its
-//!   budget is flagged). Both report [`SchedOutcome::Stalled`] instead of
+//!   budget is flagged). Both report
+//!   [`WorldOutcome::Stalled`](crate::WorldOutcome::Stalled) instead of
 //!   hanging the process.
 //!
-//! Everything is a pure function of `(plan, fault plan, program)`:
+//! A schedule is installed with [`World::schedule`](crate::World::schedule)
+//! and a recorded one replayed with
+//! [`World::replay`](crate::World::replay). Everything is a pure function
+//! of `(plan, fault plan, program)`:
 //! rerunning the same seed replays the same schedule decisions bit for
 //! bit, because all decisions are drawn from per-rank `SplitMix64`
 //! streams indexed by deterministic state — never by wall-clock time.
@@ -32,14 +36,9 @@
 //! deviate from the deterministic first-match rule; it is the shrinking
 //! knob `cluster::simcheck` uses to minimize a failing schedule.
 
-use crate::comm::{world_channels, Comm};
-use crate::fault::{install_quiet_hook, FaultCtx, FaultPlan, RankCrash, SplitMix64, WorldAborted};
-use crate::machine::Machine;
-use obs::{RankTrace, WorldTrace};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use crate::fault::SplitMix64;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize};
 use std::sync::{Arc, Mutex};
-use std::thread;
 
 /// How and how much a scheduled world may deviate from deterministic
 /// first-match delivery.
@@ -56,7 +55,8 @@ pub struct SchedPlan {
     /// failure means finding the smallest limit that still fails.
     pub perturb_limit: u64,
     /// Absolute virtual-time budget: a rank whose clock passes this is
-    /// flagged as livelocked ([`SchedOutcome::Stalled`] with
+    /// flagged as livelocked
+    /// ([`WorldOutcome::Stalled`](crate::WorldOutcome::Stalled) with
     /// `deadlock: false`).
     pub budget_s: f64,
     /// Virtual charge per empty fault-free `try_recv` probe, so spin
@@ -120,7 +120,8 @@ impl SchedPlan {
 /// This is what makes a failing schedule **replayable**: wildcard races
 /// are the only wall-clock-dependent decisions in a fault-free world
 /// (virtual time handles everything else), so feeding the log back
-/// through a replay runner pins each decision to its recorded source —
+/// through [`World::replay`](crate::World::replay) pins each decision to
+/// its recorded source —
 /// the replaying rank simply waits until that source's head-of-line
 /// packet is present — and the whole execution, virtual clocks included,
 /// reconstructs bit for bit. (Fault-mode worlds additionally charge
@@ -139,8 +140,6 @@ impl ScheduleLog {
         self.per_rank.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
-
-pub(crate) type LogSink = Mutex<Vec<Option<Vec<u32>>>>;
 
 /// Replay state: follow `choices` for the first `prefix` wildcard
 /// decisions, then fall back to deterministic first-match.
@@ -166,16 +165,28 @@ pub(crate) struct SchedShared {
     pub retired: AtomicUsize,
     /// Some rank stalled (deadlock or budget); everyone else tears down.
     pub stalled: AtomicBool,
+    /// Where each rank's [`SchedCtx`] flushes its decision log on drop —
+    /// survives rank panics, so a stalled or crashed schedule still
+    /// yields a replayable log.
+    log: Mutex<Vec<Vec<u32>>>,
 }
 
 impl SchedShared {
-    fn new(size: usize) -> Self {
+    pub(crate) fn new(size: usize) -> Self {
         SchedShared {
             size,
             inflight: AtomicI64::new(0),
             parked: AtomicUsize::new(0),
             retired: AtomicUsize::new(0),
             stalled: AtomicBool::new(false),
+            log: Mutex::new(vec![Vec::new(); size]),
+        }
+    }
+
+    /// The world's decision log, once every rank's ctx has dropped.
+    pub(crate) fn take_log(&self) -> ScheduleLog {
+        ScheduleLog {
+            per_rank: std::mem::take(&mut *self.log.lock().expect("log sink poisoned")),
         }
     }
 }
@@ -198,9 +209,6 @@ pub(crate) struct SchedCtx {
     rank: usize,
     /// Every wildcard match taken, in order (the schedule log).
     log: Vec<u32>,
-    /// Where the log is flushed on drop — survives rank panics, so a
-    /// stalled or crashed schedule still yields a replayable log.
-    log_out: Arc<LogSink>,
     pub(crate) replay: Option<ReplayCtx>,
 }
 
@@ -210,7 +218,6 @@ impl SchedCtx {
         rank: usize,
         size: usize,
         shared: Arc<SchedShared>,
-        log_out: Arc<LogSink>,
         replay: Option<ReplayCtx>,
     ) -> Self {
         // Distinct per-rank, per-purpose streams so match and jitter
@@ -226,14 +233,13 @@ impl SchedCtx {
             budget_s: plan.budget_s,
             probe_s: plan.probe_s,
             perturbed: 0,
-            rng_match: SplitMix64::new(match_seed),
-            rng_jitter: SplitMix64::new(jitter_seed),
+            rng_match: SplitMix64(match_seed),
+            rng_jitter: SplitMix64(jitter_seed),
             heads: Vec::with_capacity(size),
             seen: vec![false; size],
             shared,
             rank,
             log: Vec::new(),
-            log_out,
             replay,
         }
     }
@@ -262,8 +268,11 @@ impl SchedCtx {
 
 impl Drop for SchedCtx {
     fn drop(&mut self) {
-        let mut out = self.log_out.lock().unwrap();
-        out[self.rank] = Some(std::mem::take(&mut self.log));
+        // A poisoned sink only loses this rank's log; panicking here
+        // could abort the process mid-unwind.
+        if let Ok(mut out) = self.shared.log.lock() {
+            out[self.rank] = std::mem::take(&mut self.log);
+        }
     }
 }
 
@@ -282,428 +291,14 @@ pub struct Stall {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StallAbort;
 
-/// How a scheduled world ended.
-#[derive(Debug)]
-pub enum SchedOutcome<T> {
-    /// Every rank ran to completion; per-rank results in rank order.
-    Completed(Vec<T>),
-    /// A rank died (scheduled crash or unreachable peer), earliest first.
-    Crashed { rank: usize, at: f64 },
-    /// A liveness watchdog fired: the schedule drove the program into a
-    /// deadlock (`deadlock: true`) or past its virtual-time budget.
-    Stalled {
-        rank: usize,
-        at: f64,
-        deadlock: bool,
-    },
-}
-
-impl<T> SchedOutcome<T> {
-    /// The results of a world that must have completed.
-    pub fn expect_completed(self, msg: &str) -> Vec<T> {
-        match self {
-            SchedOutcome::Completed(v) => v,
-            SchedOutcome::Crashed { rank, at } => {
-                panic!("{msg}: world crashed (rank {rank} at t={at:.3})")
-            }
-            SchedOutcome::Stalled { rank, at, deadlock } => panic!(
-                "{msg}: world stalled (rank {rank} at t={at:.3}, {})",
-                if deadlock {
-                    "deadlock"
-                } else {
-                    "budget exceeded"
-                }
-            ),
-        }
-    }
-
-    pub fn stalled(&self) -> bool {
-        matches!(self, SchedOutcome::Stalled { .. })
-    }
-
-    pub fn crashed(&self) -> bool {
-        matches!(self, SchedOutcome::Crashed { .. })
-    }
-}
-
-enum RankEnd<T> {
-    Done(T),
-    Crash(RankCrash),
-    Stall(Stall),
-    Aborted,
-    Panic(Box<dyn std::any::Any + Send>),
-}
-
-/// The one scheduled-world runner everything else wraps: optional fault
-/// plan underneath, scheduler on top, mirrored on
-/// [`crate::fault::run_with_faults`].
-fn run_scheduled<T, F>(
-    machine: Machine,
-    nranks: usize,
-    fault: Option<&FaultPlan>,
-    sched: &SchedPlan,
-    clock0: f64,
-    replay: Option<(&ScheduleLog, usize)>,
-    f: F,
-) -> (SchedOutcome<T>, ScheduleLog)
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    assert!(nranks >= 1, "need at least one rank");
-    assert!(
-        (machine.fabric.topology().total_ports() as usize) >= nranks,
-        "machine has too few ports for {nranks} ranks"
-    );
-    if let Some((log, _)) = replay {
-        assert_eq!(
-            log.per_rank.len(),
-            nranks,
-            "replay log is for a {}-rank world",
-            log.per_rank.len()
-        );
-    }
-    install_quiet_hook();
-    machine.fabric.clear_link_faults();
-    if let Some(plan) = fault {
-        for lf in &plan.link_faults {
-            machine.fabric.inject_link_fault(*lf);
-        }
-    }
-    let abort = Arc::new(AtomicBool::new(false));
-    let drained = Arc::new(AtomicUsize::new(0));
-    let shared = Arc::new(SchedShared::new(nranks));
-    let log_sink: Arc<LogSink> = Arc::new(Mutex::new((0..nranks).map(|_| None).collect()));
-    let (senders, receivers) = world_channels(nranks);
-    let f = &f;
-    let mut ends: Vec<Option<RankEnd<T>>> = (0..nranks).map(|_| None).collect();
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nranks);
-        for (rank, rx) in receivers.into_iter().enumerate() {
-            let machine = machine.clone();
-            let senders = senders.clone();
-            let abort = abort.clone();
-            let drained = drained.clone();
-            let shared = shared.clone();
-            let log_sink = log_sink.clone();
-            let rank_replay = replay.map(|(log, prefix)| ReplayCtx {
-                choices: Arc::new(log.per_rank[rank].clone()),
-                cursor: 0,
-                prefix,
-            });
-            let h = thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(16 << 20)
-                .spawn_scoped(scope, move || {
-                    let fctx = fault.map(|p| {
-                        Box::new(FaultCtx::new(
-                            p,
-                            rank,
-                            nranks,
-                            clock0,
-                            abort.clone(),
-                            drained,
-                        ))
-                    });
-                    let mut comm =
-                        Comm::construct(rank, nranks, clock0, machine, senders, rx, fctx);
-                    comm.install_sched(Box::new(SchedCtx::new(
-                        sched,
-                        rank,
-                        nranks,
-                        shared.clone(),
-                        log_sink,
-                        rank_replay,
-                    )));
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        let v = f(&mut comm);
-                        comm.sched_retire();
-                        comm.drain_transport();
-                        v
-                    })) {
-                        Ok(v) => RankEnd::Done(v),
-                        Err(p) => {
-                            // Both flags wake every blocked peer: fault-
-                            // mode ranks poll `abort`, fault-free sched
-                            // ranks poll `stalled`.
-                            abort.store(true, Ordering::SeqCst);
-                            shared.stalled.store(true, Ordering::SeqCst);
-                            if let Some(s) = p.downcast_ref::<Stall>() {
-                                RankEnd::Stall(*s)
-                            } else if let Some(c) = p.downcast_ref::<RankCrash>() {
-                                RankEnd::Crash(*c)
-                            } else if p.downcast_ref::<WorldAborted>().is_some()
-                                || p.downcast_ref::<StallAbort>().is_some()
-                            {
-                                RankEnd::Aborted
-                            } else {
-                                RankEnd::Panic(p)
-                            }
-                        }
-                    }
-                })
-                .expect("failed to spawn rank thread");
-            handles.push(h);
-        }
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(end) => ends[rank] = Some(end),
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
-    });
-    let mut stall: Option<Stall> = None;
-    let mut crash: Option<RankCrash> = None;
-    for end in &ends {
-        match end.as_ref().expect("rank end recorded") {
-            RankEnd::Stall(s) => {
-                if stall.is_none_or(|b| s.at < b.at) {
-                    stall = Some(*s);
-                }
-            }
-            RankEnd::Crash(c) => {
-                if crash.is_none_or(|b| c.at < b.at) {
-                    crash = Some(*c);
-                }
-            }
-            _ => continue,
-        }
-    }
-    let mut results = Vec::with_capacity(nranks);
-    for end in ends {
-        match end.expect("rank end recorded") {
-            RankEnd::Done(v) => results.push(v),
-            RankEnd::Panic(p) => std::panic::resume_unwind(p),
-            RankEnd::Crash(_) | RankEnd::Stall(_) | RankEnd::Aborted => {}
-        }
-    }
-    let log = ScheduleLog {
-        per_rank: log_sink
-            .lock()
-            .unwrap()
-            .iter_mut()
-            .map(|l| l.take().unwrap_or_default())
-            .collect(),
-    };
-    if let Some(s) = stall {
-        return (
-            SchedOutcome::Stalled {
-                rank: s.rank,
-                at: s.at,
-                deadlock: s.deadlock,
-            },
-            log,
-        );
-    }
-    if let Some(c) = crash {
-        return (
-            SchedOutcome::Crashed {
-                rank: c.rank,
-                at: c.at,
-            },
-            log,
-        );
-    }
-    assert_eq!(results.len(), nranks, "aborted world without a stall/crash");
-    (SchedOutcome::Completed(results), log)
-}
-
-/// Run a fault-free `nranks`-way program under an adversarial delivery
-/// schedule.
-pub fn run_with_schedule<T, F>(
-    machine: Machine,
-    nranks: usize,
-    plan: &SchedPlan,
-    f: F,
-) -> SchedOutcome<T>
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    run_scheduled(machine, nranks, None, plan, 0.0, None, f).0
-}
-
-/// Run a program under both a fault plan (reliable transport, injection)
-/// and an adversarial delivery schedule.
-pub fn run_with_faults_and_schedule<T, F>(
-    machine: Machine,
-    nranks: usize,
-    fault: &FaultPlan,
-    sched: &SchedPlan,
-    clock0: f64,
-    f: F,
-) -> SchedOutcome<T>
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    run_scheduled(machine, nranks, Some(fault), sched, clock0, None, f).0
-}
-
-/// Like [`run_with_schedule`], but every rank records a virtual-time
-/// trace, and the wildcard decision log is returned for exact replay.
-/// Stalled or crashed worlds return no trace (a surviving rank's
-/// timeline ends wherever it observed the abort, a wall-clock race) —
-/// but they *do* return the decision log recorded up to the failure.
-pub fn run_with_schedule_observed<T, F>(
-    machine: Machine,
-    nranks: usize,
-    plan: &SchedPlan,
-    f: F,
-) -> (SchedOutcome<T>, Option<WorldTrace>, ScheduleLog)
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    finish_observed(run_scheduled(
-        machine,
-        nranks,
-        None,
-        plan,
-        0.0,
-        None,
-        observe(&f),
-    ))
-}
-
-/// Like [`run_with_faults_and_schedule`], observed and logged.
-pub fn run_with_faults_and_schedule_observed<T, F>(
-    machine: Machine,
-    nranks: usize,
-    fault: &FaultPlan,
-    sched: &SchedPlan,
-    clock0: f64,
-    f: F,
-) -> (SchedOutcome<T>, Option<WorldTrace>, ScheduleLog)
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    finish_observed(run_scheduled(
-        machine,
-        nranks,
-        Some(fault),
-        sched,
-        clock0,
-        None,
-        observe(&f),
-    ))
-}
-
-/// Replay a recorded schedule: each rank's first `prefix` wildcard
-/// decisions are forced to the logged source (the receiver waits for
-/// that source's head-of-line packet), and decisions past the prefix
-/// fall back to deterministic first-match. `prefix = usize::MAX` replays
-/// the whole log; smaller prefixes are the shrink knob — the smallest
-/// prefix that still fails is the minimal schedule divergence.
-///
-/// `plan` should be the plan of the recorded run: jitter draws are
-/// consumed per send in deterministic order, so they replay from the
-/// seed; `perturb_limit` is ignored while the replay cursor is active.
-pub fn replay_with_schedule_observed<T, F>(
-    machine: Machine,
-    nranks: usize,
-    plan: &SchedPlan,
-    log: &ScheduleLog,
-    prefix: usize,
-    f: F,
-) -> (SchedOutcome<T>, Option<WorldTrace>, ScheduleLog)
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    finish_observed(run_scheduled(
-        machine,
-        nranks,
-        None,
-        plan,
-        0.0,
-        Some((log, prefix)),
-        observe(&f),
-    ))
-}
-
-/// Like [`replay_with_schedule_observed`], under a fault plan.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_with_faults_and_schedule_observed<T, F>(
-    machine: Machine,
-    nranks: usize,
-    fault: &FaultPlan,
-    sched: &SchedPlan,
-    clock0: f64,
-    log: &ScheduleLog,
-    prefix: usize,
-    f: F,
-) -> (SchedOutcome<T>, Option<WorldTrace>, ScheduleLog)
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    finish_observed(run_scheduled(
-        machine,
-        nranks,
-        Some(fault),
-        sched,
-        clock0,
-        Some((log, prefix)),
-        observe(&f),
-    ))
-}
-
-fn observe<T, F>(f: &F) -> impl Fn(&mut Comm) -> (T, RankTrace) + Sync + '_
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    move |c: &mut Comm| {
-        c.install_recorder();
-        let v = f(c);
-        let trace = c.take_trace().expect("recorder installed above");
-        (v, trace)
-    }
-}
-
-fn finish_observed<T>(
-    out: (SchedOutcome<(T, RankTrace)>, ScheduleLog),
-) -> (SchedOutcome<T>, Option<WorldTrace>, ScheduleLog) {
-    let (out, log) = out;
-    match out {
-        SchedOutcome::Completed(pairs) => {
-            let (values, traces): (Vec<T>, Vec<RankTrace>) = pairs.into_iter().unzip();
-            (
-                SchedOutcome::Completed(values),
-                Some(WorldTrace::from_ranks(traces)),
-                log,
-            )
-        }
-        SchedOutcome::Crashed { rank, at } => (SchedOutcome::Crashed { rank, at }, None, log),
-        SchedOutcome::Stalled { rank, at, deadlock } => {
-            (SchedOutcome::Stalled { rank, at, deadlock }, None, log)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::abm::{Abm, Termination};
-    use crate::comm::run;
+    use crate::comm::Comm;
     use crate::fault::FaultPlan;
-
-    #[test]
-    fn reference_schedule_matches_unscheduled_run() {
-        let program = |c: &mut Comm| {
-            let right = (c.rank() + 1) % c.size();
-            c.send(right, 1, c.rank() as u64);
-            let (src, v) = c.recv::<u64>(None, 1);
-            c.compute(1.0e7, 0.0);
-            (src, v, c.time())
-        };
-        let plain = run(4, program);
-        let sched = run_with_schedule(Machine::ideal(4), 4, &SchedPlan::reference(9), program)
-            .expect_completed("reference schedule");
-        assert_eq!(plain, sched);
-    }
+    use crate::machine::Machine;
+    use crate::world::{World, WorldOutcome};
 
     #[test]
     fn fifo_survives_full_permutation() {
@@ -712,7 +307,8 @@ mod tests {
         // permutes wildcard matches.
         for seed in 0..24u64 {
             let plan = SchedPlan::new(seed).with_jitter(2.0e-5);
-            run_with_schedule(Machine::ideal(2), 2, &plan, |c| {
+            let world = World::new(Machine::ideal(2), 2).schedule(&plan);
+            let run = world.run(|c| {
                 if c.rank() == 0 {
                     for v in 1..=5u64 {
                         c.send(1, 8, v);
@@ -723,8 +319,8 @@ mod tests {
                     let got: Vec<u64> = (0..5).map(|_| c.recv_from::<u64>(0, 8)).collect();
                     assert_eq!(got, vec![1, 2, 3, 4, 5]);
                 }
-            })
-            .expect_completed("fifo under permutation");
+            });
+            run.outcome.expect_completed("fifo under permutation");
         }
     }
 
@@ -735,7 +331,8 @@ mod tests {
         // order (otherwise the scheduler is a no-op).
         let mut orders = std::collections::BTreeSet::new();
         for seed in 0..16u64 {
-            let out = run_with_schedule(Machine::ideal(4), 4, &SchedPlan::new(seed), |c| {
+            let plan = SchedPlan::new(seed);
+            let run = World::new(Machine::ideal(4), 4).schedule(&plan).run(|c| {
                 if c.rank() == 0 {
                     // Each sender's tag-5 packet precedes its tag-7 note
                     // in the channel, so once three notes have drained,
@@ -759,8 +356,8 @@ mod tests {
                     c.send(0, 7, 1u64);
                     Vec::new()
                 }
-            })
-            .expect_completed("permutation probe");
+            });
+            let out = run.outcome.expect_completed("permutation probe");
             orders.insert(out[0].clone());
         }
         assert!(
@@ -773,14 +370,14 @@ mod tests {
     fn deadlock_is_detected_not_hung() {
         // Classic head-to-head: both ranks receive before sending. The
         // watchdog must flag it (deadlock, not budget) instead of hanging.
-        let out: SchedOutcome<()> =
-            run_with_schedule(Machine::ideal(2), 2, &SchedPlan::new(3), |c| {
-                let peer = 1 - c.rank();
-                let _ = c.recv_from::<u64>(peer, 1);
-                c.send(peer, 1, 0u64);
-            });
-        match out {
-            SchedOutcome::Stalled { deadlock, .. } => assert!(deadlock, "must report deadlock"),
+        let plan = SchedPlan::new(3);
+        let run = World::new(Machine::ideal(2), 2).schedule(&plan).run(|c| {
+            let peer = 1 - c.rank();
+            let _ = c.recv_from::<u64>(peer, 1);
+            c.send(peer, 1, 0u64);
+        });
+        match run.outcome {
+            WorldOutcome::Stalled { deadlock, .. } => assert!(deadlock, "must report deadlock"),
             other => panic!("expected stall, got {other:?}"),
         }
     }
@@ -790,13 +387,15 @@ mod tests {
         // A try_recv spin on a tag nobody sends: the probe charge moves
         // the clock, the budget fires, and the outcome says livelock.
         let plan = SchedPlan::new(5).with_budget(1.0e-3);
-        let out: SchedOutcome<()> = run_with_schedule(Machine::ideal(2), 2, &plan, |c| loop {
-            if c.try_recv::<u64>(None, 99).is_some() {
-                return;
-            }
-        });
-        match out {
-            SchedOutcome::Stalled { deadlock, at, .. } => {
+        let run = World::new(Machine::ideal(2), 2)
+            .schedule(&plan)
+            .run(|c| loop {
+                if c.try_recv::<u64>(None, 99).is_some() {
+                    return;
+                }
+            });
+        match run.outcome {
+            WorldOutcome::Stalled { deadlock, at, .. } => {
                 assert!(!deadlock, "budget stall, not deadlock");
                 assert!(at >= 1.0e-3, "stall at {at}");
             }
@@ -808,7 +407,7 @@ mod tests {
     fn jitter_preserves_causality_and_content() {
         for seed in 0..8u64 {
             let plan = SchedPlan::new(seed).with_jitter(5.0e-4);
-            let out = run_with_schedule(Machine::ideal(3), 3, &plan, |c| {
+            let run = World::new(Machine::ideal(3), 3).schedule(&plan).run(|c| {
                 if c.rank() == 0 {
                     c.compute(1.0e8, 0.0);
                     let t_send = c.time();
@@ -819,8 +418,8 @@ mod tests {
                     let v = c.recv_from::<u64>(0, 2);
                     (v, c.time())
                 }
-            })
-            .expect_completed("jittered world");
+            });
+            let out = run.outcome.expect_completed("jittered world");
             assert_eq!(out[1].0, 41);
             assert_eq!(out[2].0, 42);
             // A receive can never complete before the (pre-jitter) send.
@@ -840,7 +439,7 @@ mod tests {
         let plan = SchedPlan::new(77).with_jitter(3.0e-5);
         let runs: Vec<Vec<(u64, u64)>> = (0..2)
             .map(|_| {
-                run_with_schedule(Machine::ideal(4), 4, &plan, |c| {
+                let run = World::new(Machine::ideal(4), 4).schedule(&plan).run(|c| {
                     if c.rank() == 0 {
                         let mut sum = 0u64;
                         for _ in 0..9 {
@@ -853,8 +452,8 @@ mod tests {
                         }
                         (0, c.stats().sends)
                     }
-                })
-                .expect_completed("seeded run")
+                });
+                run.outcome.expect_completed("seeded run")
             })
             .collect();
         assert_eq!(runs[0], runs[1], "same plan must deliver the same content");
@@ -885,20 +484,19 @@ mod tests {
             }
         };
         let plan = SchedPlan::new(31).with_jitter(2.0e-5);
-        let (out, _, log) = run_with_schedule_observed(Machine::ideal(4), 4, &plan, program);
-        let first = out.expect_completed("recorded run");
+        let world = || {
+            World::new(Machine::ideal(4), 4)
+                .schedule(&plan)
+                .observe(true)
+        };
+        let recorded = world().run(program);
+        let log = recorded.log;
+        let first = recorded.outcome.expect_completed("recorded run");
         for round in 0..2 {
-            let (out, _, relog) = replay_with_schedule_observed(
-                Machine::ideal(4),
-                4,
-                &plan,
-                &log,
-                usize::MAX,
-                program,
-            );
-            let replayed = out.expect_completed("replay run");
+            let replay = world().replay(&log, usize::MAX).run(program);
+            let replayed = replay.outcome.expect_completed("replay run");
             assert_eq!(first, replayed, "replay {round} diverged");
-            assert_eq!(log, relog, "replay {round} rewrote the log");
+            assert_eq!(log, replay.log, "replay {round} rewrote the log");
         }
     }
 
@@ -918,11 +516,15 @@ mod tests {
             }
         };
         let plan = SchedPlan::new(13);
-        let (out, _, log) = run_with_schedule_observed(Machine::ideal(3), 3, &plan, program);
-        let full = out.expect_completed("recorded run");
-        let (out, _, _) =
-            replay_with_schedule_observed(Machine::ideal(3), 3, &plan, &log, 0, program);
-        let pref = out.expect_completed("prefix-0 replay");
+        let world = || {
+            World::new(Machine::ideal(3), 3)
+                .schedule(&plan)
+                .observe(true)
+        };
+        let recorded = world().run(program);
+        let full = recorded.outcome.expect_completed("recorded run");
+        let replay = world().replay(&recorded.log, 0).run(program);
+        let pref = replay.outcome.expect_completed("prefix-0 replay");
         // Content is schedule-invariant either way.
         assert_eq!(full[0], pref[0]);
     }
@@ -931,23 +533,25 @@ mod tests {
     fn scheduled_crash_still_reported_under_schedule() {
         let fplan = FaultPlan::none(1).with_crash(1, 0.5);
         let splan = SchedPlan::new(2);
-        let out: SchedOutcome<u64> =
-            run_with_faults_and_schedule(Machine::ideal(2), 2, &fplan, &splan, 0.0, |c| {
-                let peer = 1 - c.rank();
-                let mut n = 0u64;
-                loop {
-                    if c.rank() == 0 {
-                        c.send(peer, 1, n);
-                        n = c.recv_from::<u64>(peer, 1);
-                    } else {
-                        n = c.recv_from::<u64>(peer, 1);
-                        c.send(peer, 1, n + 1);
-                    }
-                    c.compute(1e7, 0.0);
+        let world = World::new(Machine::ideal(2), 2)
+            .faults(&fplan)
+            .schedule(&splan);
+        let run = world.run(|c| -> u64 {
+            let peer = 1 - c.rank();
+            let mut n = 0u64;
+            loop {
+                if c.rank() == 0 {
+                    c.send(peer, 1, n);
+                    n = c.recv_from::<u64>(peer, 1);
+                } else {
+                    n = c.recv_from::<u64>(peer, 1);
+                    c.send(peer, 1, n + 1);
                 }
-            });
-        match out {
-            SchedOutcome::Crashed { rank, at } => {
+                c.compute(1e7, 0.0);
+            }
+        });
+        match run.outcome {
+            WorldOutcome::Crashed { rank, at } => {
                 assert_eq!(rank, 1);
                 assert!(at >= 0.5);
             }
@@ -965,14 +569,11 @@ mod tests {
         fplan: &FaultPlan,
         splan: &SchedPlan,
         mutant: bool,
-    ) -> SchedOutcome<Vec<u64>> {
-        run_with_faults_and_schedule(
-            Machine::ideal(nranks as u32),
-            nranks,
-            fplan,
-            splan,
-            0.0,
-            |c| {
+    ) -> WorldOutcome<Vec<u64>> {
+        World::new(Machine::ideal(nranks as u32), nranks)
+            .faults(fplan)
+            .schedule(splan)
+            .run(|c| {
                 let mut abm: Abm<u64> = Abm::new(c.size(), 3, 3);
                 abm.undercount_auto_flush = mutant;
                 let mut term = Termination::new();
@@ -1004,8 +605,8 @@ mod tests {
                     }
                 }
                 got
-            },
-        )
+            })
+            .outcome
     }
 
     fn storm_violation(seed: u64, mutant: bool) -> Option<String> {
@@ -1021,7 +622,7 @@ mod tests {
         // only has to bound livelock.
         let splan = SchedPlan::new(seed).with_jitter(2.0e-5).with_budget(30.0);
         match storm(nranks, per_rank, &fplan, &splan, mutant) {
-            SchedOutcome::Completed(got) => {
+            WorldOutcome::Completed(got) => {
                 let mut all: Vec<u64> = got.into_iter().flatten().collect();
                 all.sort_unstable();
                 let expect: Vec<u64> = (0..nranks as u64)
@@ -1029,10 +630,10 @@ mod tests {
                     .collect();
                 (all != expect).then(|| format!("seed {seed}: payload multiset mismatch"))
             }
-            SchedOutcome::Stalled { rank, at, deadlock } => Some(format!(
+            WorldOutcome::Stalled { rank, at, deadlock } => Some(format!(
                 "seed {seed}: stalled (rank {rank} at t={at:.4}, deadlock={deadlock})"
             )),
-            SchedOutcome::Crashed { rank, at } => {
+            WorldOutcome::Crashed { rank, at } => {
                 Some(format!("seed {seed}: crashed (rank {rank} at t={at:.4})"))
             }
         }

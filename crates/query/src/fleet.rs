@@ -16,30 +16,7 @@
 
 use crate::wire::{QueryKind, Shape};
 
-/// SplitMix64 — same tiny generator the cluster ICs use (duplicated
-/// here because `query` sits below `cluster` in the crate DAG).
-#[derive(Debug, Clone, Copy)]
-pub struct SplitMix64(pub u64);
-
-impl SplitMix64 {
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / 9007199254740992.0)
-    }
-
-    /// Uniform in `[-1, 1)`.
-    pub fn sym(&mut self) -> f64 {
-        2.0 * self.unit() - 1.0
-    }
-}
+pub use msg::SplitMix64;
 
 /// Knobs for one fleet.
 #[derive(Debug, Clone, Copy)]
