@@ -1,31 +1,45 @@
-//! Run every table and figure regenerator in sequence (slow ones last).
+//! Print the paper's exhibits: all sixteen in sequence (slow ones
+//! last), or just the ones named.
+//!
+//! ```bash
+//! cargo run --release -p bench --bin all_exhibits
+//! cargo run --release -p bench --bin all_exhibits -- table1 figure2
+//! cargo run --release -p bench --bin all_exhibits -- --list
+//! ```
 
-use std::process::Command;
+use bench::exhibits::EXHIBITS;
+use std::process::ExitCode;
 
-fn main() {
-    let bins = [
-        "table1",
-        "table2",
-        "table3",
-        "table4",
-        "table5",
-        "table6",
-        "table7",
-        "figure1",
-        "figure2",
-        "figure3",
-        "figure4",
-        "figure5",
-        "figure6",
-        "reliability",
-        "figure7",
-        "figure8",
-    ];
-    for b in bins {
-        println!("\n================= {b} =================\n");
-        let status = Command::new(std::env::current_exe().unwrap().parent().unwrap().join(b))
-            .status()
-            .expect("failed to run exhibit binary");
-        assert!(status.success(), "{b} failed");
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--list") {
+        for (name, _) in EXHIBITS {
+            println!("{name}");
+        }
+        return ExitCode::SUCCESS;
     }
+    if args.is_empty() {
+        for (name, render) in EXHIBITS {
+            println!("\n================= {name} =================\n");
+            print!("{}", render());
+        }
+        return ExitCode::SUCCESS;
+    }
+    // Resolve every name before rendering anything: a typo must not
+    // cost the exhibits in front of it.
+    let mut chosen = Vec::new();
+    for arg in &args {
+        match EXHIBITS.iter().find(|(name, _)| name == arg) {
+            Some((_, render)) => chosen.push(render),
+            None => {
+                let names: Vec<&str> = EXHIBITS.iter().map(|(name, _)| *name).collect();
+                eprintln!("unknown exhibit {arg:?}; valid: {}", names.join(" "));
+                return ExitCode::from(2);
+            }
+        }
+    }
+    for render in chosen {
+        print!("{}", render());
+    }
+    ExitCode::SUCCESS
 }

@@ -6,14 +6,15 @@
 //! bisection exchange on both the two-switch Space Simulator fabric and
 //! an ideal crossbar, the 16-rank simulation-as-a-service query
 //! engine under its standing client fleet, and the snapshot-store
-//! commit/materialize cycle — folds each trace through
-//! the critical-path and
-//! efficiency analyses, and writes a schema-versioned
+//! commit/materialize cycle — folds each trace through the
+//! critical-path and efficiency analyses, and writes a schema-versioned
 //! `BENCH_report.json` (see `bench::report` for the format).
 //!
-//!     cargo run -p bench --bin bench_report [-- --out PATH]
-//!     cargo run -p bench --bin bench_report -- --compare BASELINE NEW \
-//!         [--max-regress PCT] [--floor SCENARIO:METRIC:MIN]...
+//! ```bash
+//! cargo run -p bench --bin bench_report [-- --out PATH]
+//! cargo run -p bench --bin bench_report -- --compare BASELINE NEW \
+//!     [--max-regress PCT] [--floor SCENARIO:METRIC:MIN]...
+//! ```
 //!
 //! Compare mode diffs two report files and exits nonzero if any metric
 //! regressed beyond the tolerance (default 5%); CI runs it against the
@@ -22,15 +23,19 @@
 //! least MIN, so a hard-won level cannot erode back one sub-tolerance
 //! step at a time.
 
-use bench::report::{check_floors, compare, from_json, to_json, BenchReport, ScenarioReport};
-use cluster::chaos::{run_treecode, run_treecode_traced, ChaosConfig};
+use bench::report::{
+    check_floors, compare, from_json, parse_floor, summary_table, to_json, BenchReport, Scenario,
+};
+use cluster::bisection_exchange_traced;
+use cluster::chaos::{run_treecode, ChaosConfig};
+use cluster::ics::{
+    golden_bodies, golden_chaos, golden_gravity, golden_plan, golden_run, GOLDEN_DT, GOLDEN_RANKS,
+    GOLDEN_STEPS,
+};
 use cluster::io::IoModel;
-use cluster::{bisection_exchange_traced, golden_ics};
-use hot::gravity::GravityConfig;
 use hot::integrate::Simulation;
-use msg::{FaultPlan, HeartbeatConfig, Machine, RetransmitConfig};
+use msg::{FaultPlan, HeartbeatConfig, Machine};
 use netsim::LinkFault;
-use obs::WorldTrace;
 use std::process::ExitCode;
 use store::{GenerationLog, RecordKind, StoreConfig};
 
@@ -46,61 +51,20 @@ const EXCHANGE_ROUNDS: u32 = 4;
 /// than detection overhead.
 const DEGRADED_STEPS: u64 = 128;
 
-fn golden_chaos() -> ChaosConfig {
-    ChaosConfig {
-        checkpoint_every: 2,
-        ..Default::default()
-    }
-}
-
-fn golden_gravity() -> GravityConfig {
-    GravityConfig {
-        theta: 0.6,
-        eps: 0.05,
-        ..Default::default()
-    }
-}
-
-fn clean_plan() -> FaultPlan {
-    FaultPlan::none(11).with_retransmit(RetransmitConfig::deterministic())
-}
-
-fn fold(name: &str, trace: &WorldTrace, interactions: u64, availability: f64) -> ScenarioReport {
-    let cp = obs::critical_path(trace);
-    let eff = obs::efficiency(trace, &cp);
-    ScenarioReport::from_trace(name, trace, &cp, &eff, interactions, availability)
-}
-
 /// The golden 16-rank treecode (same config as the committed trace
 /// snapshot), fault-free. Returns the row plus its end time, which the
 /// chaos scenario uses to place its crash mid-run.
-fn treecode16() -> (ScenarioReport, f64) {
-    let (_, report, trace) = run_treecode_traced(
-        &Machine::ideal(16),
-        16,
-        &clean_plan(),
-        &golden_chaos(),
-        golden_ics(192, 42),
-        &golden_gravity(),
-        4,
-        0.01,
-    );
-    assert!(report.completed, "treecode16 failed: {report:?}");
-    let trace = trace.expect("traced run yields a trace");
-    trace.check_invariants().expect("treecode16 invariants");
-    let vtime = report.final_vtime;
-    let interactions = trace.counter_total("walk.interactions");
-    (
-        fold("treecode16", &trace, interactions, report.availability),
-        vtime,
-    )
+fn treecode16() -> (Scenario, f64) {
+    let (_, report, trace) = golden_run(&golden_plan(), &golden_chaos(), GOLDEN_STEPS);
+    let row = Scenario::from_treecode("treecode16", &report, trace);
+    (row, report.final_vtime)
 }
 
 /// The same treecode under duplicate floods plus one guaranteed mid-run
 /// crash: availability < 1, physics identical (the reliability tests
 /// pin that; here we ledger the cost).
-fn chaos16(clean_vtime: f64) -> ScenarioReport {
-    let plan = clean_plan()
+fn chaos16(clean_vtime: f64) -> Scenario {
+    let plan = golden_plan()
         .with_duplicate(0.25)
         .with_crash(5, 0.6 * clean_vtime);
     // Scale the reboot penalty to the bench's tiny virtual horizon so
@@ -110,21 +74,9 @@ fn chaos16(clean_vtime: f64) -> ScenarioReport {
         restart_penalty_s: 0.3 * clean_vtime,
         ..golden_chaos()
     };
-    let (_, report, trace) = run_treecode_traced(
-        &Machine::ideal(16),
-        16,
-        &plan,
-        &chaos,
-        golden_ics(192, 42),
-        &golden_gravity(),
-        4,
-        0.01,
-    );
-    assert!(report.completed, "chaos16 failed: {report:?}");
+    let (_, report, trace) = golden_run(&plan, &chaos, GOLDEN_STEPS);
     assert!(report.restarts >= 1, "crash never fired: {report:?}");
-    let trace = trace.expect("traced run yields a trace");
-    let interactions = trace.counter_total("walk.interactions");
-    fold("chaos16", &trace, interactions, report.availability)
+    Scenario::from_treecode("chaos16", &report, trace)
 }
 
 /// The graceful-degradation scenario (ISSUE PR 7): failure detector
@@ -133,7 +85,7 @@ fn chaos16(clean_vtime: f64) -> ScenarioReport {
 /// condemned rank must fail over from its own shard — zero world
 /// restarts — with physics bit-identical to the fault-free control and
 /// availability >= 0.90 (the CI ratchet).
-fn chaos_degraded16() -> ScenarioReport {
+fn chaos_degraded16() -> Scenario {
     // Tight heartbeat cadence keeps verdict latency (suspicion floor +
     // confirmation aging, ~158 intervals of virtual silence) small
     // against the horizon. The confirmation window stays at its default
@@ -155,14 +107,14 @@ fn chaos_degraded16() -> ScenarioReport {
     // Fault-free control run: fixes the crash placement mid-run and
     // pins the degraded run's physics.
     let (clean_bodies, clean) = run_treecode(
-        &Machine::ideal(16),
-        16,
-        &clean_plan(),
+        &Machine::ideal(GOLDEN_RANKS as u32),
+        GOLDEN_RANKS,
+        &golden_plan(),
         &chaos,
-        golden_ics(192, 42),
+        golden_bodies(),
         &golden_gravity(),
         DEGRADED_STEPS,
-        0.01,
+        GOLDEN_DT,
     );
     assert!(
         clean.completed && clean.restarts == 0,
@@ -180,17 +132,7 @@ fn chaos_degraded16() -> ScenarioReport {
         // the health-weighted decomposition sheds work off it instead
         // of letting it pace every step.
         .with_link_fault(LinkFault::degraded(9, 0.0, 0.25));
-    let (bodies, report, trace) = run_treecode_traced(
-        &Machine::ideal(16),
-        16,
-        &plan,
-        &chaos,
-        golden_ics(192, 42),
-        &golden_gravity(),
-        DEGRADED_STEPS,
-        0.01,
-    );
-    assert!(report.completed, "chaos_degraded16 failed: {report:?}");
+    let (bodies, report, trace) = golden_run(&plan, &chaos, DEGRADED_STEPS);
     assert_eq!(
         report.restarts, 0,
         "degraded mode must never restart the world: {report:?}"
@@ -206,14 +148,7 @@ fn chaos_degraded16() -> ScenarioReport {
         assert_eq!(d.pos, c.pos, "degraded recovery changed the physics");
         assert_eq!(d.vel, c.vel, "degraded recovery changed the physics");
     }
-    let trace = trace.expect("traced run yields a trace");
-    let interactions = trace.counter_total("walk.interactions");
-    let mut row = fold(
-        "chaos_degraded16",
-        &trace,
-        interactions,
-        report.availability,
-    );
+    let mut row = Scenario::from_treecode("chaos_degraded16", &report, trace);
     // Verdict timing rides the retransmit timer and the poll cadence,
     // both wall-racy; the comparator pins only availability (floored)
     // and the structural facts asserted above.
@@ -229,7 +164,7 @@ fn chaos_degraded16() -> ScenarioReport {
 /// (`queries_per_s`, floored in CI) plus client latency percentiles.
 /// ICs come from the rand-free `golden_ics` so the committed workload
 /// is platform-stable.
-fn queries16() -> ScenarioReport {
+fn queries16() -> Scenario {
     let qcfg = query::EngineConfig {
         gravity: golden_gravity(),
         dt: 0.05,
@@ -241,7 +176,7 @@ fn queries16() -> ScenarioReport {
         },
         ..query::EngineConfig::default()
     };
-    let ics = golden_ics(192, 42);
+    let ics = golden_bodies();
     let (outs, trace) = msg::comm::run_observed(Machine::ideal(18), 16, move |comm| {
         query::run(comm, ics.clone(), &qcfg)
     });
@@ -257,8 +192,11 @@ fn queries16() -> ScenarioReport {
     }
     lats.sort_by(|a, b| a.total_cmp(b));
     let q = |p: f64| lats[((lats.len() - 1) as f64 * p) as usize];
-    let mut row =
-        fold("queries16", &trace, 0, 1.0).with_queries(answered, q(0.50), q(0.95), q(0.99));
+    let mut row = Scenario::from_trace("queries16", &trace, 1.0);
+    row.set_rate("queries", answered, &trace);
+    row.set("query_p50_s", q(0.50));
+    row.set("query_p95_s", q(0.95));
+    row.set("query_p99_s", q(0.99));
     // Reply merge times race the threaded runner's delivery order, so
     // the virtual clock (and everything derived from it) carries noise;
     // answers and counters are pinned by the oracle tests and the
@@ -283,9 +221,9 @@ const STORE_COMMIT_EVERY: u64 = 2;
 /// ships 1/3 of the bytes reads back at 3× the disk rate. The
 /// `incremental_ratio` (full bytes over shipped bytes) is the
 /// compression claim itself, floored in CI.
-fn store_bench() -> ScenarioReport {
+fn store_bench() -> Scenario {
     let run_once = || {
-        let mut sim = Simulation::new(golden_ics(192, 42), golden_gravity(), 0.01);
+        let mut sim = Simulation::new(golden_bodies(), golden_gravity(), GOLDEN_DT);
         let mut log = GenerationLog::new(StoreConfig::default(), 0);
         log.commit(0, &sim.bodies, &[]);
         for step in 1..=STORE_STEPS {
@@ -353,52 +291,28 @@ fn store_bench() -> ScenarioReport {
     let read_s = io.snapshot_time(read_bytes as f64);
     let read_mb_s = delivered as f64 / 1e6 / read_s;
 
-    ScenarioReport {
-        name: "store_bench".to_string(),
-        ranks: 1,
-        mode: "standing".to_string(),
-        fabric: String::new(),
-        bodies: 192,
-        scaling_efficiency: 0.0,
-        end_vtime_s: write_s + read_s,
-        interactions: 0,
-        interactions_per_s: 0.0,
-        availability: 1.0,
-        deterministic: true,
-        cp_total_s: write_s + read_s,
-        cp_work_s: 0.0,
-        cp_wire_s: 0.0,
-        cp_wait_s: 0.0,
-        cp_wire_by_class_s: [0.0; 4],
-        dominant_wire: "none".to_string(),
-        parallel_efficiency: 0.0,
-        load_balance: 0.0,
-        comm_efficiency: 0.0,
-        transfer_efficiency: 0.0,
-        serialization_efficiency: 0.0,
-        queries: 0,
-        queries_per_s: 0.0,
-        query_p50_s: 0.0,
-        query_p95_s: 0.0,
-        query_p99_s: 0.0,
-        store_write_mb_s: 0.0,
-        store_read_mb_s: 0.0,
-        incremental_ratio: 0.0,
-    }
-    .with_store(
-        write_mb_s,
-        read_mb_s,
+    // No trace behind this row: only its own family plus the cells every
+    // row shares.
+    let mut row = Scenario::new("store_bench");
+    row.set("ranks", 1.0);
+    row.set("end_vtime_s", write_s + read_s);
+    row.set("availability", 1.0);
+    row.set("store_write_mb_s", write_mb_s);
+    row.set("store_read_mb_s", read_mb_s);
+    row.set(
+        "incremental_ratio",
         log.full_bytes as f64 / log.commit_bytes as f64,
-    )
+    );
+    row
 }
 
 /// 288-rank bisection exchange on the two-switch fabric: the scenario
 /// whose report must name the 8 Gbit trunk as the dominant
 /// critical-path resource.
-fn bisection_trunk() -> ScenarioReport {
+fn bisection_trunk() -> Scenario {
     let m = Machine::space_simulator_lam();
     let trace = bisection_exchange_traced(&m, EXCHANGE_RANKS, EXCHANGE_BYTES, EXCHANGE_ROUNDS);
-    let mut row = fold("bisection288_trunk", &trace, 0, 1.0);
+    let mut row = Scenario::from_trace("bisection288_trunk", &trace, 1.0);
     // Contended-fabric transfers serialize in wall-clock arrival order,
     // so this scenario's timings vary run to run; the comparator pins
     // only the structural claim (dominant_wire == trunk).
@@ -408,79 +322,27 @@ fn bisection_trunk() -> ScenarioReport {
 
 /// The same exchange on an ideal crossbar: the control run — no trunk,
 /// no contention.
-fn bisection_xbar() -> ScenarioReport {
+fn bisection_xbar() -> Scenario {
     let m = Machine::ideal(EXCHANGE_RANKS as u32);
     let trace = bisection_exchange_traced(&m, EXCHANGE_RANKS, EXCHANGE_BYTES, EXCHANGE_ROUNDS);
-    fold("bisection288_xbar", &trace, 0, 1.0)
+    Scenario::from_trace("bisection288_xbar", &trace, 1.0)
 }
 
 fn run_all() -> BenchReport {
+    let ran = |row: Scenario| {
+        eprintln!("ran {}", row.name);
+        row
+    };
     let (tc, vtime) = treecode16();
-    eprintln!("ran treecode16: end {:.6}s", tc.end_vtime_s);
-    let ch = chaos16(vtime);
-    eprintln!(
-        "ran chaos16: end {:.6}s availability {:.4}",
-        ch.end_vtime_s, ch.availability
-    );
-    let dg = chaos_degraded16();
-    eprintln!(
-        "ran chaos_degraded16: end {:.6}s availability {:.4}",
-        dg.end_vtime_s, dg.availability
-    );
-    let tr = bisection_trunk();
-    eprintln!(
-        "ran bisection288_trunk: end {:.6}s dominant {}",
-        tr.end_vtime_s, tr.dominant_wire
-    );
-    let xb = bisection_xbar();
-    eprintln!(
-        "ran bisection288_xbar: end {:.6}s dominant {}",
-        xb.end_vtime_s, xb.dominant_wire
-    );
-    let qs = queries16();
-    eprintln!(
-        "ran queries16: end {:.6}s {:.3e} queries/s p99 {:.6}s",
-        qs.end_vtime_s, qs.queries_per_s, qs.query_p99_s
-    );
-    let st = store_bench();
-    eprintln!(
-        "ran store_bench: write {:.1} MB/s read {:.1} MB/s ratio {:.3}",
-        st.store_write_mb_s, st.store_read_mb_s, st.incremental_ratio
-    );
-    BenchReport::new(vec![tc, ch, dg, tr, xb, qs, st])
-}
-
-fn summary_table(r: &BenchReport) -> String {
-    let rows: Vec<Vec<String>> = r
-        .scenarios
-        .iter()
-        .map(|s| {
-            vec![
-                s.name.clone(),
-                s.ranks.to_string(),
-                format!("{:.6}", s.end_vtime_s),
-                format!("{:.3e}", s.interactions_per_s),
-                format!("{:.3e}", s.queries_per_s),
-                format!("{:.3}", s.parallel_efficiency),
-                format!("{:.3}", s.availability),
-                s.dominant_wire.clone(),
-            ]
-        })
-        .collect();
-    bench::render_table(
-        "bench_report scenarios",
-        &[
-            "scenario",
-            "ranks",
-            "end_vtime_s",
-            "inter/s",
-            "queries/s",
-            "par_eff",
-            "avail",
-            "dominant",
-        ],
-        &rows,
-    )
+    BenchReport::new(vec![
+        ran(tc),
+        ran(chaos16(vtime)),
+        ran(chaos_degraded16()),
+        ran(bisection_trunk()),
+        ran(bisection_xbar()),
+        ran(queries16()),
+        ran(store_bench()),
+    ])
 }
 
 fn main() -> ExitCode {
@@ -501,21 +363,12 @@ fn main() -> ExitCode {
             },
             None => 0.05,
         };
-        let mut floors: Vec<(String, String, f64)> = Vec::new();
-        for (j, a) in args.iter().enumerate() {
-            if a != "--floor" {
-                continue;
-            }
-            let spec = args.get(j + 1).map(String::as_str).unwrap_or("");
-            let parts: Vec<&str> = spec.split(':').collect();
-            let parsed = match parts.as_slice() {
-                [s, m, v] => v.parse::<f64>().ok().map(|min| (*s, *m, min)),
-                _ => None,
-            };
-            match parsed {
-                Some((s, m, min)) => floors.push((s.to_string(), m.to_string(), min)),
-                None => {
-                    eprintln!("--floor wants SCENARIO:METRIC:MIN, got {spec:?}");
+        let mut floors = Vec::new();
+        for (j, _) in args.iter().enumerate().filter(|(_, a)| *a == "--floor") {
+            match parse_floor(args.get(j + 1).map_or("", String::as_str)) {
+                Ok(floor) => floors.push(floor),
+                Err(e) => {
+                    eprintln!("{e}");
                     return ExitCode::from(2);
                 }
             }
@@ -564,7 +417,7 @@ fn main() -> ExitCode {
     };
 
     let report = run_all();
-    print!("{}", summary_table(&report));
+    print!("{}", summary_table("bench_report scenarios", &report));
     let json = to_json(&report);
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");

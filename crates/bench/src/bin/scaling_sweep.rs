@@ -1,15 +1,17 @@
 //! The scaling-curve exhibit (ISSUE PR 9): weak/strong treecode sweeps
 //! over the two-switch Space Simulator fabric and an ideal crossbar.
 //!
-//!     cargo run --release -p bench --bin scaling_sweep
-//!     cargo run --release -p bench --bin scaling_sweep -- \
-//!         --max-ranks 64 --out BENCH_scaling.json --curves \
-//!         --floor weak_xbar_64:scaling_efficiency:0.5
+//! ```bash
+//! cargo run --release -p bench --bin scaling_sweep
+//! cargo run --release -p bench --bin scaling_sweep -- \
+//!     --max-ranks 64 --out BENCH_scaling.json --curves \
+//!     --floor weak_xbar_64:scaling_efficiency:0.5
+//! ```
 //!
-//! Writes every curve point as one scenario row of a schema-v3
-//! `BenchReport` JSON (the same format as the standing
-//! `BENCH_report.json`, columns `mode`/`fabric`/`bodies`/
-//! `scaling_efficiency` filled in) and prints a summary table. `--curves`
+//! Writes every curve point as one scenario row of a `BenchReport`
+//! JSON (the same format as the standing `BENCH_report.json`, tagged
+//! `mode`/`fabric` and carrying `bodies`/`scaling_efficiency`) and
+//! prints a summary table. `--curves`
 //! additionally prints each curve as a TSV series for plotting.
 //! `--floor SCENARIO:METRIC:MIN` (repeatable) asserts an absolute
 //! ratchet on the freshly swept report — CI pins the parallel and
@@ -21,7 +23,7 @@
 //! curves, `--steps`, `--bodies-per-rank`, and `--strong-bodies` resize
 //! the per-point work.
 
-use bench::report::{check_floors, to_json};
+use bench::report::{check_floors, parse_floor, summary_table, to_json};
 use bench::scaling::{run_sweep, FabricKind, Mode, SweepConfig};
 use std::process::ExitCode;
 
@@ -34,7 +36,7 @@ fn main() -> ExitCode {
     let mut cfg = SweepConfig::default();
     let mut out_path = "BENCH_scaling.json".to_string();
     let mut curves = false;
-    let mut floors: Vec<(String, String, f64)> = Vec::new();
+    let mut floors = Vec::new();
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -79,23 +81,13 @@ fn main() -> ExitCode {
                 _ => return ExitCode::from(2),
             },
             "--curves" => curves = true,
-            "--floor" => {
-                let spec = want("SCENARIO:METRIC:MIN").unwrap_or_default();
-                let parts: Vec<&str> = spec.split(':').collect();
-                match parts.as_slice() {
-                    [s, m, v] => match v.parse::<f64>() {
-                        Ok(min) => floors.push((s.to_string(), m.to_string(), min)),
-                        Err(_) => {
-                            eprintln!("--floor MIN must be numeric, got {spec:?}\n{USAGE}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => {
-                        eprintln!("--floor wants SCENARIO:METRIC:MIN, got {spec:?}\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
+            "--floor" => match parse_floor(&want("SCENARIO:METRIC:MIN").unwrap_or_default()) {
+                Ok(floor) => floors.push(floor),
+                Err(e) => {
+                    eprintln!("{e}\n{USAGE}");
+                    return ExitCode::from(2);
                 }
-            }
+            },
             other => {
                 eprintln!("unknown flag {other:?}\n{USAGE}");
                 return ExitCode::from(2);
@@ -109,41 +101,7 @@ fn main() -> ExitCode {
 
     let report = run_sweep(&cfg);
 
-    let rows: Vec<Vec<String>> = report
-        .scenarios
-        .iter()
-        .map(|s| {
-            vec![
-                s.mode.clone(),
-                s.fabric.clone(),
-                s.ranks.to_string(),
-                s.bodies.to_string(),
-                format!("{:.6}", s.end_vtime_s),
-                format!("{:.3e}", s.interactions_per_s),
-                format!("{:.3}", s.parallel_efficiency),
-                format!("{:.3}", s.scaling_efficiency),
-                s.dominant_wire.clone(),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        bench::render_table(
-            "scaling_sweep curves",
-            &[
-                "mode",
-                "fabric",
-                "ranks",
-                "bodies",
-                "end_vtime_s",
-                "inter/s",
-                "par_eff",
-                "scal_eff",
-                "dominant",
-            ],
-            &rows,
-        )
-    );
+    print!("{}", summary_table("scaling_sweep curves", &report));
     if curves {
         for &mode in &cfg.modes {
             for &fabric in &cfg.fabrics {

@@ -1,9 +1,11 @@
-//! Dump the virtual-time trace of a small distributed treecode run, or
-//! diff two previously captured artifacts.
+//! Dump the virtual-time trace of the golden treecode16 run, or diff two
+//! previously captured artifacts.
 //!
-//! Runs the chaos harness on an ideal (contention-free) 16-port machine
-//! with tracing on, then prints the merged world timeline in whichever
-//! export formats are requested:
+//! Runs `cluster::ics::golden_run` — the run behind the committed
+//! snapshots in `crates/cluster/tests/golden/` and the ledger's
+//! `treecode16` scenario — with tracing and the timeline on, then
+//! prints the merged world timeline in whichever export formats are
+//! requested:
 //!
 //! ```bash
 //! cargo run --release -p bench --bin trace_dump                # summary + gantt + analysis
@@ -21,8 +23,8 @@
 //! row per rank, span nesting preserved, timestamps in virtual
 //! microseconds. Because the run uses `Machine::ideal` and a
 //! deterministic retransmit plan, the bytes printed are identical on
-//! every invocation — the same property the golden-trace tests in
-//! `crates/cluster/tests` pin down.
+//! every invocation — `--summary` reproduces the committed
+//! `treecode16.summary` byte for byte, which CI checks.
 //!
 //! Diff mode compares two structural summaries captured with
 //! `--summary` (committed goldens work too) and names the top regressed
@@ -38,18 +40,13 @@
 //! malformed trace exits nonzero, so CI can use any `trace_dump`
 //! invocation as a structural smoke test.
 
-use cluster::chaos::{run_treecode_traced, ChaosConfig};
-use hot::GravityConfig;
-use msg::{FaultPlan, Machine, RetransmitConfig};
+use cluster::chaos::ChaosConfig;
+use cluster::ics::{golden_chaos, golden_plan, golden_run, GOLDEN_STEPS, GOLDEN_TIMELINE_WINDOW_S};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: trace_dump [--summary] [--gantt] [--chrome] [--analysis] \
 [--timeline-csv] [--timeline-json] [--sparkline]\n\
        trace_dump --diff OLD NEW [--max-regress PCT]";
-
-/// Timeline window for the dump run; matches the golden harness so the
-/// printed series lines up with the committed snapshot's grid.
-const TIMELINE_WINDOW_S: f64 = 2.5e-4;
 
 fn run_diff(args: &[String]) -> ExitCode {
     let (mut old, mut new, mut max_regress) = (None, None, 5.0f64);
@@ -121,22 +118,11 @@ fn main() -> ExitCode {
         ];
     }
 
-    let ranks = 16;
-    let machine = Machine::ideal(ranks as u32);
-    let plan = FaultPlan::none(11).with_retransmit(RetransmitConfig::deterministic());
     let chaos = ChaosConfig {
-        checkpoint_every: 2,
-        timeline_window_s: Some(TIMELINE_WINDOW_S),
-        ..ChaosConfig::default()
+        timeline_window_s: Some(GOLDEN_TIMELINE_WINDOW_S),
+        ..golden_chaos()
     };
-    let cfg = GravityConfig {
-        theta: 0.6,
-        eps: 0.05,
-        ..GravityConfig::default()
-    };
-    let bodies = hot::models::plummer(256, 42);
-    let (_, report, trace) =
-        run_treecode_traced(&machine, ranks, &plan, &chaos, bodies, &cfg, 4, 0.01);
+    let (_, report, trace) = golden_run(&golden_plan(), &chaos, GOLDEN_STEPS);
     assert!(report.completed, "trace_dump run did not complete");
     let trace = trace.expect("completed traced run always yields a trace");
 
@@ -152,16 +138,19 @@ fn main() -> ExitCode {
     }
 
     for mode in &modes {
-        match mode.as_str() {
-            "--chrome" => println!("{}", obs::export::chrome_trace_json(&trace)),
-            "--gantt" => println!("{}", obs::export::gantt(&trace, 100)),
-            "--summary" => println!("{}", obs::export::structural_summary(&trace)),
-            "--analysis" => println!("{}", obs::analysis_report(&trace)),
-            "--timeline-csv" => println!("{}", obs::timeline_csv(&timeline)),
-            "--timeline-json" => println!("{}", obs::timeline_json(&timeline)),
-            "--sparkline" => println!("{}", obs::sparkline(&timeline)),
+        let text = match mode.as_str() {
+            "--chrome" => obs::export::chrome_trace_json(&trace),
+            "--gantt" => obs::export::gantt(&trace, 100),
+            "--summary" => obs::export::structural_summary(&trace),
+            "--analysis" => obs::analysis_report(&trace),
+            "--timeline-csv" => obs::timeline_csv(&timeline),
+            "--timeline-json" => obs::timeline_json(&timeline),
+            "--sparkline" => obs::sparkline(&timeline),
             _ => unreachable!("flags validated above"),
-        }
+        };
+        // Exactly the export's bytes (the committed goldens are these),
+        // newline-terminated.
+        print!("{text}{}", if text.ends_with('\n') { "" } else { "\n" });
     }
     ExitCode::SUCCESS
 }

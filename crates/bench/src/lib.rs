@@ -1,9 +1,12 @@
-//! Shared helpers for the exhibit regenerators.
+//! The paper's exhibits and the standing perf ledger.
 //!
-//! Every table and figure of the paper has a binary here
-//! (`cargo run -p bench --bin table1` … `--bin figure8`, plus
-//! `--bin reliability` and `--bin ablations`); this module holds the
-//! formatting they share. `--bin all_exhibits` runs the lot.
+//! Every table and figure of the paper is a function of [`exhibits`]
+//! (`cargo run -p bench --bin all_exhibits [-- NAME...]` prints them,
+//! `-- --list` names them; `--bin ablations` holds the design
+//! ablations). [`report`] is the ledger behind `BENCH_report.json`
+//! (`--bin bench_report`) and [`scaling`] the weak/strong sweeps that
+//! write the same rows (`--bin scaling_sweep`). This module holds the
+//! formatting they share.
 
 /// Render an aligned text table: a header row plus data rows.
 pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
@@ -97,5 +100,6 @@ mod tests {
     }
 }
 
+pub mod exhibits;
 pub mod report;
 pub mod scaling;

@@ -5,173 +5,204 @@
 //! traces into a [`BenchReport`] and writes `BENCH_report.json`; CI
 //! diffs that against the committed baseline with [`compare`], which
 //! fails on any metric moving in the bad direction by more than the
-//! tolerance. No `serde` in the dependency tree, so the writer emits a
+//! tolerance. A scenario is a name, a determinism flag, string tags and
+//! a `name -> f64` map holding only what it measures; everything the
+//! ledger knows about a metric is its row in [`METRICS`], so a new
+//! metric is a new row there, never a new schema. The writer emits a
 //! fixed key order by hand and [`from_json`] is a minimal
 //! recursive-descent parser over exactly the subset the writer uses
 //! (objects, arrays, strings, f64 numbers).
 
-use obs::{CriticalPath, Efficiency, WorldTrace};
+use cluster::ChaosReport;
+use obs::{LinkClass, WorldTrace};
+use std::collections::BTreeMap;
 
-/// Bump whenever a field is added, removed, or changes meaning; the
+/// Bump when the row *shape* changes (not when a metric is added); the
 /// comparator refuses to diff across versions and the parser refuses
 /// files older than this one.
-pub const SCHEMA_VERSION: u64 = 4;
+pub const SCHEMA_VERSION: u64 = 5;
 
-/// One scenario's folded metrics.
+/// Which direction of a metric is a regression.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    Higher,
+    Lower,
+    /// Ledgered for the record; [`compare`] bounds no drift on it.
+    Info,
+}
+use Better::{Higher, Info, Lower};
+
+/// One ledger metric — everything [`to_json`], [`from_json`],
+/// [`compare`], [`check_floors`] and [`summary_table`] know about it:
+/// `(name, better, timing, floorable)`. `timing` marks a value derived
+/// from virtual timings, comparable only between rows that both claim
+/// byte-determinism. `floorable` marks a ratio or throughput level that
+/// makes sense as an absolute `--floor`; timing totals scale with
+/// scenario size and belong to [`compare`].
+pub type MetricDef = (&'static str, Better, bool, bool);
+
+/// Every metric a scenario may carry, in report order. A key absent
+/// from a scenario means "no claim".
+pub const METRICS: &[MetricDef] = &[
+    ("ranks", Info, false, false),
+    // Total bodies of a scaling-sweep point.
+    ("bodies", Info, false, false),
+    // Efficiency relative to the same curve's smallest rank count:
+    // weak scaling `T(p0)/T(p)`, strong scaling `T(p0)·p0/(T(p)·p)`.
+    ("scaling_efficiency", Higher, true, true),
+    // Virtual seconds from trace start to the last rank's finish.
+    ("end_vtime_s", Lower, true, false),
+    // Force-kernel interactions (treecode p2p+m2p), and per virtual
+    // second — the throughput headline.
+    ("interactions", Info, false, false),
+    ("interactions_per_s", Higher, true, true),
+    // Kept-work fraction from the chaos report (1.0 for fault-free).
+    ("availability", Higher, false, true),
+    // Critical-path breakdown, virtual seconds, then wire time per
+    // link class.
+    ("cp_total_s", Info, true, false),
+    ("cp_work_s", Info, true, false),
+    ("cp_wire_s", Info, true, false),
+    ("cp_wait_s", Info, true, false),
+    ("cp_wire_local_s", Info, true, false),
+    ("cp_wire_intra_s", Info, true, false),
+    ("cp_wire_uplink_s", Info, true, false),
+    ("cp_wire_trunk_s", Info, true, false),
+    // POP factors.
+    ("parallel_efficiency", Higher, true, true),
+    ("load_balance", Info, true, true),
+    ("comm_efficiency", Info, true, true),
+    ("transfer_efficiency", Info, true, true),
+    ("serialization_efficiency", Info, true, true),
+    // Queries answered by the scenario's client fleet, per virtual
+    // second (the service headline), and client-observed reply latency
+    // percentiles in virtual seconds.
+    ("queries", Info, false, false),
+    ("queries_per_s", Higher, true, true),
+    ("query_p50_s", Info, true, false),
+    ("query_p95_s", Info, true, false),
+    ("query_p99_s", Lower, true, false),
+    // Snapshot-store effective throughput: committed (decoded) *state*
+    // megabytes per virtual second of checkpoint I/O. Delta commits
+    // ship fewer bytes than the state they represent, so these exceed
+    // the raw disk rate when compression works.
+    ("store_write_mb_s", Info, false, true),
+    ("store_read_mb_s", Info, false, true),
+    // `full_bytes / commit_bytes` over the commit history: what the
+    // same generations would have cost as full snapshots, over what the
+    // incremental log shipped. A byte ratio, not a timing: comparable
+    // even on noisy fabrics. Floored in CI.
+    ("incremental_ratio", Higher, false, true),
+];
+
+fn metric_def(name: &str) -> Option<&'static MetricDef> {
+    METRICS.iter().find(|d| d.0 == name)
+}
+
+fn horizon_s(trace: &WorldTrace) -> f64 {
+    trace.end_time() - trace.start_time()
+}
+
+/// One scenario's row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioReport {
+pub struct Scenario {
     pub name: String,
-    pub ranks: u64,
-    /// Scenario family: `"standing"` for the fixed bench scenarios,
-    /// `"weak"` / `"strong"` for scaling-sweep rows.
-    pub mode: String,
-    /// Fabric tag for sweep rows: `"lam"` (the two-switch Space
-    /// Simulator fabric), `"xbar"` (ideal crossbar), `""` for standing
-    /// scenarios that fix their own machine.
-    pub fabric: String,
-    /// Total bodies in the run (0 for non-physics scenarios).
-    pub bodies: u64,
-    /// Efficiency relative to the same curve's smallest rank count:
-    /// weak scaling `T(p0)/T(p)`, strong scaling `T(p0)·p0/(T(p)·p)`.
-    /// 1.0 at the curve's base point; 0.0 for standing scenarios.
-    pub scaling_efficiency: f64,
-    /// Virtual seconds from trace start to the last rank's finish.
-    pub end_vtime_s: f64,
-    /// Total force-kernel interactions (treecode p2p+m2p or SPH pairs;
-    /// 0 for pure communication scenarios).
-    pub interactions: u64,
-    /// `interactions / end_vtime_s` — the throughput headline.
-    pub interactions_per_s: f64,
-    /// Kept-work fraction from the chaos report (1.0 for fault-free).
-    pub availability: f64,
     /// Whether the scenario's timings are byte-deterministic across
     /// runs. The contended-fabric scenarios serialize transfers in
     /// wall-clock arrival order, so their virtual timings carry
     /// scheduling noise (tens of percent on a loaded single-core
-    /// runner); the comparator skips timing metrics for these and
-    /// checks only the structural claims (dominant wire class,
-    /// availability).
+    /// runner); the comparator skips `timing` metrics for these and
+    /// checks only the structural claims (tags, availability).
     pub deterministic: bool,
-    /// Critical-path breakdown, virtual seconds.
-    pub cp_total_s: f64,
-    pub cp_work_s: f64,
-    pub cp_wire_s: f64,
-    pub cp_wait_s: f64,
-    /// Wire time per link class, `LinkClass::ALL` order.
-    pub cp_wire_by_class_s: [f64; 4],
-    /// `LinkClass::name()` of the dominant wire class, or `"none"`.
-    pub dominant_wire: String,
-    /// POP factors.
-    pub parallel_efficiency: f64,
-    pub load_balance: f64,
-    pub comm_efficiency: f64,
-    pub transfer_efficiency: f64,
-    pub serialization_efficiency: f64,
-    /// Queries answered by the scenario's client fleet (0 for scenarios
-    /// without one — the service columns then carry no claim).
-    pub queries: u64,
-    /// `queries / end_vtime_s` — the service throughput headline.
-    pub queries_per_s: f64,
-    /// Client-observed reply latency percentiles, virtual seconds.
-    pub query_p50_s: f64,
-    pub query_p95_s: f64,
-    pub query_p99_s: f64,
-    /// Snapshot-store effective write throughput: committed *state*
-    /// megabytes per virtual second of checkpoint I/O. Delta commits
-    /// ship fewer bytes than the state they represent, so this exceeds
-    /// the raw disk rate when compression works (0 = no store claim).
-    pub store_write_mb_s: f64,
-    /// Effective time-travel read throughput: decoded state megabytes
-    /// per virtual second spent reading the record chain.
-    pub store_read_mb_s: f64,
-    /// `full_bytes / commit_bytes` over the commit history: what the
-    /// same generations would have cost as full snapshots, over what
-    /// the incremental log actually shipped. >= 1; higher is better;
-    /// floored in CI.
-    pub incremental_ratio: f64,
+    /// `mode` (`"standing"` for the fixed scenarios, `"weak"` /
+    /// `"strong"` for sweep rows), `fabric` (`"lam"` / `"xbar"` on sweep
+    /// rows) and `dominant_wire` (`LinkClass::name()` of the dominant
+    /// critical-path wire class, or `"none"`).
+    pub tags: BTreeMap<String, String>,
+    /// Keys are [`METRICS`] names, which is what lets [`to_json`] write
+    /// them in table order without losing any.
+    metrics: BTreeMap<String, f64>,
 }
 
-impl ScenarioReport {
-    /// Fold a traced run into a scenario row.
-    pub fn from_trace(
-        name: &str,
-        trace: &WorldTrace,
-        cp: &CriticalPath,
-        eff: &Efficiency,
-        interactions: u64,
-        availability: f64,
-    ) -> ScenarioReport {
-        let end = trace.end_time() - trace.start_time();
-        ScenarioReport {
+impl Scenario {
+    /// A deterministic standing scenario with no metrics yet.
+    pub fn new(name: &str) -> Scenario {
+        let mut s = Scenario {
             name: name.to_string(),
-            ranks: trace.size() as u64,
-            mode: "standing".to_string(),
-            fabric: String::new(),
-            bodies: 0,
-            scaling_efficiency: 0.0,
-            end_vtime_s: end,
-            interactions,
-            interactions_per_s: if end > 0.0 {
-                interactions as f64 / end
-            } else {
-                0.0
-            },
-            availability,
             deterministic: true,
-            cp_total_s: cp.total(),
-            cp_work_s: cp.work_s(),
-            cp_wire_s: cp.wire_total_s(),
-            cp_wait_s: cp.wait_s(),
-            cp_wire_by_class_s: cp.wire_by_class(),
-            dominant_wire: cp
-                .dominant_wire()
-                .map_or("none".to_string(), |c| c.name().to_string()),
-            parallel_efficiency: eff.parallel_efficiency,
-            load_balance: eff.load_balance,
-            comm_efficiency: eff.comm_efficiency,
-            transfer_efficiency: eff.transfer_efficiency,
-            serialization_efficiency: eff.serialization_efficiency,
-            queries: 0,
-            queries_per_s: 0.0,
-            query_p50_s: 0.0,
-            query_p95_s: 0.0,
-            query_p99_s: 0.0,
-            store_write_mb_s: 0.0,
-            store_read_mb_s: 0.0,
-            incremental_ratio: 0.0,
-        }
-    }
-
-    /// Attach the query-service columns (scenarios with a client fleet).
-    pub fn with_queries(mut self, queries: u64, p50: f64, p95: f64, p99: f64) -> ScenarioReport {
-        self.queries = queries;
-        self.queries_per_s = if self.end_vtime_s > 0.0 {
-            queries as f64 / self.end_vtime_s
-        } else {
-            0.0
+            tags: BTreeMap::new(),
+            metrics: BTreeMap::new(),
         };
-        self.query_p50_s = p50;
-        self.query_p95_s = p95;
-        self.query_p99_s = p99;
-        self
+        s.set_tag("mode", "standing");
+        s
     }
 
-    /// Attach the snapshot-store columns (the `store_bench` scenario).
-    pub fn with_store(mut self, write_mb_s: f64, read_mb_s: f64, ratio: f64) -> ScenarioReport {
-        self.store_write_mb_s = write_mb_s;
-        self.store_read_mb_s = read_mb_s;
-        self.incremental_ratio = ratio;
-        self
+    /// Fold a traced run into a row: horizon, critical path and POP
+    /// factors.
+    pub fn from_trace(name: &str, trace: &WorldTrace, availability: f64) -> Scenario {
+        let cp = obs::critical_path(trace);
+        let eff = obs::efficiency(trace, &cp);
+        let mut s = Scenario::new(name);
+        let dominant = cp.dominant_wire().map_or("none", LinkClass::name);
+        s.set_tag("dominant_wire", dominant);
+        s.set("ranks", trace.size() as f64);
+        s.set("end_vtime_s", horizon_s(trace));
+        s.set("availability", availability);
+        s.set("cp_total_s", cp.total());
+        s.set("cp_work_s", cp.work_s());
+        s.set("cp_wire_s", cp.wire_total_s());
+        s.set("cp_wait_s", cp.wait_s());
+        for (class, wire_s) in LinkClass::ALL.iter().zip(cp.wire_by_class()) {
+            s.set(&format!("cp_wire_{}_s", class.name()), wire_s);
+        }
+        s.set("parallel_efficiency", eff.parallel_efficiency);
+        s.set("load_balance", eff.load_balance);
+        s.set("comm_efficiency", eff.comm_efficiency);
+        s.set("transfer_efficiency", eff.transfer_efficiency);
+        s.set("serialization_efficiency", eff.serialization_efficiency);
+        s
     }
 
-    /// Tag a row as one point of a scaling curve. `scaling_efficiency`
-    /// stays 0 until the whole curve exists; the sweep fills it in
-    /// relative to the curve's smallest rank count.
-    pub fn with_scaling(mut self, mode: &str, fabric: &str, bodies: u64) -> ScenarioReport {
-        self.mode = mode.to_string();
-        self.fabric = fabric.to_string();
-        self.bodies = bodies;
-        self
+    /// Fold a traced chaos-harness treecode run, once it completed and
+    /// its trace passes the structural invariants: the trace family plus
+    /// the force-kernel interaction count and rate.
+    pub fn from_treecode(name: &str, report: &ChaosReport, trace: Option<WorldTrace>) -> Scenario {
+        assert!(report.completed, "{name} failed: {report:?}");
+        let trace = trace.expect("traced run yields a trace");
+        (trace.check_invariants()).unwrap_or_else(|e| panic!("{name} invariants: {e}"));
+        let mut s = Scenario::from_trace(name, &trace, report.availability);
+        let interactions = trace.counter_total("walk.interactions");
+        s.set_rate("interactions", interactions, &trace);
+        s
+    }
+
+    pub fn metric(&self, name: &str) -> Option<f64> {
+        self.metrics.get(name).copied()
+    }
+
+    /// Record a measurement. Panics on a name with no [`METRICS`] row:
+    /// the comparator would silently ignore it.
+    pub fn set(&mut self, name: &str, value: f64) {
+        assert!(metric_def(name).is_some(), "no METRICS row for {name:?}");
+        self.metrics.insert(name.to_string(), value);
+    }
+
+    /// Record `count` events as `{name}` and, over the traced horizon,
+    /// as `{name}_per_s`.
+    pub fn set_rate(&mut self, name: &str, count: u64, trace: &WorldTrace) {
+        let end = horizon_s(trace);
+        self.set(name, count as f64);
+        let rate = if end > 0.0 { count as f64 / end } else { 0.0 };
+        self.set(&format!("{name}_per_s"), rate);
+    }
+
+    /// A tag's value; `""` when the scenario does not carry it.
+    pub fn tag(&self, key: &str) -> &str {
+        self.tags.get(key).map_or("", String::as_str)
+    }
+
+    pub fn set_tag(&mut self, key: &str, value: &str) {
+        self.tags.insert(key.to_string(), value.to_string());
     }
 }
 
@@ -179,18 +210,18 @@ impl ScenarioReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     pub schema_version: u64,
-    pub scenarios: Vec<ScenarioReport>,
+    pub scenarios: Vec<Scenario>,
 }
 
 impl BenchReport {
-    pub fn new(scenarios: Vec<ScenarioReport>) -> BenchReport {
+    pub fn new(scenarios: Vec<Scenario>) -> BenchReport {
         BenchReport {
             schema_version: SCHEMA_VERSION,
             scenarios,
         }
     }
 
-    pub fn scenario(&self, name: &str) -> Option<&ScenarioReport> {
+    pub fn scenario(&self, name: &str) -> Option<&Scenario> {
         self.scenarios.iter().find(|s| s.name == name)
     }
 }
@@ -222,68 +253,31 @@ fn jstr(s: &str) -> String {
     out
 }
 
-/// Serialize with a fixed key order: byte-deterministic for a
-/// deterministic report.
+/// Serialize with a fixed key order — tags alphabetical, metrics in
+/// [`METRICS`] order: byte-deterministic for a deterministic report.
 pub fn to_json(r: &BenchReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema_version\": {},\n", r.schema_version));
-    out.push_str("  \"scenarios\": [");
+    let mut out = format!(
+        "{{\n  \"schema_version\": {},\n  \"scenarios\": [",
+        r.schema_version
+    );
     for (i, s) in r.scenarios.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\n");
-        let fields: Vec<(&str, String)> = vec![
-            ("name", jstr(&s.name)),
-            ("ranks", s.ranks.to_string()),
-            ("mode", jstr(&s.mode)),
-            ("fabric", jstr(&s.fabric)),
-            ("bodies", s.bodies.to_string()),
-            ("scaling_efficiency", jnum(s.scaling_efficiency)),
-            ("end_vtime_s", jnum(s.end_vtime_s)),
-            ("interactions", s.interactions.to_string()),
-            ("interactions_per_s", jnum(s.interactions_per_s)),
-            ("availability", jnum(s.availability)),
-            ("deterministic", s.deterministic.to_string()),
-            ("cp_total_s", jnum(s.cp_total_s)),
-            ("cp_work_s", jnum(s.cp_work_s)),
-            ("cp_wire_s", jnum(s.cp_wire_s)),
-            ("cp_wait_s", jnum(s.cp_wait_s)),
-            (
-                "cp_wire_by_class_s",
-                format!(
-                    "[{}]",
-                    s.cp_wire_by_class_s
-                        .iter()
-                        .map(|v| jnum(*v))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            ),
-            ("dominant_wire", jstr(&s.dominant_wire)),
-            ("parallel_efficiency", jnum(s.parallel_efficiency)),
-            ("load_balance", jnum(s.load_balance)),
-            ("comm_efficiency", jnum(s.comm_efficiency)),
-            ("transfer_efficiency", jnum(s.transfer_efficiency)),
-            ("serialization_efficiency", jnum(s.serialization_efficiency)),
-            ("queries", s.queries.to_string()),
-            ("queries_per_s", jnum(s.queries_per_s)),
-            ("query_p50_s", jnum(s.query_p50_s)),
-            ("query_p95_s", jnum(s.query_p95_s)),
-            ("query_p99_s", jnum(s.query_p99_s)),
-            ("store_write_mb_s", jnum(s.store_write_mb_s)),
-            ("store_read_mb_s", jnum(s.store_read_mb_s)),
-            ("incremental_ratio", jnum(s.incremental_ratio)),
-        ];
-        for (j, (k, v)) in fields.iter().enumerate() {
-            out.push_str(&format!(
-                "      {}: {v}{}\n",
-                jstr(k),
-                if j + 1 < fields.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    }");
+        let tags: Vec<String> = (s.tags.iter())
+            .map(|(k, v)| format!("{}: {}", jstr(k), jstr(v)))
+            .collect();
+        let metrics: Vec<String> = (METRICS.iter())
+            .filter_map(|&(name, ..)| Some((name, s.metric(name)?)))
+            .map(|(name, v)| format!("\n        {}: {}", jstr(name), jnum(v)))
+            .collect();
+        out.push_str(&format!(
+            "{}\n    {{\n      \"name\": {},\n      \"deterministic\": {},\n      \
+             \"tags\": {{{}}},\n      \"metrics\": {{{}{}}}\n    }}",
+            if i > 0 { "," } else { "" },
+            jstr(&s.name),
+            s.deterministic,
+            tags.join(", "),
+            metrics.join(","),
+            if metrics.is_empty() { "" } else { "\n      " },
+        ));
     }
     out.push_str("\n  ]\n}\n");
     out
@@ -304,27 +298,6 @@ impl Value {
         match self {
             Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
-        }
-    }
-
-    fn num(&self, key: &str) -> Result<f64, String> {
-        match self.get(key) {
-            Some(Value::Num(x)) => Ok(*x),
-            other => Err(format!("field {key:?}: expected number, got {other:?}")),
-        }
-    }
-
-    fn str(&self, key: &str) -> Result<&str, String> {
-        match self.get(key) {
-            Some(Value::Str(s)) => Ok(s),
-            other => Err(format!("field {key:?}: expected string, got {other:?}")),
-        }
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, String> {
-        match self.get(key) {
-            Some(Value::Bool(b)) => Ok(*b),
-            other => Err(format!("field {key:?}: expected bool, got {other:?}")),
         }
     }
 }
@@ -363,8 +336,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => Ok(Value::Obj(self.seq(b'}', Parser::field)?)),
+            Some(b'[') => Ok(Value::Arr(self.seq(b']', Parser::value)?)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -382,51 +355,38 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
+    /// The comma-separated items of an object or array, up to `close`.
+    fn seq<T>(
+        &mut self,
+        close: u8,
+        item: fn(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.pos += 1; // the opening bracket `value` dispatched on
+        let mut items = Vec::new();
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
+        if self.bytes.get(self.pos) == Some(&close) {
             self.pos += 1;
-            return Ok(Value::Obj(fields));
+            return Ok(items);
         }
         loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
+            items.push(item(self)?);
             self.skip_ws();
             match self.bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(b) if *b == close => {
                     self.pos += 1;
-                    return Ok(Value::Obj(fields));
+                    return Ok(items);
                 }
-                other => return Err(format!("in object: unexpected {other:?}")),
+                other => return Err(format!("byte {}: unexpected {other:?}", self.pos)),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    fn field(&mut self) -> Result<(String, Value), String> {
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                other => return Err(format!("in array: unexpected {other:?}")),
-            }
-        }
+        let key = self.string()?;
+        self.expect(b':')?;
+        Ok((key, self.value()?))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -461,14 +421,13 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(&b) => {
-                    // Multi-byte UTF-8: copy the full scalar.
+                Some(_) => {
+                    // Copy one full (possibly multi-byte) scalar.
                     let s =
                         std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
                     let c = s.chars().next().ok_or("empty char")?;
                     out.push(c);
                     self.pos += c.len_utf8();
-                    let _ = b;
                 }
                 None => return Err("unterminated string".to_string()),
             }
@@ -498,7 +457,10 @@ pub fn from_json(text: &str) -> Result<BenchReport, String> {
         pos: 0,
     };
     let root = p.value()?;
-    let schema_version = root.num("schema_version")? as u64;
+    let Some(Value::Num(schema_version)) = root.get("schema_version") else {
+        return Err("missing \"schema_version\" number".to_string());
+    };
+    let schema_version = *schema_version as u64;
     if schema_version < SCHEMA_VERSION {
         return Err(format!(
             "schema version changed: file {schema_version} vs current {SCHEMA_VERSION} \
@@ -509,47 +471,44 @@ pub fn from_json(text: &str) -> Result<BenchReport, String> {
         return Err("missing \"scenarios\" array".to_string());
     };
     let mut scenarios = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut wire = [0.0f64; 4];
-        if let Some(Value::Arr(vals)) = row.get("cp_wire_by_class_s") {
-            for (slot, v) in wire.iter_mut().zip(vals) {
-                if let Value::Num(x) = v {
-                    *slot = *x;
-                }
-            }
+    for (i, row) in rows.iter().enumerate() {
+        let (
+            Some(Value::Str(name)),
+            Some(Value::Bool(deterministic)),
+            Some(Value::Obj(tags)),
+            Some(Value::Obj(metrics)),
+        ) = (
+            row.get("name"),
+            row.get("deterministic"),
+            row.get("tags"),
+            row.get("metrics"),
+        )
+        else {
+            return Err(format!(
+                "scenario {i}: wants a string name, a bool deterministic, tags and metrics objects"
+            ));
+        };
+        let mut s = Scenario {
+            name: name.clone(),
+            deterministic: *deterministic,
+            tags: BTreeMap::new(),
+            metrics: BTreeMap::new(),
+        };
+        for (key, v) in tags {
+            let Value::Str(v) = v else {
+                return Err(format!("{name}: tag {key:?}: expected string"));
+            };
+            s.tags.insert(key.clone(), v.clone());
         }
-        scenarios.push(ScenarioReport {
-            name: row.str("name")?.to_string(),
-            ranks: row.num("ranks")? as u64,
-            mode: row.str("mode")?.to_string(),
-            fabric: row.str("fabric")?.to_string(),
-            bodies: row.num("bodies")? as u64,
-            scaling_efficiency: row.num("scaling_efficiency")?,
-            end_vtime_s: row.num("end_vtime_s")?,
-            interactions: row.num("interactions")? as u64,
-            interactions_per_s: row.num("interactions_per_s")?,
-            availability: row.num("availability")?,
-            deterministic: row.bool("deterministic")?,
-            cp_total_s: row.num("cp_total_s")?,
-            cp_work_s: row.num("cp_work_s")?,
-            cp_wire_s: row.num("cp_wire_s")?,
-            cp_wait_s: row.num("cp_wait_s")?,
-            cp_wire_by_class_s: wire,
-            dominant_wire: row.str("dominant_wire")?.to_string(),
-            parallel_efficiency: row.num("parallel_efficiency")?,
-            load_balance: row.num("load_balance")?,
-            comm_efficiency: row.num("comm_efficiency")?,
-            transfer_efficiency: row.num("transfer_efficiency")?,
-            serialization_efficiency: row.num("serialization_efficiency")?,
-            queries: row.num("queries")? as u64,
-            queries_per_s: row.num("queries_per_s")?,
-            query_p50_s: row.num("query_p50_s")?,
-            query_p95_s: row.num("query_p95_s")?,
-            query_p99_s: row.num("query_p99_s")?,
-            store_write_mb_s: row.num("store_write_mb_s")?,
-            store_read_mb_s: row.num("store_read_mb_s")?,
-            incremental_ratio: row.num("incremental_ratio")?,
-        });
+        for (key, v) in metrics {
+            let (Value::Num(x), Some((metric, ..))) = (v, metric_def(key)) else {
+                return Err(format!(
+                    "{name}: metric {key:?}: not a number, or no METRICS row"
+                ));
+            };
+            s.metrics.insert(metric.to_string(), *x);
+        }
+        scenarios.push(s);
     }
     Ok(BenchReport {
         schema_version,
@@ -559,12 +518,13 @@ pub fn from_json(text: &str) -> Result<BenchReport, String> {
 
 /// Diff `new` against the `baseline`; every returned string is a
 /// regression beyond `max_regress` (a fraction: 0.05 = 5%). Empty
-/// means pass. Improvements and new scenarios never fail. Besides
-/// directional drift this flags the absolute failures: a scenario or
-/// metric going missing (zero / non-finite where the baseline had a
-/// value — "infinitely better" readings are broken folds, not wins)
-/// and a scenario losing its byte-determinism claim, which would
-/// otherwise silently exempt every timing metric.
+/// means pass. Improvements, new scenarios and metrics only `new`
+/// carries never fail. Besides directional drift this flags the
+/// absolute failures: a scenario, tag or metric going missing (absent,
+/// or zero / non-finite where the baseline had a value — "infinitely
+/// better" readings are broken folds, not wins) and a scenario losing
+/// its byte-determinism claim, which would otherwise silently exempt
+/// every timing metric.
 pub fn compare(baseline: &BenchReport, new: &BenchReport, max_regress: f64) -> Vec<String> {
     let mut out = Vec::new();
     if baseline.schema_version != new.schema_version {
@@ -579,14 +539,18 @@ pub fn compare(baseline: &BenchReport, new: &BenchReport, max_regress: f64) -> V
             out.push(format!("scenario {:?} missing from new report", b.name));
             continue;
         };
-        // The dominant wire class is the structural claim a contended
-        // scenario exists to make (e.g. "the trunk is critical-path
-        // dominant"); a flip is a regression regardless of timings.
-        if b.dominant_wire != n.dominant_wire {
-            out.push(format!(
-                "{}: dominant_wire changed {:?} -> {:?}",
-                b.name, b.dominant_wire, n.dominant_wire
-            ));
+        // Tags are the structural claims — above all the dominant wire
+        // class a contended scenario exists to name ("the trunk is
+        // critical-path dominant"); a flip is a regression regardless
+        // of timings.
+        for (key, old) in &b.tags {
+            if n.tag(key) != old.as_str() {
+                out.push(format!(
+                    "{}: {key} changed {old:?} -> {:?}",
+                    b.name,
+                    n.tag(key)
+                ));
+            }
         }
         // Losing the determinism claim would exempt every timing metric
         // below — that is itself a regression, not a free pass. (Gaining
@@ -598,70 +562,25 @@ pub fn compare(baseline: &BenchReport, new: &BenchReport, max_regress: f64) -> V
                 b.name
             ));
         }
-        // Timing metrics are only comparable when both sides claim
-        // byte-determinism; contended-fabric timings carry scheduling
-        // noise well past any sensible tolerance.
-        let timings_comparable = b.deterministic && n.deterministic;
-        // (metric, baseline, new, higher_is_better, comparable)
-        let checks = [
-            (
-                "end_vtime_s",
-                b.end_vtime_s,
-                n.end_vtime_s,
-                false,
-                timings_comparable,
-            ),
-            (
-                "interactions_per_s",
-                b.interactions_per_s,
-                n.interactions_per_s,
-                true,
-                timings_comparable,
-            ),
-            (
-                "parallel_efficiency",
-                b.parallel_efficiency,
-                n.parallel_efficiency,
-                true,
-                timings_comparable,
-            ),
-            ("availability", b.availability, n.availability, true, true),
-            (
-                "scaling_efficiency",
-                b.scaling_efficiency,
-                n.scaling_efficiency,
-                true,
-                timings_comparable,
-            ),
-            (
-                "queries_per_s",
-                b.queries_per_s,
-                n.queries_per_s,
-                true,
-                timings_comparable,
-            ),
-            (
-                "query_p99_s",
-                b.query_p99_s,
-                n.query_p99_s,
-                false,
-                timings_comparable,
-            ),
-            // A byte ratio, not a timing: deterministic even on noisy
-            // fabrics, so always comparable.
-            (
-                "incremental_ratio",
-                b.incremental_ratio,
-                n.incremental_ratio,
-                true,
-                true,
-            ),
-        ];
-        for (metric, old, newv, higher_better, comparable) in checks {
-            // A metric that vanished — NaN, or zero where the baseline
-            // had a value — fails regardless of direction or noise:
-            // tolerance explains drift, not absence. (NaN would also
-            // sail through the comparisons below, which are all false.)
+        for &(metric, better, timing, _) in METRICS {
+            let Some(old) = b.metric(metric) else {
+                continue;
+            };
+            // A metric that vanished — absent, NaN, or zero where the
+            // baseline had a value — fails regardless of direction or
+            // noise: tolerance explains drift, not absence. (NaN would
+            // also sail through the comparisons below, which are all
+            // false.)
+            let Some(newv) = n.metric(metric) else {
+                out.push(format!(
+                    "{}: {metric} vanished: {old:.6e} -> absent",
+                    b.name
+                ));
+                continue;
+            };
+            if better == Info {
+                continue;
+            }
             if !newv.is_finite() || (old > 0.0 && newv <= 0.0) {
                 out.push(format!(
                     "{}: {metric} vanished: {old:.6e} -> {newv}",
@@ -669,13 +588,13 @@ pub fn compare(baseline: &BenchReport, new: &BenchReport, max_regress: f64) -> V
                 ));
                 continue;
             }
-            if !comparable {
+            // Timing metrics are only comparable when both sides claim
+            // byte-determinism; contended-fabric timings carry
+            // scheduling noise well past any sensible tolerance.
+            if (timing && !(b.deterministic && n.deterministic)) || old <= 0.0 {
                 continue;
             }
-            if old <= 0.0 {
-                continue;
-            }
-            let regressed = if higher_better {
+            let regressed = if better == Higher {
                 newv < old * (1.0 - max_regress)
             } else {
                 newv > old * (1.0 + max_regress)
@@ -693,25 +612,16 @@ pub fn compare(baseline: &BenchReport, new: &BenchReport, max_regress: f64) -> V
     out
 }
 
-/// Resolve a floorable metric by name. Only ratio-style metrics (and
-/// the throughput headline) make sense as absolute floors; timing
-/// totals scale with scenario size and belong to `compare`.
-fn metric_value(s: &ScenarioReport, metric: &str) -> Option<f64> {
-    Some(match metric {
-        "interactions_per_s" => s.interactions_per_s,
-        "queries_per_s" => s.queries_per_s,
-        "availability" => s.availability,
-        "parallel_efficiency" => s.parallel_efficiency,
-        "scaling_efficiency" => s.scaling_efficiency,
-        "load_balance" => s.load_balance,
-        "comm_efficiency" => s.comm_efficiency,
-        "transfer_efficiency" => s.transfer_efficiency,
-        "serialization_efficiency" => s.serialization_efficiency,
-        "store_write_mb_s" => s.store_write_mb_s,
-        "store_read_mb_s" => s.store_read_mb_s,
-        "incremental_ratio" => s.incremental_ratio,
-        _ => return None,
-    })
+/// One `--floor SCENARIO:METRIC:MIN` operand.
+pub fn parse_floor(spec: &str) -> Result<(String, String, f64), String> {
+    let parts: Vec<&str> = spec.split(':').collect();
+    match parts.as_slice() {
+        [s, m, v] => match v.parse::<f64>() {
+            Ok(min) => Ok((s.to_string(), m.to_string(), min)),
+            Err(_) => Err(format!("--floor MIN must be numeric, got {spec:?}")),
+        },
+        _ => Err(format!("--floor wants SCENARIO:METRIC:MIN, got {spec:?}")),
+    }
 }
 
 /// A ratchet: each floor is `(scenario, metric, min)` and the metric
@@ -728,18 +638,51 @@ pub fn check_floors(r: &BenchReport, floors: &[(String, String, f64)]) -> Vec<St
             ));
             continue;
         };
-        let Some(val) = metric_value(s, metric) else {
+        if !metric_def(metric).is_some_and(|&(.., floorable)| floorable) {
             out.push(format!("floor {scenario}:{metric}: unknown metric"));
             continue;
-        };
-        // `!(>=)` rather than `<` so a NaN reading also trips.
-        if !(val >= *min) {
-            out.push(format!(
+        }
+        match s.metric(metric) {
+            // A NaN reading trips rather than vacuously passing.
+            Some(val) if val.is_nan() || val < *min => out.push(format!(
                 "{scenario}: {metric} {val:.6} below committed floor {min:.6}"
-            ));
+            )),
+            Some(_) => {}
+            None => out.push(format!(
+                "{scenario}: {metric} absent, committed floor {min:.6}"
+            )),
         }
     }
     out
+}
+
+/// The headline table both report binaries print: one row per
+/// scenario, one column per directional metric some row carries.
+pub fn summary_table(title: &str, r: &BenchReport) -> String {
+    let cols: Vec<&str> = (METRICS.iter())
+        .filter(|(name, better, ..)| {
+            *better != Info && r.scenarios.iter().any(|s| s.metric(name).is_some())
+        })
+        .map(|&(name, ..)| name)
+        .collect();
+    let cell = |v: Option<f64>| match v {
+        None => "-".to_string(),
+        Some(v) if (1e-3..1e4).contains(&v.abs()) => format!("{v:.6}"),
+        Some(v) => format!("{v:.3e}"),
+    };
+    let rows: Vec<Vec<String>> = (r.scenarios.iter())
+        .map(|s| {
+            let mut row = vec![s.name.clone()];
+            row.extend(cols.iter().map(|c| cell(s.metric(c))));
+            row.push(s.tag("dominant_wire").to_string());
+            row
+        })
+        .collect();
+    let header: Vec<&str> = (["scenario"].into_iter())
+        .chain(cols.iter().copied())
+        .chain(["dominant_wire"])
+        .collect();
+    crate::render_table(title, &header, &rows)
 }
 
 #[cfg(test)]
@@ -747,38 +690,56 @@ mod tests {
     use super::*;
 
     fn sample() -> BenchReport {
-        BenchReport::new(vec![ScenarioReport {
-            name: "treecode16".to_string(),
-            ranks: 16,
-            mode: "standing".to_string(),
-            fabric: String::new(),
-            bodies: 192,
-            scaling_efficiency: 0.0,
-            end_vtime_s: 0.0062866896,
-            interactions: 94640,
-            interactions_per_s: 1.5e7,
-            availability: 1.0,
-            deterministic: true,
-            cp_total_s: 0.0062866896,
-            cp_work_s: 6.5e-4,
-            cp_wire_s: 5.6e-3,
-            cp_wait_s: 0.0,
-            cp_wire_by_class_s: [0.0, 5.6e-3, 0.0, 0.0],
-            dominant_wire: "intra".to_string(),
-            parallel_efficiency: 0.06,
-            load_balance: 1.0,
-            comm_efficiency: 0.06,
-            transfer_efficiency: 0.104,
-            serialization_efficiency: 0.577,
-            queries: 768,
-            queries_per_s: 1.2e5,
-            query_p50_s: 4.0e-5,
-            query_p95_s: 1.1e-4,
-            query_p99_s: 2.3e-4,
-            store_write_mb_s: 210.0,
-            store_read_mb_s: 430.0,
-            incremental_ratio: 2.4,
-        }])
+        let mut s = Scenario::new("treecode16");
+        s.set_tag("dominant_wire", "intra");
+        for (name, value) in [
+            ("ranks", 16.0),
+            ("bodies", 192.0),
+            ("end_vtime_s", 0.0062866896),
+            ("interactions", 94640.0),
+            ("interactions_per_s", 1.5e7),
+            ("availability", 1.0),
+            ("cp_total_s", 0.0062866896),
+            ("cp_work_s", 6.5e-4),
+            ("cp_wire_s", 5.6e-3),
+            ("cp_wait_s", 0.0),
+            ("cp_wire_local_s", 0.0),
+            ("cp_wire_intra_s", 5.6e-3),
+            ("cp_wire_uplink_s", 0.0),
+            ("cp_wire_trunk_s", 0.0),
+            ("parallel_efficiency", 0.06),
+            ("load_balance", 1.0),
+            ("comm_efficiency", 0.06),
+            ("transfer_efficiency", 0.104),
+            ("serialization_efficiency", 0.577),
+            ("queries", 768.0),
+            ("queries_per_s", 1.2e5),
+            ("query_p50_s", 4.0e-5),
+            ("query_p95_s", 1.1e-4),
+            ("query_p99_s", 2.3e-4),
+            ("store_write_mb_s", 210.0),
+            ("store_read_mb_s", 430.0),
+            ("incremental_ratio", 2.4),
+        ] {
+            s.set(name, value);
+        }
+        BenchReport::new(vec![s])
+    }
+
+    /// The sample's one row, with `metric` set (or, with `None`,
+    /// dropped).
+    fn with(base: &BenchReport, metric: &str, value: Option<f64>) -> BenchReport {
+        let mut r = base.clone();
+        match value {
+            Some(v) => r.scenarios[0].set(metric, v),
+            None => assert!(r.scenarios[0].metrics.remove(metric).is_some()),
+        }
+        r
+    }
+
+    fn scaled(base: &BenchReport, metric: &str, factor: f64) -> BenchReport {
+        let old = base.scenarios[0].metric(metric).unwrap();
+        with(base, metric, Some(old * factor))
     }
 
     #[test]
@@ -794,9 +755,8 @@ mod tests {
     #[test]
     fn comparator_catches_injected_slowdown() {
         let base = sample();
-        let mut slow = base.clone();
-        slow.scenarios[0].end_vtime_s *= 1.30;
-        slow.scenarios[0].interactions_per_s /= 1.30;
+        let slow = scaled(&base, "end_vtime_s", 1.30);
+        let slow = scaled(&slow, "interactions_per_s", 1.0 / 1.30);
         let regressions = compare(&base, &slow, 0.05);
         assert_eq!(regressions.len(), 2, "{regressions:?}");
         assert!(regressions[0].contains("end_vtime_s"), "{regressions:?}");
@@ -810,18 +770,16 @@ mod tests {
     fn comparator_passes_identical_and_improved() {
         let base = sample();
         assert!(compare(&base, &base, 0.05).is_empty());
-        let mut fast = base.clone();
-        fast.scenarios[0].end_vtime_s *= 0.5;
-        fast.scenarios[0].interactions_per_s *= 2.0;
+        let fast = scaled(&base, "end_vtime_s", 0.5);
+        let fast = scaled(&fast, "interactions_per_s", 2.0);
         assert!(compare(&base, &fast, 0.05).is_empty());
     }
 
     #[test]
     fn comparator_catches_query_service_regression() {
         let base = sample();
-        let mut slow = base.clone();
-        slow.scenarios[0].queries_per_s /= 1.30;
-        slow.scenarios[0].query_p99_s *= 1.30;
+        let slow = scaled(&base, "queries_per_s", 1.0 / 1.30);
+        let slow = scaled(&slow, "query_p99_s", 1.30);
         let r = compare(&base, &slow, 0.05);
         assert_eq!(r.len(), 2, "{r:?}");
         assert!(r[0].contains("queries_per_s"), "{r:?}");
@@ -853,25 +811,27 @@ mod tests {
     fn nondeterministic_scenarios_skip_timings_but_keep_structure() {
         let mut base = sample();
         base.scenarios[0].deterministic = false;
-        base.scenarios[0].dominant_wire = "trunk".to_string();
+        base.scenarios[0].set_tag("dominant_wire", "trunk");
 
         // 30% timing drift on a scenario marked non-deterministic is
         // scheduling noise, not a regression.
-        let mut noisy = base.clone();
-        noisy.scenarios[0].end_vtime_s *= 1.30;
-        noisy.scenarios[0].parallel_efficiency /= 1.30;
+        let noisy = scaled(&base, "end_vtime_s", 1.30);
+        let noisy = scaled(&noisy, "parallel_efficiency", 1.0 / 1.30);
         assert!(compare(&base, &noisy, 0.05).is_empty());
+        // Timings are compared only when *both* rows are deterministic.
+        let mut now_det = noisy.clone();
+        now_det.scenarios[0].deterministic = true;
+        assert!(compare(&base, &now_det, 0.05).is_empty());
 
         // But the structural claims still bite: a dominant-wire flip
         // or an availability drop fails even without timings.
         let mut flipped = noisy.clone();
-        flipped.scenarios[0].dominant_wire = "intra".to_string();
+        flipped.scenarios[0].set_tag("dominant_wire", "intra");
         let r = compare(&base, &flipped, 0.05);
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("dominant_wire"), "{r:?}");
 
-        let mut lossy = noisy.clone();
-        lossy.scenarios[0].availability = 0.5;
+        let lossy = with(&noisy, "availability", Some(0.5));
         let r = compare(&base, &lossy, 0.05);
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("availability"), "{r:?}");
@@ -880,14 +840,12 @@ mod tests {
     #[test]
     fn comparator_flags_vanished_and_nonfinite_metrics() {
         let base = sample();
-        let mut zeroed = base.clone();
-        zeroed.scenarios[0].interactions_per_s = 0.0;
+        let zeroed = with(&base, "interactions_per_s", Some(0.0));
         let r = compare(&base, &zeroed, 0.05);
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("vanished"), "{r:?}");
 
-        let mut nan = base.clone();
-        nan.scenarios[0].end_vtime_s = f64::NAN;
+        let nan = with(&base, "end_vtime_s", Some(f64::NAN));
         let r = compare(&base, &nan, 0.05);
         assert!(
             r.iter()
@@ -899,10 +857,29 @@ mod tests {
         // scheduling noise explains drift, not absence.
         let mut noisy_base = base.clone();
         noisy_base.scenarios[0].deterministic = false;
-        let mut gone = noisy_base.clone();
-        gone.scenarios[0].end_vtime_s = 0.0;
+        let gone = with(&noisy_base, "end_vtime_s", Some(0.0));
         let r = compare(&noisy_base, &gone, 0.05);
         assert!(r.iter().any(|m| m.contains("vanished")), "{r:?}");
+    }
+
+    #[test]
+    fn absent_metrics_vanish_one_way_only() {
+        let base = sample();
+        // In the baseline, absent in the new row: vanished — for a
+        // compared metric and for an informational one alike, timings
+        // comparable or not.
+        for metric in ["parallel_efficiency", "cp_wait_s", "query_p50_s"] {
+            let mut noisy_base = base.clone();
+            noisy_base.scenarios[0].deterministic = false;
+            for b in [&base, &noisy_base] {
+                let r = compare(b, &with(b, metric, None), 0.05);
+                assert_eq!(r.len(), 1, "{r:?}");
+                assert!(r[0].contains(metric) && r[0].contains("vanished"), "{r:?}");
+            }
+        }
+        // Only the new row has it: a new claim, never a regression.
+        let lean = with(&base, "queries_per_s", None);
+        assert!(compare(&lean, &base, 0.05).is_empty());
     }
 
     #[test]
@@ -927,25 +904,29 @@ mod tests {
         let r = check_floors(&base, &[f("treecode16", "parallel_efficiency", 0.12)]);
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("below committed floor"), "{r:?}");
-        // NaN readings trip rather than vacuously pass.
-        let mut nan = base.clone();
-        nan.scenarios[0].parallel_efficiency = f64::NAN;
-        let r = check_floors(&nan, &[f("treecode16", "parallel_efficiency", 0.05)]);
-        assert_eq!(r.len(), 1, "{r:?}");
-        // Missing scenarios and unknown metrics are errors, not passes.
+        // NaN and absent readings trip rather than vacuously pass.
+        for reading in [Some(f64::NAN), None] {
+            let bad = with(&base, "parallel_efficiency", reading);
+            let r = check_floors(&bad, &[f("treecode16", "parallel_efficiency", 0.05)]);
+            assert_eq!(r.len(), 1, "{r:?}");
+        }
+        // Missing scenarios, unknown metrics and metrics that are not
+        // levels are errors, not passes.
         let r = check_floors(&base, &[f("nope", "parallel_efficiency", 0.0)]);
         assert!(r[0].contains("missing"), "{r:?}");
-        let r = check_floors(&base, &[f("treecode16", "not_a_metric", 0.0)]);
-        assert!(r[0].contains("unknown metric"), "{r:?}");
+        for metric in ["not_a_metric", "end_vtime_s"] {
+            let r = check_floors(&base, &[f("treecode16", metric, 0.0)]);
+            assert!(r[0].contains("unknown metric"), "{r:?}");
+        }
     }
 
     #[test]
     fn non_finite_values_serialize_safely() {
-        let mut r = sample();
-        r.scenarios[0].cp_wait_s = f64::NAN;
+        let r = with(&sample(), "cp_wait_s", Some(f64::NAN));
         let text = to_json(&r);
         assert!(!text.contains("NaN"));
-        assert_eq!(from_json(&text).unwrap().scenarios[0].cp_wait_s, 0.0);
+        let back = from_json(&text).unwrap();
+        assert_eq!(back.scenarios[0].metric("cp_wait_s"), Some(0.0));
     }
 
     #[test]
@@ -953,8 +934,7 @@ mod tests {
         let base = sample();
         // Shipping relatively more bytes per committed state is a
         // compression regression even when every timing is unchanged.
-        let mut bloated = base.clone();
-        bloated.scenarios[0].incremental_ratio = 1.1;
+        let bloated = with(&base, "incremental_ratio", Some(1.1));
         let r = compare(&base, &bloated, 0.05);
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("incremental_ratio"), "{r:?}");
@@ -970,18 +950,20 @@ mod tests {
 
     #[test]
     fn scaling_efficiency_is_compared_and_floorable() {
-        let mut base = sample();
-        base.scenarios[0] = base.scenarios[0].clone().with_scaling("weak", "xbar", 1024);
-        base.scenarios[0].scaling_efficiency = 0.8;
-        assert_eq!(base.scenarios[0].mode, "weak");
-        assert_eq!(base.scenarios[0].fabric, "xbar");
-        assert_eq!(base.scenarios[0].bodies, 1024);
+        let mut base = with(&sample(), "scaling_efficiency", Some(0.8));
+        base.scenarios[0].set_tag("mode", "weak");
+        base.scenarios[0].set_tag("fabric", "xbar");
 
-        let mut worse = base.clone();
-        worse.scenarios[0].scaling_efficiency = 0.6;
+        let worse = with(&base, "scaling_efficiency", Some(0.6));
         let r = compare(&base, &worse, 0.05);
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("scaling_efficiency"), "{r:?}");
+        // A row that moved to another curve is a different claim.
+        let mut moved = base.clone();
+        moved.scenarios[0].set_tag("fabric", "lam");
+        let r = compare(&base, &moved, 0.05);
+        assert_eq!(r.len(), 1, "{r:?}");
+        assert!(r[0].contains("fabric"), "{r:?}");
 
         let f = |v: f64| {
             (
@@ -1001,9 +983,19 @@ mod tests {
         assert!(from_json("not json").is_err());
         assert!(from_json("{\"schema_version\": 1}").is_err());
         assert!(from_json("{\"scenarios\": []}").is_err());
-        // A v3 file: older than the parser's schema, so refused with the
+        // A v4 file: older than the parser's schema, so refused with the
         // schema-version error rather than loaded with guessed columns.
-        let err = from_json("{\"schema_version\": 3, \"scenarios\": []}").unwrap_err();
+        let err = from_json("{\"schema_version\": 4, \"scenarios\": []}").unwrap_err();
         assert!(err.contains("schema version"), "{err}");
+        // A metric the table does not know would be dropped on rewrite.
+        let row = |metrics: &str| {
+            format!(
+                "{{\"schema_version\": 5, \"scenarios\": [{{\"name\": \"x\", \
+                 \"deterministic\": true, \"tags\": {{}}, \"metrics\": {{{metrics}}}}}]}}"
+            )
+        };
+        assert!(from_json(&row("\"ranks\": 2.0")).is_ok());
+        assert!(from_json(&row("\"rnaks\": 2.0")).is_err());
+        assert!(from_json(&row("\"ranks\": \"2\"")).is_err());
     }
 }

@@ -7,8 +7,8 @@
 //! serializes on the 8 Gbit/s trunk. This module reproduces that curve
 //! by sweeping the chaos-harness treecode over a rank list on two
 //! machines — the real two-switch fabric and an ideal crossbar control —
-//! and folding each point into a [`ScenarioReport`] row tagged with its
-//! curve (`mode`, `fabric`) and its efficiency relative to the curve's
+//! and folding each point into a [`Scenario`] row tagged with its curve
+//! (`mode`, `fabric`) and its efficiency relative to the curve's
 //! smallest rank count.
 //!
 //! Efficiency definitions, on end-to-end virtual time `T(p)`:
@@ -21,11 +21,10 @@
 //! their structural claims — exactly the split the standing bisection
 //! scenarios already use.
 
-use crate::report::{BenchReport, ScenarioReport};
+use crate::report::{BenchReport, Scenario};
 use cluster::chaos::{run_treecode_traced, ChaosConfig};
-use cluster::golden_ics;
-use hot::gravity::GravityConfig;
-use msg::{FaultPlan, Machine, RetransmitConfig};
+use cluster::ics::{golden_gravity, golden_ics, golden_plan};
+use msg::Machine;
 
 /// The full sweep of the paper's scaling exhibits: one point per
 /// populated power of two, capped at the 288 CPUs of the April 2003
@@ -135,58 +134,40 @@ impl SweepConfig {
 
 /// Run one point of a curve and fold it into a (not yet
 /// efficiency-tagged) scenario row named `{mode}_{fabric}_{ranks}`.
-pub fn run_point(
-    cfg: &SweepConfig,
-    mode: Mode,
-    fabric: FabricKind,
-    ranks: usize,
-) -> ScenarioReport {
+pub fn run_point(cfg: &SweepConfig, mode: Mode, fabric: FabricKind, ranks: usize) -> Scenario {
     let bodies = cfg.bodies_for(mode, ranks);
     assert!(
         bodies >= ranks,
         "{} bodies cannot cover {ranks} ranks",
         bodies
     );
-    let machine = fabric.machine(ranks);
-    let plan = FaultPlan::none(11).with_retransmit(RetransmitConfig::deterministic());
     // One checkpoint commit at the end of the horizon: the curve should
     // measure the force/exchange pipeline, not checkpoint cadence.
     let chaos = ChaosConfig {
         checkpoint_every: cfg.steps,
         ..Default::default()
     };
-    let gravity = GravityConfig {
-        theta: 0.6,
-        eps: 0.05,
-        ..Default::default()
-    };
     let (_, report, trace) = run_treecode_traced(
-        &machine,
+        &fabric.machine(ranks),
         ranks,
-        &plan,
+        &golden_plan(),
         &chaos,
         golden_ics(bodies, cfg.seed),
-        &gravity,
+        &golden_gravity(),
         cfg.steps,
         cfg.dt,
     );
     let name = format!("{}_{}_{}", mode.name(), fabric.name(), ranks);
-    assert!(report.completed, "{name} failed: {report:?}");
-    let trace = trace.expect("traced run yields a trace");
-    trace
-        .check_invariants()
-        .unwrap_or_else(|e| panic!("{name} invariants: {e}"));
-    let cp = obs::critical_path(&trace);
-    let eff = obs::efficiency(&trace, &cp);
-    let interactions = trace.counter_total("walk.interactions");
-    let mut row = ScenarioReport::from_trace(&name, &trace, &cp, &eff, interactions, 1.0)
-        .with_scaling(mode.name(), fabric.name(), bodies as u64);
+    let mut row = Scenario::from_treecode(&name, &report, trace);
+    row.set_tag("mode", mode.name());
+    row.set_tag("fabric", fabric.name());
+    row.set("bodies", bodies as f64);
     row.deterministic = fabric.deterministic();
     row
 }
 
-/// Run every curve of the sweep and fill in `scaling_efficiency`
-/// relative to each curve's smallest rank count. Rows come back in
+/// Run every curve of the sweep and set `scaling_efficiency` relative to
+/// each curve's smallest rank count. Rows come back in
 /// curve order (mode, fabric, then ascending ranks) inside a
 /// schema-current [`BenchReport`].
 pub fn run_sweep(cfg: &SweepConfig) -> BenchReport {
@@ -197,11 +178,14 @@ pub fn run_sweep(cfg: &SweepConfig) -> BenchReport {
             let mut base: Option<(usize, f64)> = None;
             for &ranks in &cfg.ranks {
                 let mut row = run_point(cfg, mode, fabric, ranks);
-                let (p0, t0) = *base.get_or_insert((ranks, row.end_vtime_s));
-                row.scaling_efficiency = scaling_efficiency(mode, p0, t0, ranks, row.end_vtime_s);
+                let t = row.metric("end_vtime_s").expect("traced rows carry it");
+                let (p0, t0) = *base.get_or_insert((ranks, t));
+                let eff = scaling_efficiency(mode, p0, t0, ranks, t);
+                row.set("scaling_efficiency", eff);
                 eprintln!(
-                    "ran {}: end {:.6}s eff {:.3} dominant {}",
-                    row.name, row.end_vtime_s, row.scaling_efficiency, row.dominant_wire
+                    "ran {}: end {t:.6}s eff {eff:.3} dominant {}",
+                    row.name,
+                    row.tag("dominant_wire")
                 );
                 rows.push(row);
             }
@@ -225,15 +209,17 @@ pub fn scaling_efficiency(mode: Mode, p0: usize, t0: f64, ranks: usize, t: f64) 
 /// Render one curve (filtered from `rows` by mode + fabric) as a TSV
 /// series for plotting: `ranks  end_vtime_s  scaling_efficiency`.
 pub fn render_curve(report: &BenchReport, mode: Mode, fabric: FabricKind) -> String {
-    let rows: Vec<Vec<f64>> = report
-        .scenarios
-        .iter()
-        .filter(|s| s.mode == mode.name() && s.fabric == fabric.name())
-        .map(|s| vec![s.ranks as f64, s.end_vtime_s, s.scaling_efficiency])
+    const COLS: [&str; 3] = ["ranks", "end_vtime_s", "scaling_efficiency"];
+    let rows: Vec<Vec<f64>> = (report.scenarios.iter())
+        .filter(|s| s.tag("mode") == mode.name() && s.tag("fabric") == fabric.name())
+        .map(|s| {
+            COLS.map(|c| s.metric(c).expect("sweep rows carry it"))
+                .to_vec()
+        })
         .collect();
     crate::render_series(
         &format!("{}-scaling, {} fabric", mode.name(), fabric.name()),
-        &["ranks", "end_vtime_s", "scaling_efficiency"],
+        &COLS,
         &rows,
     )
 }

@@ -26,8 +26,8 @@
 //! (lam/xbar efficiency ratio at 32 ranks measures ~0.53; we assert
 //! < 0.80).
 
+use bench::report::Scenario;
 use bench::scaling::{run_sweep, FabricKind, Mode, SweepConfig};
-use obs::LinkClass;
 
 #[test]
 fn strong_scaling_falls_off_past_one_module_on_the_real_fabric_only() {
@@ -45,12 +45,11 @@ fn strong_scaling_falls_off_past_one_module_on_the_real_fabric_only() {
         report
             .scenarios
             .iter()
-            .find(|s| s.fabric == fabric && s.ranks == ranks)
+            .find(|s| s.tag("fabric") == fabric && s.metric("ranks") == Some(ranks as f64))
             .unwrap_or_else(|| panic!("missing {fabric} row at {ranks} ranks"))
     };
-    let uplink =
-        |s: &bench::report::ScenarioReport| s.cp_wire_by_class_s[LinkClass::Uplink.index()];
-    let trunk = |s: &bench::report::ScenarioReport| s.cp_wire_by_class_s[LinkClass::Trunk.index()];
+    let uplink = |s: &Scenario| s.metric("cp_wire_uplink_s").unwrap();
+    let trunk = |s: &Scenario| s.metric("cp_wire_trunk_s").unwrap();
 
     // Inside one module every route on the real fabric is non-blocking:
     // no uplink or trunk time on the critical path, intra-dominant.
@@ -58,31 +57,27 @@ fn strong_scaling_falls_off_past_one_module_on_the_real_fabric_only() {
         let lam = row("lam", ranks);
         assert_eq!(uplink(lam), 0.0, "uplink inside one module: {}", lam.name);
         assert_eq!(trunk(lam), 0.0, "trunk inside one chassis: {}", lam.name);
-        assert_eq!(lam.dominant_wire, "intra", "{}", lam.name);
+        assert_eq!(lam.tag("dominant_wire"), "intra", "{}", lam.name);
     }
 
     // Past one module the uplink appears and takes over the wire.
     let lam32 = row("lam", 32);
     assert!(uplink(lam32) > 0.0, "no uplink time at 32 ranks");
-    assert_eq!(
-        lam32.dominant_wire, "uplink",
-        "{:?}",
-        lam32.cp_wire_by_class_s
-    );
+    assert_eq!(lam32.tag("dominant_wire"), "uplink", "{lam32:?}");
 
     // The crossbar control never leaves the non-blocking class.
     for ranks in [8, 16, 32] {
         let xbar = row("xbar", ranks);
         assert_eq!(uplink(xbar), 0.0, "{}", xbar.name);
         assert_eq!(trunk(xbar), 0.0, "{}", xbar.name);
-        assert_eq!(xbar.dominant_wire, "intra", "{}", xbar.name);
+        assert_eq!(xbar.tag("dominant_wire"), "intra", "{}", xbar.name);
         assert!(xbar.deterministic, "crossbar timings are deterministic");
     }
 
     // The efficiency shape. Baselines (8 ranks, one module each) agree
     // across fabrics; at 32 ranks the real fabric has lost most of its
     // efficiency to the uplink while the crossbar only pays Amdahl.
-    let eff = |fabric: &str, ranks: u64| row(fabric, ranks).scaling_efficiency;
+    let eff = |fabric: &str, ranks: u64| row(fabric, ranks).metric("scaling_efficiency").unwrap();
     assert!(
         (eff("lam", 16) - eff("xbar", 16)).abs() < 0.25 * eff("xbar", 16),
         "one-module points should roughly agree: lam {} vs xbar {}",
@@ -122,6 +117,6 @@ fn weak_scaling_past_the_chassis_goes_trunk_dominant() {
     };
     let report = run_sweep(&cfg);
     let s = &report.scenarios[0];
-    assert_eq!(s.dominant_wire, "trunk", "{:?}", s.cp_wire_by_class_s);
-    assert!(s.cp_wire_by_class_s[obs::LinkClass::Trunk.index()] > 0.0);
+    assert_eq!(s.tag("dominant_wire"), "trunk", "{s:?}");
+    assert!(s.metric("cp_wire_trunk_s").unwrap() > 0.0);
 }

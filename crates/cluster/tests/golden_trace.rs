@@ -23,31 +23,17 @@
 //!   platforms. The bench harness uses the same generator, so the golden
 //!   snapshot and the committed bench baseline describe the same run.
 
-use cluster::chaos::{run_treecode_traced, ChaosConfig};
-use cluster::ics::golden_ics;
-use hot::gravity::GravityConfig;
+use cluster::chaos::ChaosConfig;
+use cluster::ics::{
+    self, golden_chaos, golden_plan, GOLDEN_RANKS, GOLDEN_STEPS, GOLDEN_TIMELINE_WINDOW_S,
+};
 use hot::tree::Body;
-use msg::{FaultPlan, Machine, RetransmitConfig};
+use msg::FaultPlan;
 use obs::{chrome_trace_json, gantt, structural_summary, WorldTrace};
 
-const RANKS: usize = 16;
-const STEPS: u64 = 4;
-
-/// Timeline window for the pinned runs: the golden horizon is ~1.8 ms of
-/// virtual time, so this yields a handful of windows — enough to see the
-/// phase cadence, small enough to read in a committed snapshot.
-const TIMELINE_WINDOW_S: f64 = 2.5e-4;
-
-fn golden_cfg() -> GravityConfig {
-    GravityConfig {
-        theta: 0.6,
-        eps: 0.05,
-        ..Default::default()
-    }
-}
-
-/// One golden run: 16 ranks, 4 KDK steps, checkpoints every 2 steps.
-/// Panics if the run needed a restart (golden plans are crash-free).
+/// One golden run (`cluster::ics::golden_run`): 16 ranks, 4 KDK steps,
+/// checkpoints every 2 steps. Panics if the run needed a restart
+/// (golden plans are crash-free).
 ///
 /// `timeline` arms the windowed telemetry plane. The clean plan's
 /// windowed series are virtual-time deterministic, but a plan that
@@ -57,36 +43,22 @@ fn golden_cfg() -> GravityConfig {
 /// the duplicate-replay test below keeps the timeline off.
 fn golden_run_with(plan: &FaultPlan, timeline: Option<f64>) -> (Vec<Body>, WorldTrace) {
     let chaos = ChaosConfig {
-        checkpoint_every: 2,
         timeline_window_s: timeline,
-        ..Default::default()
+        ..golden_chaos()
     };
-    let (bodies, report, trace) = run_treecode_traced(
-        &Machine::ideal(RANKS as u32),
-        RANKS,
-        plan,
-        &chaos,
-        golden_ics(192, 42),
-        &golden_cfg(),
-        STEPS,
-        0.01,
-    );
+    let (bodies, report, trace) = ics::golden_run(plan, &chaos, GOLDEN_STEPS);
     assert!(report.completed && report.restarts == 0, "{report:?}");
     (bodies, trace.expect("completed traced run yields a trace"))
 }
 
 fn golden_run(plan: &FaultPlan) -> (Vec<Body>, WorldTrace) {
-    golden_run_with(plan, Some(TIMELINE_WINDOW_S))
-}
-
-fn clean_plan() -> FaultPlan {
-    FaultPlan::none(11).with_retransmit(RetransmitConfig::deterministic())
+    golden_run_with(plan, Some(GOLDEN_TIMELINE_WINDOW_S))
 }
 
 #[test]
 fn same_seed_runs_export_byte_identical_traces() {
-    let (b1, t1) = golden_run(&clean_plan());
-    let (b2, t2) = golden_run(&clean_plan());
+    let (b1, t1) = golden_run(&golden_plan());
+    let (b2, t2) = golden_run(&golden_plan());
     t1.check_invariants().unwrap();
 
     // All three export formats, byte for byte.
@@ -141,7 +113,7 @@ fn same_seed_runs_export_byte_identical_traces() {
         assert_eq!(t1.counter_total(counter), 0, "{counter} in clean world");
         assert!(!summary.contains(counter), "{counter} leaked into summary");
     }
-    assert_eq!(t1.size(), RANKS);
+    assert_eq!(t1.size(), GOLDEN_RANKS);
 
     // The analysis invariants hold on the real workload, not just the
     // synthetic proptest worlds: the path tiles the horizon and the POP
@@ -186,7 +158,7 @@ fn duplicate_fault_replay_is_byte_identical() {
     // Timeline off: which window a repair's fault counter lands in races
     // the wall-clock channel drain (see `golden_run_with`), and this test
     // is exactly a byte-compare.
-    let plan = clean_plan().with_duplicate(0.25);
+    let plan = golden_plan().with_duplicate(0.25);
     let (b1, t1) = golden_run_with(&plan, None);
     let (b2, t2) = golden_run_with(&plan, None);
     t1.check_invariants().unwrap();
@@ -197,7 +169,7 @@ fn duplicate_fault_replay_is_byte_identical() {
     // physics is bit-identical across replays and to the fault-free
     // world.
     assert!(t1.counter_total("fault.duplicates") > 0, "plan never fired");
-    let (clean_bodies, _) = golden_run(&clean_plan());
+    let (clean_bodies, _) = golden_run(&golden_plan());
     for ((x, y), z) in b1.iter().zip(&b2).zip(&clean_bodies) {
         assert_eq!(x.pos, y.pos, "replay diverged");
         assert_eq!(x.pos, z.pos, "duplicates changed the physics");
@@ -233,7 +205,7 @@ fn degraded_run_surfaces_health_and_net_counters() {
 
 #[test]
 fn committed_golden_snapshot_matches() {
-    let (_, trace) = golden_run(&clean_plan());
+    let (_, trace) = golden_run(&golden_plan());
     let got = structural_summary(&trace);
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -261,7 +233,7 @@ fn committed_golden_snapshot_matches() {
 /// gauge levels), and exactly what the CI observability job uploads.
 #[test]
 fn committed_timeline_csv_matches() {
-    let (_, trace) = golden_run(&clean_plan());
+    let (_, trace) = golden_run(&golden_plan());
     let tl = obs::WorldTimeline::from_trace(&trace).expect("timeline armed");
     let got = obs::timeline_csv(&tl);
     let path = concat!(

@@ -21,35 +21,16 @@ use crate::morton::{BBox, Key, MAX_LEVEL};
 use crate::multipole::Multipole;
 use crate::traverse::TraverseStats;
 use crate::tree::Body;
+use ckpt::{Pack, Reader};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-const BODY_BYTES: usize = 72; // pos(24) + vel(24) + mass(8) + id(8) + work(8)
-
-fn write_body(buf: &mut Vec<u8>, b: &Body) {
-    for d in 0..3 {
-        buf.extend_from_slice(&b.pos[d].to_le_bytes());
-    }
-    for d in 0..3 {
-        buf.extend_from_slice(&b.vel[d].to_le_bytes());
-    }
-    buf.extend_from_slice(&b.mass.to_le_bytes());
-    buf.extend_from_slice(&b.id.to_le_bytes());
-    buf.extend_from_slice(&b.work.to_le_bytes());
-}
-
-fn read_body(buf: &[u8]) -> Body {
-    let f = |i: usize| f64::from_le_bytes(buf[i * 8..(i + 1) * 8].try_into().unwrap());
-    Body {
-        pos: [f(0), f(1), f(2)],
-        vel: [f(3), f(4), f(5)],
-        mass: f(6),
-        id: u64::from_le_bytes(buf[56..64].try_into().unwrap()),
-        work: f(8),
-    }
-}
+/// On-disk size of one body in the [`Pack`] layout of
+/// `crate::checkpoint`: pos(24) + vel(24) + mass(8) + id(8) + work(8),
+/// little-endian.
+const BODY_BYTES: usize = 72;
 
 /// A Morton-sorted body file plus its in-memory key index.
 pub struct OocStore {
@@ -72,7 +53,7 @@ impl OocStore {
         let keys: Vec<Key> = keyed.iter().map(|&(k, _)| k).collect();
         let mut buf = Vec::with_capacity(keyed.len() * BODY_BYTES);
         for (_, b) in &keyed {
-            write_body(&mut buf, b);
+            b.pack(&mut buf);
         }
         let mut file = File::create(path)?;
         file.write_all(&buf)?;
@@ -98,7 +79,11 @@ impl OocStore {
         file.seek(SeekFrom::Start((a * BODY_BYTES) as u64))?;
         let mut buf = vec![0u8; (b - a) * BODY_BYTES];
         file.read_exact(&mut buf)?;
-        Ok(buf.chunks(BODY_BYTES).map(read_body).collect())
+        let mut r = Reader::new(&buf);
+        (a..b)
+            .map(|_| Body::unpack(&mut r))
+            .collect::<Result<_, _>>()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -297,16 +282,28 @@ mod tests {
     #[test]
     fn store_round_trips_bodies() {
         let path = temp_path("roundtrip");
-        let bodies = plummer(200, 1);
-        let by_id: HashMap<u64, Body> = bodies.iter().map(|b| (b.id, *b)).collect();
+        let mut bodies = plummer(200, 1);
+        // Distinct ids and work weights, so a codec that dropped or
+        // swapped either field cannot pass.
+        for (i, b) in bodies.iter_mut().enumerate() {
+            b.id = 1000 + 7 * i as u64;
+            b.work = 1.0 + i as f64 / 16.0;
+        }
+        let by_pos: HashMap<[u64; 3], Body> = bodies
+            .iter()
+            .map(|b| (b.pos.map(f64::to_bits), *b))
+            .collect();
+        assert_eq!(by_pos.len(), 200, "positions are distinct");
         let store = OocStore::create(&path, bodies).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 72 * 200);
         let all = store.read_range(0, store.len()).unwrap();
         assert_eq!(all.len(), 200);
         for b in &all {
-            let orig = by_id[&b.id];
-            assert_eq!(b.pos, orig.pos);
+            let orig = by_pos[&b.pos.map(f64::to_bits)];
             assert_eq!(b.vel, orig.vel);
             assert_eq!(b.mass, orig.mass);
+            assert_eq!(b.id, orig.id);
+            assert_eq!(b.work, orig.work);
         }
         // Keys are sorted and match positions.
         assert!(store.keys.windows(2).all(|w| w[0] <= w[1]));

@@ -15,10 +15,8 @@
 //! `bw(n)` switches to the degraded `large_bw` above `large_threshold`
 //! (mpich-1.2.5's large-message pathology, fixed in mpich2-0.92).
 
-use serde::{Deserialize, Serialize};
-
 /// Performance profile of one message-passing layer over the gigabit NIC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LibraryProfile {
     /// Display name, e.g. `"LAM 6.5.9 -O"`.
     pub name: &'static str,

@@ -5,10 +5,8 @@
 //! reports breakers tripping until the distribution was rebalanced with "a
 //! slightly more conservative maximum power consumption figure".
 
-use serde::{Deserialize, Serialize};
-
 /// Power model for one node and the strips feeding the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBudget {
     /// Nodes in the cluster.
     pub nodes: u32,

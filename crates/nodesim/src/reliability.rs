@@ -15,11 +15,10 @@
 //! calibrated so the expected tallies match the paper.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The classes of hardware the paper tracks. The explicit discriminants
 /// index [`FailureTally::counts`] (and match `ALL` order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum ComponentClass {
     PowerSupply = 0,
@@ -56,7 +55,7 @@ impl ComponentClass {
 }
 
 /// Failure counts per component class, in `ComponentClass::ALL` order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FailureTally {
     pub counts: [u32; 7],
 }
@@ -72,7 +71,7 @@ impl FailureTally {
 }
 
 /// One component population with its defect and wear-out rates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentModel {
     pub class: ComponentClass,
     /// How many of this component the cluster contains.
@@ -84,7 +83,7 @@ pub struct ComponentModel {
 }
 
 /// The full cluster reliability model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityModel {
     pub components: Vec<ComponentModel>,
     /// Fraction of disk failures predictable via SMART monitoring; the

@@ -18,10 +18,8 @@
 //! frequency" — corresponds to `m` near 1 for STREAM/SP/MG/CG and small for
 //! cache-friendly codes like Linpack.
 
-use serde::{Deserialize, Serialize};
-
 /// One of the four BIOS clock configurations of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockConfig {
     pub name: &'static str,
     /// CPU frequency relative to the 2.53 GHz baseline.
@@ -65,7 +63,7 @@ impl ClockConfig {
 }
 
 /// A workload's split between CPU-bound and memory-bound time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadMix {
     /// Fraction of baseline execution time limited by memory bandwidth,
     /// in `[0, 1]`.
@@ -97,7 +95,7 @@ impl WorkloadMix {
 }
 
 /// Performance parameters of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeModel {
     pub name: &'static str,
     /// CPU clock, Hz.
@@ -173,7 +171,7 @@ impl NodeModel {
 }
 
 /// One row of Table 2: a benchmark's baseline score and calibrated mix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table2Row {
     pub name: &'static str,
     /// Score in the benchmark's native unit (MB/s, Mop/s, SPEC, Gflop/s).

@@ -72,7 +72,7 @@ fn main() {
     }
     println!("  rms relative force error: {:.2e}", (num / den).sqrt());
     println!("\nDone. For the paper's experiments run e.g.:");
-    println!("  cargo run -p bench --bin table6");
-    println!("  cargo run -p bench --bin figure3");
+    println!("  cargo run -p bench --bin all_exhibits -- table6");
+    println!("  cargo run -p bench --bin all_exhibits -- figure3");
     println!("  cargo run -p bench --bin all_exhibits");
 }

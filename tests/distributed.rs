@@ -62,15 +62,24 @@ fn parallel_forces_match_serial_on_the_ss_fabric() {
 #[test]
 fn virtual_time_reflects_network_quality() {
     // The same computation over mpich-1 (large-message cliff) must cost
-    // at least as much virtual time as over plain TCP.
+    // at least as much virtual time as over plain TCP. The contended
+    // fabric grants links in wall-clock arrival order, so one run's
+    // virtual time carries scheduling noise of a few percent; the claim
+    // is about the profiles, so compare the median of five runs each.
     let all = plummer(600, 9);
     let time_with = |profile: LibraryProfile| -> f64 {
-        let machine = msg::Machine::space_simulator(profile);
-        let times = msg::run_with(machine, 4, |c| {
-            let mine = split(&all, c.size(), c.rank());
-            parallel_accelerations(c, mine, &ParallelConfig::default()).vtime
-        });
-        times.into_iter().fold(0.0, f64::max)
+        let mut runs: Vec<f64> = (0..5)
+            .map(|_| {
+                let machine = msg::Machine::space_simulator(profile);
+                let times = msg::run_with(machine, 4, |c| {
+                    let mine = split(&all, c.size(), c.rank());
+                    parallel_accelerations(c, mine, &ParallelConfig::default()).vtime
+                });
+                times.into_iter().fold(0.0, f64::max)
+            })
+            .collect();
+        runs.sort_by(f64::total_cmp);
+        runs[2]
     };
     let tcp = time_with(LibraryProfile::tcp());
     let mpich = time_with(LibraryProfile::mpich1());
