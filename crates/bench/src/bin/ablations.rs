@@ -159,14 +159,35 @@ fn main() {
     }
     println!();
 
-    // 9. The latency-hiding 2x2 exhibit.
-    {
-        let exhibit = overlap_exhibit(&all);
-        print!("[9] {exhibit}");
-        if let Some(path) = &exhibit_out {
-            std::fs::write(path, &exhibit).expect("write exhibit");
-            println!("    wrote {path}");
+    // 5. MAC comparison at matched cost.
+    let bodies = plummer(5000, 17);
+    let tree = Tree::build(bodies.clone(), 8);
+    let exact = hot::direct::direct_accelerations(&tree.bodies, 0.01);
+    for mac in [MacKind::BarnesHut, MacKind::BmaxMac] {
+        let cfg = GravityConfig {
+            theta: 0.6,
+            eps: 0.01,
+            mac,
+            ..Default::default()
+        };
+        let t = Instant::now();
+        let (acc, stats) = tree_accelerations(&tree, &cfg);
+        let wall = t.elapsed().as_secs_f64();
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (a, e) in acc.iter().zip(&exact) {
+            for d in 0..3 {
+                num += (a.acc[d] - e.acc[d]).powi(2);
+            }
+            den += e.acc[0].powi(2) + e.acc[1].powi(2) + e.acc[2].powi(2);
         }
+        println!(
+            "[5] {:?}: rms err {:.2e}, {} interactions, {:.0} ms",
+            mac,
+            (num / den).sqrt(),
+            stats.interactions(),
+            wall * 1e3
+        );
     }
 
     // 6. Walk strategy on a 100k Plummer model: the seed's per-body
@@ -242,37 +263,6 @@ fn main() {
         std::fs::remove_file(&path).ok();
     }
 
-    // 5. MAC comparison at matched cost.
-    let bodies = plummer(5000, 17);
-    let tree = Tree::build(bodies.clone(), 8);
-    let exact = hot::direct::direct_accelerations(&tree.bodies, 0.01);
-    for mac in [MacKind::BarnesHut, MacKind::BmaxMac] {
-        let cfg = GravityConfig {
-            theta: 0.6,
-            eps: 0.01,
-            mac,
-            ..Default::default()
-        };
-        let t = Instant::now();
-        let (acc, stats) = tree_accelerations(&tree, &cfg);
-        let wall = t.elapsed().as_secs_f64();
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (a, e) in acc.iter().zip(&exact) {
-            for d in 0..3 {
-                num += (a.acc[d] - e.acc[d]).powi(2);
-            }
-            den += e.acc[0].powi(2) + e.acc[1].powi(2) + e.acc[2].powi(2);
-        }
-        println!(
-            "[5] {:?}: rms err {:.2e}, {} interactions, {:.0} ms",
-            mac,
-            (num / den).sqrt(),
-            stats.interactions(),
-            wall * 1e3
-        );
-    }
-
     // 8. Availability vs failure rate: the §2.1 reliability budget,
     // time-compressed onto a short virtual run. `accel` scales the
     // paper's monthly component rates; the harness reports how much of
@@ -335,6 +325,16 @@ fn main() {
                 r.retransmits,
                 r.drops,
             );
+        }
+    }
+
+    // 9. The latency-hiding 2x2 exhibit.
+    {
+        let exhibit = overlap_exhibit(&all);
+        print!("[9] {exhibit}");
+        if let Some(path) = &exhibit_out {
+            std::fs::write(path, &exhibit).expect("write exhibit");
+            println!("    wrote {path}");
         }
     }
 }

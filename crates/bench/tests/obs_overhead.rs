@@ -11,20 +11,68 @@
 
 use kernels::gravity_kernel::KernelBench;
 use std::hint::black_box;
-use std::time::Instant;
 
-/// Min-of-N timing: the minimum over repetitions estimates the noise
-/// floor far more stably than the mean under CI scheduling jitter.
-fn min_time_s(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    let mut best = f64::INFINITY;
-    let mut sink = 0.0f64;
-    for _ in 0..reps {
-        let t = Instant::now();
-        sink += f();
-        best = best.min(t.elapsed().as_secs_f64());
+/// On-CPU seconds of this thread (`CLOCK_THREAD_CPUTIME_ID`, read the way
+/// `hostbench::host` reads it). Wall time charges whichever side the
+/// scheduler happened to preempt — with a 2 % budget that failed one
+/// full-suite run in three — while a descheduled thread's CPU clock
+/// stands still.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn thread_cpu_s() -> f64 {
+    /// `struct timespec` of 64-bit Linux.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
     }
-    assert!(sink.is_finite());
-    best
+    extern "C" {
+        fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `clock_gettime` writes one `struct timespec` through the
+    // pointer and keeps nothing; `ts` is a live, exclusively borrowed
+    // value of exactly that layout on the targets this is compiled for.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
+/// Elsewhere: wall seconds, as before.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn thread_cpu_s() -> f64 {
+    use std::sync::OnceLock;
+    use std::time::Instant;
+    static START: OnceLock<Instant> = OnceLock::new();
+    START.get_or_init(Instant::now).elapsed().as_secs_f64()
+}
+
+/// The instrumented kernel may cost this much of the plain one.
+const BUDGET: f64 = 1.02;
+/// Rounds of min-of-25 before a ratio over budget stands.
+const ROUNDS: usize = 8;
+
+/// The two sides, each a function of its own: inlined into the timing
+/// loop, the instrumented pass's inner-loop alignment — worth ±10 % on
+/// this kernel — would change with every edit to the test around it.
+#[inline(never)]
+fn plain_pass(bench: &KernelBench) -> f64 {
+    black_box(bench.run_karp()).pot
+}
+
+#[inline(never)]
+fn nulled_pass(bench: &KernelBench) -> f64 {
+    black_box(bench.run_karp_observed(&mut obs::NullSink)).pot
+}
+
+/// CPU-seconds one call of `f` takes.
+fn time_s(f: impl FnOnce() -> f64) -> f64 {
+    let t = thread_cpu_s();
+    assert!(f().is_finite());
+    thread_cpu_s() - t
 }
 
 #[test]
@@ -32,14 +80,29 @@ fn null_sink_overhead_is_within_budget() {
     let bench = KernelBench::new(48, 1536, 9);
     let reps = 25;
     // Warm up caches and frequency scaling before timing either side.
-    black_box(bench.run_karp());
-    black_box(bench.run_karp_observed(&mut obs::NullSink));
+    plain_pass(&bench);
+    nulled_pass(&bench);
 
-    let plain = min_time_s(reps, || black_box(bench.run_karp()).pot);
-    let nulled = min_time_s(reps, || {
-        black_box(bench.run_karp_observed(&mut obs::NullSink)).pot
-    });
-    let ratio = nulled / plain;
+    // Min-of-N timing: the minimum over repetitions estimates the noise
+    // floor far more stably than the mean under CI scheduling jitter.
+    // The sides alternate, so that a core that changes speed for tens of
+    // milliseconds (a busy SMT sibling, a frequency step: ×1.4 on the CI
+    // box) is seen by both minima or by neither. A round that misses the
+    // budget is not a verdict yet — one side may not have reached its
+    // floor — so the minima carry into another round: they only fall, and
+    // a real overhead keeps the floors, and so every round, apart.
+    let (mut plain, mut nulled) = (f64::INFINITY, f64::INFINITY);
+    let mut ratio = f64::INFINITY;
+    for _round in 0..ROUNDS {
+        for _ in 0..reps {
+            plain = plain.min(time_s(|| plain_pass(&bench)));
+            nulled = nulled.min(time_s(|| nulled_pass(&bench)));
+        }
+        ratio = nulled / plain;
+        if ratio <= BUDGET {
+            break;
+        }
+    }
     eprintln!("overhead guard: plain {plain:.3e}s nulled {nulled:.3e}s ratio {ratio:.4}");
 
     if cfg!(debug_assertions) {
@@ -49,7 +112,7 @@ fn null_sink_overhead_is_within_budget() {
         return;
     }
     assert!(
-        ratio <= 1.02,
+        ratio <= BUDGET,
         "NullSink overhead {:.2}% exceeds the 2% budget (plain {plain:.3e}s, nulled {nulled:.3e}s)",
         (ratio - 1.0) * 100.0
     );

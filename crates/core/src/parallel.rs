@@ -27,6 +27,7 @@
 use crate::domain::{decompose, Decomposition};
 use crate::gravity::{self, Accel, GravityConfig};
 use crate::hash::KeyMap;
+use crate::ilist::{select, Mask};
 use crate::mac::Mac;
 use crate::morton::{Key, MAX_LEVEL};
 use crate::multipole::Multipole;
@@ -134,23 +135,7 @@ where
 /// walks at once, so fewer fetches overlap (measured: DESIGN.md, *Latency
 /// hiding*); a [`Mask`] has one bit per body of the group.
 const GROUP: usize = 8;
-type Mask = u8;
 const _: () = assert!(GROUP <= Mask::BITS as usize);
-
-/// The bodies of `mask` for which `f` holds.
-#[inline]
-fn select(mask: Mask, mut f: impl FnMut(usize) -> bool) -> Mask {
-    let mut out = 0;
-    let mut rest = mask;
-    while rest != 0 {
-        let b = rest.trailing_zeros() as usize;
-        if f(b) {
-            out |= 1 << b;
-        }
-        rest &= rest - 1;
-    }
-    out
-}
 
 /// One traversal shared by local bodies `first .. first + GROUP`.
 ///

@@ -114,7 +114,9 @@ pub fn accel_on_scalar(tree: &Tree, i: usize, cfg: &GravityConfig) -> (Accel, Tr
 /// its bodies. The MAC is applied conservatively (to the nearest point
 /// of the group's bounding sphere), so the force error is no worse than
 /// the per-body walk at the same θ, while the tree-descent overhead is
-/// amortized over the group — the classic HOT "walk vectorization".
+/// amortized over the group — the classic HOT "walk vectorization" —
+/// and over the [`ilist::LEAVES`] consecutive leaves that share one
+/// descent.
 pub fn group_accelerations(tree: &Tree, cfg: &GravityConfig) -> (Vec<Accel>, TraverseStats) {
     if cfg.periodic.is_some() {
         // The conservative group MAC has no nearest-image form yet:
@@ -126,40 +128,70 @@ pub fn group_accelerations(tree: &Tree, cfg: &GravityConfig) -> (Vec<Accel>, Tra
         return (accels, stats);
     }
     // Leaves come out of the DFS build in body order, so the output
-    // array splits into per-group chunks without any reshuffling.
+    // array splits into per-walk-group chunks without any reshuffling.
     let leaves: Vec<CellIdx> = (0..tree.cells.len() as CellIdx)
         .filter(|&ci| tree.cell(ci).is_leaf && tree.cell(ci).nbody > 0)
         .collect();
     let mut accels = vec![Accel::default(); tree.bodies.len()];
-    let mut chunks: Vec<(CellIdx, &mut [Accel])> = Vec::with_capacity(leaves.len());
+    let mut chunks: Vec<(&[CellIdx], &mut [Accel])> =
+        Vec::with_capacity(leaves.len().div_ceil(ilist::LEAVES));
     let mut rest = accels.as_mut_slice();
-    for &gi in &leaves {
-        let cell = tree.cell(gi);
+    for group in leaves.chunks(ilist::LEAVES) {
         debug_assert_eq!(
-            cell.first_body as usize,
+            tree.cell(group[0]).first_body as usize,
             tree.bodies.len() - rest.len(),
             "leaves not in body order"
         );
-        let (chunk, tail) = rest.split_at_mut(cell.nbody as usize);
-        chunks.push((gi, chunk));
+        let nbody: u32 = group.iter().map(|&gi| tree.cell(gi).nbody).sum();
+        let (chunk, tail) = rest.split_at_mut(nbody as usize);
+        chunks.push((group, chunk));
         rest = tail;
     }
     debug_assert!(rest.is_empty(), "leaves do not partition the bodies");
     let stats = chunks
         .par_iter_mut()
-        .map(|(gi, out)| {
+        .map(|(group, out)| {
             ilist::with_scratch(|sc| {
-                let opened = ilist::gather_group(tree, *gi, cfg, sc);
-                let mut s = ilist::eval_group(tree, *gi, cfg, sc, out);
-                s.opened = opened;
-                s
+                let mut stats = TraverseStats {
+                    opened: ilist::gather_leaves(tree, group, cfg, sc),
+                    ..Default::default()
+                };
+                let mut rest = &mut **out;
+                for k in 0..group.len() {
+                    let gi = ilist::materialize(sc, k);
+                    let (mine, tail) = rest.split_at_mut(tree.cell(gi).nbody as usize);
+                    stats.add(&ilist::eval_group(tree, gi, cfg, sc, mine));
+                    rest = tail;
+                }
+                stats
             })
         })
         .reduce(TraverseStats::default, |mut a, b| {
             a.add(&b);
             a
         });
+    // This thread's shared list goes back between force evaluations; its
+    // next tree build reuses the memory. (Workers of a real rayon pool
+    // keep theirs: one per pool thread, not one per rank.)
+    ilist::with_scratch(ilist::IlistScratch::release_shared);
     (accels, stats)
+}
+
+/// What the group walk's bit-identity pins compare (here and in the
+/// `cluster` and `cosmo` tests): FNV-1a over the bits of `(acc, pot)` in
+/// body order, then `(p2p, m2p, opened)`, from [`group_accelerations`].
+pub fn group_walk_digest(tree: &Tree, cfg: &GravityConfig) -> (u64, u64, u64, u64) {
+    let (accels, stats) = group_accelerations(tree, cfg);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for a in &accels {
+        let [x, y, z] = a.acc.map(f64::to_bits);
+        for word in [x, y, z, a.pot.to_bits()] {
+            for byte in word.to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    (h, stats.p2p, stats.m2p, stats.opened)
 }
 
 /// Accelerations on every body (parallel over bodies).
@@ -447,6 +479,65 @@ mod tests {
             s2.opened,
             s1.opened
         );
+    }
+
+    /// The four `(mac, quadrupole)` engines every pin is recorded under.
+    const PIN_ENGINES: [(MacKind, bool); 4] = [
+        (MacKind::BarnesHut, false),
+        (MacKind::BarnesHut, true),
+        (MacKind::BmaxMac, false),
+        (MacKind::BmaxMac, true),
+    ];
+
+    #[test]
+    fn shared_group_walk_reproduces_per_leaf_walk_bit_for_bit() {
+        // Recorded at the last commit whose group walk descended once per
+        // leaf (95239a7): the shared descent must hand every leaf the list
+        // its own walk gathered, in the same order.
+        let pins = [
+            (
+                1,
+                [
+                    (0x932a_748c_1438_4975, 3_112, 16_935, 8_685),
+                    (0x3d34_01bc_cb3c_d046, 3_112, 16_935, 8_685),
+                    (0x3484_ff80_28be_80f0, 0, 21_396, 8_054),
+                    (0x35a5_8d17_6ad1_a9fd, 0, 21_396, 8_054),
+                ],
+            ),
+            (
+                8,
+                [
+                    (0x7943_800d_405c_040f, 26_266, 3_797, 1_261),
+                    (0xef78_aa9f_3b86_3b21, 26_266, 3_797, 1_261),
+                    (0x411b_bb79_f20b_c28a, 23_029, 7_309, 1_312),
+                    (0xcd5b_6bab_c9e4_5601, 23_029, 7_309, 1_312),
+                ],
+            ),
+            (
+                16,
+                [
+                    (0xfdac_04e8_a12c_4b9f, 29_894, 2_130, 779),
+                    (0xc8c3_6a82_68d3_a710, 29_894, 2_130, 779),
+                    (0x3903_5ff4_1390_78bd, 27_867, 4_412, 812),
+                    (0xce8a_6a1a_54e9_59fb, 27_867, 4_412, 812),
+                ],
+            ),
+        ];
+        for (leaf_max, want) in pins {
+            let tree = Tree::build(plummer(192, 77), leaf_max);
+            for ((mac, quadrupole), want) in PIN_ENGINES.into_iter().zip(want) {
+                let cfg = GravityConfig {
+                    theta: 0.6,
+                    eps: 0.01,
+                    leaf_max,
+                    quadrupole,
+                    mac,
+                    ..Default::default()
+                };
+                let got = group_walk_digest(&tree, &cfg);
+                assert_eq!(got, want, "leaf_max {leaf_max} {mac:?} quad {quadrupole}");
+            }
+        }
     }
 
     #[test]
