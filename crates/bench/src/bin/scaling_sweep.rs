@@ -31,73 +31,78 @@ const USAGE: &str = "usage: scaling_sweep [--out PATH] [--max-ranks N] [--steps 
 [--bodies-per-rank N] [--strong-bodies N] [--mode weak|strong|both] \
 [--fabric lam|xbar|both] [--curves] [--floor SCENARIO:METRIC:MIN]...";
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = SweepConfig::default();
-    let mut out_path = "BENCH_scaling.json".to_string();
-    let mut curves = false;
-    let mut floors = Vec::new();
+/// What the command line asked for.
+struct Opts {
+    cfg: SweepConfig,
+    out_path: String,
+    curves: bool,
+    floors: Vec<(String, String, f64)>,
+}
 
+fn parse_args(args: &[String]) -> Result<Opts, String> {
+    let mut o = Opts {
+        cfg: SweepConfig::default(),
+        out_path: "BENCH_scaling.json".to_string(),
+        curves: false,
+        floors: Vec::new(),
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut want = |what: &str| -> Option<String> {
-            let v = it.next().cloned();
-            if v.is_none() {
-                eprintln!("{a} wants {what}\n{USAGE}");
-            }
-            v
+        let mut value = |what: &str| it.next().ok_or_else(|| format!("{a} wants {what}"));
+        let count = |v: &String, min: usize| match v.parse::<usize>() {
+            Ok(n) if n >= min => Ok(n),
+            _ => Err(format!("{a} wants a count of at least {min}, got {v:?}")),
         };
         match a.as_str() {
-            "--out" => match want("a path") {
-                Some(p) => out_path = p,
-                None => return ExitCode::from(2),
-            },
-            "--max-ranks" => match want("a count").and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => cfg = cfg.capped(n),
-                None => return ExitCode::from(2),
-            },
-            "--steps" => match want("a count").and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n > 0 => cfg.steps = n,
-                _ => return ExitCode::from(2),
-            },
-            "--bodies-per-rank" => match want("a count").and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cfg.bodies_per_rank = n,
-                _ => return ExitCode::from(2),
-            },
-            "--strong-bodies" => match want("a count").and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cfg.strong_bodies = n,
-                _ => return ExitCode::from(2),
-            },
-            "--mode" => match want("weak|strong|both").as_deref() {
-                Some("weak") => cfg.modes = vec![Mode::Weak],
-                Some("strong") => cfg.modes = vec![Mode::Strong],
-                Some("both") => cfg.modes = vec![Mode::Weak, Mode::Strong],
-                _ => return ExitCode::from(2),
-            },
-            "--fabric" => match want("lam|xbar|both").as_deref() {
-                Some("lam") => cfg.fabrics = vec![FabricKind::Lam],
-                Some("xbar") => cfg.fabrics = vec![FabricKind::Xbar],
-                Some("both") => cfg.fabrics = vec![FabricKind::Lam, FabricKind::Xbar],
-                _ => return ExitCode::from(2),
-            },
-            "--curves" => curves = true,
-            "--floor" => match parse_floor(&want("SCENARIO:METRIC:MIN").unwrap_or_default()) {
-                Ok(floor) => floors.push(floor),
-                Err(e) => {
-                    eprintln!("{e}\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown flag {other:?}\n{USAGE}");
-                return ExitCode::from(2);
+            "--out" => o.out_path = value("a path")?.clone(),
+            "--max-ranks" => {
+                let max = count(value("a count")?, 0)?;
+                o.cfg = o.cfg.capped(max);
             }
+            "--steps" => o.cfg.steps = count(value("a count")?, 1)? as u64,
+            "--bodies-per-rank" => o.cfg.bodies_per_rank = count(value("a count")?, 1)?,
+            "--strong-bodies" => o.cfg.strong_bodies = count(value("a count")?, 1)?,
+            "--mode" => {
+                o.cfg.modes = match value("weak|strong|both")?.as_str() {
+                    "weak" => vec![Mode::Weak],
+                    "strong" => vec![Mode::Strong],
+                    "both" => vec![Mode::Weak, Mode::Strong],
+                    other => return Err(format!("{a} wants weak|strong|both, got {other:?}")),
+                }
+            }
+            "--fabric" => {
+                o.cfg.fabrics = match value("lam|xbar|both")?.as_str() {
+                    "lam" => vec![FabricKind::Lam],
+                    "xbar" => vec![FabricKind::Xbar],
+                    "both" => vec![FabricKind::Lam, FabricKind::Xbar],
+                    other => return Err(format!("{a} wants lam|xbar|both, got {other:?}")),
+                }
+            }
+            "--curves" => o.curves = true,
+            "--floor" => o.floors.push(parse_floor(value("SCENARIO:METRIC:MIN")?)?),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if cfg.ranks.is_empty() {
-        eprintln!("--max-ranks left no rank counts to sweep\n{USAGE}");
-        return ExitCode::from(2);
+    if o.cfg.ranks.is_empty() {
+        return Err("--max-ranks left no rank counts to sweep".to_string());
     }
+    Ok(o)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Opts {
+        cfg,
+        out_path,
+        curves,
+        floors,
+    } = match parse_args(&args) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     let report = run_sweep(&cfg);
 

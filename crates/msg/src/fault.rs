@@ -11,21 +11,18 @@
 //!   [`netsim::LinkFault`] windows to switch ports, and crashes ranks at
 //!   scheduled virtual times;
 //! * [`World::faults`](crate::World::faults) runs a world under a plan:
-//!   every rank gets the reliable-delivery transport (sequence numbers,
-//!   cumulative acks, timeout/retransmit with exponential backoff — see
-//!   `comm.rs`), and a rank crash tears the world down and reports
+//!   every rank gets the reliable-delivery transport of
+//!   [`crate::transport`] (and, when a [`HeartbeatConfig`] arms it, the
+//!   failure detector of [`crate::health`]), and a rank crash tears the
+//!   world down and reports
 //!   [`WorldOutcome::Crashed`](crate::WorldOutcome::Crashed) so a harness
 //!   can restore a checkpoint and rerun.
 //!
 //! Fault-free worlds ([`crate::run`], [`crate::run_with`]) never touch any
 //! of this: injection is pay-for-what-you-inject.
 
-use crate::comm::{Packet, Tag};
-use crate::payload::AnyPayload;
 use netsim::LinkFault;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize};
-use std::sync::{Arc, Once};
+use std::sync::Once;
 
 /// Seconds in the 30.44-day month used by the §2.1 monthly rates.
 pub const MONTH_S: f64 = 30.44 * 86_400.0;
@@ -412,163 +409,6 @@ impl SplitMix64 {
     }
 }
 
-/// A sent-but-unacknowledged message parked for possible retransmission.
-pub(crate) struct Unacked {
-    pub seq: u64,
-    pub tag: Tag,
-    pub bytes: usize,
-    /// Happens-before edge id of the original send; retransmissions
-    /// reuse it so the receiver's trace joins to one sender record.
-    pub edge: u64,
-    pub data: Box<dyn AnyPayload>,
-}
-
-/// Sender-side transport state toward one peer.
-pub(crate) struct PeerTx {
-    pub next_seq: u64,
-    pub unacked: VecDeque<Unacked>,
-    pub rto_s: f64,
-    /// Virtual time the retransmit timer fires; ∞ when nothing is unacked.
-    pub deadline: f64,
-    pub retries: u32,
-}
-
-/// Receiver-side transport state from one peer.
-pub(crate) struct PeerRx {
-    pub next_expected: u64,
-    /// Out-of-order packets parked until the sequence gap fills.
-    pub reorder: BTreeMap<u64, Packet>,
-}
-
-/// A packet held back by reorder injection.
-pub(crate) struct HeldPacket {
-    pub pkt: Packet,
-    pub release_at: f64,
-}
-
-/// Failure-detector state (armed only when the plan carries a
-/// [`HeartbeatConfig`]).
-///
-/// All times are this rank's *own* virtual clock. Per-rank clocks drift
-/// apart between synchronization points, so a peer's packet can carry an
-/// arrival stamp far in this rank's past (the peer's clock lags) — which
-/// is why liveness is recorded as `max(own clock, arrival)` at ingest
-/// time: silence only accrues while genuinely hearing nothing, never
-/// because a busy-but-alive peer's timeline runs behind ours.
-pub(crate) struct HealthState {
-    pub cfg: HeartbeatConfig,
-    /// Virtual time of the next heartbeat broadcast.
-    pub next_hb: f64,
-    /// Per-peer last time we heard *anything* (data, ack, heartbeat, or
-    /// vote).
-    pub last_seen: Vec<f64>,
-    /// Per-peer smoothed inter-arrival gap (the phi-accrual mean).
-    pub ewma: Vec<f64>,
-    /// Peers this rank currently suspects.
-    pub suspected: Vec<bool>,
-    /// When each standing suspicion was raised (∞ when not suspected);
-    /// a verdict requires the suspicion to have aged through the
-    /// confirmation window unretracted.
-    pub suspect_since: Vec<f64>,
-    /// `votes[peer][voter]`: ranks currently voting `peer` dead (this
-    /// rank's own suspicion counts as its vote).
-    pub votes: Vec<Vec<bool>>,
-}
-
-impl HealthState {
-    fn new(cfg: HeartbeatConfig, size: usize, clock0: f64) -> Self {
-        HealthState {
-            cfg,
-            next_hb: clock0 + cfg.every_s,
-            last_seen: vec![clock0; size],
-            ewma: vec![cfg.every_s; size],
-            suspected: vec![false; size],
-            suspect_since: vec![f64::INFINITY; size],
-            votes: vec![vec![false; size]; size],
-        }
-    }
-}
-
-/// Per-rank fault-injection and reliable-transport state.
-pub(crate) struct FaultCtx {
-    pub drop_p: f64,
-    pub corrupt_p: f64,
-    pub duplicate_p: f64,
-    pub reorder_p: f64,
-    pub cfg: RetransmitConfig,
-    pub rng: SplitMix64,
-    /// This rank's next scheduled death (absolute virtual time; ∞ if none).
-    pub crash_at: f64,
-    /// World-wide flag: some rank died, everyone stop.
-    pub abort: Arc<AtomicBool>,
-    /// Ranks whose retransmit queues have fully emptied after their
-    /// program returned; a rank may only exit once all have (otherwise
-    /// its peers' lost packets would never be retransmitted).
-    pub drained: Arc<AtomicUsize>,
-    pub tx: Vec<PeerTx>,
-    pub rx: Vec<PeerRx>,
-    pub held: Vec<Option<HeldPacket>>,
-    /// Heartbeat failure detector; `None` keeps every path unchanged.
-    pub hb: Option<HealthState>,
-}
-
-impl FaultCtx {
-    pub(crate) fn new(
-        plan: &FaultPlan,
-        rank: usize,
-        size: usize,
-        clock0: f64,
-        abort: Arc<AtomicBool>,
-        drained: Arc<AtomicUsize>,
-    ) -> Self {
-        let stream = plan
-            .seed
-            .wrapping_add((rank as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93));
-        let crash_at = plan
-            .crashes
-            .iter()
-            .filter(|c| c.rank == rank && c.at > clock0)
-            .map(|c| c.at)
-            .fold(f64::INFINITY, f64::min);
-        FaultCtx {
-            drop_p: plan.drop,
-            corrupt_p: plan.corrupt,
-            duplicate_p: plan.duplicate,
-            reorder_p: plan.reorder,
-            cfg: plan.retransmit,
-            rng: SplitMix64(stream),
-            crash_at,
-            abort,
-            drained,
-            tx: (0..size)
-                .map(|_| PeerTx {
-                    next_seq: 0,
-                    unacked: VecDeque::new(),
-                    rto_s: plan.retransmit.rto0_s,
-                    deadline: f64::INFINITY,
-                    retries: 0,
-                })
-                .collect(),
-            rx: (0..size)
-                .map(|_| PeerRx {
-                    next_expected: 0,
-                    reorder: BTreeMap::new(),
-                })
-                .collect(),
-            held: (0..size).map(|_| None).collect(),
-            hb: plan
-                .heartbeat
-                .map(|cfg| HealthState::new(cfg, size, clock0)),
-        }
-    }
-
-    /// Nothing unacked and nothing held: this rank's transport makes no
-    /// progress on its own, only a peer can wake it.
-    pub(crate) fn transport_idle(&self) -> bool {
-        self.tx.iter().all(|t| t.unacked.is_empty()) && self.held.iter().all(Option::is_none)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -656,6 +496,73 @@ mod tests {
             .outcome
             .expect_completed("trivial plan");
         assert_eq!(vals, vec![3, 0, 1, 2]);
+    }
+
+    /// Ring pass, allreduce, then an ABM storm with Safra termination,
+    /// every receive either source-specific or taken after the clock has
+    /// passed every arrival, so the end state is a pure function of the
+    /// program, the plan and the seed.
+    fn deterministic_workout(c: &mut crate::comm::Comm) -> (u64, u64, u64, u64, u64, u64) {
+        let (rank, size) = (c.rank(), c.size());
+        c.send((rank + 1) % size, 1, rank as u64);
+        let left = c.recv_from::<u64>((rank + size - 1) % size, 1);
+        c.compute(1.0e7 * (rank + 1) as f64, 0.0);
+        let sum = c.allreduce(left, |a, b| a + b);
+        assert_eq!(sum, (size * (size - 1) / 2) as u64);
+        let mut abm: Abm<u64> = Abm::new(size, 3, 4);
+        let mut term = Termination::new();
+        for i in 0..10 * size as u64 {
+            abm.post(c, (rank + i as usize) % size, (rank as u64) << 32 | i);
+        }
+        abm.flush_all(c);
+        term.on_send(abm.sent);
+        // Every batch is on its destination's channel once the barrier
+        // completes; past t + 1 s each accept costs the receive overhead
+        // and no wait, whatever order the channel delivered them in.
+        c.barrier();
+        c.elapse(1.0);
+        let mut got = 0;
+        while got < 10 * size {
+            for (_, batch) in abm.poll(c) {
+                term.on_recv(1);
+                got += batch.len();
+            }
+        }
+        c.barrier();
+        while !term.poll(c) {
+            assert!(abm.poll(c).is_empty(), "storm already drained");
+        }
+        let s = c.stats();
+        (
+            c.time().to_bits(),
+            s.sends,
+            s.recvs,
+            s.bytes_sent,
+            s.fault.retransmits,
+            s.fault.duplicates,
+        )
+    }
+
+    #[test]
+    fn deterministic_profile_end_state_is_pinned() {
+        // Recorded at e011c66, before the transport moved out of `Comm`
+        // and the six blocking loops became one: end-time bits, sends,
+        // recvs, bytes sent, retransmits, injected duplicates per rank.
+        let plan = FaultPlan::none(17)
+            .with_duplicate(0.25)
+            .with_retransmit(RetransmitConfig::deterministic());
+        let out = World::new(Machine::ideal(4), 4)
+            .faults(&plan)
+            .run(deterministic_workout)
+            .outcome
+            .expect_completed("duplicates are transparent");
+        let pinned = [
+            (4607260135999682435, 22, 21, 1066, 0, 10),
+            (4607260511278453438, 21, 21, 1026, 0, 3),
+            (4607260886557224441, 22, 22, 1066, 0, 6),
+            (4607261243821596935, 20, 21, 994, 0, 4),
+        ];
+        assert_eq!(out, pinned);
     }
 
     #[test]

@@ -28,7 +28,10 @@
 //!
 //! Modules:
 //! * [`world`] — the [`World`] builder and its spawn/join/classify loop;
-//! * [`comm`] — ranks, point-to-point send/recv, the reliable transport;
+//! * [`comm`] — the endpoint: clock, mailbox, tag-matched send/recv, spans
+//!   and the one loop in which a rank waits;
+//! * [`transport`] — the reliable transport underneath a faulted world;
+//! * [`health`] — the heartbeat failure detector inside that transport;
 //! * [`collectives`] — barrier, broadcast, reduce, allreduce, gather,
 //!   allgather, alltoallv, scan;
 //! * [`abm`] — "asynchronous batched messages": the paper's §4.2 paradigm
@@ -37,8 +40,8 @@
 //! * [`fault`] — seeded fault plans (loss, corruption, duplication,
 //!   reordering, dead switch ports, rank crashes) and the failure
 //!   detector's tuning;
-//! * [`sched`] — adversarial delivery schedules, their decision logs and
-//!   the liveness watchdogs;
+//! * [`sched`] — adversarial delivery schedules (the wildcard-match
+//!   policy), their decision logs and the liveness watchdogs;
 //! * [`group`] — sub-communicators (`MPI_Comm_split`) for row/column
 //!   collectives;
 //! * [`machine`] — the (node model, fabric) pair a world runs on;
@@ -51,14 +54,16 @@ pub mod collectives;
 pub mod comm;
 pub mod fault;
 pub mod group;
+pub mod health;
 pub mod machine;
 pub mod payload;
 pub mod sched;
 pub mod sort;
+pub mod transport;
 pub mod world;
 
 pub use abm::{Abm, Termination};
-pub use comm::{run, run_observed, run_with, Comm, CommStats, FaultStats, MailboxTimeout, Tag};
+pub use comm::{run, run_observed, run_with, Comm, CommStats, FaultStats, Tag};
 pub use fault::{CrashEvent, FaultPlan, HeartbeatConfig, RetransmitConfig, SplitMix64};
 pub use group::Group;
 pub use machine::Machine;

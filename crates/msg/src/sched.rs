@@ -36,8 +36,10 @@
 //! deviate from the deterministic first-match rule; it is the shrinking
 //! knob `cluster::simcheck` uses to minimize a failing schedule.
 
+use crate::comm::{Mailbox, Port, Tag};
 use crate::fault::SplitMix64;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize};
+use std::panic::panic_any;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// How and how much a scheduled world may deviate from deterministic
@@ -87,6 +89,13 @@ impl SchedPlan {
             perturb_limit: 0,
             ..SchedPlan::new(seed)
         }
+    }
+
+    /// Seed of `rank`'s jitter stream: distinct per rank and from the
+    /// match stream, so the draws never alias.
+    pub(crate) fn jitter_seed(&self, rank: usize) -> u64 {
+        (self.seed ^ 0x5851_F42D_4C95_7F2D)
+            .wrapping_add((rank as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB))
     }
 
     pub fn with_jitter(mut self, jitter_s: f64) -> Self {
@@ -183,6 +192,28 @@ impl SchedShared {
         }
     }
 
+    /// The parked-world deadlock check: tear down if some rank already
+    /// stalled; flag a deadlock if every rank is parked or retired with
+    /// nothing in flight and the world is not just `finishing`. Called by
+    /// a rank that counts as parked.
+    pub(crate) fn check_deadlock(&self, port: &Port, finishing: bool) {
+        if self.stalled.load(Ordering::SeqCst) {
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+            panic_any(StallAbort);
+        }
+        let everyone_blocked =
+            self.parked.load(Ordering::SeqCst) + self.retired.load(Ordering::SeqCst) >= self.size;
+        if everyone_blocked && !finishing && self.inflight.load(Ordering::SeqCst) <= 0 {
+            self.stalled.store(true, Ordering::SeqCst);
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+            panic_any(Stall {
+                rank: port.rank,
+                at: port.clock,
+                deadlock: true,
+            });
+        }
+    }
+
     /// The world's decision log, once every rank's ctx has dropped.
     pub(crate) fn take_log(&self) -> ScheduleLog {
         ScheduleLog {
@@ -193,23 +224,22 @@ impl SchedShared {
 
 /// Per-rank scheduler state installed into a [`Comm`].
 pub(crate) struct SchedCtx {
-    pub jitter_s: f64,
-    pub perturb_limit: u64,
-    pub budget_s: f64,
+    perturb_limit: u64,
+    budget_s: f64,
     pub probe_s: f64,
     /// Wildcard-match decisions that have deviated so far (per rank).
-    pub perturbed: u64,
-    pub rng_match: SplitMix64,
-    pub rng_jitter: SplitMix64,
-    /// Scratch: head-of-line candidate indices (one per source).
-    pub heads: Vec<usize>,
+    perturbed: u64,
+    rng_match: SplitMix64,
+    /// Scratch: `(position, source)` of each source's head-of-line
+    /// candidate.
+    heads: Vec<(usize, usize)>,
     /// Scratch: which sources already contributed a head candidate.
-    pub seen: Vec<bool>,
+    seen: Vec<bool>,
     pub shared: Arc<SchedShared>,
     rank: usize,
     /// Every wildcard match taken, in order (the schedule log).
     log: Vec<u32>,
-    pub(crate) replay: Option<ReplayCtx>,
+    replay: Option<ReplayCtx>,
 }
 
 impl SchedCtx {
@@ -220,21 +250,15 @@ impl SchedCtx {
         shared: Arc<SchedShared>,
         replay: Option<ReplayCtx>,
     ) -> Self {
-        // Distinct per-rank, per-purpose streams so match and jitter
-        // draws never alias across ranks or across each other.
         let match_seed = plan
             .seed
             .wrapping_add((rank as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-        let jitter_seed = (plan.seed ^ 0x5851_F42D_4C95_7F2D)
-            .wrapping_add((rank as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB));
         SchedCtx {
-            jitter_s: plan.jitter_s,
             perturb_limit: plan.perturb_limit,
             budget_s: plan.budget_s,
             probe_s: plan.probe_s,
             perturbed: 0,
             rng_match: SplitMix64(match_seed),
-            rng_jitter: SplitMix64(jitter_seed),
             heads: Vec::with_capacity(size),
             seen: vec![false; size],
             shared,
@@ -244,25 +268,72 @@ impl SchedCtx {
         }
     }
 
-    /// The source the replay log demands for the next wildcard match, or
-    /// `None` when not replaying / past the replay prefix.
-    pub(crate) fn replay_want(&self) -> Option<usize> {
-        let rp = self.replay.as_ref()?;
-        if rp.cursor < rp.prefix.min(rp.choices.len()) {
-            Some(rp.choices[rp.cursor] as usize)
-        } else {
-            None
+    /// Liveness watchdog: tear down if some rank already stalled, and
+    /// flag this rank if its virtual clock has left the schedule's budget
+    /// (livelock detection).
+    pub(crate) fn check_budget(&self, port: &Port) {
+        if self.shared.stalled.load(Ordering::Relaxed) {
+            panic_any(StallAbort);
+        }
+        if port.clock > self.budget_s {
+            self.shared.stalled.store(true, Ordering::SeqCst);
+            panic_any(Stall {
+                rank: port.rank,
+                at: port.clock,
+                deadlock: false,
+            });
         }
     }
 
-    /// Record a wildcard match on `src`; advances the replay cursor when
-    /// the choice was dictated by the log.
-    pub(crate) fn log_match(&mut self, src: usize, from_replay: bool) {
-        if from_replay {
-            let rp = self.replay.as_mut().expect("replaying");
-            rp.cursor += 1;
+    /// The match policy for a wildcard receive on `tag`: the mailbox
+    /// position to take, or `None` when nothing eligible is queued.
+    ///
+    /// A wildcard receive with several sources queued is a real arrival
+    /// race, so the adversary may pick any source's head-of-line packet.
+    /// Only the *first* match per source is a candidate — per-(src, tag)
+    /// FIFO is preserved by construction. Every wildcard take is logged
+    /// (replay follows the log: the match waits for the logged source,
+    /// which removes the one wall-clock race a wildcard receive has —
+    /// whether a slower source's packet had really arrived when the pick
+    /// was made).
+    pub(crate) fn pick(&mut self, mailbox: &Mailbox, tag: Tag) -> Option<usize> {
+        if let Some(rp) = &mut self.replay {
+            if rp.cursor < rp.prefix.min(rp.choices.len()) {
+                let want = rp.choices[rp.cursor];
+                let mut queued = mailbox.iter();
+                let pos = queued.position(|p| p.tag == tag && p.src == want as usize)?;
+                rp.cursor += 1;
+                self.log.push(want);
+                return Some(pos);
+            }
         }
+        self.heads.clear();
+        let queued = mailbox.iter().enumerate().filter(|(_, p)| p.tag == tag);
+        if self.replay.is_none() && self.perturbed < self.perturb_limit {
+            self.seen.fill(false);
+            for (i, p) in queued {
+                if !std::mem::replace(&mut self.seen[p.src], true) {
+                    self.heads.push((i, p.src));
+                }
+            }
+        } else {
+            // Deterministic first-match: the reference schedule, a spent
+            // perturbation budget, or a replay past its prefix.
+            self.heads.extend(queued.map(|(i, p)| (i, p.src)).take(1));
+        }
+        let (pos, src) = match self.heads.len() {
+            0 => return None,
+            1 => self.heads[0],
+            n => {
+                // A decision point: one deviation spent even if the draw
+                // lands on the first match, so perturb_limit counts
+                // decisions, and shrink prefixes are schedule-stable.
+                self.perturbed += 1;
+                self.heads[(self.rng_match.next_u64() % n as u64) as usize]
+            }
+        };
         self.log.push(src as u32);
+        Some(pos)
     }
 }
 

@@ -11,10 +11,11 @@
 //! [`crate::run`], [`crate::run_with`] and [`crate::run_observed`] are
 //! one-line shorthands for the fault-free, unscheduled world.
 
-use crate::comm::Comm;
-use crate::fault::{install_quiet_hook, FaultCtx, FaultPlan, QuietCrash, RankCrash, WorldAborted};
+use crate::comm::{Comm, Port};
+use crate::fault::{install_quiet_hook, FaultPlan, QuietCrash, RankCrash, WorldAborted};
 use crate::machine::Machine;
 use crate::sched::{ReplayCtx, SchedCtx, SchedPlan, SchedShared, ScheduleLog, Stall, StallAbort};
+use crate::transport::FaultCtx;
 use crossbeam::channel::unbounded;
 use obs::{RankTrace, WorldTrace};
 use std::panic::{resume_unwind, AssertUnwindSafe};
@@ -126,8 +127,8 @@ impl<'a> World<'a> {
 
     /// Run under `plan`: all messaging goes through the reliable
     /// transport (sequence numbers, cumulative acks, timeout/retransmit
-    /// with exponential backoff — see `comm.rs`); scheduled crashes, and
-    /// senders exhausting their retries against a dead peer, tear the
+    /// with exponential backoff — [`crate::transport`]); scheduled crashes,
+    /// and senders exhausting their retries against a dead peer, tear the
     /// world down and report [`WorldOutcome::Crashed`].
     pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
         self.faults = Some(plan);
@@ -224,7 +225,8 @@ impl<'a> World<'a> {
                 let (abort, drained) = (abort.clone(), drained.clone());
                 Box::new(FaultCtx::new(plan, rank, nranks, clock0, abort, drained))
             });
-            let sctx = schedule.zip(watchdog.as_ref()).map(|(plan, shared)| {
+            let armed = schedule.zip(watchdog.as_ref());
+            let sctx = armed.map(|(plan, shared)| {
                 let replay = replay.map(|(log, prefix)| ReplayCtx {
                     choices: Arc::new(log.per_rank[rank].clone()),
                     cursor: 0,
@@ -233,7 +235,8 @@ impl<'a> World<'a> {
                 Box::new(SchedCtx::new(plan, rank, nranks, shared.clone(), replay))
             });
             let (machine, senders) = (machine.clone(), senders.clone());
-            let mut comm = Comm::construct(rank, nranks, clock0, machine, senders, rx, fctx, sctx);
+            let port = Port::new(rank, nranks, clock0, machine, senders, armed);
+            let mut comm = Comm::construct(port, rx, fctx, sctx);
             let program = AssertUnwindSafe(|| {
                 if observe {
                     comm.install_recorder();
@@ -243,11 +246,10 @@ impl<'a> World<'a> {
                 // drain below costs virtual time per real-time poll,
                 // which would poison the trace's determinism.
                 let trace = observe.then(|| comm.take_trace().expect("recorder installed above"));
-                comm.sched_retire();
                 // A rank may still owe its peers retransmissions of
-                // packets the injector ate; stay at the NIC until the
+                // packets the injector ate; it stays at the NIC until the
                 // whole world's unacked queues drain.
-                comm.drain_transport();
+                comm.retire();
                 (v, trace)
             });
             match std::panic::catch_unwind(program) {
