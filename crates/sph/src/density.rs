@@ -58,15 +58,32 @@ fn adapt_h(nt: &NeighborTree, pos: [f64; 3], h0: f64) -> f64 {
 /// neighbour queries are the non-allocating visitor/count variants, so
 /// the steady-state sweep does no per-particle heap allocation.
 pub fn compute_density(parts: &mut [SphParticle], nt: &NeighborTree) {
+    compute_density_targets(parts, nt, parts.len());
+}
+
+/// [`compute_density`] for the first `n_targets` particles only: the
+/// rest of `parts` (ghosts, in a distributed run) are sources — `nt`
+/// holds them and the sums read their positions and masses — but their
+/// `h` and `rho` are left as they came. Since a target reads nothing
+/// another target writes, rows `..n_targets` are bit for bit those of
+/// the full evaluation.
+pub(crate) fn compute_density_targets(
+    parts: &mut [SphParticle],
+    nt: &NeighborTree,
+    n_targets: usize,
+) {
     // Phase 1: adaptive h.
     let snap: &[SphParticle] = parts;
-    let hs: Vec<f64> = snap.par_iter().map(|p| adapt_h(nt, p.pos, p.h)).collect();
+    let hs: Vec<f64> = snap[..n_targets]
+        .par_iter()
+        .map(|p| adapt_h(nt, p.pos, p.h))
+        .collect();
     for (p, h) in parts.iter_mut().zip(&hs) {
         p.h = *h;
     }
     // Phase 2: density summation at the adapted h.
     let snap: &[SphParticle] = parts;
-    let rhos: Vec<f64> = snap
+    let rhos: Vec<f64> = snap[..n_targets]
         .par_iter()
         .map(|pi| {
             let pos = pi.pos;
@@ -90,8 +107,30 @@ pub fn compute_density(parts: &mut [SphParticle], nt: &NeighborTree) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn prop_target_prefix_equals_full_evaluation(seed in 0u64..1000, n in 1usize..120) {
+            let before = uniform_cube(n, seed);
+            let nt = NeighborTree::build(&before);
+            let mut full = before.clone();
+            compute_density(&mut full, &nt);
+            for k in 0..=n {
+                let mut split = before.clone();
+                compute_density_targets(&mut split, &nt, k);
+                for (a, b) in split[..k].iter().zip(&full) {
+                    let got = [a.h, a.rho].map(f64::to_bits);
+                    let want = [b.h, b.rho].map(f64::to_bits);
+                    prop_assert_eq!(got, want, "(h, rho) of {} at k = {}", a.id, k);
+                }
+                prop_assert_eq!(&split[k..], &before[k..], "sources written at k = {}", k);
+            }
+        }
+    }
 
     /// Random uniform cube of unit density: n particles of mass 1/n.
     fn uniform_cube(n: usize, seed: u64) -> Vec<SphParticle> {

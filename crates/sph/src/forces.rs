@@ -47,12 +47,27 @@ pub fn apply_eos(parts: &mut [SphParticle], eos: &Eos) {
 /// are exact), and the symmetric `coef` is invariant under swapping i/j
 /// (commutative sums of identical rounded terms).
 pub fn hydro_forces(parts: &mut [SphParticle], nt: &NeighborTree, visc: &Viscosity) {
+    hydro_forces_targets(parts, nt, visc, parts.len());
+}
+
+/// [`hydro_forces`] for the first `n_targets` particles only: the rest
+/// of `parts` (ghosts, in a distributed run) are sources — every pair
+/// term reads their `h`, `rho`, `pres`, `cs` and `vel` — but their `acc`
+/// and `du_dt` are left as they came. Rows `..n_targets` are bit for bit
+/// those of the full evaluation.
+pub(crate) fn hydro_forces_targets(
+    parts: &mut [SphParticle],
+    nt: &NeighborTree,
+    visc: &Viscosity,
+    n_targets: usize,
+) {
     // Candidate radius SUPPORT·(h_i + h_max)/2 guarantees every pair with
     // r < SUPPORT·h̄ is discovered from both sides, making the pair set
-    // independent of particle ordering.
+    // independent of particle ordering. `h_max` is over sources too: a
+    // wide ghost reaches a target from further than the target's own h.
     let h_max = parts.iter().map(|p| p.h).fold(0.0f64, f64::max);
     let snap: &[SphParticle] = parts;
-    let sums: Vec<([f64; 3], f64)> = snap
+    let sums: Vec<([f64; 3], f64)> = snap[..n_targets]
         .par_iter()
         .enumerate()
         .map(|(i, pi)| {
@@ -133,6 +148,7 @@ pub fn add_gravity(parts: &mut [SphParticle], nt: &NeighborTree, theta: f64, eps
 mod tests {
     use super::*;
     use crate::density::compute_density;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -161,6 +177,43 @@ mod tests {
         compute_density(parts, &nt);
         apply_eos(parts, eos);
         nt
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn prop_target_prefix_equals_full_evaluation(seed in 0u64..1000, n in 1usize..120) {
+            // Moving gas at its adapted h, so the viscous term and the
+            // h_max candidate radius are both in play; the sentinels show
+            // a write to a source row.
+            let mut before = gas_ball(n, 2.0, seed);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+            for p in &mut before {
+                p.vel = [
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                ];
+            }
+            let nt = prepare(&mut before, &Eos::GammaLaw { gamma: 5.0 / 3.0 });
+            for p in &mut before {
+                p.acc = [7.0, -7.0, 0.5];
+                p.du_dt = -3.0;
+            }
+            let visc = Viscosity::default();
+            let mut full = before.clone();
+            hydro_forces(&mut full, &nt, &visc);
+            for k in 0..=n {
+                let mut split = before.clone();
+                hydro_forces_targets(&mut split, &nt, &visc, k);
+                for (a, b) in split[..k].iter().zip(&full) {
+                    let got = [a.acc[0], a.acc[1], a.acc[2], a.du_dt].map(f64::to_bits);
+                    let want = [b.acc[0], b.acc[1], b.acc[2], b.du_dt].map(f64::to_bits);
+                    prop_assert_eq!(got, want, "(acc, du_dt) of {} at k = {}", a.id, k);
+                }
+                prop_assert_eq!(&split[k..], &before[k..], "sources written at k = {}", k);
+            }
+        }
     }
 
     #[test]

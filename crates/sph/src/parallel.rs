@@ -6,11 +6,14 @@
 //! particles — remote particles within interaction range of its domain
 //! box — computes density, EOS and hydrodynamic forces locally
 //! (gravity is handled by `hot::parallel` in a production stepper), and
-//! returns its shard. Ghosts contribute to sums but are not updated.
+//! returns its shard. Ghosts are **sources, not targets**: they sit in
+//! the neighbour tree and every sum over an owned particle reads them,
+//! but no sum is evaluated *at* a ghost — its owner does that, with the
+//! whole neighbourhood an edge ghost lacks here.
 
-use crate::density::compute_density;
+use crate::density::compute_density_targets;
 use crate::eos::Eos;
-use crate::forces::{apply_eos, hydro_forces, Viscosity};
+use crate::forces::{apply_eos, hydro_forces_targets, Viscosity};
 use crate::kernel;
 use crate::neighbors::NeighborTree;
 use crate::particle::SphParticle;
@@ -99,18 +102,19 @@ pub fn distributed_hydro(
     comm.span_exit("sph.rebalance");
 
     // 2. Ghost exchange helper: ship my particles lying inside other
-    //    ranks' padded boxes.
+    //    ranks' padded boxes. A rank that owns nothing publishes an empty
+    //    box (as `hot::domain::decompose` does for an empty key range).
     let exchange_ghosts = |comm: &mut Comm, mine: &[SphParticle], pad: f64| -> Vec<SphParticle> {
         comm.span_enter("sph.ghosts");
         let my_box = if mine.is_empty() {
-            vec![0.0; 6]
+            Vec::new()
         } else {
             bounds(mine, pad).to_vec()
         };
         let boxes = comm.allgather(my_box);
         let mut outgoing: Vec<Vec<SphParticle>> = (0..comm.size()).map(|_| Vec::new()).collect();
         for (r, bx) in boxes.iter().enumerate() {
-            if r == comm.rank() || bx.iter().all(|v| *v == 0.0) {
+            if r == comm.rank() || bx.is_empty() {
                 continue;
             }
             let b = [bx[0], bx[1], bx[2], bx[3], bx[4], bx[5]];
@@ -139,14 +143,15 @@ pub fn distributed_hydro(
         work.extend(ghosts);
         if !work.is_empty() {
             let nt = NeighborTree::build(&work);
-            compute_density(&mut work, &nt);
-            apply_eos(&mut work, eos);
+            compute_density_targets(&mut work, &nt, n_own);
+            apply_eos(&mut work[..n_own], eos);
             // Charge the density pass to the virtual clock with the
             // §4.4 cost model: ~120 neighbours/particle, density+EOS is
-            // the cheaper ~2/5 of the ~250 flops per interaction.
-            let flops = work.len() as f64 * 120.0 * 100.0;
+            // the cheaper ~2/5 of the ~250 flops per interaction. Flops
+            // are spent on owned particles only; ghosts are still read.
+            let flops = n_own as f64 * 120.0 * 100.0;
             comm.compute(flops, (work.len() * PARTICLE_BYTES) as f64);
-            comm.obs_count("sph.interactions", (work.len() as u64).saturating_mul(120));
+            comm.obs_count("sph.interactions", (n_own as u64).saturating_mul(120));
         }
         work.truncate(n_own);
         mine = work;
@@ -174,11 +179,11 @@ pub fn distributed_hydro(
         return Vec::new();
     }
     let nt = NeighborTree::build(&work);
-    hydro_forces(&mut work, &nt, visc);
+    hydro_forces_targets(&mut work, &nt, visc, n_own);
     // Force pass: the remaining ~3/5 of the per-interaction flops.
-    let flops = work.len() as f64 * 120.0 * 150.0;
+    let flops = n_own as f64 * 120.0 * 150.0;
     comm.compute(flops, (work.len() * PARTICLE_BYTES) as f64);
-    comm.obs_count("sph.interactions", (work.len() as u64).saturating_mul(120));
+    comm.obs_count("sph.interactions", (n_own as u64).saturating_mul(120));
     work.truncate(n_own);
     comm.span_exit("sph.forces");
     work
@@ -187,6 +192,10 @@ pub fn distributed_hydro(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::collapse::{rotating_core, CollapseSetup};
+    use crate::density::compute_density;
+    use crate::forces::hydro_forces;
+    use msg::Machine;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
@@ -216,6 +225,12 @@ pub(crate) mod tests {
             .collect()
     }
 
+    /// Rank `c`'s round-robin share of `all`.
+    pub(crate) fn shard_of(all: &[SphParticle], c: &Comm) -> Vec<SphParticle> {
+        let mine = all.iter().skip(c.rank()).step_by(c.size()).copied();
+        mine.collect()
+    }
+
     fn serial_reference(all: &[SphParticle]) -> HashMap<u64, SphParticle> {
         let mut work = all.to_vec();
         let eos = Eos::GammaLaw { gamma: 5.0 / 3.0 };
@@ -232,12 +247,7 @@ pub(crate) mod tests {
         let serial = serial_reference(&all);
         for ranks in [1usize, 2, 4] {
             let shards = msg::run(ranks, |c| {
-                let mine: Vec<SphParticle> = all
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % c.size() == c.rank())
-                    .map(|(_, p)| *p)
-                    .collect();
+                let mine = shard_of(&all, c);
                 distributed_hydro(
                     c,
                     mine,
@@ -271,6 +281,111 @@ pub(crate) mod tests {
         }
     }
 
+    /// One `distributed_hydro` of the 600-particle rotating core (seed 5,
+    /// round-robin shards) on the Space Simulator fabric.
+    fn one_hydro_call(c: &mut Comm) -> Vec<SphParticle> {
+        let (all, cfg) = rotating_core(&CollapseSetup {
+            n_particles: 600,
+            seed: 5,
+            ..Default::default()
+        });
+        let mine = shard_of(&all, c);
+        distributed_hydro(c, mine, &cfg.eos, &Viscosity::default(), 0.2)
+    }
+
+    /// FNV-1a over the bits of `(id, h, rho, pres, cs, du_dt, acc)` in id
+    /// order of that call's result.
+    fn hydro_digest(nranks: usize) -> u64 {
+        let shards = msg::run_with(Machine::space_simulator_lam(), nranks, one_hydro_call);
+        let mut parts: Vec<SphParticle> = shards.into_iter().flatten().collect();
+        parts.sort_by_key(|p| p.id);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for p in &parts {
+            let [ax, ay, az] = p.acc;
+            let state = [p.h, p.rho, p.pres, p.cs, p.du_dt, ax, ay, az].map(f64::to_bits);
+            for word in [p.id].into_iter().chain(state) {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn owned_only_hydro_reproduces_full_evaluation_bit_for_bit() {
+        // Recorded at the last commit that evaluated density, EOS and
+        // forces at every ghost and threw those rows away (c1a2bf0).
+        let pins = [
+            (1usize, 0xc8ae_ad35_2453_3a28u64),
+            (2, 0xc8ae_ad35_2453_3a28),
+            (4, 0xd800_a88c_0751_8833),
+        ];
+        for (nranks, want) in pins {
+            let got = hydro_digest(nranks);
+            assert_eq!(got, want, "{nranks} ranks: digest {got:016x}");
+        }
+    }
+
+    #[test]
+    fn adding_ranks_shortens_the_hydro_call_on_the_virtual_clock() {
+        let end_vtime = |nranks: usize| {
+            let ends = msg::run_with(Machine::space_simulator_lam(), nranks, |c| {
+                one_hydro_call(c);
+                c.time()
+            });
+            ends.into_iter().fold(0.0f64, f64::max)
+        };
+        // With ghosts as targets this rose: 0.0102, 0.0133, 0.0136 s.
+        let (t1, t2, t4) = (end_vtime(1), end_vtime(2), end_vtime(4));
+        assert!(
+            t2 < t1 && t4 < t2,
+            "virtual s on 1/2/4 ranks: {t1} {t2} {t4}"
+        );
+    }
+
+    #[test]
+    fn interaction_counter_counts_owned_particles_only() {
+        // 120 per owned particle per pass: the density passes (two here,
+        // the first pad is too narrow for the envelope's h) and the force
+        // pass. However many ghosts a rank imports, the world's total is
+        // that of one rank owning everything.
+        let totals = [1usize, 2, 4].map(|nranks| {
+            let (_, trace) =
+                msg::run_observed(Machine::space_simulator_lam(), nranks, one_hydro_call);
+            trace.counter_total("sph.interactions")
+        });
+        assert_eq!(totals, [3 * 120 * 600; 3]);
+    }
+
+    #[test]
+    fn ranks_that_own_nothing_publish_no_box() {
+        // Fewer particles than ranks (yet enough for h to converge):
+        // some rank owns nothing, must be sent no ghosts and must not
+        // keep the others from theirs.
+        let all = gas_ball(40, 13);
+        let serial = serial_reference(&all);
+        let shards = msg::run(48, |c| {
+            let mine = shard_of(&all, c);
+            let eos = Eos::GammaLaw { gamma: 5.0 / 3.0 };
+            // A first pad that already spans the ball: h adapted among
+            // too few ghosts would not come back down on the retry.
+            distributed_hydro(c, mine, &eos, &Viscosity::default(), 2.0)
+        });
+        assert!(shards.iter().any(Vec::is_empty));
+        let got: Vec<&SphParticle> = shards.iter().flatten().collect();
+        assert_eq!(got.len(), 40);
+        for p in got {
+            let s = &serial[&p.id];
+            assert!(
+                (p.rho - s.rho).abs() <= 1e-9 * s.rho,
+                "{} vs {}",
+                p.rho,
+                s.rho
+            );
+        }
+    }
+
     #[test]
     fn ghosts_really_cross_rank_boundaries() {
         // With 2 ranks splitting a ball along Morton order, the boundary
@@ -279,12 +394,7 @@ pub(crate) mod tests {
         let all = gas_ball(400, 9);
         let serial = serial_reference(&all);
         let shards = msg::run(2, |c| {
-            let mine: Vec<SphParticle> = all
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % c.size() == c.rank())
-                .map(|(_, p)| *p)
-                .collect();
+            let mine = shard_of(&all, c);
             distributed_hydro(
                 c,
                 mine,
@@ -458,6 +568,8 @@ impl DistributedSph {
 #[cfg(test)]
 mod stepper_tests {
     use super::*;
+    use crate::density::compute_density;
+    use crate::forces::hydro_forces;
     use crate::integrate::{SphConfig, SphSimulation};
 
     #[test]
@@ -474,12 +586,8 @@ mod stepper_tests {
         let dt = 0.004;
         let mut serial = SphSimulation::new(all.clone(), cfg);
         for _ in 0..3 {
-            // Force the fixed dt by bypassing the CFL (the distributed
-            // run will use the same value).
-            for p in &mut serial.parts {
-                let _ = p;
-            }
-            // Reproduce SphSimulation::step with fixed dt:
+            // Reproduce SphSimulation::step with a fixed dt, bypassing
+            // the CFL (the distributed run uses the same value):
             for p in &mut serial.parts {
                 for d in 0..3 {
                     p.vel[d] += 0.5 * dt * p.acc[d];
@@ -493,8 +601,6 @@ mod stepper_tests {
             compute_density(&mut parts, &nt);
             apply_eos(&mut parts, &cfg.eos);
             hydro_forces(&mut parts, &nt, &cfg.viscosity);
-            let eps = 0.5 * parts.iter().map(|p| p.h).fold(f64::INFINITY, f64::min);
-            let _ = eps;
             // Serial gravity at matching softening rule (0.5 * h_max).
             let h_max = parts.iter().map(|p| p.h).fold(0.0f64, f64::max);
             let nt2 = NeighborTree::build(&parts);
@@ -512,12 +618,7 @@ mod stepper_tests {
         serial_pos.sort_by_key(|x| x.0);
 
         let shards = msg::run(3, |c| {
-            let mine: Vec<SphParticle> = all
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % c.size() == c.rank())
-                .map(|(_, p)| *p)
-                .collect();
+            let mine = tests::shard_of(&all, c);
             let mut sim = DistributedSph::new(c, mine, Eos::GammaLaw { gamma: 5.0 / 3.0 }, 0.5);
             for _ in 0..3 {
                 sim.step(c, 0.004);
@@ -543,12 +644,7 @@ mod stepper_tests {
     fn distributed_cfl_is_global() {
         let all = tests::gas_ball(200, 31);
         let dts = msg::run(2, |c| {
-            let mine: Vec<SphParticle> = all
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % c.size() == c.rank())
-                .map(|(_, p)| *p)
-                .collect();
+            let mine = tests::shard_of(&all, c);
             let sim = DistributedSph::new(c, mine, Eos::GammaLaw { gamma: 5.0 / 3.0 }, 0.6);
             sim.cfl_dt(c)
         });
