@@ -101,11 +101,15 @@ fn strong_scaling_falls_off_past_one_module_on_the_real_fabric_only() {
 }
 
 /// The full-chassis claim — weak scaling at 288 ranks goes
-/// trunk-dominant — costs minutes of contended-fabric simulation, so it
-/// is ignored in tier-1 and exercised via the `scaling_sweep` bin (CI's
-/// scaling job sweeps to 64; the committed exhibit documents 288).
+/// trunk-dominant. It costs ≈ 10 s of host time (≈ 40 s before the
+/// force phase was evaluated once per world), but which wire dominates
+/// the critical path flips run to run — trunk and uplink queueing trade
+/// places with the wall-clock order ranks reach the contended fabric in
+/// (ROADMAP item 1) — so it stays ignored in tier-1 and is exercised via
+/// the `scaling_sweep` bin (CI's scaling job sweeps to 64; the committed
+/// exhibit documents 288).
 #[test]
-#[ignore = "minutes of contended-fabric simulation; run with --ignored"]
+#[ignore = "dominant_wire flips run to run on the contended fabric; run with --ignored"]
 fn weak_scaling_past_the_chassis_goes_trunk_dominant() {
     let cfg = SweepConfig {
         ranks: vec![288],

@@ -12,22 +12,28 @@
 //! commit and re-runs — accounting every virtual second lost to the
 //! crash and every one spent rebooting and re-reading the checkpoint.
 //!
-//! The physics is replicated across ranks (every rank integrates the
-//! full body set) but each rank *owns* one stripe of the acceleration
-//! array: after the force phase the stripes are allgathered and every
-//! replica overwrites its own values with the received ones. Delivery
-//! integrity is therefore load-bearing — a dropped, duplicated or
-//! corrupted stripe that the reliable transport failed to repair would
-//! diverge the replicas and change the answer. "Same physics as the
-//! fault-free run" really does certify the recovery machinery.
+//! Every rank holds the full body set — a replica — but *owns* one stripe
+//! of the acceleration array. The force phase is the same function of
+//! the same bits on every replica, so the host evaluates it once per
+//! step (`force_phase`, through [`Comm::replicated`]) and the replicas
+//! share the result, each charging its 1/size share to its own virtual
+//! clock; what runs per rank is everything that makes the replicas
+//! replicas: the stripes are allgathered and every replica overwrites
+//! its own accelerations with the *received* ones, then kicks its own
+//! bodies with them. Delivery integrity is therefore load-bearing — a
+//! dropped, duplicated or corrupted stripe that the reliable transport
+//! failed to repair diverges that replica, its next force phase no
+//! longer matches the others' bit for bit, it is evaluated on its own,
+//! and the answer changes. "Same physics as the fault-free run" really
+//! does certify the recovery machinery.
 
 use crate::io::IoModel;
 use ckpt::{CkptError, Pack};
 use hot::gravity::{Accel, GravityConfig};
-use hot::traverse::group_accelerations;
+use hot::traverse::{group_accelerations, TraverseStats};
 use hot::tree::{Body, Tree};
-use msg::{Comm, FaultPlan, Machine, World, WorldOutcome, WorldRun};
-use std::sync::Mutex;
+use msg::{BitEq, Comm, FaultPlan, Machine, World, WorldOutcome, WorldRun};
+use std::sync::{Arc, Mutex};
 use store::{GenerationLog, RecordKind, StoreConfig};
 
 /// Aux lanes a degraded-mode shard carries alongside each body: the
@@ -90,6 +96,12 @@ pub struct ChaosConfig {
     /// flips on "disk", to be discovered by the next recovery's decode.
     #[cfg(test)]
     pub corrupt_shard: Option<(usize, u64)>,
+    /// Test hook modeling a corruption the transport failed to repair:
+    /// `(rank, done)` flips one bit of the stripe replica `rank` received
+    /// from its right-hand neighbour, in the exchange of the step it
+    /// began with `done` steps complete.
+    #[cfg(test)]
+    pub corrupt_stripe: Option<(usize, u64)>,
 }
 
 impl Default for ChaosConfig {
@@ -104,6 +116,8 @@ impl Default for ChaosConfig {
             timeline_window_s: None,
             #[cfg(test)]
             corrupt_shard: None,
+            #[cfg(test)]
+            corrupt_stripe: None,
         }
     }
 }
@@ -204,8 +218,85 @@ fn decode_state(bytes: &[u8]) -> Result<State, CkptError> {
 }
 
 /// The index range of the acceleration stripe rank `r` owns.
-fn stripe(n: usize, size: usize, r: usize) -> std::ops::Range<usize> {
+pub(crate) fn stripe(n: usize, size: usize, r: usize) -> std::ops::Range<usize> {
     (r * n / size)..((r + 1) * n / size)
+}
+
+/// What one replica carries from step to step: the full body set and the
+/// accelerations it adopted from the last exchange, index-aligned.
+#[derive(Clone)]
+pub(crate) struct Replica {
+    pub bodies: Vec<Body>,
+    pub accel: Vec<Accel>,
+}
+
+impl BitEq for Replica {
+    fn bit_eq(&self, o: &Self) -> bool {
+        self.bodies.bit_eq(&o.bodies) && self.accel.bit_eq(&o.accel)
+    }
+}
+
+/// A body set in tree order with the forces on all of it.
+pub(crate) struct Forces {
+    pub bodies: Vec<Body>,
+    pub accel: Vec<Accel>,
+    pub stats: TraverseStats,
+}
+
+/// Build the tree over `bodies` and walk it for every body.
+pub(crate) fn tree_forces(bodies: Vec<Body>, cfg: &GravityConfig) -> Forces {
+    let tree = Tree::build(bodies, cfg.leaf_max);
+    let (accel, stats) = group_accelerations(&tree, cfg);
+    Forces {
+        bodies: tree.bodies,
+        accel,
+        stats,
+    }
+}
+
+/// One replica's force phase inside span `span`: half kick + drift from
+/// the replica's own state, then the forces on every stripe at the
+/// drifted positions. `Tree::build` is deterministic, so replicas that
+/// agree bit for bit get the same reordered bodies and the same forces;
+/// the host evaluates those once. The clock is charged `1/size` of the
+/// work — the simulated machine runs the force phase in parallel — plus
+/// `straggle_s` of extra virtual time inside the span.
+pub(crate) fn force_phase(
+    comm: &mut Comm,
+    span: &'static str,
+    replica: &Replica,
+    dt: f64,
+    cfg: &GravityConfig,
+    cpu_eff: f64,
+    straggle_s: f64,
+) -> Arc<Forces> {
+    comm.span_enter(span);
+    let forces = comm.replicated(span, replica, |r| {
+        let mut bodies = r.bodies.clone();
+        for (b, a) in bodies.iter_mut().zip(&r.accel) {
+            for d in 0..3 {
+                b.vel[d] += 0.5 * dt * a.acc[d];
+                b.pos[d] += dt * b.vel[d];
+            }
+        }
+        tree_forces(bodies, cfg)
+    });
+    let stats = &forces.stats;
+    let share = 1.0 / comm.size() as f64;
+    comm.obs_count(
+        "walk.interactions",
+        ((stats.p2p + stats.m2p) as f64 * share) as u64,
+    );
+    comm.compute_eff(
+        stats.flops(cfg.quadrupole) * share,
+        std::mem::size_of_val(&forces.bodies[..]) as f64 * share,
+        cpu_eff,
+    );
+    if straggle_s > 0.0 {
+        comm.elapse(straggle_s);
+    }
+    comm.span_exit(span);
+    forces
 }
 
 /// One complete per-rank shard generation in stable storage: `of_ranks`
@@ -358,16 +449,15 @@ fn run_treecode_impl(
     // over the one condemned rank instead of restarting the world.
     let degraded = plan.heartbeat.is_some();
     // Initial forces, then the step-0 "checkpoint" is the ICs themselves.
-    let tree = Tree::build(bodies, cfg.leaf_max);
-    let (accel, _) = group_accelerations(&tree, cfg);
-    let mut committed = (0u64, 0.0f64, encode_state(0, 0.0, &tree.bodies, &accel));
+    let Forces { bodies, accel, .. } = tree_forces(bodies, cfg);
+    let mut committed = (0u64, 0.0f64, encode_state(0, 0.0, &bodies, &accel));
     // Degraded-mode stable storage: complete shard generations, newest
     // last; two are retained so a rotten shard falls back one commit.
     let mut gens: Vec<Gen> = if degraded {
         vec![Gen {
             step: 0,
             vtime: 0.0,
-            shards: encode_shards(0, 0.0, &tree.bodies, &accel, nranks),
+            shards: encode_shards(0, 0.0, &bodies, &accel, nranks),
         }]
     } else {
         Vec::new()
@@ -437,11 +527,12 @@ fn run_treecode_impl(
             let State {
                 mut step,
                 mut time,
-                mut bodies,
-                mut accel,
+                bodies,
+                accel,
             } = decode_state(start_bytes).expect("stable storage is uncorrupted");
             comm.span_exit("chaos.restore");
-            let n = bodies.len();
+            let mut replica = Replica { bodies, accel };
+            let n = replica.bodies.len();
             let size = comm.size();
             // Per-attempt incremental commit log: the first commit of an
             // attempt ships a full columnar snapshot of this rank's
@@ -451,47 +542,27 @@ fn run_treecode_impl(
             // materializes it back into full records.
             let mut log = GenerationLog::new(StoreConfig::default(), N_AUX as u32);
             while step < steps {
-                // Kick (half) + drift, identically on every replica.
-                for (b, a) in bodies.iter_mut().zip(&accel) {
-                    for d in 0..3 {
-                        b.vel[d] += 0.5 * dt * a.acc[d];
-                        b.pos[d] += dt * b.vel[d];
-                    }
-                }
-                // Force phase. Tree::build is deterministic, so all
-                // replicas reorder their arrays identically; the clock is
-                // charged 1/size of the work — the simulated machine runs
-                // the force phase in parallel even though this in-memory
-                // replica evaluates every stripe.
-                comm.span_enter("chaos.force");
-                let tree = Tree::build(std::mem::take(&mut bodies), cfg.leaf_max);
-                let (full, stats) = group_accelerations(&tree, cfg);
-                bodies = tree.bodies;
-                let share = 1.0 / size as f64;
-                // Replicated evaluation covers all stripes; each rank's
-                // simulated share of the interactions is 1/size.
-                comm.obs_count(
-                    "walk.interactions",
-                    ((stats.p2p + stats.m2p) as f64 * share) as u64,
-                );
-                comm.compute_eff(
-                    stats.flops(cfg.quadrupole) * share,
-                    (n * std::mem::size_of::<Body>()) as f64 * share,
-                    chaos.cpu_eff,
-                );
-                comm.span_exit("chaos.force");
+                let forces =
+                    force_phase(comm, "chaos.force", &replica, dt, cfg, chaos.cpu_eff, 0.0);
+                replica.bodies.clone_from(&forces.bodies);
                 // Exchange acceleration stripes and adopt the *received*
                 // values, so transport integrity decides the physics.
                 comm.span_enter("chaos.exchange");
-                let mine: Vec<[f64; 4]> = full[stripe(n, size, comm.rank())]
+                let mine: Vec<[f64; 4]> = forces.accel[stripe(n, size, comm.rank())]
                     .iter()
                     .map(|a| [a.acc[0], a.acc[1], a.acc[2], a.pot])
                     .collect();
-                let stripes = comm.allgather(mine);
+                #[allow(unused_mut)]
+                let mut stripes = comm.allgather(mine);
+                #[cfg(test)]
+                if chaos.corrupt_stripe == Some((comm.rank(), step)) {
+                    let v = &mut stripes[(comm.rank() + 1) % size][0][0];
+                    *v = f64::from_bits(v.to_bits() ^ (1 << 50));
+                }
                 for (r, part) in stripes.iter().enumerate() {
                     let range = stripe(n, size, r);
                     assert_eq!(part.len(), range.len(), "stripe {r} truncated");
-                    for (a, v) in accel[range].iter_mut().zip(part) {
+                    for (a, v) in replica.accel[range].iter_mut().zip(part) {
                         *a = Accel {
                             acc: [v[0], v[1], v[2]],
                             pot: v[3],
@@ -500,7 +571,7 @@ fn run_treecode_impl(
                 }
                 comm.span_exit("chaos.exchange");
                 // Kick (half).
-                for (b, a) in bodies.iter_mut().zip(&accel) {
+                for (b, a) in replica.bodies.iter_mut().zip(&replica.accel) {
                     for d in 0..3 {
                         b.vel[d] += 0.5 * dt * a.acc[d];
                     }
@@ -518,7 +589,11 @@ fn run_treecode_impl(
                         // one shard instead of the whole world.
                         let range = stripe(n, size, comm.rank());
                         let record = log
-                            .commit(step, &bodies[range.clone()], &aux_of(&accel[range]))
+                            .commit(
+                                step,
+                                &replica.bodies[range.clone()],
+                                &aux_of(&replica.accel[range]),
+                            )
                             .to_vec();
                         if matches!(store::record_kind(&record), Ok(RecordKind::Delta { .. })) {
                             comm.obs_count("store.delta_commits", 1);
@@ -544,7 +619,7 @@ fn run_treecode_impl(
                             .unwrap()
                             .push((step, comm.time(), comm.rank(), shard));
                     } else {
-                        let bytes = encode_state(step, time, &bodies, &accel);
+                        let bytes = encode_state(step, time, &replica.bodies, &replica.accel);
                         comm.obs_count("ckpt.bytes", bytes.len() as u64);
                         comm.obs_count("ckpt.commits", 1);
                         comm.elapse(io.snapshot_time(bytes.len() as f64 / size as f64));
@@ -556,7 +631,11 @@ fn run_treecode_impl(
                     comm.span_exit("chaos.checkpoint");
                 }
             }
-            let final_bodies = if comm.rank() == 0 { bodies } else { Vec::new() };
+            let final_bodies = if comm.rank() == 0 {
+                replica.bodies
+            } else {
+                Vec::new()
+            };
             (final_bodies, comm.time(), comm.stats())
         };
         let WorldRun { outcome, trace, .. } = World::new(machine.clone(), nranks)
@@ -998,6 +1077,42 @@ mod tests {
         assert_eq!(report.availability, 0.0);
         let diag = report.diagnosis.expect("livelock must carry a diagnosis");
         assert!(diag.contains("livelock"), "unhelpful diagnosis: {diag}");
+    }
+
+    /// Teeth for the shared force phase: one bit of one stripe, flipped
+    /// on one replica after the transport delivered it, must reach the
+    /// final state. The damaged replica's next force phase no longer
+    /// matches the others' input, so it has to be evaluated from the
+    /// damaged state — handing it the healthy replicas' result instead
+    /// would heal the divergence and leave the final state unchanged.
+    #[test]
+    fn corrupted_received_stripe_changes_the_final_state() {
+        let run = |corrupt_stripe| {
+            let chaos = ChaosConfig {
+                corrupt_stripe,
+                ..Default::default()
+            };
+            let (bodies, report) = run_treecode(
+                &ss_machine(),
+                4,
+                &FaultPlan::none(19),
+                &chaos,
+                plummer(200, 23),
+                &test_cfg(),
+                4,
+                0.01,
+            );
+            assert!(report.completed && report.restarts == 0, "{report:?}");
+            bodies
+        };
+        let clean = run(None);
+        assert!(run(None).bit_eq(&clean), "the clean run must repeat");
+        // Replica 2 is not the one whose bodies are returned: the damage
+        // travels to rank 0 through replica 2's own stripe, one step on.
+        for step in 0..3 {
+            let damaged = run(Some((2, step)));
+            assert!(!damaged.bit_eq(&clean), "flip at step {step} was lost");
+        }
     }
 
     #[test]

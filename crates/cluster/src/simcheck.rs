@@ -36,10 +36,10 @@
 //! still trips an oracle (decisions past the prefix fall back to
 //! first-match delivery).
 
+use crate::chaos::{force_phase, stripe, tree_forces, Replica};
 use crate::golden_ics;
 use hot::gravity::{Accel, GravityConfig};
-use hot::traverse::group_accelerations;
-use hot::tree::{Body, Tree};
+use hot::tree::Body;
 use msg::{
     Abm, Comm, FaultPlan, Machine, SchedPlan, ScheduleLog, SplitMix64, Termination, WorldOutcome,
 };
@@ -269,11 +269,6 @@ fn digest_state(bodies: &[Body], accel: &[Accel]) -> u64 {
     h
 }
 
-/// The index range of the acceleration stripe rank `r` owns.
-fn stripe(n: usize, size: usize, r: usize) -> std::ops::Range<usize> {
-    (r * n / size)..((r + 1) * n / size)
-}
-
 /// The replicated-KDK treecode body: every rank integrates the full body
 /// set but *owns* one stripe of the acceleration array, and — unlike the
 /// chaos harness, which allgathers — the stripes are exchanged with raw
@@ -296,46 +291,35 @@ fn treecode_world(
     let n = ics.len();
     let size = comm.size();
     let rank = comm.rank();
-    let mut bodies = ics.to_vec();
-    let mut accel = {
-        let tree = Tree::build(std::mem::take(&mut bodies), gcfg.leaf_max);
-        let (a, _) = group_accelerations(&tree, gcfg);
-        bodies = tree.bodies;
-        a
+    let initial = comm.replicated("simcheck.initial", &ics.to_vec(), |ics| {
+        tree_forces(ics.clone(), gcfg)
+    });
+    let mut replica = Replica {
+        bodies: initial.bodies.clone(),
+        accel: initial.accel.clone(),
     };
     for step in 0..steps {
-        for (b, a) in bodies.iter_mut().zip(&accel) {
-            for d in 0..3 {
-                b.vel[d] += 0.5 * dt * a.acc[d];
-                b.pos[d] += dt * b.vel[d];
-            }
-        }
-        comm.span_enter("simcheck.force");
-        let tree = Tree::build(std::mem::take(&mut bodies), gcfg.leaf_max);
-        let (full, stats) = group_accelerations(&tree, gcfg);
-        bodies = tree.bodies;
-        let share = 1.0 / size as f64;
-        comm.obs_count(
-            "walk.interactions",
-            ((stats.p2p + stats.m2p) as f64 * share) as u64,
-        );
-        comm.compute_eff(
-            stats.flops(gcfg.quadrupole) * share,
-            std::mem::size_of_val(ics) as f64 * share,
-            790.0 / 5060.0,
-        );
         // The degraded world's straggler: one rank's force phase drags a
         // large extra virtual cost, so its silence (as seen by virtual
         // clocks) crosses the suspicion threshold every step.
-        if let Some((slow_rank, drag_s)) = drag {
-            if rank == slow_rank {
-                comm.elapse(drag_s);
-            }
-        }
-        comm.span_exit("simcheck.force");
+        let straggle_s = match drag {
+            Some((slow_rank, drag_s)) if rank == slow_rank => drag_s,
+            _ => 0.0,
+        };
+        let cpu_eff = 790.0 / 5060.0;
+        let forces = force_phase(
+            comm,
+            "simcheck.force",
+            &replica,
+            dt,
+            gcfg,
+            cpu_eff,
+            straggle_s,
+        );
+        replica.bodies.clone_from(&forces.bodies);
         comm.span_enter("simcheck.exchange");
         let tag = EXCHANGE_TAG0 + step as msg::Tag;
-        let mine: Vec<[f64; 4]> = full[stripe(n, size, rank)]
+        let mine: Vec<[f64; 4]> = forces.accel[stripe(n, size, rank)]
             .iter()
             .map(|a| [a.acc[0], a.acc[1], a.acc[2], a.pot])
             .collect();
@@ -348,7 +332,7 @@ fn treecode_world(
         // wildcard source is the point: which peer's stripe lands first
         // is the scheduler's choice.
         let own = stripe(n, size, rank);
-        for (a, v) in accel[own].iter_mut().zip(&mine) {
+        for (a, v) in replica.accel[own].iter_mut().zip(&mine) {
             *a = Accel {
                 acc: [v[0], v[1], v[2]],
                 pot: v[3],
@@ -358,7 +342,7 @@ fn treecode_world(
             let (src, part): (usize, Vec<[f64; 4]>) = comm.recv(None, tag);
             let range = stripe(n, size, src);
             assert_eq!(part.len(), range.len(), "stripe {src} truncated");
-            for (a, v) in accel[range].iter_mut().zip(&part) {
+            for (a, v) in replica.accel[range].iter_mut().zip(&part) {
                 *a = Accel {
                     acc: [v[0], v[1], v[2]],
                     pot: v[3],
@@ -366,13 +350,13 @@ fn treecode_world(
             }
         }
         comm.span_exit("simcheck.exchange");
-        for (b, a) in bodies.iter_mut().zip(&accel) {
+        for (b, a) in replica.bodies.iter_mut().zip(&replica.accel) {
             for d in 0..3 {
                 b.vel[d] += 0.5 * dt * a.acc[d];
             }
         }
     }
-    let mut digest = digest_state(&bodies, &accel);
+    let mut digest = digest_state(&replica.bodies, &replica.accel);
     if rank == 0 {
         // Fold every replica's digest, gathered via wildcard recvs, in
         // rank order (sorting makes the fold schedule-independent; the

@@ -8,6 +8,7 @@
 //! [`karp_rsqrt`] implements exactly that decomposition.
 
 use crate::multipole::Multipole;
+use msg::BitEq;
 use std::sync::OnceLock;
 
 /// Flops charged per P2P interaction (the community convention used by
@@ -38,6 +39,12 @@ impl Accel {
     }
 }
 
+impl BitEq for Accel {
+    fn bit_eq(&self, o: &Self) -> bool {
+        self.acc.bit_eq(&o.acc) && self.pot.bit_eq(&o.pot)
+    }
+}
+
 /// Which multipole acceptance criterion to use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MacKind {
@@ -64,6 +71,17 @@ pub struct GravityConfig {
     /// cell/body (a minimum-image approximation to Ewald summation,
     /// adequate for theta <= 0.7 — see DESIGN.md).
     pub periodic: Option<f64>,
+}
+
+impl BitEq for GravityConfig {
+    fn bit_eq(&self, o: &Self) -> bool {
+        self.theta.bit_eq(&o.theta)
+            && self.eps.bit_eq(&o.eps)
+            && self.leaf_max == o.leaf_max
+            && self.quadrupole == o.quadrupole
+            && self.mac == o.mac
+            && self.periodic.bit_eq(&o.periodic)
+    }
 }
 
 impl Default for GravityConfig {

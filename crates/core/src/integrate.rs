@@ -9,8 +9,10 @@ use crate::gravity::{Accel, GravityConfig};
 use crate::traverse::{group_accelerations, TraverseStats};
 use crate::tree::{Body, Tree};
 use ckpt::{CkptError, Pack, Reader};
+use msg::BitEq;
 
 /// A running N-body simulation with a global timestep.
+#[derive(Clone)]
 pub struct Simulation {
     pub bodies: Vec<Body>,
     pub cfg: GravityConfig,
@@ -116,6 +118,21 @@ impl Simulation {
         self.bodies = tree.bodies;
         self.accel = accel;
         (kinetic, potential)
+    }
+}
+
+/// Two simulations that are `bit_eq` take bit-identical steps from here
+/// on: every field a step reads or carries forward is compared by
+/// representation (`TraverseStats` holds only integers and a flag).
+impl BitEq for Simulation {
+    fn bit_eq(&self, o: &Self) -> bool {
+        self.bodies.bit_eq(&o.bodies)
+            && self.cfg.bit_eq(&o.cfg)
+            && self.dt.bit_eq(&o.dt)
+            && self.time.bit_eq(&o.time)
+            && self.steps == o.steps
+            && self.accel.bit_eq(&o.accel)
+            && self.stats == o.stats
     }
 }
 

@@ -9,6 +9,7 @@
 use crate::hash::KeyMap;
 use crate::morton::{BBox, Key, MAX_LEVEL};
 use crate::multipole::Multipole;
+use msg::BitEq;
 use rayon::prelude::*;
 
 /// Below this body count the serial key+sort path wins; above it the
@@ -28,6 +29,16 @@ pub struct Body {
     pub id: u64,
     /// Work estimate from the previous traversal, for load balancing.
     pub work: f64,
+}
+
+impl BitEq for Body {
+    fn bit_eq(&self, o: &Self) -> bool {
+        self.pos.bit_eq(&o.pos)
+            && self.vel.bit_eq(&o.vel)
+            && self.mass.bit_eq(&o.mass)
+            && self.id == o.id
+            && self.work.bit_eq(&o.work)
+    }
 }
 
 impl Body {

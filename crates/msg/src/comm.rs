@@ -28,6 +28,7 @@
 use crate::fault::SplitMix64;
 use crate::machine::Machine;
 use crate::payload::{AnyPayload, Payload};
+use crate::replicated;
 use crate::sched::{SchedCtx, SchedPlan, SchedShared, StallAbort};
 use crate::transport::FaultCtx;
 use crate::world::World;
@@ -403,6 +404,10 @@ pub struct Comm {
     port: Port,
     rx: Receiver<Packet>,
     pub(crate) coll_seq: u64,
+    /// The world's evaluate-once table and this rank's position in its
+    /// call sequence ([`Comm::replicated`]).
+    pub(crate) once_table: Arc<replicated::Table>,
+    pub(crate) once_seq: u64,
     /// Reliable transport + fault injection; `None` on fault-free worlds.
     fault: Option<Box<FaultCtx>>,
     /// Adversarial delivery scheduler (`crate::sched`); `None` — the
@@ -414,6 +419,7 @@ impl Comm {
     pub(crate) fn construct(
         port: Port,
         rx: Receiver<Packet>,
+        once_table: Arc<replicated::Table>,
         fault: Option<Box<FaultCtx>>,
         sched: Option<Box<SchedCtx>>,
     ) -> Comm {
@@ -421,6 +427,8 @@ impl Comm {
             port,
             rx,
             coll_seq: 0,
+            once_table,
+            once_seq: 0,
             fault,
             sched,
         }
@@ -904,7 +912,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1117,7 +1125,7 @@ mod tests {
     /// On-CPU seconds of this thread (`CLOCK_THREAD_CPUTIME_ID`, read the
     /// way `bench/tests/obs_overhead.rs` reads it).
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    fn thread_cpu_s() -> f64 {
+    pub(crate) fn thread_cpu_s() -> f64 {
         /// `struct timespec` of 64-bit Linux.
         #[repr(C)]
         struct Timespec {

@@ -46,6 +46,8 @@
 //!   collectives;
 //! * [`machine`] — the (node model, fabric) pair a world runs on;
 //! * [`payload`] — the trait giving each message a wire size;
+//! * [`replicated`] — [`Comm::replicated`]: work every rank would repeat
+//!   on bit-identical input is evaluated once on the host and shared;
 //! * [`sort`] — parallel sample sort, the backbone of the treecode's
 //!   domain decomposition.
 
@@ -57,6 +59,7 @@ pub mod group;
 pub mod health;
 pub mod machine;
 pub mod payload;
+pub mod replicated;
 pub mod sched;
 pub mod sort;
 pub mod transport;
@@ -68,5 +71,6 @@ pub use fault::{CrashEvent, FaultPlan, HeartbeatConfig, RetransmitConfig, SplitM
 pub use group::Group;
 pub use machine::Machine;
 pub use payload::Payload;
+pub use replicated::BitEq;
 pub use sched::{SchedPlan, ScheduleLog};
 pub use world::{World, WorldOutcome, WorldRun};

@@ -14,6 +14,7 @@
 use crate::comm::{Comm, Port};
 use crate::fault::{install_quiet_hook, FaultPlan, QuietCrash, RankCrash, WorldAborted};
 use crate::machine::Machine;
+use crate::replicated;
 use crate::sched::{ReplayCtx, SchedCtx, SchedPlan, SchedShared, ScheduleLog, Stall, StallAbort};
 use crate::transport::FaultCtx;
 use crossbeam::channel::unbounded;
@@ -219,6 +220,7 @@ impl<'a> World<'a> {
         let abort = Arc::new(AtomicBool::new(false));
         let drained = Arc::new(AtomicUsize::new(0));
         let watchdog = schedule.map(|_| Arc::new(SchedShared::new(nranks)));
+        let once_table = Arc::new(replicated::Table::default());
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..nranks).map(|_| unbounded()).unzip();
         let rank_main = |rank: usize, rx| -> RankEnd<(T, Option<RankTrace>)> {
             let fctx = faults.map(|plan| {
@@ -236,7 +238,7 @@ impl<'a> World<'a> {
             });
             let (machine, senders) = (machine.clone(), senders.clone());
             let port = Port::new(rank, nranks, clock0, machine, senders, armed);
-            let mut comm = Comm::construct(port, rx, fctx, sctx);
+            let mut comm = Comm::construct(port, rx, once_table.clone(), fctx, sctx);
             let program = AssertUnwindSafe(|| {
                 if observe {
                     comm.install_recorder();

@@ -1,14 +1,18 @@
 //! The distributed query engine: simulation-as-a-service over `msg`.
 //!
-//! Every rank runs the *same* replicated KDK simulation (tree build and
-//! force walk are deterministic and thread-count independent, so the
-//! per-rank universes stay bit-identical without any state exchange) and
-//! owns a contiguous stripe of the Morton-sorted body array. Queries are
-//! the wire traffic: each simulation tick batches the arrivals that fell
-//! into its window and runs a three-phase protocol with a *fixed message
-//! count* — one (possibly empty) payload per ordered rank pair per phase
-//! — so the message structure is schedule-invariant and the simcheck
-//! structure oracle can pin it.
+//! Every rank serves queries against the *same* replicated KDK universe.
+//! A tick's physics and its [`QueryIndex`] are a pure function of the
+//! previous tick's state, which no message ever touches, so they are
+//! evaluated once per tick on the host ([`Comm::replicated`]) and every
+//! rank holds the result behind one `Arc`; each rank still charges the
+//! tick's force work to its own virtual clock. What runs per rank is the
+//! service: a rank owns a contiguous stripe of the Morton-sorted body
+//! array, commits that stripe to its own snapshot log, and answers from
+//! it. Queries are the wire traffic: each simulation tick batches the
+//! arrivals that fell into its window and runs a three-phase protocol
+//! with a *fixed message count* — one (possibly empty) payload per
+//! ordered rank pair per phase — so the message structure is
+//! schedule-invariant and the simcheck structure oracle can pin it.
 //!
 //! * **Route.** The origin sends each query to its responders. Point
 //!   lookups go to the single rank that owned the id in the *previous*
@@ -225,6 +229,20 @@ fn merge(kind: &QueryKind, parts: Vec<Answer>) -> Answer {
     }
 }
 
+/// The replicated universe after one tick's physics, with the index that
+/// serves the tick's live queries.
+struct Tick {
+    sim: Simulation,
+    index: QueryIndex,
+}
+
+impl Tick {
+    fn of(sim: Simulation) -> Tick {
+        let index = QueryIndex::build(sim.bodies.clone(), sim.cfg.leaf_max);
+        Tick { sim, index }
+    }
+}
+
 struct Pending {
     query: Query,
     at_s: f64,
@@ -240,8 +258,10 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
     let size = comm.size();
     assert!(cfg.steps > 0 && cfg.checkpoint_every > 0);
 
-    let mut sim = Simulation::new(ics, cfg.gravity, cfg.dt);
-    let n = sim.bodies.len();
+    let mut tick = comm.replicated("query.initial", &ics, |ics| {
+        Tick::of(Simulation::new(ics.clone(), cfg.gravity, cfg.dt))
+    });
+    let n = tick.sim.bodies.len();
 
     let mut fleet_cfg = cfg.fleet;
     if fleet_cfg.n_bodies == 0 {
@@ -260,28 +280,28 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
     let mut cache = SnapshotCache::new(cfg.history_cache);
     let mut last_commit: Option<u64> = None;
 
-    let mut cur_owner = owner_map(&sim.bodies, size);
+    let mut cur_owner = owner_map(&tick.sim.bodies, size);
     let mut prev_owner;
-    let mut prev_interactions = sim.stats.interactions();
 
     for t in 0..cfg.steps {
         // -- Physics: advance the replicated universe and charge the
         // force work to the virtual clock.
         if t > 0 {
             comm.span_enter("query.physics");
-            sim.step();
-            let inter = sim.stats.interactions();
-            comm.compute_eff(
-                (inter - prev_interactions) as f64 * 30.0,
-                (n * 64) as f64,
-                0.8,
-            );
-            prev_interactions = inter;
+            let before = tick.sim.stats.interactions();
+            tick = comm.replicated("query.physics", &tick.sim, |sim| {
+                let mut sim = sim.clone();
+                sim.step();
+                Tick::of(sim)
+            });
+            let stepped = tick.sim.stats.interactions() - before;
+            comm.compute_eff(stepped as f64 * 30.0, (n * 64) as f64, 0.8);
             comm.span_exit("query.physics");
-            prev_owner = std::mem::replace(&mut cur_owner, owner_map(&sim.bodies, size));
+            prev_owner = std::mem::replace(&mut cur_owner, owner_map(&tick.sim.bodies, size));
         } else {
             prev_owner = cur_owner.clone();
         }
+        let (sim, index) = (&tick.sim, &tick.index);
         let span = stripe(n, size, me);
 
         // -- Commit: write this rank's stripe into the snapshot store
@@ -300,10 +320,6 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
             commits.push((t, ckpt::save_shard(&hdr, &record)));
             last_commit = Some(t);
         }
-
-        // The physics tick's index, rebuilt from the already-Morton-
-        // sorted bodies, serves every live query this tick.
-        let index = QueryIndex::build(sim.bodies.clone(), cfg.gravity.leaf_max);
 
         // -- Issue: drain this tick's arrival window (the last tick
         // drains everything, so the run never strands a query).
