@@ -75,34 +75,6 @@ pub fn table6() -> Vec<(&'static str, u32, f64, f64, f64, f64)> {
 /// `(Mflops/proc, max virtual step time)`. Small scales only (ranks are
 /// host threads).
 pub fn measured_run(machine: &MachineSpec, procs: usize, n_particles: usize) -> (f64, f64) {
-    let (mflops, t, _) = measured_run_impl(machine, procs, n_particles, false);
-    (mflops, t)
-}
-
-/// [`measured_run`] with the observability layer switched on: every rank
-/// records `hot.decompose` / `hot.tree_build` / `hot.walk` spans plus
-/// message and walk counters, and the merged world trace is returned
-/// alongside the measurement.
-///
-/// The HOT walk services cell requests in wall-clock arrival order, so
-/// traces from this entry point are faithful but not run-to-run
-/// byte-stable; use [`crate::chaos::run_treecode_traced`] on a
-/// fault-free plan for golden-trace comparisons.
-pub fn measured_run_traced(
-    machine: &MachineSpec,
-    procs: usize,
-    n_particles: usize,
-) -> (f64, f64, obs::WorldTrace) {
-    let (mflops, t, trace) = measured_run_impl(machine, procs, n_particles, true);
-    (mflops, t, trace.expect("traced run always yields a trace"))
-}
-
-fn measured_run_impl(
-    machine: &MachineSpec,
-    procs: usize,
-    n_particles: usize,
-    traced: bool,
-) -> (f64, f64, Option<obs::WorldTrace>) {
     let msg_machine = match machine.fabric {
         crate::machines::FabricKind::SpaceSimulatorSwitch => {
             msg::Machine::space_simulator(machine.profile)
@@ -128,15 +100,10 @@ fn measured_run_impl(
         let r = parallel_accelerations(comm, mine, &cfg);
         (r.stats.flops(true), r.vtime)
     };
-    let (results, trace) = if traced {
-        let (results, trace) = msg::run_observed(msg_machine, procs, world);
-        (results, Some(trace))
-    } else {
-        (msg::run_with(msg_machine, procs, world), None)
-    };
+    let results = msg::run_with(msg_machine, procs, world);
     let total_flops: f64 = results.iter().map(|(f, _)| f).sum();
     let t = results.iter().map(|(_, t)| *t).fold(0.0, f64::max);
-    (total_flops / t / 1e6 / procs as f64, t, trace)
+    (total_flops / t / 1e6 / procs as f64, t)
 }
 
 #[cfg(test)]

@@ -7,8 +7,6 @@
 //! vanishes at surface collocation points. The classic validation is
 //! flow past a sphere, whose analytic surface speed is `1.5·U·sinθ`.
 
-use rayon::prelude::*;
-
 /// A point source of strength `q`: φ = q / (4π|x − x₀|).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Source {
@@ -136,12 +134,12 @@ impl SphereFlow {
     /// drove to zero).
     pub fn tangency_residual(&self) -> f64 {
         self.surface
-            .par_iter()
+            .iter()
             .map(|p| {
                 let v = self.velocity(*p);
                 (v[0] * p[0] + v[1] * p[1] + v[2] * p[2]).abs()
             })
-            .reduce(|| 0.0, f64::max)
+            .fold(0.0, f64::max)
     }
 }
 

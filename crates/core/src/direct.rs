@@ -3,13 +3,12 @@
 
 use crate::gravity::{self, Accel};
 use crate::tree::Body;
-use rayon::prelude::*;
 
 /// Softened pairwise accelerations and potentials on every body (G = 1).
 pub fn direct_accelerations(bodies: &[Body], eps: f64) -> Vec<Accel> {
     let eps2 = eps * eps;
     bodies
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(i, bi)| {
             let mut out = Accel::default();
@@ -28,7 +27,7 @@ pub fn direct_accelerations(bodies: &[Body], eps: f64) -> Vec<Accel> {
 pub fn direct_periodic(bodies: &[Body], eps: f64, box_size: f64) -> Vec<Accel> {
     let eps2 = eps * eps;
     bodies
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(i, bi)| {
             let mut out = Accel::default();

@@ -247,8 +247,9 @@ thread_local! {
     static SCRATCH: RefCell<IlistScratch> = RefCell::new(IlistScratch::new());
 }
 
-/// Run `f` with this thread's reusable scratch. Rayon worker threads
-/// each keep their own, so parallel walks never contend or allocate.
+/// Run `f` with this thread's reusable scratch. Each rank thread of a
+/// `msg` world keeps its own, so concurrent walks never contend or
+/// allocate.
 pub fn with_scratch<R>(f: impl FnOnce(&mut IlistScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }

@@ -9,7 +9,6 @@ use crate::gravity::{self, Accel, GravityConfig};
 use crate::ilist;
 use crate::mac::Mac;
 use crate::tree::{CellIdx, Tree, NO_CELL};
-use rayon::prelude::*;
 
 /// Interaction counts from one traversal (per the whole body set).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -149,7 +148,7 @@ pub fn group_accelerations(tree: &Tree, cfg: &GravityConfig) -> (Vec<Accel>, Tra
     }
     debug_assert!(rest.is_empty(), "leaves do not partition the bodies");
     let stats = chunks
-        .par_iter_mut()
+        .iter_mut()
         .map(|(group, out)| {
             ilist::with_scratch(|sc| {
                 let mut stats = TraverseStats {
@@ -166,13 +165,12 @@ pub fn group_accelerations(tree: &Tree, cfg: &GravityConfig) -> (Vec<Accel>, Tra
                 stats
             })
         })
-        .reduce(TraverseStats::default, |mut a, b| {
+        .fold(TraverseStats::default(), |mut a, b| {
             a.add(&b);
             a
         });
     // This thread's shared list goes back between force evaluations; its
-    // next tree build reuses the memory. (Workers of a real rayon pool
-    // keep theirs: one per pool thread, not one per rank.)
+    // next tree build reuses the memory.
     ilist::with_scratch(ilist::IlistScratch::release_shared);
     (accels, stats)
 }
@@ -194,15 +192,12 @@ pub fn group_walk_digest(tree: &Tree, cfg: &GravityConfig) -> (u64, u64, u64, u6
     (h, stats.p2p, stats.m2p, stats.opened)
 }
 
-/// Accelerations on every body (parallel over bodies).
+/// Accelerations on every body, one per-body walk each.
 pub fn tree_accelerations(tree: &Tree, cfg: &GravityConfig) -> (Vec<Accel>, TraverseStats) {
-    let results: Vec<(Accel, TraverseStats)> = (0..tree.bodies.len())
-        .into_par_iter()
-        .map(|i| accel_on(tree, i, cfg))
-        .collect();
-    let mut accels = Vec::with_capacity(results.len());
+    let mut accels = Vec::with_capacity(tree.bodies.len());
     let mut stats = TraverseStats::default();
-    for (a, s) in results {
+    for i in 0..tree.bodies.len() {
+        let (a, s) = accel_on(tree, i, cfg);
         accels.push(a);
         stats.add(&s);
     }

@@ -10,14 +10,6 @@ use crate::hash::KeyMap;
 use crate::morton::{BBox, Key, MAX_LEVEL};
 use crate::multipole::Multipole;
 use msg::BitEq;
-use rayon::prelude::*;
-
-/// Below this body count the serial key+sort path wins; above it the
-/// keys are computed with a parallel map and sorted with a parallel
-/// *stable* sort, which produces the same body order as the serial
-/// stable sort (equal keys keep input order), so builds stay
-/// deterministic and thread-count independent.
-const PAR_BUILD_MIN: usize = 8192;
 
 /// One simulation particle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,22 +101,14 @@ impl Tree {
     pub fn build_in(bodies: Vec<Body>, bbox: BBox, leaf_max: usize) -> Tree {
         assert!(leaf_max >= 1);
         assert!(!bodies.is_empty(), "cannot build a tree over no bodies");
-        let mut keyed: Vec<(Key, Body)> = if bodies.len() >= PAR_BUILD_MIN {
-            bodies
-                .into_par_iter()
-                .map(|b| (bbox.key_of(b.pos), b))
-                .collect()
-        } else {
-            bodies
-                .into_iter()
-                .map(|b| (bbox.key_of(b.pos), b))
-                .collect()
-        };
-        if keyed.len() >= PAR_BUILD_MIN {
-            keyed.par_sort_by_key(|&(k, _)| k);
-        } else {
-            keyed.sort_by_key(|&(k, _)| k);
-        }
+        let mut keyed: Vec<(Key, Body)> = bodies
+            .into_iter()
+            .map(|b| (bbox.key_of(b.pos), b))
+            .collect();
+        // Stable: bodies with equal keys keep their input order, so the
+        // body order (and every digest downstream) is a function of the
+        // input alone.
+        keyed.sort_by_key(|&(k, _)| k);
         let keys: Vec<Key> = keyed.iter().map(|&(k, _)| k).collect();
         let bodies: Vec<Body> = keyed.into_iter().map(|(_, b)| b).collect();
 
@@ -384,32 +368,30 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_deterministic_and_matches_serial_order() {
-        // Cross the PAR_BUILD_MIN threshold and include duplicated
-        // positions (equal keys) so stability matters: the parallel
-        // stable sort must reproduce the serial stable sort's order.
-        let mut bodies = random_bodies(PAR_BUILD_MIN + 500, 9);
+    fn build_is_deterministic_and_keeps_input_order_among_equal_keys() {
+        // Duplicated positions (equal keys) make stability matter: the
+        // build must order them as a stable key sort of the input does.
+        const N: usize = 8192;
+        let mut bodies = random_bodies(N + 500, 9);
         for i in 0..400 {
             let p = bodies[i].pos;
-            bodies[PAR_BUILD_MIN + i].pos = p; // exact duplicates
+            bodies[N + i].pos = p; // exact duplicates
         }
-        let par = Tree::build(bodies.clone(), 8);
-        assert!(par.bodies.len() >= PAR_BUILD_MIN);
-        // Serial reference: the pre-parallel build algorithm.
-        let bbox = par.bbox;
+        let tree = Tree::build(bodies.clone(), 8);
+        let bbox = tree.bbox;
         let mut keyed: Vec<(Key, Body)> = bodies.iter().map(|&b| (bbox.key_of(b.pos), b)).collect();
         keyed.sort_by_key(|&(k, _)| k);
         for (i, (k, b)) in keyed.iter().enumerate() {
-            assert_eq!(*k, par.keys[i], "key order differs at {i}");
-            assert_eq!(b.id, par.bodies[i].id, "body order differs at {i}");
+            assert_eq!(*k, tree.keys[i], "key order differs at {i}");
+            assert_eq!(b.id, tree.bodies[i].id, "body order differs at {i}");
         }
-        // And a second parallel build is bitwise-identical.
-        let par2 = Tree::build(bodies, 8);
-        assert_eq!(par.keys, par2.keys);
-        assert!(par
+        // And a second build is bitwise-identical.
+        let again = Tree::build(bodies, 8);
+        assert_eq!(tree.keys, again.keys);
+        assert!(tree
             .bodies
             .iter()
-            .zip(&par2.bodies)
+            .zip(&again.bodies)
             .all(|(a, b)| a.id == b.id && a.pos == b.pos));
     }
 

@@ -14,7 +14,6 @@
 
 use crate::morton::BBox;
 use crate::tree::{Body, Tree, NO_CELL};
-use rayon::prelude::*;
 
 /// A vortex particle ("vorton").
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +54,7 @@ pub fn biot_savart(tp: [f64; 3], sp: [f64; 3], gamma: [f64; 3], sigma: f64, out:
 /// Direct O(N²) induced velocities (the accuracy reference).
 pub fn direct_velocities(vortons: &[Vorton]) -> Vec<[f64; 3]> {
     vortons
-        .par_iter()
+        .iter()
         .map(|vi| {
             let mut u = [0.0; 3];
             for vj in vortons {
@@ -129,7 +128,6 @@ pub fn tree_velocities(vortons: &[Vorton], theta: f64) -> Vec<[f64; 3]> {
     }
     // Walk per target vorton.
     (0..vortons.len())
-        .into_par_iter()
         .map(|ti| {
             let pos = vortons[ti].pos;
             let mut u = [0.0; 3];

@@ -29,15 +29,15 @@ use crate::fault::SplitMix64;
 use crate::machine::Machine;
 use crate::payload::{AnyPayload, Payload};
 use crate::replicated;
-use crate::sched::{SchedCtx, SchedPlan, SchedShared, StallAbort};
+use crate::sched::{SchedCtx, SchedPlan, SchedShared, StallAbort, PROBE_S};
 use crate::transport::FaultCtx;
 use crate::world::World;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use netsim::TransferOutcome;
 use obs::{RankTrace, Recorder, WorldTrace};
 use std::collections::VecDeque;
 use std::panic::panic_any;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -814,7 +814,7 @@ impl Comm {
             // Scheduled worlds charge an empty probe so fault-free spin
             // loops advance toward the liveness budget instead of
             // livelocking at a frozen virtual time.
-            self.port.clock += s.probe_s;
+            self.port.clock += PROBE_S;
             s.check_budget(&self.port);
         }
         None

@@ -42,8 +42,6 @@
 //!   detector's tuning;
 //! * [`sched`] — adversarial delivery schedules (the wildcard-match
 //!   policy), their decision logs and the liveness watchdogs;
-//! * [`group`] — sub-communicators (`MPI_Comm_split`) for row/column
-//!   collectives;
 //! * [`machine`] — the (node model, fabric) pair a world runs on;
 //! * [`payload`] — the trait giving each message a wire size;
 //! * [`replicated`] — [`Comm::replicated`]: work every rank would repeat
@@ -55,7 +53,6 @@ pub mod abm;
 pub mod collectives;
 pub mod comm;
 pub mod fault;
-pub mod group;
 pub mod health;
 pub mod machine;
 pub mod payload;
@@ -68,7 +65,6 @@ pub mod world;
 pub use abm::{Abm, Termination};
 pub use comm::{run, run_observed, run_with, Comm, CommStats, FaultStats, Tag};
 pub use fault::{CrashEvent, FaultPlan, HeartbeatConfig, RetransmitConfig, SplitMix64};
-pub use group::Group;
 pub use machine::Machine;
 pub use payload::Payload;
 pub use replicated::BitEq;

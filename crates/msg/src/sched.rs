@@ -33,8 +33,8 @@
 //! bit, because all decisions are drawn from per-rank `SplitMix64`
 //! streams indexed by deterministic state — never by wall-clock time.
 //! [`SchedPlan::perturb_limit`] bounds how many match decisions may
-//! deviate from the deterministic first-match rule; it is the shrinking
-//! knob `cluster::simcheck` uses to minimize a failing schedule.
+//! deviate from the deterministic first-match rule: `0` is the reference
+//! schedule, `u64::MAX` unbounded exploration.
 
 use crate::comm::{Mailbox, Port, Tag};
 use crate::fault::SplitMix64;
@@ -61,12 +61,13 @@ pub struct SchedPlan {
     /// ([`WorldOutcome::Stalled`](crate::WorldOutcome::Stalled) with
     /// `deadlock: false`).
     pub budget_s: f64,
-    /// Virtual charge per empty fault-free `try_recv` probe, so spin
-    /// loops advance the clock toward the budget instead of livelocking
-    /// at a frozen virtual time. (Fault-mode probes are already charged
-    /// by `RetransmitConfig::probe_s`.)
-    pub probe_s: f64,
 }
+
+/// Virtual charge per empty fault-free `try_recv` probe of a scheduled
+/// world, so spin loops advance the clock toward the budget instead of
+/// livelocking at a frozen virtual time. (Fault-mode probes are charged
+/// by `RetransmitConfig::probe_s`.)
+pub(crate) const PROBE_S: f64 = 1.0e-6;
 
 impl SchedPlan {
     /// Unbounded exploration from `seed`: every wildcard match is
@@ -77,7 +78,6 @@ impl SchedPlan {
             jitter_s: 0.0,
             perturb_limit: u64::MAX,
             budget_s: f64::INFINITY,
-            probe_s: 1.0e-6,
         }
     }
 
@@ -104,20 +104,9 @@ impl SchedPlan {
         self
     }
 
-    pub fn with_perturb_limit(mut self, limit: u64) -> Self {
-        self.perturb_limit = limit;
-        self
-    }
-
     pub fn with_budget(mut self, budget_s: f64) -> Self {
         assert!(budget_s > 0.0, "budget {budget_s}");
         self.budget_s = budget_s;
-        self
-    }
-
-    pub fn with_probe(mut self, probe_s: f64) -> Self {
-        assert!(probe_s >= 0.0, "probe {probe_s}");
-        self.probe_s = probe_s;
         self
     }
 }
@@ -226,7 +215,6 @@ impl SchedShared {
 pub(crate) struct SchedCtx {
     perturb_limit: u64,
     budget_s: f64,
-    pub probe_s: f64,
     /// Wildcard-match decisions that have deviated so far (per rank).
     perturbed: u64,
     rng_match: SplitMix64,
@@ -256,7 +244,6 @@ impl SchedCtx {
         SchedCtx {
             perturb_limit: plan.perturb_limit,
             budget_s: plan.budget_s,
-            probe_s: plan.probe_s,
             perturbed: 0,
             rng_match: SplitMix64(match_seed),
             heads: Vec::with_capacity(size),

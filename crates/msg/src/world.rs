@@ -17,10 +17,10 @@ use crate::machine::Machine;
 use crate::replicated;
 use crate::sched::{ReplayCtx, SchedCtx, SchedPlan, SchedShared, ScheduleLog, Stall, StallAbort};
 use crate::transport::FaultCtx;
-use crossbeam::channel::unbounded;
 use obs::{RankTrace, WorldTrace};
 use std::panic::{resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread;
 
@@ -221,7 +221,7 @@ impl<'a> World<'a> {
         let drained = Arc::new(AtomicUsize::new(0));
         let watchdog = schedule.map(|_| Arc::new(SchedShared::new(nranks)));
         let once_table = Arc::new(replicated::Table::default());
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..nranks).map(|_| unbounded()).unzip();
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..nranks).map(|_| channel()).unzip();
         let rank_main = |rank: usize, rx| -> RankEnd<(T, Option<RankTrace>)> {
             let fctx = faults.map(|plan| {
                 let (abort, drained) = (abort.clone(), drained.clone());

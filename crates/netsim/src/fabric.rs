@@ -15,8 +15,8 @@
 
 use crate::profiles::LibraryProfile;
 use crate::switch::{Resource, SwitchFabric};
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Result of scheduling one message through the fabric.
 ///
@@ -158,6 +158,14 @@ impl Fabric {
         &self.topology
     }
 
+    /// The one way to the bookkeeping. A scheduled rank crash is a panic,
+    /// and the `Machine`'s fabric outlives the world it happened in, so a
+    /// poisoned lock is recovered, not propagated: `State` is counters and
+    /// busy-until times, valid after any prefix of an update.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Trace-attribution class of the src→dst path (see
     /// [`SwitchFabric::link_class`]).
     pub fn link_class(&self, src: u32, dst: u32) -> obs::LinkClass {
@@ -167,17 +175,17 @@ impl Fabric {
     /// Install a port fault. Takes effect for transfers departing inside
     /// the fault's window.
     pub fn inject_link_fault(&self, fault: LinkFault) {
-        self.state.lock().faults.push(fault);
+        self.state().faults.push(fault);
     }
 
     /// Remove every installed fault (e.g. between chaos experiments).
     pub fn clear_link_faults(&self) {
-        self.state.lock().faults.clear();
+        self.state().faults.clear();
     }
 
     /// Currently installed faults (for reports).
     pub fn link_faults(&self) -> Vec<LinkFault> {
-        self.state.lock().faults.clone()
+        self.state().faults.clone()
     }
 
     /// Schedule an `bytes`-byte message from `src` to `dst` departing at
@@ -197,7 +205,7 @@ impl Fabric {
         }
         let route = self.topology.route(src, dst);
         let mut wire = self.profile.transfer_time(bytes);
-        let mut st = self.state.lock();
+        let mut st = self.state();
         if !st.faults.is_empty() {
             // Slowest active fault on either endpoint port governs.
             let mut factor = 1.0f64;
@@ -258,15 +266,14 @@ impl Fabric {
     }
 
     pub fn stats(&self) -> FabricStats {
-        self.state.lock().stats
+        self.state().stats
     }
 
     /// Per-resource traffic accounting since the last [`Fabric::reset`],
     /// in stable (uplinks by index, then trunk) order.
     pub fn resource_stats(&self) -> Vec<(Resource, ResourceStats)> {
         let mut v: Vec<_> = self
-            .state
-            .lock()
+            .state()
             .resource
             .iter()
             .map(|(&r, &s)| (r, s))
@@ -301,7 +308,7 @@ impl Fabric {
 
     /// Reset contention state and statistics (e.g. between experiments).
     pub fn reset(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.busy_until.clear();
         st.resource.clear();
         st.stats = FabricStats::default();
@@ -474,6 +481,26 @@ mod tests {
         assert!(out.delivered());
         assert_eq!(f.stats().link_dropped, 0);
         assert_eq!(f.stats().link_degraded, 0);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_fabric_usable() {
+        let f = ss();
+        f.transfer(0, 16, 100, 0.0);
+        let crashed = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = f.state();
+                panic!("rank crash while holding the fabric lock");
+            })
+            .join()
+        });
+        assert!(crashed.is_err());
+        assert!(f.state.is_poisoned());
+        assert!(f.transfer(1, 17, 100, 0.0).delivered());
+        assert_eq!(f.stats().messages, 2);
+        f.reset();
+        assert_eq!(f.stats(), FabricStats::default());
+        assert!(f.resource_stats().is_empty());
     }
 
     #[test]

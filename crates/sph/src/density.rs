@@ -3,7 +3,6 @@
 use crate::kernel;
 use crate::neighbors::NeighborTree;
 use crate::particle::SphParticle;
-use rayon::prelude::*;
 
 /// Target neighbour count for the adaptive h iteration.
 pub const N_NGB: usize = 40;
@@ -12,8 +11,8 @@ pub const N_NGB_TOL: usize = 10;
 
 /// Adapt one particle's `h` so its neighbour count (within `SUPPORT·h`)
 /// lands in `N_NGB ± N_NGB_TOL`. Multiplicative search for a bracketing
-/// h, then bisect. Reads only positions, so it is safe per-particle in
-/// parallel and independent of evaluation order.
+/// h, then bisect. Reads only positions, so it is independent of
+/// evaluation order.
 fn adapt_h(nt: &NeighborTree, pos: [f64; 3], h0: f64) -> f64 {
     let mut h = h0.max(1e-6);
     let count = |h: f64| nt.ball_count(pos, kernel::SUPPORT * h);
@@ -52,9 +51,9 @@ fn adapt_h(nt: &NeighborTree, pos: [f64; 3], h0: f64) -> f64 {
 /// Adapt each particle's `h` so its neighbour count (within `SUPPORT·h`)
 /// lands in `N_NGB ± N_NGB_TOL`, then compute ρ_i = Σ m_j W(r_ij, h_i).
 ///
-/// Both phases run parallel over particles; each particle reads only
-/// neighbour positions/masses (never `h`/`rho` of others), so the result
-/// is identical to the serial sweep and bitwise stable across runs. The
+/// In both phases each particle reads only neighbour positions/masses
+/// (never `h`/`rho` of others), so the result does not depend on the
+/// order particles are visited in and is bitwise stable across runs. The
 /// neighbour queries are the non-allocating visitor/count variants, so
 /// the steady-state sweep does no per-particle heap allocation.
 pub fn compute_density(parts: &mut [SphParticle], nt: &NeighborTree) {
@@ -75,7 +74,7 @@ pub(crate) fn compute_density_targets(
     // Phase 1: adaptive h.
     let snap: &[SphParticle] = parts;
     let hs: Vec<f64> = snap[..n_targets]
-        .par_iter()
+        .iter()
         .map(|p| adapt_h(nt, p.pos, p.h))
         .collect();
     for (p, h) in parts.iter_mut().zip(&hs) {
@@ -84,7 +83,7 @@ pub(crate) fn compute_density_targets(
     // Phase 2: density summation at the adapted h.
     let snap: &[SphParticle] = parts;
     let rhos: Vec<f64> = snap[..n_targets]
-        .par_iter()
+        .iter()
         .map(|pi| {
             let pos = pi.pos;
             let mut rho = 0.0;

@@ -8,7 +8,6 @@ use crate::neighbors::NeighborTree;
 use crate::particle::SphParticle;
 use hot::gravity::GravityConfig;
 use hot::traverse;
-use rayon::prelude::*;
 
 /// Artificial viscosity parameters (Monaghan 1992).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,9 +37,9 @@ pub fn apply_eos(parts: &mut [SphParticle], eos: &Eos) {
 /// Compute hydrodynamic accelerations and du/dt (symmetric form, mean
 /// smoothing length, Monaghan Π viscosity). Resets `acc`/`du_dt` first.
 ///
-/// Gather formulation, parallel over particles: each particle sums the
-/// contribution of every interacting pair from its own side, with no
-/// writes to other particles' accumulators. Momentum conservation is
+/// Gather formulation: each particle sums the contribution of every
+/// interacting pair from its own side, with no writes to other
+/// particles' accumulators. Momentum conservation is
 /// still exact because the pair term is computed bitwise-antisymmetric
 /// on the two sides: `grad_w` is exactly odd in floating point (every
 /// component of `dx` only flips sign, and products of two flipped signs
@@ -68,7 +67,7 @@ pub(crate) fn hydro_forces_targets(
     let h_max = parts.iter().map(|p| p.h).fold(0.0f64, f64::max);
     let snap: &[SphParticle] = parts;
     let sums: Vec<([f64; 3], f64)> = snap[..n_targets]
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(i, pi)| {
             let mut acc = [0.0f64; 3];

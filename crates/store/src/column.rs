@@ -131,7 +131,11 @@ pub fn xor_rle_decode(base: &[u8], rle: &[u8]) -> Result<Vec<u8>, StoreError> {
     while out.len() < base.len() {
         let zeros = get_varint(rle, &mut pos)? as usize;
         let lits = get_varint(rle, &mut pos)? as usize;
-        if out.len() + zeros + lits > base.len() {
+        let end = out
+            .len()
+            .checked_add(zeros)
+            .and_then(|n| n.checked_add(lits));
+        if end.is_none_or(|end| end > base.len()) {
             return Err(StoreError::BadEncoding("xor-rle overruns the column"));
         }
         out.resize(out.len() + zeros, 0);

@@ -113,11 +113,9 @@ impl<'a> Cur<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let s = self
-            .b
-            .get(self.pos..self.pos + n)
-            .ok_or(StoreError::Truncated)?;
-        self.pos += n;
+        let end = self.pos.checked_add(n).ok_or(StoreError::Truncated)?;
+        let s = self.b.get(self.pos..end).ok_or(StoreError::Truncated)?;
+        self.pos = end;
         Ok(s)
     }
 

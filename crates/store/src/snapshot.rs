@@ -192,14 +192,14 @@ impl Snapshot {
         }
         let flen = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap()) as usize;
         let fcrc = u32::from_le_bytes(bytes[bytes.len() - 12..bytes.len() - 8].try_into().unwrap());
-        let chunk_end = bytes
-            .len()
-            .checked_sub(12 + flen)
-            .ok_or(StoreError::Truncated)?;
+        // `flen` is the one field no CRC covers: it is only ever taken
+        // away from a length the frame really has, never added to one.
+        let footer_end = bytes.len() - 12;
+        let chunk_end = footer_end.checked_sub(flen).ok_or(StoreError::Truncated)?;
         if chunk_end < MAGIC.len() {
             return Err(StoreError::Truncated);
         }
-        let footer = &bytes[chunk_end..chunk_end + flen];
+        let footer = &bytes[chunk_end..footer_end];
         if crc32(footer) != fcrc {
             return Err(StoreError::BadCrc);
         }

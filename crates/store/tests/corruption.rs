@@ -8,9 +8,9 @@
 
 use hot::models::plummer;
 use hot::BBox;
-use store::{Delta, GenerationLog, Snapshot, StoreConfig, StoreError};
+use store::{Delta, GenerationLog, Snapshot, StoreConfig, StoreError, ENC_SAME, ENC_XRLE};
 
-fn sample_frames() -> (Vec<u8>, Vec<u8>) {
+fn sample_delta() -> (Snapshot, Delta) {
     let mut bodies = plummer(64, 9);
     let aux: Vec<f64> = (0..bodies.len()).map(|i| i as f64 * 0.5).collect();
     let bbox = BBox::enclosing(bodies.iter().map(|b| b.pos));
@@ -21,6 +21,11 @@ fn sample_frames() -> (Vec<u8>, Vec<u8>) {
     }
     let cur = Snapshot::build(&bodies, &aux, 1, bbox, 3);
     let delta = Delta::build(&base, &cur, 4);
+    (base, delta)
+}
+
+fn sample_frames() -> (Vec<u8>, Vec<u8>) {
+    let (base, delta) = sample_delta();
     (base.to_bytes(), delta.to_bytes())
 }
 
@@ -122,6 +127,55 @@ fn a_rotten_record_rots_the_generations_it_feeds() {
             assert!(got.is_err(), "generation {s} materialized through rot");
         }
     }
+}
+
+// The sweeps above never get a hostile *length* past a CRC. These three
+// frames carry valid CRCs (or sit in the one field no CRC covers) around
+// a length chosen to overflow the decoder's own arithmetic.
+
+#[test]
+fn all_ones_footer_length_is_rejected() {
+    let (mut full, _) = sample_frames();
+    full.extend_from_slice(&[0xFF; 8]);
+    assert_eq!(Snapshot::from_bytes(&full), Err(StoreError::Truncated));
+}
+
+#[test]
+fn delta_column_length_of_u64_max_is_rejected() {
+    let (_, delta) = sample_delta();
+    let mut frame = delta.to_bytes();
+    // magic, fixed header (base_step, level, n_aux, n_rows, bbox),
+    // removed keys, dirty count, the first cell's (key, n, id range),
+    // its leading same-as-base columns (encoding byte + zero length),
+    // one more encoding byte: then the first shipped column's length.
+    let same = delta.dirty[0].cols.iter().take_while(|c| c.0 == ENC_SAME);
+    let at = 8 + 56 + 8 + 8 * delta.removed.len() + 8 + 28 + 9 * same.count() + 1;
+    frame[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let crc_at = frame.len() - 4;
+    let crc = ckpt::crc32(&frame[8..crc_at]);
+    frame[crc_at..].copy_from_slice(&crc.to_le_bytes());
+    assert_eq!(Delta::from_bytes(&frame), Err(StoreError::Truncated));
+}
+
+#[test]
+fn xor_rle_zero_run_of_u64_max_is_rejected() {
+    let (base, mut delta) = sample_delta();
+    let col = delta
+        .dirty
+        .iter_mut()
+        .flat_map(|dc| dc.cols.iter_mut())
+        .find(|(enc, _)| *enc == ENC_XRLE)
+        .expect("a nudged column ships as xor-rle");
+    // zeros = u64::MAX, then one literal: the unchecked sum wraps to 0.
+    col.1.clear();
+    store::varint::put_varint(&mut col.1, u64::MAX);
+    store::varint::put_varint(&mut col.1, 1);
+    col.1.push(0xAB);
+    let parsed = Delta::from_bytes(&delta.to_bytes()).expect("the frame's crc is valid");
+    assert!(matches!(
+        parsed.apply(&base),
+        Err(StoreError::BadEncoding(_))
+    ));
 }
 
 #[test]

@@ -133,26 +133,6 @@ fn work_weighted_decomposition_rebalances() {
 }
 
 #[test]
-fn groups_partition_a_process_grid() {
-    // Row/column sub-communicators of a 2x3 grid (the FT/HPL pattern).
-    use space_simulator::msg::Group;
-    msg::run(6, |c| {
-        let row = (c.rank() / 3) as u16;
-        let col = (c.rank() % 3) as u16;
-        let mut row_g = Group::split(c, row);
-        let mut col_g = Group::split(c, 100 + col);
-        assert_eq!(row_g.size(), 3);
-        assert_eq!(col_g.size(), 2);
-        let row_sum = row_g.allreduce(c, c.rank() as u64, |a, b| a + b);
-        let col_sum = col_g.allreduce(c, c.rank() as u64, |a, b| a + b);
-        let expect_row: u64 = (0..3).map(|i| (row as u64) * 3 + i).sum();
-        let expect_col: u64 = col as u64 + (col as u64 + 3);
-        assert_eq!(row_sum, expect_row);
-        assert_eq!(col_sum, expect_col);
-    });
-}
-
-#[test]
 fn distributed_ft_runs_on_the_ss_fabric() {
     use space_simulator::kernels::ft::{ft_benchmark, ft_distributed};
     let serial = ft_benchmark(8, 8, 8, 2, 271_828_183);
