@@ -2,7 +2,8 @@
 //! 1. Karp rsqrt vs libm sqrt in the force kernel (Table 5's axis);
 //! 2. hashed cell addressing vs std::HashMap;
 //! 3. deferred-walk latency hiding on vs off (virtual time);
-//! 4. ABM batching vs eager single-request messages (virtual time);
+//! 4. (retired: the ABM batch count is a constant, exhibit 9 ablates
+//!    the aggregation policy);
 //! 5. Barnes-Hut vs bmax MAC at matched accuracy;
 //! 6. per-body walks vs group (interaction-list) walks;
 //! 7. in-core vs out-of-core traversal (I/O accounting);
@@ -143,21 +144,6 @@ fn main() {
         "[3] deferred walks: virtual step {hide:.4} s hidden vs {block:.4} s blocking (x{:.2})",
         block / hide
     );
-
-    // 4. ABM batch size sweep.
-    print!("[4] ABM batch-size sweep (virtual seconds): ");
-    for batch in [1usize, 8, 64, 512] {
-        let t = vtime_of(
-            &all,
-            4,
-            &ParallelConfig {
-                batch,
-                ..Default::default()
-            },
-        );
-        print!("batch={batch}: {t:.4}  ");
-    }
-    println!();
 
     // 5. MAC comparison at matched cost.
     let bodies = plummer(5000, 17);

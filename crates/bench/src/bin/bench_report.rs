@@ -161,7 +161,8 @@ fn chaos_degraded16() -> Scenario {
 /// client fleet issues point/region/cone/kNN/time-travel queries,
 /// answered from the shared per-tick spatial index and merged across
 /// the rank partition. The headline is service throughput
-/// (`queries_per_s`, floored in CI) plus client latency percentiles.
+/// (`queries_per_s`) plus client latency percentiles; every phase
+/// receives in peer order on a crossbar, so the row is deterministic.
 /// ICs come from the rand-free `golden_ics` so the committed workload
 /// is platform-stable.
 fn queries16() -> Scenario {
@@ -197,18 +198,12 @@ fn queries16() -> Scenario {
     row.set("query_p50_s", q(0.50));
     row.set("query_p95_s", q(0.95));
     row.set("query_p99_s", q(0.99));
-    // Reply merge times race the threaded runner's delivery order, so
-    // the virtual clock (and everything derived from it) carries noise;
-    // answers and counters are pinned by the oracle tests and the
-    // simcheck queries16 world, and the throughput level by the CI
-    // `--floor queries16:queries_per_s` ratchet.
-    row.deterministic = false;
     row
 }
 
 /// Commit cadence and horizon of the snapshot-store scenario: 17
-/// commits over 32 steps spans two full frames at the default
-/// `full_every = 8`, so the incremental ratio prices real chains, not
+/// commits over 32 steps spans two full frames at the store's
+/// `FULL_EVERY = 8`, so the incremental ratio prices real chains, not
 /// just the first full frame.
 const STORE_STEPS: u64 = 32;
 const STORE_COMMIT_EVERY: u64 = 2;

@@ -109,8 +109,8 @@ fn floor_operands_parse() {
         )
     );
     assert_eq!(
-        parse_floor("queries16:queries_per_s:1.0e5").unwrap().2,
-        1.0e5
+        parse_floor("store_bench:incremental_ratio:1.3").unwrap().2,
+        1.3
     );
     for bad in ["", "a:b", "a:b:c", "a:b:1:2"] {
         assert!(parse_floor(bad).is_err(), "{bad:?}");

@@ -360,15 +360,23 @@ pub fn validate_shard_headers(headers: &[ShardHeader], of_ranks: usize) -> Resul
     Ok(())
 }
 
-/// Frame one rank's checkpoint fragment: magic, header + payload, crc32.
-pub fn save_shard<T: Pack>(header: &ShardHeader, payload: &T) -> Vec<u8> {
+/// The one frame writer: [`MAGIC`], whatever `payload` appends, then the
+/// crc32 of what it appended. [`load`] reads it back.
+pub fn frame(payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&MAGIC);
-    header.pack(&mut out);
-    payload.pack(&mut out);
+    payload(&mut out);
     let crc = crc32(&out[MAGIC.len()..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// Frame one rank's checkpoint fragment: magic, header + payload, crc32.
+pub fn save_shard<T: Pack>(header: &ShardHeader, payload: &T) -> Vec<u8> {
+    frame(|out| {
+        header.pack(out);
+        payload.pack(out);
+    })
 }
 
 /// Decode a shard produced by [`save_shard`]. Corruption anywhere in the
@@ -380,12 +388,7 @@ pub fn load_shard<T: Pack>(bytes: &[u8]) -> Result<(ShardHeader, T), CkptError> 
 
 /// Encode `value` as a framed checkpoint: magic, payload, payload crc32.
 pub fn save<T: Pack>(value: &T) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&MAGIC);
-    value.pack(&mut out);
-    let crc = crc32(&out[MAGIC.len()..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    frame(|out| value.pack(out))
 }
 
 /// Decode a framed checkpoint produced by [`save`].
@@ -496,11 +499,7 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_truncation_not_oom() {
         // A corrupt length prefix must fail cleanly before allocation.
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        (u64::MAX).pack(&mut out);
-        let crc = crc32(&out[MAGIC.len()..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+        let out = frame(|out| (u64::MAX).pack(out));
         assert_eq!(load::<Vec<f64>>(&out), Err(CkptError::Truncated));
     }
 

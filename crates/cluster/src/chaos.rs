@@ -33,6 +33,7 @@ use hot::gravity::{Accel, GravityConfig};
 use hot::traverse::{group_accelerations, TraverseStats};
 use hot::tree::{Body, Tree};
 use msg::{BitEq, Comm, FaultPlan, Machine, World, WorldOutcome, WorldRun};
+use query::stripe;
 use std::sync::{Arc, Mutex};
 use store::{GenerationLog, RecordKind, StoreConfig};
 
@@ -61,6 +62,15 @@ fn accel_of(aux: &[f64]) -> Vec<Accel> {
         .collect()
 }
 
+/// Give up after this many *consecutive* recoveries that resumed from
+/// the same commit (zero forward progress). An attacker scheduling
+/// crashes faster than the checkpoint cadence would otherwise burn all
+/// of `max_attempts` replaying the identical doomed interval.
+const MAX_FUTILE_ATTEMPTS: usize = 3;
+/// Fraction of peak the force kernel sustains in the virtual-time model
+/// (the P4/gcc gravity micro-kernel).
+const CPU_EFF: f64 = 790.0 / 5060.0;
+
 /// Knobs of the checkpoint/restart loop (times are virtual seconds).
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
@@ -79,14 +89,6 @@ pub struct ChaosConfig {
     /// Give up after this many attempts (a plan can be lethal, e.g. a
     /// crash scheduled before the first commit plus a zero horizon).
     pub max_attempts: usize,
-    /// Give up after this many *consecutive* recoveries that resumed
-    /// from the same commit (zero forward progress). An attacker
-    /// scheduling crashes faster than the checkpoint cadence would
-    /// otherwise burn all of `max_attempts` replaying the identical
-    /// doomed interval.
-    pub max_futile_attempts: usize,
-    /// Fraction of peak the force kernel sustains (virtual-time model).
-    pub cpu_eff: f64,
     /// Arm the time-resolved telemetry plane (`obs::timeline`) with this
     /// window width on every observed rank. `None` (the default) records
     /// end-of-run aggregates only.
@@ -111,8 +113,6 @@ impl Default for ChaosConfig {
             restart_penalty_s: 5.0,
             failover_penalty_s: 0.5,
             max_attempts: 8,
-            max_futile_attempts: 3,
-            cpu_eff: 790.0 / 5060.0, // P4/gcc gravity micro-kernel
             timeline_window_s: None,
             #[cfg(test)]
             corrupt_shard: None,
@@ -185,23 +185,21 @@ struct State {
 }
 
 fn encode_state(step: u64, time: f64, bodies: &[Body], accel: &[Accel]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + bodies.len() * 96);
-    out.extend_from_slice(&ckpt::MAGIC);
-    step.pack(&mut out);
-    time.pack(&mut out);
-    // Same wire shape as `Vec<T>::pack` (length prefix + elements),
-    // without cloning the arrays.
-    bodies.len().pack(&mut out);
-    for b in bodies {
-        b.pack(&mut out);
-    }
-    accel.len().pack(&mut out);
-    for a in accel {
-        a.pack(&mut out);
-    }
-    let crc = ckpt::crc32(&out[ckpt::MAGIC.len()..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    ckpt::frame(|out| {
+        out.reserve(bodies.len() * 96);
+        step.pack(out);
+        time.pack(out);
+        // Same wire shape as `Vec<T>::pack` (length prefix + elements),
+        // without cloning the arrays.
+        bodies.len().pack(out);
+        for b in bodies {
+            b.pack(out);
+        }
+        accel.len().pack(out);
+        for a in accel {
+            a.pack(out);
+        }
+    })
 }
 
 fn decode_state(bytes: &[u8]) -> Result<State, CkptError> {
@@ -215,11 +213,6 @@ fn decode_state(bytes: &[u8]) -> Result<State, CkptError> {
         bodies,
         accel,
     })
-}
-
-/// The index range of the acceleration stripe rank `r` owns.
-pub(crate) fn stripe(n: usize, size: usize, r: usize) -> std::ops::Range<usize> {
-    (r * n / size)..((r + 1) * n / size)
 }
 
 /// What one replica carries from step to step: the full body set and the
@@ -267,7 +260,6 @@ pub(crate) fn force_phase(
     replica: &Replica,
     dt: f64,
     cfg: &GravityConfig,
-    cpu_eff: f64,
     straggle_s: f64,
 ) -> Arc<Forces> {
     comm.span_enter(span);
@@ -290,7 +282,7 @@ pub(crate) fn force_phase(
     comm.compute_eff(
         stats.flops(cfg.quadrupole) * share,
         std::mem::size_of_val(&forces.bodies[..]) as f64 * share,
-        cpu_eff,
+        CPU_EFF,
     );
     if straggle_s > 0.0 {
         comm.elapse(straggle_s);
@@ -542,8 +534,7 @@ fn run_treecode_impl(
             // materializes it back into full records.
             let mut log = GenerationLog::new(StoreConfig::default(), N_AUX as u32);
             while step < steps {
-                let forces =
-                    force_phase(comm, "chaos.force", &replica, dt, cfg, chaos.cpu_eff, 0.0);
+                let forces = force_phase(comm, "chaos.force", &replica, dt, cfg, 0.0);
                 replica.bodies.clone_from(&forces.bodies);
                 // Exchange acceleration stripes and adopt the *received*
                 // values, so transport integrity decides the physics.
@@ -806,7 +797,7 @@ fn run_treecode_impl(
                 } else {
                     futile + 1
                 };
-                if futile >= chaos.max_futile_attempts {
+                if futile >= MAX_FUTILE_ATTEMPTS {
                     report.diagnosis = Some(format!(
                         "livelock: {futile} consecutive recoveries with no commit \
                          progress (rank {rank} died at t={at:.4}, frontier stuck at \
@@ -1043,14 +1034,13 @@ mod tests {
 
     /// The livelock guard: an attacker crashing faster than the restart
     /// penalty produces identical recoveries that never advance the
-    /// commit frontier. After `max_futile_attempts` of those, the run
+    /// commit frontier. After `MAX_FUTILE_ATTEMPTS` of those, the run
     /// fails *with a diagnosis* instead of burning all of `max_attempts`
     /// (or, with a large cap, looping near-forever).
     #[test]
     fn repeated_crash_livelock_is_diagnosed() {
         let chaos = ChaosConfig {
             max_attempts: 50,
-            max_futile_attempts: 3,
             restart_penalty_s: 0.0,
             // Commit only at the end: every mid-run crash lands before
             // any progress reaches stable storage.

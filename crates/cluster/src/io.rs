@@ -29,12 +29,6 @@ impl IoModel {
     pub fn snapshot_time(&self, bytes: f64) -> f64 {
         bytes / self.peak_rate()
     }
-
-    /// Average I/O rate of a run writing `total_bytes` over
-    /// `wall_seconds`.
-    pub fn average_rate(total_bytes: f64, wall_seconds: f64) -> f64 {
-        total_bytes / wall_seconds
-    }
 }
 
 /// The Figure 7 production run's bookkeeping.
@@ -76,21 +70,6 @@ impl ProductionRun {
     pub fn average_io_mbps(&self) -> f64 {
         self.io_traffic / (self.wall_hours * 3600.0) / 1e6
     }
-
-    /// Average rate counting only the saved snapshots.
-    pub fn snapshot_io_mbps(&self) -> f64 {
-        self.data_written / (self.wall_hours * 3600.0) / 1e6
-    }
-
-    /// Implied interactions per particle per step at 38 flops each.
-    pub fn interactions_per_particle_step(&self) -> f64 {
-        self.total_flops / (self.particles * self.timesteps as f64) / 38.0
-    }
-
-    /// Fraction of wall time spent in I/O at the peak parallel rate.
-    pub fn io_time_fraction(&self, io: &IoModel) -> f64 {
-        self.data_written / io.peak_rate() / (self.wall_hours * 3600.0)
-    }
 }
 
 #[cfg(test)]
@@ -128,18 +107,6 @@ mod tests {
         // the design point of the paper's approach.
         let frac = run.io_traffic / io.peak_rate() / (run.wall_hours * 3600.0);
         assert!(frac < 0.1, "I/O fraction {frac}");
-        // The saved snapshots alone are negligible.
-        assert!(run.io_time_fraction(&io) < 0.01);
-    }
-
-    #[test]
-    fn implied_interaction_count_is_treecode_like() {
-        let run = ProductionRun::figure7();
-        let ipp = run.interactions_per_particle_step();
-        // A production-accuracy treecode does a few hundred to a few
-        // thousand interactions per particle per step (the paper's flop
-        // counting implies ~2800).
-        assert!(ipp > 300.0 && ipp < 5000.0, "got {ipp}");
     }
 
     #[test]

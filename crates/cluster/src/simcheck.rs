@@ -36,7 +36,7 @@
 //! still trips an oracle (decisions past the prefix fall back to
 //! first-match delivery).
 
-use crate::chaos::{force_phase, stripe, tree_forces, Replica};
+use crate::chaos::{force_phase, tree_forces, Replica};
 use crate::golden_ics;
 use hot::gravity::{Accel, GravityConfig};
 use hot::tree::Body;
@@ -44,6 +44,7 @@ use msg::{
     Abm, Comm, FaultPlan, Machine, SchedPlan, ScheduleLog, SplitMix64, Termination, WorldOutcome,
 };
 use obs::WorldTrace;
+use query::stripe;
 
 /// Tag bases for the hand-rolled wildcard exchanges (chosen far away from
 /// anything the collectives or ABM use).
@@ -306,16 +307,7 @@ fn treecode_world(
             Some((slow_rank, drag_s)) if rank == slow_rank => drag_s,
             _ => 0.0,
         };
-        let cpu_eff = 790.0 / 5060.0;
-        let forces = force_phase(
-            comm,
-            "simcheck.force",
-            &replica,
-            dt,
-            gcfg,
-            cpu_eff,
-            straggle_s,
-        );
+        let forces = force_phase(comm, "simcheck.force", &replica, dt, gcfg, straggle_s);
         replica.bodies.clone_from(&forces.bodies);
         comm.span_enter("simcheck.exchange");
         let tag = EXCHANGE_TAG0 + step as msg::Tag;

@@ -67,19 +67,6 @@ pub fn dollars_per_mflops(price: f64, gflops: f64) -> f64 {
     price / (gflops * 1000.0)
 }
 
-/// Representative price/performance of contemporary TOP500 machines
-/// (price estimates in $M, Linpack in Gflop/s) — the field the Space
-/// Simulator beat to the $1/Mflops line.
-pub fn contemporaries() -> Vec<(&'static str, f64, f64)> {
-    vec![
-        ("Earth Simulator", 350.0e6, 35_860.0),
-        ("ASCI Q", 215.0e6, 13_880.0),
-        ("ASCI White", 110.0e6, 7_226.0),
-        ("Linux NetworX MCR", 10.0e6, 5_694.0),
-        ("Space Simulator", 483_855.0, 757.1),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,15 +90,6 @@ mod tests {
     fn price_performance_milestone() {
         let d = dollars_per_mflops(483_855.0, 757.1);
         assert!((d - 0.639).abs() < 0.002, "got {d}");
-        // Everyone else on the contemporaries list is over $1/Mflops.
-        for (name, price, gflops) in contemporaries() {
-            let dpm = dollars_per_mflops(price, gflops);
-            if name == "Space Simulator" {
-                assert!(dpm < 1.0);
-            } else {
-                assert!(dpm > 1.0, "{name}: {dpm}");
-            }
-        }
     }
 
     #[test]
@@ -122,55 +100,5 @@ mod tests {
             assert!(r <= last, "rank not monotone at {g}");
             last = r;
         }
-    }
-}
-
-/// The cluster lineage of §1: Loki (1996, Gordon Bell
-/// price/performance), Avalon (1998, Gordon Bell + TOP500 #113), the
-/// Space Simulator (2003, TOP500 #85). `(name, year, price, Gflop/s)`
-/// on the group's N-body code.
-pub fn lineage() -> Vec<(&'static str, u32, f64, f64)> {
-    vec![
-        ("Loki", 1996, 51_379.0, 1.28),
-        ("Avalon", 1998, 300_000.0, 16.16),
-        ("Space Simulator", 2003, 483_855.0, 179.7),
-    ]
-}
-
-#[cfg(test)]
-mod lineage_tests {
-    use super::*;
-
-    #[test]
-    fn price_performance_improves_close_to_moores_law() {
-        // §5: "the overall price/performance improvement that clusters
-        // have obtained over the past six years has not differed much
-        // from Moore's Law": Loki -> SS is x140 performance at x9.4 the
-        // price, vs x150 from 16x Moore x 9.4.
-        let l = lineage();
-        let (_, _, loki_price, loki_gf) = l[0];
-        let (_, _, ss_price, ss_gf) = l[2];
-        let perf_ratio = ss_gf / loki_gf;
-        assert!((perf_ratio - 140.0).abs() < 5.0, "perf ratio {perf_ratio}");
-        let price_ratio = ss_price / loki_price;
-        let moore = nodesim::bom::moores_law_factor(6.0) * price_ratio;
-        assert!(
-            (perf_ratio / moore - 1.0).abs() < 0.15,
-            "perf {perf_ratio} vs Moore-scaled {moore}"
-        );
-    }
-
-    #[test]
-    fn dollars_per_mflops_fall_monotonically() {
-        let mut last = f64::INFINITY;
-        for (name, _, price, gf) in lineage() {
-            let dpm = dollars_per_mflops(price, gf);
-            assert!(dpm < last, "{name}: {dpm} not below {last}");
-            last = dpm;
-        }
-        // Loki's N-body price/performance was ~$40/Mflops; the paper's
-        // SC'97 entry quotes $50/Mflops for Loki+Hyglac on ASCI Red-era
-        // hardware.
-        assert!(last < 3.0, "SS N-body $/Mflops {last}");
     }
 }

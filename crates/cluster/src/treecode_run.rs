@@ -1,5 +1,4 @@
-//! The treecode throughput model (Table 6) and small-scale validation
-//! runs on the virtual-time message-passing layer.
+//! The treecode throughput model (Table 6).
 //!
 //! The model: per-processor treecode Mflop/s = gravity-kernel rate ×
 //! step efficiency, where the efficiency accounts for the non-force
@@ -9,8 +8,6 @@
 //! network profile.
 
 use crate::machines::MachineSpec;
-use hot::models;
-use hot::parallel::{parallel_accelerations, ParallelConfig};
 
 /// Fraction of a timestep spent outside the force inner loop (tree
 /// build, decomposition, moments). Calibrated once so the Space
@@ -70,42 +67,6 @@ pub fn table6() -> Vec<(&'static str, u32, f64, f64, f64, f64)> {
         .collect()
 }
 
-/// Actually run the distributed treecode on the virtual-time layer with
-/// `procs` ranks on the given machine; returns measured
-/// `(Mflops/proc, max virtual step time)`. Small scales only (ranks are
-/// host threads).
-pub fn measured_run(machine: &MachineSpec, procs: usize, n_particles: usize) -> (f64, f64) {
-    let msg_machine = match machine.fabric {
-        crate::machines::FabricKind::SpaceSimulatorSwitch => {
-            msg::Machine::space_simulator(machine.profile)
-        }
-        crate::machines::FabricKind::Crossbar => msg::Machine::new(
-            nodesim::NodeModel::space_simulator(),
-            netsim::Fabric::ideal(procs.max(2) as u32, machine.profile),
-        ),
-    };
-    let bodies = models::plummer(n_particles, 12345);
-    let cpu_eff = machine.cpu.best_mflops() * 1e6 / 5.06e9;
-    let world = |comm: &mut msg::Comm| {
-        let mine: Vec<hot::Body> = bodies
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % comm.size() == comm.rank())
-            .map(|(_, b)| *b)
-            .collect();
-        let cfg = ParallelConfig {
-            cpu_eff,
-            ..Default::default()
-        };
-        let r = parallel_accelerations(comm, mine, &cfg);
-        (r.stats.flops(true), r.vtime)
-    };
-    let results = msg::run_with(msg_machine, procs, world);
-    let total_flops: f64 = results.iter().map(|(f, _)| f).sum();
-    let t = results.iter().map(|(_, t)| *t).fold(0.0, f64::max);
-    (total_flops / t / 1e6 / procs as f64, t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,19 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn measured_small_run_is_in_the_model_ballpark() {
-        let ss = MachineSpec::space_simulator();
-        let (mflops_per_proc, t) = measured_run(&ss, 4, 2000);
-        assert!(t > 0.0);
-        // The small-N measured rate carries more per-step overhead than
-        // the production model; just demand the right magnitude.
-        assert!(
-            mflops_per_proc > 50.0 && mflops_per_proc < 2000.0,
-            "measured {mflops_per_proc} Mflops/proc"
-        );
-    }
-
-    #[test]
     fn gigabit_beats_fast_ethernet_at_scale() {
         // Same CPU, different network: the GigE machine should hold its
         // per-proc rate better at 288 procs.
@@ -178,77 +126,5 @@ mod tests {
         let (_, fast_per) = treecode_model(&ss, 288, table6_particles(288));
         let (_, slow_per) = treecode_model(&slow, 288, table6_particles(288));
         assert!(fast_per > slow_per, "{fast_per} vs {slow_per}");
-    }
-}
-
-/// SPH supernova-code performance model (§4.4). The paper: "For our 1
-/// million particle simulations on 128 processors, per processor
-/// performance (using gcc/g77) is about 1/2 that of the ASCI Q system
-/// on an equivalent number of processors. ... Performance tuning
-/// remains to be done, especially investigating the use of the Intel
-/// 7.0 compilers."
-///
-/// Model: per-proc rate = the machine's *libm* kernel rate (SPH is full
-/// of sqrt/divides and was not Karp-optimized) × an untuned-compiler
-/// factor on x86 (gcc's x87 codegen; Table 5 shows icc is 1.7× gcc on
-/// the P4, while the Alpha compilers were already mature) × a step
-/// efficiency with heavier non-force phases (neighbour finding, EOS)
-/// and ghost-exchange communication.
-pub fn sph_model(machine: &MachineSpec, procs: u32, n_particles: f64) -> (f64, f64) {
-    let n_per = n_particles / procs as f64;
-    let untuned = if machine.cpu.name.contains("P4") {
-        0.65 // gcc/g77 on the P4's x87 stack
-    } else {
-        1.0
-    };
-    let kernel_mflops = machine.cpu.libm_mflops() * untuned;
-    // ~120 neighbour interactions per particle, ~250 flops each
-    // (kernel + gradient + viscosity + FLD).
-    let flops_per_proc = n_per * 120.0 * 250.0;
-    let t_force = flops_per_proc / (kernel_mflops * 1e6);
-    // SPH spends more outside the pair loop than gravity does.
-    let t_other = t_force * 0.3 / 0.7;
-    // Two ghost exchanges per step, ~15% of particles × 152 bytes.
-    let ghost_bytes = 2.0 * n_per * 0.15 * 152.0;
-    let msgs = (ghost_bytes / 4096.0).ceil();
-    let t_comm = msgs * machine.profile.transfer_time(4096);
-    let t_step = t_force + t_other + t_comm;
-    let mflops = flops_per_proc / t_step / 1e6;
-    (mflops * procs as f64 / 1e3, mflops)
-}
-
-#[cfg(test)]
-mod sph_model_tests {
-    use super::*;
-
-    #[test]
-    fn ss_is_about_half_of_q_per_processor() {
-        // The §4.4 claim, at the paper's own configuration: 1M particles
-        // on 128 processors of each machine.
-        let (_, ss) = sph_model(&MachineSpec::space_simulator(), 128, 1.0e6);
-        let (_, q) = sph_model(&MachineSpec::asci_qb(), 128, 1.0e6);
-        let ratio = ss / q;
-        assert!(
-            ratio > 0.4 && ratio < 0.65,
-            "SS/Q per-proc SPH ratio {ratio} (paper: ~0.5)"
-        );
-    }
-
-    #[test]
-    fn icc_tuning_would_close_the_gap() {
-        // With the icc kernel rates (Table 5's last row) the same model
-        // puts the SS much closer to Q — the tuning §4.4 anticipates.
-        let mut tuned = MachineSpec::space_simulator();
-        tuned.cpu = nodesim::cpu_models::space_simulator_cpu_icc();
-        let (_, ss_tuned) = sph_model(&tuned, 128, 1.0e6);
-        let (_, q) = sph_model(&MachineSpec::asci_qb(), 128, 1.0e6);
-        assert!(ss_tuned / q > 0.75, "tuned ratio {}", ss_tuned / q);
-    }
-
-    #[test]
-    fn sph_runs_slower_than_gravity_per_processor() {
-        let (_, sph) = sph_model(&MachineSpec::space_simulator(), 128, 1.0e6);
-        let (_, grav) = treecode_model(&MachineSpec::space_simulator(), 128, 128.0 * 200_000.0);
-        assert!(sph < grav, "SPH {sph} vs gravity {grav}");
     }
 }

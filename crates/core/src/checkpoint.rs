@@ -143,11 +143,7 @@ mod tests {
 
     #[test]
     fn bad_mac_discriminant_is_rejected() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&ckpt::MAGIC);
-        bytes.push(9); // not a MacKind
-        let crc = ckpt::crc32(&bytes[ckpt::MAGIC.len()..]);
-        bytes.extend_from_slice(&crc.to_le_bytes());
+        let bytes = ckpt::frame(|out| out.push(9)); // not a MacKind
         assert_eq!(
             ckpt::load::<MacKind>(&bytes),
             Err(CkptError::BadEncoding("MacKind"))

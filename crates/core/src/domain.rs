@@ -19,6 +19,14 @@ impl msg::payload::FixedWire for Body {
     const WIRE: usize = 3 * 8 + 3 * 8 + 8 + 8 + 8;
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch (test builds only): a rank publishes its
+    /// key range from its *second* body — a splitter off by one body,
+    /// which disowns the first without moving it.
+    static SHIFT_ONE_SPLITTER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Who owns which part of the key space after decomposition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decomposition {
@@ -47,11 +55,6 @@ impl Decomposition {
         let mut owners = self.owners_of(cell);
         owners.next() == Some(rank) && owners.next().is_none()
     }
-
-    /// Total ranks holding at least one body.
-    pub fn populated_ranks(&self) -> usize {
-        self.ranges.iter().filter(|r| r.is_some()).count()
-    }
 }
 
 /// Decompose `bodies` across the world: returns this rank's shard (sorted
@@ -63,8 +66,8 @@ pub fn decompose(comm: &mut Comm, bodies: Vec<Body>) -> (Vec<Body>, Decompositio
 
 /// Degradation-aware [`decompose`]: each rank's target share of the global
 /// work is scaled by `health[rank]` (1.0 = full speed, smaller = degraded,
-/// e.g. from [`Comm::peer_health`] or an external slow-node model), so a
-/// sick node sheds work instead of pacing the step barrier. All ranks must
+/// e.g. from an external slow-node model), so a sick node sheds work
+/// instead of pacing the step barrier. All ranks must
 /// pass the same `health` vector — it feeds globally-agreed splitter
 /// selection.
 pub fn decompose_with_health(
@@ -101,11 +104,15 @@ pub fn decompose_with_health(
     );
 
     // Publish each rank's key range.
+    #[cfg(not(test))]
+    let first = 0;
+    #[cfg(test)]
+    let first = usize::from(SHIFT_ONE_SPLITTER.get() && shard.len() > 1);
     let my_range: Vec<u64> = if shard.is_empty() {
         Vec::new()
     } else {
         vec![
-            bbox.key_of(shard[0].pos).0,
+            bbox.key_of(shard[first].pos).0,
             bbox.key_of(shard[shard.len() - 1].pos).0,
         ]
     };
@@ -209,13 +216,26 @@ mod tests {
 
     #[test]
     fn owners_cover_every_cell() {
+        owners_cover_every_cell_with(false);
+    }
+
+    /// Teeth: a splitter off by one body must trip the ownership oracle.
+    #[test]
+    #[should_panic(expected = "missing from owners of its own body")]
+    fn ownership_oracle_catches_a_splitter_shifted_by_one_body() {
+        owners_cover_every_cell_with(true);
+    }
+
+    fn owners_cover_every_cell_with(shifted_splitter: bool) {
         let all = plummer(200, 23);
         let nranks = 3;
         let results = msg::run(nranks, |c| {
+            SHIFT_ONE_SPLITTER.set(shifted_splitter);
             let mine = split(&all, nranks, c.rank());
             let (shard, d) = decompose(c, mine);
             // The root must be owned by every populated rank.
-            assert_eq!(d.owners_of(Key::ROOT).count(), d.populated_ranks());
+            let populated = d.ranges.iter().filter(|r| r.is_some()).count();
+            assert_eq!(d.owners_of(Key::ROOT).count(), populated);
             // Every local body's leaf-level key has this rank among its
             // owners.
             for b in &shard {

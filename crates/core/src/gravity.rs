@@ -385,46 +385,6 @@ mod tests {
     }
 }
 
-/// Four P2P interactions per call with the Karp reciprocal square root —
-/// the structure the paper's conclusion anticipates hand-coding with SSE
-/// ("we hope to be able to reach 2x higher performance"): four
-/// independent interaction chains expose the instruction-level
-/// parallelism a 2-wide SIMD unit (or a modern autovectorizer) needs.
-#[inline]
-pub fn p2p_batch4(tp: [f64; 3], sp: &[[f64; 3]; 4], sm: &[f64; 4], eps2: f64, out: &mut Accel) {
-    let mut dx = [0.0; 4];
-    let mut dy = [0.0; 4];
-    let mut dz = [0.0; 4];
-    let mut r2 = [0.0; 4];
-    for l in 0..4 {
-        dx[l] = sp[l][0] - tp[0];
-        dy[l] = sp[l][1] - tp[1];
-        dz[l] = sp[l][2] - tp[2];
-        r2[l] = dx[l] * dx[l] + dy[l] * dy[l] + dz[l] * dz[l] + eps2;
-    }
-    let rinv = [
-        karp_rsqrt(r2[0]),
-        karp_rsqrt(r2[1]),
-        karp_rsqrt(r2[2]),
-        karp_rsqrt(r2[3]),
-    ];
-    let mut ax = 0.0;
-    let mut ay = 0.0;
-    let mut az = 0.0;
-    let mut pot = 0.0;
-    for l in 0..4 {
-        let rinv3 = rinv[l] * rinv[l] * rinv[l];
-        ax += sm[l] * dx[l] * rinv3;
-        ay += sm[l] * dy[l] * rinv3;
-        az += sm[l] * dz[l] * rinv3;
-        pot -= sm[l] * rinv[l];
-    }
-    out.acc[0] += ax;
-    out.acc[1] += ay;
-    out.acc[2] += az;
-    out.pot += pot;
-}
-
 /// Lane width of the unrolled span kernels. Eight independent
 /// interaction chains keep a modern FMA pipeline full and give the
 /// autovectorizer 512 bits of f64 to play with.
@@ -478,69 +438,6 @@ pub fn p2p_span(
         let dz = zs[i] - tp[2];
         let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
         let rinv = 1.0 / r2.sqrt();
-        let mr3 = ms[i] * (rinv * rinv * rinv);
-        ax[l] = dx.mul_add(mr3, ax[l]);
-        ay[l] = dy.mul_add(mr3, ay[l]);
-        az[l] = dz.mul_add(mr3, az[l]);
-        ph[l] = ms[i].mul_add(-rinv, ph[l]);
-    }
-    out.acc[0] += ax.iter().sum::<f64>();
-    out.acc[1] += ay.iter().sum::<f64>();
-    out.acc[2] += az.iter().sum::<f64>();
-    out.pot += ph.iter().sum::<f64>();
-}
-
-/// [`p2p_span`] with the Karp reciprocal square root — the Table 5
-/// "Karp" column applied to a whole interaction span.
-pub fn p2p_span_karp(
-    tp: [f64; 3],
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    ms: &[f64],
-    eps2: f64,
-    out: &mut Accel,
-) {
-    let n = xs.len();
-    debug_assert!(ys.len() == n && zs.len() == n && ms.len() == n);
-    const W: usize = SPAN_LANES;
-    let mut ax = [0.0f64; W];
-    let mut ay = [0.0f64; W];
-    let mut az = [0.0f64; W];
-    let mut ph = [0.0f64; W];
-    let chunks = n / W;
-    for c in 0..chunks {
-        let o = c * W;
-        let x: &[f64; W] = xs[o..o + W].try_into().unwrap();
-        let y: &[f64; W] = ys[o..o + W].try_into().unwrap();
-        let z: &[f64; W] = zs[o..o + W].try_into().unwrap();
-        let m: &[f64; W] = ms[o..o + W].try_into().unwrap();
-        let mut dx = [0.0f64; W];
-        let mut dy = [0.0f64; W];
-        let mut dz = [0.0f64; W];
-        let mut rinv = [0.0f64; W];
-        for l in 0..W {
-            dx[l] = x[l] - tp[0];
-            dy[l] = y[l] - tp[1];
-            dz[l] = z[l] - tp[2];
-            let r2 = dx[l].mul_add(dx[l], dy[l].mul_add(dy[l], dz[l].mul_add(dz[l], eps2)));
-            rinv[l] = karp_rsqrt(r2);
-        }
-        for l in 0..W {
-            let mr3 = m[l] * (rinv[l] * rinv[l] * rinv[l]);
-            ax[l] = dx[l].mul_add(mr3, ax[l]);
-            ay[l] = dy[l].mul_add(mr3, ay[l]);
-            az[l] = dz[l].mul_add(mr3, az[l]);
-            ph[l] = m[l].mul_add(-rinv[l], ph[l]);
-        }
-    }
-    for i in chunks * W..n {
-        let l = i - chunks * W;
-        let dx = xs[i] - tp[0];
-        let dy = ys[i] - tp[1];
-        let dz = zs[i] - tp[2];
-        let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
-        let rinv = karp_rsqrt(r2);
         let mr3 = ms[i] * (rinv * rinv * rinv);
         ax[l] = dx.mul_add(mr3, ax[l]);
         ay[l] = dy.mul_add(mr3, ay[l]);
@@ -718,18 +615,6 @@ mod span_tests {
         }
 
         #[test]
-        fn p2p_span_karp_matches_scalar_karp_sum((tp, src, eps2) in span_inputs()) {
-            let (xs, ys, zs, ms) = split_soa(&src);
-            let mut span = Accel::default();
-            p2p_span_karp(tp, &xs, &ys, &zs, &ms, eps2, &mut span);
-            let mut scalar = Accel::default();
-            for s in &src {
-                p2p_karp(tp, s.0, s.1, eps2, &mut scalar);
-            }
-            assert_close(&span, &scalar)?;
-        }
-
-        #[test]
         fn m2p_span_matches_scalar_sum(
             (tp, src, eps2) in span_inputs(),
             quadrupole in proptest::bool::ANY,
@@ -762,32 +647,5 @@ mod span_tests {
             }
             assert_close(&span, &scalar)?;
         }
-    }
-}
-
-#[cfg(test)]
-mod batch_tests {
-    use super::*;
-
-    #[test]
-    fn batch4_matches_four_scalar_calls() {
-        let tp = [0.1, -0.2, 0.3];
-        let sp = [
-            [1.0, 0.0, 0.0],
-            [-0.5, 0.7, 0.2],
-            [0.0, -1.2, 0.4],
-            [2.0, 2.0, -1.0],
-        ];
-        let sm = [1.0, 0.5, 2.0, 0.25];
-        let mut batched = Accel::default();
-        p2p_batch4(tp, &sp, &sm, 0.01, &mut batched);
-        let mut scalar = Accel::default();
-        for l in 0..4 {
-            p2p_karp(tp, sp[l], sm[l], 0.01, &mut scalar);
-        }
-        for d in 0..3 {
-            assert!((batched.acc[d] - scalar.acc[d]).abs() < 1e-12 * (1.0 + scalar.norm()));
-        }
-        assert!((batched.pot - scalar.pot).abs() < 1e-12 * scalar.pot.abs());
     }
 }

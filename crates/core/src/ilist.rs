@@ -155,15 +155,10 @@ impl IlistScratch {
         self.own_leaf = None;
     }
 
-    /// Buffer reallocations since construction or the last
-    /// [`reset_alloc_events`](IlistScratch::reset_alloc_events) —
-    /// zero once the scratch has warmed up.
+    /// Buffer reallocations since construction — it stops growing once
+    /// the scratch has warmed up.
     pub fn alloc_events(&self) -> u64 {
         self.alloc_events
-    }
-
-    pub fn reset_alloc_events(&mut self) {
-        self.alloc_events = 0;
     }
 
     /// Free the walk group's shared list (the spans keep their capacity).
@@ -648,11 +643,11 @@ mod tests {
         // Warm-up pass: the shared list, its masks, the index buffer and
         // the per-leaf spans grow to their steady-state capacity.
         pass(&mut sc);
-        assert!(sc.alloc_events() > 0, "warm-up must have allocated");
+        let warm = sc.alloc_events();
+        assert!(warm > 0, "warm-up must have allocated");
         // Steady state: zero heap growth across a full second pass.
-        sc.reset_alloc_events();
         pass(&mut sc);
-        assert_eq!(sc.alloc_events(), 0, "steady-state walk allocated");
+        assert_eq!(sc.alloc_events(), warm, "steady-state walk allocated");
     }
 
     #[test]
@@ -667,11 +662,11 @@ mod tests {
         for i in 0..tree.bodies.len() {
             accel_on_with(&tree, i, &cfg, &mut sc);
         }
-        sc.reset_alloc_events();
+        let warm = sc.alloc_events();
         for i in 0..tree.bodies.len() {
             accel_on_with(&tree, i, &cfg, &mut sc);
         }
-        assert_eq!(sc.alloc_events(), 0, "steady-state walk allocated");
+        assert_eq!(sc.alloc_events(), warm, "steady-state walk allocated");
     }
 
     #[test]

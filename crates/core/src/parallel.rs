@@ -85,8 +85,6 @@ pub struct ParallelResult {
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelConfig {
     pub gravity: GravityConfig,
-    /// Requests per ABM batch.
-    pub batch: usize,
     /// Fraction of peak the gravity inner loop sustains (for virtual-time
     /// accounting; the P4/gcc micro-kernel reaches 790 of 5060 Mflop/s).
     pub cpu_eff: f64,
@@ -104,7 +102,6 @@ impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig {
             gravity: GravityConfig::default(),
-            batch: 64,
             cpu_eff: 790.0 / 5060.0,
             latency_hiding: true,
             adaptive: true,
@@ -112,6 +109,10 @@ impl Default for ParallelConfig {
     }
 }
 
+/// Requests per ABM batch (replies carry four times as many). With
+/// adaptive flushing a sweep of 8…512 moved the virtual step by less
+/// than its run-to-run spread, so it is not a knob.
+const ABM_BATCH: usize = 64;
 /// Wire budget per adaptive batch (about one TCP segment of requests).
 const ADAPTIVE_BYTES: usize = 4096;
 /// Virtual age at which a partially-filled batch is flushed anyway
@@ -258,10 +259,10 @@ impl<'a> Engine<'a> {
             stats: TraverseStats::default(),
             pending_children: HashMap::new(),
             pending_bodies: HashMap::new(),
-            req_children: tune(Abm::new(comm.size(), 1, cfg.batch), cfg.adaptive),
-            rep_children: tune(Abm::new(comm.size(), 2, cfg.batch * 4), cfg.adaptive),
-            req_bodies: tune(Abm::new(comm.size(), 3, cfg.batch), cfg.adaptive),
-            rep_bodies: tune(Abm::new(comm.size(), 4, cfg.batch * 4), cfg.adaptive),
+            req_children: tune(Abm::new(comm.size(), 1, ABM_BATCH), cfg.adaptive),
+            rep_children: tune(Abm::new(comm.size(), 2, ABM_BATCH * 4), cfg.adaptive),
+            req_bodies: tune(Abm::new(comm.size(), 3, ABM_BATCH), cfg.adaptive),
+            rep_bodies: tune(Abm::new(comm.size(), 4, ABM_BATCH * 4), cfg.adaptive),
             deferred: 0,
             resumed: 0,
             coalesced: 0,

@@ -189,11 +189,6 @@ impl Tree {
         &self.cells[idx as usize]
     }
 
-    /// Look a cell up by key through the hash table.
-    pub fn by_key(&self, key: Key) -> Option<&Cell> {
-        self.map.get(key).map(|i| &self.cells[i as usize])
-    }
-
     /// Bodies of a leaf cell.
     pub fn leaf_bodies(&self, cell: &Cell) -> &[Body] {
         let a = cell.first_body as usize;
@@ -286,7 +281,6 @@ mod tests {
         let t = Tree::build(random_bodies(200, 4), 8);
         for (i, c) in t.cells.iter().enumerate() {
             assert_eq!(t.map.get(c.key), Some(i as u32));
-            assert_eq!(t.by_key(c.key).unwrap().key, c.key);
         }
         assert_eq!(t.map.len(), t.cells.len());
     }

@@ -146,18 +146,6 @@ pub fn correlation_function(
         .collect()
 }
 
-/// Project particle mass onto an n×n grid along z (the Figure 7 image).
-pub fn projection(bodies: &[Body], n: usize, box_size: f64) -> Vec<f64> {
-    let mut img = vec![0.0f64; n * n];
-    let cell = box_size / n as f64;
-    for b in bodies {
-        let x = ((b.pos[0] / cell) as usize).min(n - 1);
-        let y = ((b.pos[1] / cell) as usize).min(n - 1);
-        img[y * n + x] += b.mass;
-    }
-    img
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,13 +250,5 @@ mod tests {
         // The bin containing r = 0.5 must be strongly positive.
         let hot_bin = xi[1]; // bins of 0.5: [0.5, 1.0) midpoint 0.75
         assert!(hot_bin.1 > 1.0, "ξ near pair separation: {:?}", hot_bin);
-    }
-
-    #[test]
-    fn projection_collects_all_mass() {
-        let bodies = uniform_bodies(1000, 32.0, 9);
-        let img = projection(&bodies, 8, 32.0);
-        let total: f64 = img.iter().sum();
-        assert!((total - 1000.0).abs() < 1e-9);
     }
 }

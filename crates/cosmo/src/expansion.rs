@@ -75,16 +75,6 @@ impl Cosmology {
         self.omega_m_a(a).powf(0.55)
     }
 
-    /// Redshift of scale factor a.
-    pub fn z_of_a(a: f64) -> f64 {
-        1.0 / a - 1.0
-    }
-
-    /// Scale factor at redshift z.
-    pub fn a_of_z(z: f64) -> f64 {
-        1.0 / (1.0 + z)
-    }
-
     /// BBKS shape parameter Γ = Ω_m h · exp(−Ω_b(1 + √(2h)/Ω_m)).
     pub fn shape_gamma(&self) -> f64 {
         self.omega_m * self.h * (-self.omega_b * (1.0 + (2.0 * self.h).sqrt() / self.omega_m)).exp()
@@ -133,14 +123,6 @@ mod tests {
         let c = Cosmology::lcdm();
         assert!(c.growth_rate(0.01) > 0.99); // matter-dominated: f → 1
         assert!(c.growth_rate(1.0) < 0.6); // Λ-dominated today: f ≈ 0.51
-    }
-
-    #[test]
-    fn redshift_conversions() {
-        assert_eq!(Cosmology::z_of_a(0.5), 1.0);
-        assert_eq!(Cosmology::a_of_z(3.0), 0.25);
-        // The Figure 7 snapshot: z = 0.3.
-        assert!((Cosmology::a_of_z(0.3) - 0.769).abs() < 1e-3);
     }
 
     #[test]

@@ -77,13 +77,10 @@ impl CosmoSimulation {
     /// Serialize the driver state (inner simulation plus the reference
     /// radius behind [`CosmoSimulation::scale_factor`]).
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&ckpt::MAGIC);
-        self.sim.pack(&mut out);
-        self.r0.pack(&mut out);
-        let crc = ckpt::crc32(&out[ckpt::MAGIC.len()..]);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        ckpt::frame(|out| {
+            self.sim.pack(out);
+            self.r0.pack(out);
+        })
     }
 
     /// Rebuild from [`CosmoSimulation::checkpoint`] bytes.

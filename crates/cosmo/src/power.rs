@@ -48,12 +48,6 @@ impl PowerSpectrum {
         self.amplitude * k.powf(self.cosmology.ns) * t * t
     }
 
-    /// P(k) at scale factor a (linear growth scaling).
-    pub fn p_of_k_at(&self, k: f64, a: f64) -> f64 {
-        let d = self.cosmology.growth(a);
-        self.p_of_k(k) * d * d
-    }
-
     /// Top-hat window.
     fn w_th(x: f64) -> f64 {
         if x < 1e-4 {
@@ -122,15 +116,5 @@ mod tests {
         let p = ps();
         assert!(p.sigma_r(1.0) > p.sigma_r(8.0));
         assert!(p.sigma_r(8.0) > p.sigma_r(32.0));
-    }
-
-    #[test]
-    fn growth_scaling_of_power() {
-        let p = ps();
-        let k = 0.1;
-        let a = 0.5;
-        let d = p.cosmology.growth(a);
-        assert!((p.p_of_k_at(k, a) - p.p_of_k(k) * d * d).abs() < 1e-12);
-        assert!(p.p_of_k_at(k, 0.5) < p.p_of_k(k));
     }
 }

@@ -31,10 +31,6 @@ impl Csr {
         }
     }
 
-    pub fn nnz(&self) -> usize {
-        self.val.len()
-    }
-
     /// Build from (row, col, value) triples, summing duplicates.
     pub fn from_triples(n: usize, mut triples: Vec<(usize, usize, f64)>) -> Csr {
         triples.sort_by_key(|&(r, c, _)| (r, c));
@@ -137,11 +133,6 @@ pub fn npb_cg(a: &Csr, shift: f64, outer_iters: usize, inner_iters: usize) -> f6
     zeta
 }
 
-/// Flops per CG iteration: 2·nnz (matvec) + 10·n (vector ops).
-pub fn cg_flops_per_iter(a: &Csr) -> f64 {
-    2.0 * a.nnz() as f64 + 10.0 * a.n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,109 +222,10 @@ mod tests {
     }
 
     #[test]
-    fn flops_counting() {
-        let a = poisson1d(10);
-        assert!(cg_flops_per_iter(&a) > 2.0 * a.nnz() as f64);
-    }
-
-    #[test]
     fn duplicate_triples_are_summed() {
         let a = Csr::from_triples(2, vec![(0, 0, 1.0), (0, 0, 2.0), (1, 1, 1.0)]);
         let mut y = vec![0.0; 2];
         a.matvec(&[1.0, 1.0], &mut y);
         assert_eq!(y, vec![3.0, 1.0]);
-    }
-}
-
-/// Distributed CG: rows of the matrix partitioned across ranks, the
-/// vector allgathered before each matvec, dot products allreduced —
-/// NPB CG's communication skeleton (two reductions per iteration plus
-/// the vector exchange). Returns the (identical) solution on every rank.
-pub fn distributed_cg_solve(
-    comm: &mut msg::Comm,
-    a: &Csr,
-    b: &[f64],
-    max_iter: usize,
-    tol: f64,
-) -> (Vec<f64>, usize, f64) {
-    let n = a.n;
-    let size = comm.size();
-    let rank = comm.rank();
-    // My contiguous row range.
-    let lo = rank * n / size;
-    let hi = (rank + 1) * n / size;
-
-    let dot = |comm: &mut msg::Comm, x: &[f64], y: &[f64]| -> f64 {
-        let local: f64 = (lo..hi).map(|i| x[i] * y[i]).sum();
-        comm.allreduce(local, |a, b| a + b)
-    };
-    // Assemble a full vector from per-rank slices.
-    let assemble = |comm: &mut msg::Comm, local: Vec<f64>| -> Vec<f64> {
-        let pieces = comm.allgather(local);
-        pieces.into_iter().flatten().collect()
-    };
-
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut p = r.clone();
-    let mut rr = dot(comm, &r, &r);
-    let mut iters = 0;
-    while iters < max_iter && rr.sqrt() > tol {
-        // Local rows of A·p.
-        let mut ap_local = vec![0.0; hi - lo];
-        for i in lo..hi {
-            let mut s = 0.0;
-            for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-                s += a.val[k] * p[a.col[k]];
-            }
-            ap_local[i - lo] = s;
-        }
-        let ap = assemble(comm, ap_local);
-        let pap = dot(comm, &p, &ap);
-        let alpha = rr / pap;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let rr_new = dot(comm, &r, &r);
-        let beta = rr_new / rr;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
-        }
-        rr = rr_new;
-        iters += 1;
-    }
-    (x, iters, rr.sqrt())
-}
-
-#[cfg(test)]
-mod distributed_tests {
-    use super::*;
-
-    #[test]
-    fn distributed_cg_matches_serial() {
-        let a = Csr::random_spd(150, 8, 12.0, 4);
-        let b: Vec<f64> = (0..150).map(|i| ((i * 3) % 7) as f64 - 3.0).collect();
-        let (serial, si, _) = cg_solve(&a, &b, 60, 1e-10);
-        for ranks in [1usize, 2, 3] {
-            let results = msg::run(ranks, |c| distributed_cg_solve(c, &a, &b, 60, 1e-10));
-            for (x, iters, res) in &results {
-                assert_eq!(*iters, si, "{ranks} ranks: iteration count differs");
-                assert!(*res < 1e-9);
-                for (u, v) in x.iter().zip(&serial) {
-                    assert!((u - v).abs() < 1e-8, "{ranks} ranks: {u} vs {v}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn distributed_cg_solution_is_identical_across_ranks() {
-        let a = Csr::random_spd(90, 6, 15.0, 8);
-        let b = vec![1.0; 90];
-        let results = msg::run(4, |c| distributed_cg_solve(c, &a, &b, 40, 1e-10).0);
-        for x in &results[1..] {
-            assert_eq!(x, &results[0]);
-        }
     }
 }

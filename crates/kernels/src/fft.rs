@@ -27,13 +27,6 @@ impl C64 {
         }
     }
 
-    pub fn conj(self) -> C64 {
-        C64 {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     pub fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
@@ -71,7 +64,7 @@ impl Mul for C64 {
 }
 
 /// In-place iterative Cooley–Tukey FFT. `inverse` applies the conjugate
-/// transform **without** the 1/n normalization (call [`normalize`]).
+/// transform **without** the 1/n normalization; callers scale by 1/n.
 pub fn fft_inplace(data: &mut [C64], inverse: bool) {
     let n = data.len();
     assert!(n.is_power_of_two(), "FFT length {n} not a power of two");
@@ -107,19 +100,6 @@ pub fn fft_inplace(data: &mut [C64], inverse: bool) {
         }
         len <<= 1;
     }
-}
-
-/// Divide by `n` (after an inverse transform).
-pub fn normalize(data: &mut [C64]) {
-    let s = 1.0 / data.len() as f64;
-    for d in data {
-        *d = d.scale(s);
-    }
-}
-
-/// Flops for one length-`n` FFT by the standard 5·n·log₂n count.
-pub fn fft_flops(n: usize) -> f64 {
-    5.0 * n as f64 * (n as f64).log2()
 }
 
 /// A dense 3-D complex field, x-major: index = (z·ny + y)·nx + x.
@@ -256,8 +236,8 @@ mod tests {
         let mut y = x.clone();
         fft_inplace(&mut y, false);
         fft_inplace(&mut y, true);
-        normalize(&mut y);
         for (a, b) in x.iter().zip(&y) {
+            let b = b.scale(1.0 / 256.0);
             assert!((a.re - b.re).abs() < 1e-12 && (a.im - b.im).abs() < 1e-12);
         }
     }
@@ -328,11 +308,6 @@ mod tests {
         let mut x = vec![C64::ZERO; 12];
         fft_inplace(&mut x, false);
     }
-
-    #[test]
-    fn flop_count_formula() {
-        assert_eq!(fft_flops(8), 5.0 * 8.0 * 3.0);
-    }
 }
 
 #[cfg(test)]
@@ -381,8 +356,8 @@ mod prop_tests {
             let mut y = x.clone();
             fft_inplace(&mut y, false);
             fft_inplace(&mut y, true);
-            normalize(&mut y);
             for (a, b) in x.iter().zip(&y) {
+                let b = b.scale(1.0 / n as f64);
                 prop_assert!((a.re - b.re).abs() < 1e-10);
                 prop_assert!((a.im - b.im).abs() < 1e-10);
             }

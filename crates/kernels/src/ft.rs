@@ -13,9 +13,50 @@ use crate::fft::{Field3, C64};
 /// NPB FT's α.
 pub const ALPHA: f64 = 1.0e-6;
 
+/// The NPB LCG: x_{k+1} = a·x_k mod 2^46, a = 5^13.
+#[derive(Debug, Clone, Copy)]
+struct NpbRandom {
+    seed: u64,
+}
+
+const NPB_A: u64 = 1_220_703_125; // 5^13
+const MASK46: u64 = (1 << 46) - 1;
+
+impl NpbRandom {
+    fn new(seed: u64) -> NpbRandom {
+        NpbRandom {
+            seed: seed & MASK46,
+        }
+    }
+
+    /// Next uniform deviate in (0, 1).
+    fn next_f64(&mut self) -> f64 {
+        // 46-bit modular multiply; u64 overflows at 46+31 bits, so use
+        // 128-bit intermediate (the original splits into halves).
+        self.seed = ((self.seed as u128 * NPB_A as u128) & MASK46 as u128) as u64;
+        self.seed as f64 / (1u64 << 46) as f64
+    }
+
+    /// Jump ahead `k` steps (a^k mod 2^46 by binary power).
+    fn skip(&mut self, k: u64) {
+        let mut a = NPB_A as u128;
+        let mut k = k;
+        let m = MASK46 as u128;
+        let mut x = self.seed as u128;
+        while k > 0 {
+            if k & 1 == 1 {
+                x = (x * a) & m;
+            }
+            a = (a * a) & m;
+            k >>= 1;
+        }
+        self.seed = x as u64;
+    }
+}
+
 /// Initialize the field with the NPB LCG stream.
 pub fn ft_init(nx: usize, ny: usize, nz: usize, seed: u64) -> Field3 {
-    let mut rng = crate::ep::NpbRandom::new(seed);
+    let mut rng = NpbRandom::new(seed);
     let mut f = Field3::zeros(nx, ny, nz);
     for d in &mut f.data {
         let re = rng.next_f64();
@@ -76,18 +117,31 @@ pub fn checksum(f: &Field3) -> C64 {
     s.scale(1.0 / 1024.0)
 }
 
-/// Total flops of an FT run (NPB convention: the FFTs dominate;
-/// evolution and checksum add ~7 flops/point/iter).
-pub fn ft_flops(nx: usize, ny: usize, nz: usize, iterations: usize) -> f64 {
-    let n = (nx * ny * nz) as f64;
-    let log = (n).log2();
-    // One forward FFT + per iteration (evolve + inverse FFT).
-    5.0 * n * log * (iterations as f64 + 1.0) + 7.0 * n * iterations as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lcg_is_deterministic_and_in_range() {
+        let mut a = NpbRandom::new(271_828_183);
+        let mut b = NpbRandom::new(271_828_183);
+        for _ in 0..100 {
+            let x = a.next_f64();
+            assert_eq!(x, b.next_f64());
+            assert!(x > 0.0 && x < 1.0);
+        }
+    }
+
+    #[test]
+    fn skip_ahead_matches_sequential() {
+        let mut seq = NpbRandom::new(314_159_265);
+        for _ in 0..1000 {
+            seq.next_f64();
+        }
+        let mut jump = NpbRandom::new(314_159_265);
+        jump.skip(1000);
+        assert_eq!(seq.next_f64(), jump.next_f64());
+    }
 
     #[test]
     fn checksums_are_finite_and_deterministic() {
@@ -160,12 +214,6 @@ mod tests {
         assert_eq!(freq(5, 8), -3);
         assert_eq!(freq(7, 8), -1);
     }
-
-    #[test]
-    fn flops_grow_with_grid_and_iters() {
-        assert!(ft_flops(64, 64, 64, 6) > ft_flops(32, 32, 32, 6));
-        assert!(ft_flops(32, 32, 32, 12) > ft_flops(32, 32, 32, 6));
-    }
 }
 
 /// Distributed FT over z-slabs: local x/y FFTs, an all-to-all transpose
@@ -196,7 +244,7 @@ pub fn ft_distributed(
 
     // Initialize my z-slab from the shared LCG stream (2 deviates per
     // element, stream ordered like the serial field).
-    let mut rng = crate::ep::NpbRandom::new(seed);
+    let mut rng = NpbRandom::new(seed);
     rng.skip(2 * (z0 * ny * nx) as u64);
     let mut slab = vec![C64::ZERO; lz * ny * nx];
     for c in &mut slab {

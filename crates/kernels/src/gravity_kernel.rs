@@ -150,37 +150,6 @@ impl KernelBench {
         sink.span_exit(0.0, "kernel.karp_pass");
         total
     }
-
-    /// One pass with the 4-wide batched Karp kernel (the paper's hoped-
-    /// for SSE structure).
-    pub fn run_karp_batched(&self) -> Accel {
-        use hot::gravity::p2p_batch4;
-        let mut total = Accel::default();
-        let n4 = self.sources.len() / 4 * 4;
-        for &t in &self.targets {
-            let mut out = Accel::default();
-            for c in (0..n4).step_by(4) {
-                let sp = [
-                    self.sources[c],
-                    self.sources[c + 1],
-                    self.sources[c + 2],
-                    self.sources[c + 3],
-                ];
-                let sm = [
-                    self.masses[c],
-                    self.masses[c + 1],
-                    self.masses[c + 2],
-                    self.masses[c + 3],
-                ];
-                p2p_batch4(t, &sp, &sm, self.eps2, &mut out);
-            }
-            for (s, m) in self.sources[n4..].iter().zip(&self.masses[n4..]) {
-                p2p_karp(t, *s, *m, self.eps2, &mut out);
-            }
-            total.add(&out);
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -213,21 +182,5 @@ mod observed_tests {
             tr.metrics.histogram("kernel.acc_norm").unwrap().count(),
             b.targets.len() as u64
         );
-    }
-}
-
-#[cfg(test)]
-mod batched_tests {
-    use super::*;
-
-    #[test]
-    fn batched_agrees_with_scalar() {
-        let b = KernelBench::new(8, 130, 5); // 130: exercises the tail
-        let a = b.run_karp();
-        let c = b.run_karp_batched();
-        assert!((a.pot - c.pot).abs() < 1e-9 * a.pot.abs());
-        for d in 0..3 {
-            assert!((a.acc[d] - c.acc[d]).abs() < 1e-9 * (1.0 + a.norm()));
-        }
     }
 }

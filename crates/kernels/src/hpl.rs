@@ -201,12 +201,6 @@ pub fn hpl_residual(a: &Mat, x: &[f64], b: &[f64]) -> f64 {
     r / (f64::EPSILON * (a.norm_inf() * xn + bn) * n)
 }
 
-/// Flops of an n×n LU + solve: 2n³/3 + 2n².
-pub fn hpl_flops(n: usize) -> f64 {
-    let n = n as f64;
-    2.0 * n * n * n / 3.0 + 2.0 * n * n
-}
-
 /// Distributed LU over a 1-D block-cyclic column layout: column block
 /// `j` lives on rank `j mod P`. Panels are factored by their owner and
 /// broadcast; every rank updates its own trailing columns. Returns the
@@ -426,11 +420,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn flop_count() {
-        assert!((hpl_flops(100) - (2.0e6 / 3.0 + 2.0e4)).abs() < 1.0);
     }
 }
 

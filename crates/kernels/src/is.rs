@@ -1,10 +1,10 @@
 //! Integer sort (NPB IS): bucket sort of uniformly distributed keys.
 //!
-//! Serial counting sort plus the message-passing bucket sort NPB IS
-//! actually performs: local histogram → alltoallv of keys by bucket →
-//! local ranking. IS is the benchmark with the smallest compute/commun-
-//! ication ratio in the suite, which is why it scales worst on ethernet
-//! (Figure 5) and why Table 2 shows it least memory-bound (0.779).
+//! The message-passing bucket sort NPB IS performs: local bucketing →
+//! alltoallv of keys by bucket → local sort. IS is the benchmark with
+//! the smallest compute/communication ratio in the suite, which is why
+//! it scales worst on ethernet (Figure 5) and why Table 2 shows it least
+//! memory-bound (0.779).
 
 use msg::Comm;
 use rand::rngs::SmallRng;
@@ -14,38 +14,6 @@ use rand::{Rng, SeedableRng};
 pub fn generate_keys(n: usize, max_key: u32, seed: u64) -> Vec<u32> {
     let mut rng = SmallRng::seed_from_u64(seed);
     (0..n).map(|_| rng.gen_range(0..max_key)).collect()
-}
-
-/// Serial counting sort; returns the sorted keys.
-pub fn counting_sort(keys: &[u32], max_key: u32) -> Vec<u32> {
-    let mut counts = vec![0usize; max_key as usize];
-    for &k in keys {
-        counts[k as usize] += 1;
-    }
-    let mut out = Vec::with_capacity(keys.len());
-    for (k, &c) in counts.iter().enumerate() {
-        out.extend(std::iter::repeat_n(k as u32, c));
-    }
-    out
-}
-
-/// Rank of each key (its index in the sorted order) — what NPB IS
-/// actually verifies.
-pub fn key_ranks(keys: &[u32], max_key: u32) -> Vec<usize> {
-    let mut counts = vec![0usize; max_key as usize + 1];
-    for &k in keys {
-        counts[k as usize + 1] += 1;
-    }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
-    }
-    let mut ranks = Vec::with_capacity(keys.len());
-    let mut next = counts;
-    for &k in keys {
-        ranks.push(next[k as usize]);
-        next[k as usize] += 1;
-    }
-    ranks
 }
 
 /// Distributed bucket sort over the world: each rank contributes its
@@ -65,43 +33,9 @@ pub fn distributed_sort(comm: &mut Comm, local: Vec<u32>, max_key: u32) -> Vec<u
     mine
 }
 
-/// Flops-equivalent op count for one IS ranking of `n` keys (NPB counts
-/// integer ops; the convention is ~2 ops/key for histogram + prefix).
-pub fn is_ops(n: usize) -> f64 {
-    2.0 * n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counting_sort_sorts() {
-        let keys = generate_keys(10_000, 1 << 12, 1);
-        let sorted = counting_sort(&keys, 1 << 12);
-        assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-        // Same multiset.
-        let mut expect = keys.clone();
-        expect.sort_unstable();
-        assert_eq!(sorted, expect);
-    }
-
-    #[test]
-    fn ranks_are_a_permutation_consistent_with_sorting() {
-        let keys = generate_keys(5000, 1 << 10, 2);
-        let ranks = key_ranks(&keys, 1 << 10);
-        let mut seen = vec![false; keys.len()];
-        for &r in &ranks {
-            assert!(!seen[r], "duplicate rank {r}");
-            seen[r] = true;
-        }
-        // Placing each key at its rank yields the sorted array.
-        let mut placed = vec![0u32; keys.len()];
-        for (k, r) in keys.iter().zip(&ranks) {
-            placed[*r] = *k;
-        }
-        assert!(placed.windows(2).all(|w| w[0] <= w[1]));
-    }
 
     #[test]
     fn distributed_sort_matches_serial() {
@@ -131,11 +65,5 @@ mod tests {
         });
         let total: usize = shards.iter().map(Vec::len).sum();
         assert_eq!(total, 600);
-    }
-
-    #[test]
-    fn empty_input() {
-        assert!(counting_sort(&[], 16).is_empty());
-        assert!(key_ranks(&[], 16).is_empty());
     }
 }

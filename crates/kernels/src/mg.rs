@@ -189,12 +189,6 @@ pub fn solve(f: &Grid, cycles: usize) -> (Grid, f64) {
     (u, r.norm2())
 }
 
-/// Flops of one V-cycle on an n³ grid: ~(pre+post+1)·9·n³ summed over
-/// levels (geometric factor 8/7).
-pub fn vcycle_flops(n: usize, pre: usize, post: usize) -> f64 {
-    (pre + post + 1) as f64 * 9.0 * (n * n * n) as f64 * 8.0 / 7.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,10 +295,5 @@ mod tests {
         assert_eq!(g.at_p(-4, 0, 0), 5.0);
         assert_eq!(g.at_p(4, 4, 4), 5.0);
         assert_eq!(g.at_p(-1, 0, 0), g.at(3, 0, 0));
-    }
-
-    #[test]
-    fn flops_scale_with_volume() {
-        assert!(vcycle_flops(64, 2, 2) > 8.0 * vcycle_flops(32, 2, 2) * 0.99);
     }
 }

@@ -276,23 +276,6 @@ impl Problem {
             }],
         }
     }
-
-    /// Working-set bytes per process (drives the L2-residency effect in
-    /// Figure 5's super-linear LU curve).
-    pub fn working_set_per_proc(&self, p: usize) -> f64 {
-        let pf = p as f64;
-        match self.benchmark {
-            Benchmark::CG => self.size[0] as f64 / pf * 11.0 * 8.0,
-            Benchmark::IS | Benchmark::EP => self.size[0] as f64 / pf * 4.0,
-            Benchmark::FT => (self.size[0] * self.size[1] * self.size[2]) as f64 / pf * 16.0 * 2.0,
-            // Grid codes: ~40 doubles per point (5 vars × history +
-            // Jacobians).
-            _ => {
-                let points = (self.size[0] * self.size[1] * self.size[2]) as f64;
-                points / pf * 40.0 * 8.0
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -360,17 +343,5 @@ mod tests {
         for b in Benchmark::ALL {
             assert!(problem(b, Class::A).comm_per_iteration(1).is_empty());
         }
-    }
-
-    #[test]
-    fn lu_class_c_fits_l2_at_high_p() {
-        // The Figure 5 effect: LU class C per-proc working set drops
-        // under 512 kB somewhere between 64 and 4096 processors... the
-        // paper attributes the 64-proc kink to "the problem being divided
-        // into enough pieces that it fits into L2". Our 40-doubles/point
-        // model: 162³·320/64 ≈ 21 MB — the *active wavefront* is what
-        // fits; check the monotone trend instead.
-        let p = problem(Benchmark::LU, Class::C);
-        assert!(p.working_set_per_proc(256) < p.working_set_per_proc(64));
     }
 }

@@ -79,10 +79,6 @@ pub fn run_stream(n: usize, reps: usize) -> StreamResult {
     }
 }
 
-/// Bytes moved per element for each kernel (copy, scale, add, triad) —
-/// the traffic model used by the Table 2 roofline.
-pub const BYTES_PER_ELEM: [usize; 4] = [16, 16, 24, 24];
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -154,10 +154,12 @@ impl Comm {
         }
         let mut slots: Vec<Option<T>> = (0..size).map(|_| None).collect();
         slots[rank] = Some(value);
-        for _ in 0..size - 1 {
-            let (src, v) = self.recv::<T>(None, tag);
-            assert!(slots[src].is_none(), "duplicate gather message from {src}");
-            slots[src] = Some(v);
+        // Receive in a fixed peer order, never "whoever arrived first":
+        // the root's clock after folding in P-1 arrivals then depends on
+        // the arrival times alone, not on host scheduling.
+        for k in 1..size {
+            let src = (rank + k) % size;
+            slots[src] = Some(self.recv::<T>(Some(src), tag).1);
         }
         Some(slots.into_iter().map(Option::unwrap).collect())
     }
@@ -221,10 +223,10 @@ impl Comm {
             let dst = (rank + k) % size;
             self.send(dst, tag, std::mem::take(&mut data[dst]));
         }
-        for _ in 1..size {
-            let (src, v) = self.recv::<Vec<T>>(None, tag);
-            assert!(result[src].is_none(), "duplicate alltoallv from {src}");
-            result[src] = Some(v);
+        // Fixed peer order, as in `gather`.
+        for k in 1..size {
+            let src = (rank + k) % size;
+            result[src] = Some(self.recv::<Vec<T>>(Some(src), tag).1);
         }
         result.into_iter().map(Option::unwrap).collect()
     }
@@ -413,6 +415,36 @@ mod tests {
             // After a barrier everyone's clock is at least rank 0's
             // pre-barrier time.
             assert!(*t >= t0 * 0.9, "{times:?}");
+        }
+    }
+
+    /// On a crossbar, arrival *times* are a function of the program
+    /// alone; arrival *order at the host* is not. Ranks reach the
+    /// collectives at rank-dependent virtual times and, separately, at
+    /// rank-dependent wall times; the end clocks may depend on the
+    /// first only. With wildcard receives inside `gather`/`alltoallv`
+    /// the two sleep patterns below folded arrivals in opposite orders
+    /// and ended on different clocks.
+    #[test]
+    fn alltoallv_and_gather_clocks_ignore_host_arrival_order() {
+        use crate::{run_with, Machine};
+        use std::time::Duration;
+        const SIZE: usize = 8;
+        let end_clocks = |wall_rank: fn(usize) -> usize| -> Vec<u64> {
+            run_with(Machine::ideal(SIZE as u32), SIZE, move |c| {
+                c.elapse(37.0e-6 * c.rank() as f64);
+                std::thread::sleep(Duration::from_micros(300 * wall_rank(c.rank()) as u64));
+                let buckets = (0..SIZE).map(|d| vec![c.rank() as u64; d + 1]).collect();
+                let got = c.alltoallv(buckets);
+                assert!(got.iter().enumerate().all(|(s, v)| v[0] == s as u64));
+                c.gather(3, c.time());
+                c.time().to_bits()
+            })
+        };
+        let reference = end_clocks(|r| r);
+        for _ in 0..10 {
+            assert_eq!(end_clocks(|r| r), reference, "low ranks first");
+            assert_eq!(end_clocks(|r| SIZE - 1 - r), reference, "high ranks first");
         }
     }
 }

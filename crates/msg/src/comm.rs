@@ -825,24 +825,6 @@ impl Comm {
         self.recv::<T>(Some(src), tag).1
     }
 
-    /// Per-rank health weights for degradation-aware decomposition: 1.0
-    /// for every rank on a fault-free world or when no failure detector
-    /// is armed; a currently-suspected peer drops to 0.2 so the
-    /// work-weighted decomposition sheds load off it. Suspicion state is
-    /// wall-cadence-dependent — treat these as scheduling hints, not
-    /// reproducible facts.
-    pub fn peer_health(&self) -> Vec<f64> {
-        let suspected = self.fault.as_ref().and_then(|t| t.suspected());
-        let weight = |p| {
-            if suspected.is_some_and(|s| s[p]) {
-                0.2
-            } else {
-                1.0
-            }
-        };
-        (0..self.port.size).map(weight).collect()
-    }
-
     /// The program has returned. A fault-free rank just says so to the
     /// deadlock detector. Under a transport the rank stays at its NIC,
     /// acking incoming retransmissions and resending its own unacked

@@ -272,17 +272,6 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan can never perturb a run.
-    pub fn is_trivial(&self) -> bool {
-        self.drop == 0.0
-            && self.corrupt == 0.0
-            && self.duplicate == 0.0
-            && self.reorder == 0.0
-            && self.crashes.is_empty()
-            && self.link_faults.is_empty()
-            && self.heartbeat.is_none()
-    }
-
     /// Derive a plan from the §2.1 reliability model, compressed in time.
     ///
     /// Real rates are per component-month; a simulated job lasts virtual
@@ -482,7 +471,6 @@ mod tests {
     #[test]
     fn zero_fault_plan_delivers_and_injects_nothing() {
         let plan = FaultPlan::none(chaos_seed());
-        assert!(plan.is_trivial());
         let vals = World::new(Machine::ideal(4), 4)
             .faults(&plan)
             .run(|c| {

@@ -151,16 +151,6 @@ where
     merged
 }
 
-/// Unweighted convenience wrapper: balance item counts.
-pub fn sample_sort<T, K>(comm: &mut Comm, local: Vec<T>, key: K, oversample: usize) -> Vec<T>
-where
-    T: Send + 'static,
-    Vec<T>: Payload,
-    K: Fn(&T) -> u64,
-{
-    sample_sort_weighted(comm, local, key, |_| 1.0, oversample)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +175,7 @@ mod tests {
             let shards = run(size, |c| {
                 let mut rng = SmallRng::seed_from_u64(c.rank() as u64);
                 let local: Vec<u64> = (0..500).map(|_| rng.gen()).collect();
-                sample_sort(c, local, |&k| k, 64)
+                sample_sort_weighted(c, local, |&k| k, |_| 1.0, 64)
             });
             check_global_order(&shards);
             let total: usize = shards.iter().map(Vec::len).sum();
@@ -197,7 +187,7 @@ mod tests {
     fn preserves_multiset() {
         let shards = run(3, |c| {
             let local: Vec<u64> = (0..100).map(|i| (i * 7 + c.rank() as u64) % 50).collect();
-            sample_sort(c, local, |&k| k, 32)
+            sample_sort_weighted(c, local, |&k| k, |_| 1.0, 32)
         });
         let mut all: Vec<u64> = shards.into_iter().flatten().collect();
         all.sort_unstable();
@@ -213,7 +203,7 @@ mod tests {
         let shards = run(4, |c| {
             let mut rng = SmallRng::seed_from_u64(100 + c.rank() as u64);
             let local: Vec<u64> = (0..2000).map(|_| rng.gen()).collect();
-            sample_sort(c, local, |&k| k, 64)
+            sample_sort_weighted(c, local, |&k| k, |_| 1.0, 64)
         });
         let ideal = 2000.0;
         for s in &shards {
@@ -292,7 +282,7 @@ mod tests {
             } else {
                 Vec::new()
             };
-            sample_sort(c, local, |&k| k, 16)
+            sample_sort_weighted(c, local, |&k| k, |_| 1.0, 16)
         });
         let total: usize = shards.iter().map(Vec::len).sum();
         assert_eq!(total, 90);
@@ -303,7 +293,7 @@ mod tests {
     fn handles_all_equal_keys() {
         let shards = run(4, |c| {
             let local = vec![42u64; 250 * (c.rank() + 1)];
-            sample_sort(c, local, |&k| k, 32)
+            sample_sort_weighted(c, local, |&k| k, |_| 1.0, 32)
         });
         let total: usize = shards.iter().map(Vec::len).sum();
         assert_eq!(total, 250 * (1 + 2 + 3 + 4));
@@ -317,7 +307,7 @@ mod tests {
         // sending the whole world to rank 0.
         let shards = run(8, |c| {
             let local = vec![7u64; 400];
-            sample_sort(c, local, |&k| k, 32)
+            sample_sort_weighted(c, local, |&k| k, |_| 1.0, 32)
         });
         let total: usize = shards.iter().map(Vec::len).sum();
         assert_eq!(total, 8 * 400);
@@ -349,7 +339,7 @@ mod tests {
                     }
                 })
                 .collect();
-            sample_sort(c, local, |&k| k, 64)
+            sample_sort_weighted(c, local, |&k| k, |_| 1.0, 64)
         });
         check_global_order(&shards);
         let total: usize = shards.iter().map(Vec::len).sum();

@@ -152,12 +152,6 @@ impl FaultCtx {
         self.drained.load(Ordering::SeqCst) >= self.tx.len()
     }
 
-    /// Which peers the failure detector currently suspects, when the
-    /// plan armed one.
-    pub(crate) fn suspected(&self) -> Option<&[bool]> {
-        self.hb.as_ref().map(|hb| &hb.suspected[..])
-    }
-
     /// Panic (tearing this rank down) if its scheduled crash time has
     /// passed, or if another rank already died and the world is aborting.
     pub(crate) fn check_alive(&self, port: &Port) {

@@ -260,11 +260,6 @@ impl Fabric {
         }
     }
 
-    /// Uncontended one-way time for an `n`-byte message (no state update).
-    pub fn point_to_point_time(&self, n: usize) -> f64 {
-        self.profile.transfer_time(n)
-    }
-
     pub fn stats(&self) -> FabricStats {
         self.state().stats
     }
@@ -510,69 +505,5 @@ mod tests {
             let out = f.transfer(i, 511 - i, 1 << 16, 0.0);
             assert_eq!(out.queued, 0.0);
         }
-    }
-}
-
-impl Fabric {
-    /// The §3.1 experiment verbatim: "a small MPI program which
-    /// simultaneously sends messages between pairs of processors along
-    /// various hypercube edges." Pairs partners differing in bit `dim`
-    /// of the rank; returns aggregate Mbit/s over `ranks` ports.
-    pub fn hypercube_edge_mbits(&self, ranks: u32, dim: u32, bytes_per_flow: usize) -> f64 {
-        assert!(1 << dim < ranks);
-        self.reset();
-        let msg = 64 * 1024;
-        let n_msgs = bytes_per_flow / msg;
-        let mut clocks = vec![0.0f64; ranks as usize];
-        let mut finish: f64 = 0.0;
-        let mut total_bytes = 0usize;
-        for _ in 0..n_msgs {
-            for src in 0..ranks {
-                let dst = src ^ (1 << dim);
-                if dst >= ranks {
-                    continue;
-                }
-                let out = self.transfer(src, dst, msg, clocks[src as usize]);
-                clocks[src as usize] = out.arrival;
-                finish = finish.max(out.arrival);
-                total_bytes += msg;
-            }
-        }
-        crate::mbits_per_sec(total_bytes, finish)
-    }
-}
-
-#[cfg(test)]
-mod hypercube_tests {
-    use super::*;
-
-    #[test]
-    fn low_dims_are_nonblocking_high_dims_hit_the_backplane() {
-        let f = Fabric::space_simulator(LibraryProfile::tcp());
-        // dim 0..3: partners stay within a 16-port module -> aggregate
-        // scales with the number of flows.
-        let low = f.hypercube_edge_mbits(32, 1, 4 << 20);
-        // dim 4: partners are 16 apart -> every flow crosses modules.
-        let high = f.hypercube_edge_mbits(32, 4, 4 << 20);
-        assert!(
-            low > high,
-            "intra-module {low} should beat cross-module {high}"
-        );
-        // 32 flows all crossing one pair of uplinks: capped well below
-        // the non-blocking aggregate.
-        assert!(high < 13_000.0, "got {high}");
-    }
-
-    #[test]
-    fn trunk_dimension_is_the_slowest() {
-        let f = Fabric::space_simulator(LibraryProfile::tcp());
-        // 288 ranks, dim 8 (partners 256 apart): flows from ports
-        // 0..31 pair with 256..287 across the trunk.
-        let trunk_dim = f.hypercube_edge_mbits(288, 8, 2 << 20);
-        let module_dim = f.hypercube_edge_mbits(288, 4, 2 << 20);
-        assert!(
-            trunk_dim < module_dim,
-            "trunk {trunk_dim} vs module {module_dim}"
-        );
     }
 }

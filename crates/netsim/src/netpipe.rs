@@ -43,15 +43,6 @@ pub fn netpipe_sweep(
     points
 }
 
-/// The standard Figure 2 sweep: 1 byte to 16 MB for every library in the
-/// figure's legend. Returns `(library name, curve)` pairs.
-pub fn figure2_curves() -> Vec<(&'static str, Vec<NetpipePoint>)> {
-    LibraryProfile::figure2_set()
-        .into_iter()
-        .map(|p| (p.name, netpipe_sweep(&p, 1, 16 << 20)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,12 +86,11 @@ mod tests {
 
     #[test]
     fn figure2_has_five_curves_with_tcp_fastest() {
-        let curves = figure2_curves();
-        assert_eq!(curves.len(), 5);
-        let final_mbits: Vec<(&str, f64)> = curves
+        let final_mbits: Vec<(&str, f64)> = LibraryProfile::figure2_set()
             .iter()
-            .map(|(name, c)| (*name, c.last().unwrap().mbits))
+            .map(|p| (p.name, netpipe_sweep(p, 1, 16 << 20).last().unwrap().mbits))
             .collect();
+        assert_eq!(final_mbits.len(), 5);
         let tcp = final_mbits.iter().find(|(n, _)| *n == "TCP").unwrap().1;
         for (name, m) in &final_mbits {
             if *name != "TCP" {

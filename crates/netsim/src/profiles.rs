@@ -56,12 +56,6 @@ impl LibraryProfile {
         crate::mbits_per_sec(n, self.transfer_time(n))
     }
 
-    /// Pure time spent on the wire (serialization), excluding latency; used
-    /// by the fabric to hold shared resources busy.
-    pub fn serialization_time(&self, n: usize) -> f64 {
-        n as f64 / self.effective_bandwidth(n)
-    }
-
     /// Plain TCP over the 3c996B-T: 79 µs latency, 779 Mbit/s asymptote.
     pub fn tcp() -> Self {
         LibraryProfile {

@@ -146,11 +146,6 @@ impl SwitchFabric {
         path
     }
 
-    /// Total number of modules across all chassis.
-    pub fn total_modules(&self) -> u32 {
-        self.switches.iter().map(|s| s.modules).sum()
-    }
-
     /// Coarse classification of the src→dst path for trace attribution:
     /// self-sends are `Local`, same-module ports `Intra`, cross-module
     /// same-chassis `Uplink`, and cross-chassis `Trunk` (the scarcest
@@ -180,7 +175,6 @@ mod tests {
     fn space_simulator_has_304_ports() {
         let f = SwitchFabric::space_simulator();
         assert_eq!(f.total_ports(), 304);
-        assert_eq!(f.total_modules(), 19);
     }
 
     #[test]

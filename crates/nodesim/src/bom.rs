@@ -205,17 +205,6 @@ impl Bom {
         self.total() / self.nodes as f64
     }
 
-    /// Per-node cost of networking (NICs + switch share + cables).
-    pub fn network_per_node(&self) -> f64 {
-        let net: f64 = self
-            .items
-            .iter()
-            .filter(|i| i.network)
-            .map(BomItem::extended)
-            .sum();
-        net / self.nodes as f64
-    }
-
     /// Per-node cost of NICs and switches only — the paper's "$728 (44%)"
     /// definition, which excludes cables.
     pub fn nic_and_switch_per_node(&self) -> f64 {
@@ -228,18 +217,6 @@ impl Bom {
         net / self.nodes as f64
     }
 
-    /// Node cost with the network and racks excluded (the $888 figure used
-    /// for the SPECfp comparison in §3.5).
-    pub fn node_only(&self) -> f64 {
-        let excluded: f64 = self
-            .items
-            .iter()
-            .filter(|i| i.network || i.description.contains("shelving"))
-            .map(BomItem::extended)
-            .sum();
-        (self.total() - excluded) / self.nodes as f64
-    }
-
     /// Theoretical peak of the whole machine, flop/s.
     pub fn peak(&self) -> f64 {
         self.peak_per_node * self.nodes as f64
@@ -248,11 +225,6 @@ impl Bom {
     /// Dollars per Mflop/s for a given achieved Linpack performance.
     pub fn dollars_per_mflops(&self, linpack_flops: f64) -> f64 {
         self.total() / (linpack_flops / 1.0e6)
-    }
-
-    /// Dollars per SPECfp unit for a node (network excluded), §3.5.
-    pub fn dollars_per_specfp(&self, specfp: f64) -> f64 {
-        self.node_only() / specfp
     }
 }
 
@@ -286,8 +258,6 @@ mod tests {
         let frac = nic_switch / b.per_node();
         assert!((nic_switch - 728.0).abs() < 1.0, "net/node {nic_switch}");
         assert!((frac - 0.44).abs() < 0.005, "fraction {frac}");
-        // Cables included, the network is slightly dearer still.
-        assert!(b.network_per_node() > nic_switch);
     }
 
     #[test]
@@ -310,29 +280,6 @@ mod tests {
         assert!(dpm < 1.0);
         // The October 2002 run (665.1 Gflop/s) also beats $1/Mflops.
         assert!(b.dollars_per_mflops(665.1e9) < 1.0);
-    }
-
-    #[test]
-    fn node_only_cost_is_888() {
-        let b = Bom::space_simulator();
-        assert!(
-            (b.node_only() - 888.0).abs() < 15.0,
-            "got {}",
-            b.node_only()
-        );
-    }
-
-    #[test]
-    fn specfp_price_performance() {
-        let b = Bom::space_simulator();
-        let d = b.dollars_per_specfp(742.0);
-        assert!((d - 1.20).abs() < 0.03, "got {d}");
-        // §3.5: an HP rx2600 at SPECfp 2119 must cost < $2500 to beat it.
-        let hp_break_even = d * 2119.0;
-        assert!(
-            (hp_break_even - 2500.0).abs() < 100.0,
-            "got {hp_break_even}"
-        );
     }
 
     #[test]

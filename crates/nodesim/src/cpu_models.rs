@@ -51,11 +51,6 @@ impl CpuKernelModel {
         INTERACTION_FLOPS * self.clock_mhz / cycles
     }
 
-    /// Cycles per interaction for the libm variant.
-    pub fn libm_cycles_per_interaction(&self) -> f64 {
-        (INTERACTION_FLOPS - RSQRT_FLOPS) / self.karp_flops_per_cycle + self.sqrt_div_cycles
-    }
-
     /// Mflop/s for whichever variant is faster (what a tuned code uses).
     pub fn best_mflops(&self) -> f64 {
         self.karp_mflops().max(self.libm_mflops())
@@ -104,23 +99,6 @@ pub fn table5_paper_values() -> Vec<(&'static str, f64, f64)> {
     ]
 }
 
-/// The Space Simulator node's CPU (gcc) — used by the treecode throughput
-/// model of Table 6.
-pub fn space_simulator_cpu() -> CpuKernelModel {
-    table5_cpus()
-        .into_iter()
-        .find(|c| c.name == "2530-MHz Intel P4")
-        .unwrap()
-}
-
-/// The Space Simulator node's CPU with the Intel compiler (SSE/SSE2 on).
-pub fn space_simulator_cpu_icc() -> CpuKernelModel {
-    table5_cpus()
-        .into_iter()
-        .find(|c| c.name == "2530-MHz Intel P4 (icc)")
-        .unwrap()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,8 +143,9 @@ mod tests {
 
     #[test]
     fn icc_is_much_faster_than_gcc_on_p4() {
-        let gcc = space_simulator_cpu();
-        let icc = space_simulator_cpu_icc();
+        let row = |name| table5_cpus().into_iter().find(|c| c.name == name).unwrap();
+        let gcc = row("2530-MHz Intel P4");
+        let icc = row("2530-MHz Intel P4 (icc)");
         assert!(icc.karp_mflops() / gcc.karp_mflops() > 1.5);
         assert!(icc.libm_mflops() / gcc.libm_mflops() > 1.4);
     }

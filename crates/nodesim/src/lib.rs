@@ -12,7 +12,7 @@
 //!   gravity micro-kernel study of Table 5;
 //! * [`bom`] — bill-of-materials pricing and price/performance arithmetic;
 //! * [`reliability`] — component failure model calibrated to §2.1;
-//! * [`power`] — power draw and breaker-balance checks.
+//! * [`power`] — power draw against the cooling budget.
 
 pub mod bom;
 pub mod cpu_models;

@@ -163,11 +163,6 @@ impl NodeModel {
         }
         self.flop_rate(flops, bytes, cpu_eff) / self.peak_flops()
     }
-
-    /// Does a working set fit in L2? (Drives Figure 5's super-linear LU.)
-    pub fn fits_in_l2(&self, bytes: usize) -> bool {
-        bytes <= self.l2_bytes
-    }
 }
 
 /// One row of Table 2: a benchmark's baseline score and calibrated mix.
@@ -308,13 +303,6 @@ mod tests {
         let s = n.scaled(ClockConfig::SLOW_MEM);
         assert_eq!(s.clock_hz, n.clock_hz);
         assert!((s.mem_bw - 0.6 * n.mem_bw).abs() < 1.0);
-    }
-
-    #[test]
-    fn l2_residency() {
-        let n = NodeModel::space_simulator();
-        assert!(n.fits_in_l2(400 * 1024));
-        assert!(!n.fits_in_l2(600 * 1024));
     }
 
     #[test]

@@ -38,9 +38,7 @@
 use crate::fleet::{self, FleetConfig};
 use crate::index::QueryIndex;
 use crate::past;
-use crate::wire::{
-    forward_tag, hit_order, reply_tag, route_tag, Answer, Hit, Query, QueryKind, Reply, ReplyBatch,
-};
+use crate::wire::{hit_order, reply_tag, Answer, Hit, Query, QueryKind, Reply, ReplyBatch};
 use ckpt::ShardHeader;
 use hot::integrate::Simulation;
 use hot::tree::Body;
@@ -396,16 +394,7 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
 
         // -- Route: one query vector per ordered rank pair.
         comm.span_enter("query.route");
-        let mut inbox = std::mem::take(&mut outbound[me]);
-        for (d, bucket) in outbound.iter_mut().enumerate() {
-            if d != me {
-                comm.send(d, route_tag(t), std::mem::take(bucket));
-            }
-        }
-        for _ in 1..size {
-            let (_, qs): (usize, Vec<Query>) = comm.recv(None, route_tag(t));
-            inbox.extend(qs);
-        }
+        let inbox = comm.alltoallv(outbound).into_iter().flatten();
 
         // -- Forward: a point query that raced a migration lands on the
         // previous owner, which re-routes it to the current owner.
@@ -426,15 +415,7 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
                 _ => to_answer.push(q),
             }
         }
-        for (d, bucket) in fwd_out.iter_mut().enumerate() {
-            if d != me {
-                comm.send(d, forward_tag(t), std::mem::take(bucket));
-            }
-        }
-        for _ in 1..size {
-            let (_, qs): (usize, Vec<Query>) = comm.recv(None, forward_tag(t));
-            to_answer.extend(qs);
-        }
+        to_answer.extend(comm.alltoallv(fwd_out).into_iter().flatten());
         comm.span_exit("query.route");
 
         // -- Answer: live queries against the owned span of the shared
@@ -489,9 +470,10 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
                 comm.send(d, reply_tag(t), std::mem::take(batch));
             }
         }
-        for _ in 1..size {
-            let (_, batch): (usize, ReplyBatch) = comm.recv(None, reply_tag(t));
-            batches.push(batch);
+        // In peer order, not arrival order: the merge clock must not
+        // depend on host scheduling (see `Comm::alltoallv`).
+        for k in 1..size {
+            batches.push(comm.recv_from((me + k) % size, reply_tag(t)));
         }
         for batch in batches {
             for r in batch.replies {

@@ -27,25 +27,14 @@ use msg::payload::{FixedWire, Payload};
 
 /// Tag base for the query protocol: well below `Tag::MAX / 2` (user
 /// space) and disjoint from the simcheck exchanges at `1 << 20` /
-/// `1 << 21`. Each simulation tick uses three consecutive tags
-/// (route / forward / reply), so a run of `steps` ticks occupies
-/// `[QUERY_TAG0, QUERY_TAG0 + 3 * steps)`.
+/// `1 << 21`. The route and forward phases are `alltoallv` collectives
+/// (library tags); only the reply phase sends point-to-point, one tag
+/// per simulation tick: `[QUERY_TAG0, QUERY_TAG0 + steps)`.
 pub const QUERY_TAG0: msg::Tag = 1 << 22;
-
-/// Tag for the route phase of tick `step`.
-pub fn route_tag(step: u64) -> msg::Tag {
-    QUERY_TAG0 + 3 * step
-}
-
-/// Tag for the forward phase of tick `step` (mid-migration point
-/// queries re-routed by the stale owner).
-pub fn forward_tag(step: u64) -> msg::Tag {
-    QUERY_TAG0 + 3 * step + 1
-}
 
 /// Tag for the partial-reply phase of tick `step`.
 pub fn reply_tag(step: u64) -> msg::Tag {
-    QUERY_TAG0 + 3 * step + 2
+    QUERY_TAG0 + step
 }
 
 /// Exact squared distance — the one expression every membership and
@@ -302,6 +291,6 @@ mod tests {
     #[test]
     fn tags_stay_in_user_space_and_apart_from_simcheck() {
         assert!(reply_tag(10_000) < msg::Tag::MAX / 2);
-        assert!(route_tag(0) > (1 << 21), "clear of simcheck's tag bases");
+        assert!(reply_tag(0) > (1 << 21), "clear of simcheck's tag bases");
     }
 }

@@ -35,6 +35,14 @@ pub struct DeltaCell {
     pub cols: Vec<(u8, Vec<u8>)>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch (test builds only): [`Delta::build`] forgets
+    /// its last dirty cell, so the materialize round-trip oracle can be
+    /// shown to catch a delta that ships too little.
+    static DROP_ONE_DIRTY_CELL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delta {
     pub base_step: u64,
@@ -103,6 +111,10 @@ impl Delta {
                     cols,
                 });
             }
+        }
+        #[cfg(test)]
+        if DROP_ONE_DIRTY_CELL.get() {
+            dirty.pop();
         }
         Delta {
             base_step,
@@ -318,4 +330,54 @@ fn bbox_bits(b: &BBox) -> [u64; 4] {
         b.center[2].to_bits(),
         b.half.to_bits(),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{GenerationLog, RecordKind, StoreConfig};
+    use hot::models::plummer;
+
+    /// The `GenerationLog::materialize` round-trip oracle of
+    /// `tests/roundtrip.rs` in miniature: commit a drifting universe,
+    /// materialize every generation, demand the committed bits back.
+    fn chain_round_trips() -> bool {
+        let mut bodies = plummer(200, 55);
+        let mut log = GenerationLog::new(StoreConfig::default(), 0);
+        let mut committed = Vec::new();
+        for step in 0..4u64 {
+            for b in &mut bodies {
+                b.pos[0] += 1e-4 * (b.id % 7) as f64;
+            }
+            log.commit(step, &bodies, &[]);
+            committed.push(bodies.clone());
+        }
+        let last = log.record(3).expect("committed").bytes();
+        assert!(matches!(
+            crate::record_kind(last),
+            Ok(RecordKind::Delta { .. })
+        ));
+        committed.iter().zip(0u64..).all(|(want, step)| {
+            let mut want = want.clone();
+            want.sort_by_key(|b| b.id);
+            log.materialize(step)
+                .and_then(|snap| snap.decode_all())
+                .is_ok_and(|(mut got, _)| {
+                    got.sort_by_key(|b| b.id);
+                    got == want
+                })
+        })
+    }
+
+    #[test]
+    fn delta_chain_materializes_what_was_committed() {
+        assert!(chain_round_trips());
+    }
+
+    /// Teeth: a delta one dirty cell short must not round-trip.
+    #[test]
+    fn round_trip_oracle_catches_a_dropped_dirty_cell() {
+        DROP_ONE_DIRTY_CELL.set(true);
+        assert!(!chain_round_trips());
+    }
 }

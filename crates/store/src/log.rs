@@ -12,28 +12,22 @@ use crate::snapshot::Snapshot;
 use crate::{RecordKind, StoreError};
 use hot::{BBox, Body};
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StoreConfig {
-    /// Morton level of the cell partition (cells = octree nodes at
-    /// this depth; 4 → up to 4096 cells).
-    pub cell_level: u32,
-    /// How much to inflate a fresh bounding box so subsequent
-    /// generations keep fitting (and can be committed as deltas).
-    pub pad_factor: f64,
-    /// Force a full frame every this many commits, bounding delta
-    /// chain length and hence materialization cost.
-    pub full_every: u32,
-}
+/// Morton level of the cell partition (cells = octree nodes at this
+/// depth; 4 → up to 4096 cells).
+const CELL_LEVEL: u32 = 4;
+/// How much to inflate a fresh bounding box so subsequent generations
+/// keep fitting (and can be committed as deltas).
+const PAD_FACTOR: f64 = 2.0;
+/// Force a full frame every this many commits, bounding delta chain
+/// length and hence materialization cost.
+const FULL_EVERY: u32 = 8;
 
-impl Default for StoreConfig {
-    fn default() -> StoreConfig {
-        StoreConfig {
-            cell_level: 4,
-            pad_factor: 2.0,
-            full_every: 8,
-        }
-    }
-}
+/// What a [`GenerationLog`] is constructed from. It has no knobs — the
+/// partition level, bbox padding and chain length above had one value
+/// in every caller — and stays a type because the frozen `hostbench`
+/// crate passes `StoreConfig::default()`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct StoreConfig {}
 
 /// One committed generation's bytes: a full snapshot frame or a delta
 /// frame chained to the previous commit.
@@ -55,7 +49,6 @@ impl GenRecord {
 /// Append-only log of committed generations with full/delta chaining.
 #[derive(Debug, Clone)]
 pub struct GenerationLog {
-    cfg: StoreConfig,
     n_aux: u32,
     gens: Vec<(u64, GenRecord)>,
     /// Most recent generation kept encoded for diffing the next commit.
@@ -72,9 +65,8 @@ pub struct GenerationLog {
 }
 
 impl GenerationLog {
-    pub fn new(cfg: StoreConfig, n_aux: u32) -> GenerationLog {
+    pub fn new(_cfg: StoreConfig, n_aux: u32) -> GenerationLog {
         GenerationLog {
-            cfg,
             n_aux,
             gens: Vec::new(),
             last: None,
@@ -113,7 +105,7 @@ impl GenerationLog {
             "commits must advance the step"
         );
         let reuse = match &self.last {
-            Some((_, prev)) if self.chain_len + 1 < self.cfg.full_every => {
+            Some((_, prev)) if self.chain_len + 1 < FULL_EVERY => {
                 bodies.iter().all(|b| fits(&prev.bbox, b.pos))
             }
             _ => false,
@@ -121,9 +113,9 @@ impl GenerationLog {
         let bbox = if reuse {
             self.last.as_ref().unwrap().1.bbox
         } else {
-            padded_bbox(bodies, self.cfg.pad_factor)
+            padded_bbox(bodies, PAD_FACTOR)
         };
-        let cur = Snapshot::build(bodies, aux, self.n_aux, bbox, self.cfg.cell_level);
+        let cur = Snapshot::build(bodies, aux, self.n_aux, bbox, CELL_LEVEL);
         let full = cur.to_bytes();
         self.full_bytes += full.len() as u64;
         self.cells_total += cur.cells.len() as u64;
