@@ -1,8 +1,9 @@
 //! The latency-hiding telemetry contract: a distributed deferred-walk
 //! run must surface its overlap counters (`walk.deferred`,
-//! `walk.resumed`, `abm.coalesced`, `abm.flush_deadline`) and its
-//! sharing counters (`walk.groups`, `walk.list_entries`) in the
-//! structural summary, on a fault-free machine every parked walk must be
+//! `walk.resumed`, `abm.coalesced`, and `abm.flush_deadline` whenever a
+//! batch aged past its deadline) and its sharing counters
+//! (`walk.groups`, `walk.list_entries`) in the structural summary, on a
+//! fault-free machine every parked walk must be
 //! resumed exactly as many times as it parked, and the bodies of a group
 //! must share their interaction-list entries. The golden-trace
 //! worlds replicate physics on every rank and never exercise the
@@ -19,18 +20,21 @@ use msg::Machine;
 const RANKS: usize = 4;
 
 /// Total for `name` from the summary's leading `totals` block
-/// (`  counter <name> <value>`); the per-rank sections repeat the
-/// counter, but the totals block always lists it first.
-fn counter_total(summary: &str, name: &str) -> u64 {
+/// (`  counter <name> <value>`), if the summary has the counter; the
+/// per-rank sections repeat the counter, but the totals block always
+/// lists it first.
+fn find_counter(summary: &str, name: &str) -> Option<u64> {
     let needle = format!("counter {name} ");
     let line = summary
         .lines()
-        .find(|l| l.trim_start().starts_with(&needle))
-        .unwrap_or_else(|| panic!("counter {name} missing from structural summary"));
-    line.rsplit(' ')
-        .next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable counter line: {line}"))
+        .find(|l| l.trim_start().starts_with(&needle))?;
+    let value = line.rsplit(' ').next().and_then(|v| v.parse().ok());
+    Some(value.unwrap_or_else(|| panic!("unparseable counter line: {line}")))
+}
+
+fn counter_total(summary: &str, name: &str) -> u64 {
+    find_counter(summary, name)
+        .unwrap_or_else(|| panic!("structural summary lost the {name} counter:\n{summary}"))
 }
 
 /// Structural summary of a 4-rank strided-split distributed walk.
@@ -53,19 +57,22 @@ fn summary_of(ics: &[Body]) -> String {
 fn overlap_counters_surface_in_structural_summary() {
     let summary = summary_of(&golden_ics(96, 42));
 
+    // These five cannot be zero on this input, so each must have a row.
     for name in [
         "walk.deferred",
         "walk.resumed",
         "walk.groups",
         "walk.list_entries",
         "abm.coalesced",
-        "abm.flush_deadline",
     ] {
-        assert!(
-            summary.contains(&format!("counter {name} ")),
-            "structural summary lost the {name} counter:\n{summary}"
-        );
+        assert!(counter_total(&summary, name) > 0, "{name} is zero");
     }
+    // A deadline flush needs a batch to age 200 virtual µs before it fills
+    // or the engine idles, which depends on how the rank threads
+    // interleave, and `obs::Metrics::add` keeps a zero delta for a name
+    // it has not seen out of the summary (or a row per never-hit counter
+    // would enter every golden): the row is absent when there were none.
+    assert_ne!(find_counter(&summary, "abm.flush_deadline"), Some(0));
 
     // A 4-rank strided split of a Plummer ball cannot satisfy every MAC
     // test locally, so the engine must actually have overlapped: walks

@@ -25,6 +25,7 @@
 
 use crate::gravity::{self, Accel, GravityConfig};
 use crate::mac::Mac;
+use crate::multipole::Multipole;
 use crate::traverse::TraverseStats;
 use crate::tree::{Cell, CellIdx, Tree, NO_CELL};
 use std::cell::RefCell;
@@ -38,7 +39,8 @@ pub const LEAVES: usize = 8;
 const _: () = assert!(LEAVES <= Mask::BITS as usize);
 
 /// One bit per member of a shared walk: a leaf of a walk group here, a
-/// body of a `parallel::GROUP` in the distributed walk.
+/// body of a `parallel::GROUP` in the distributed walk, which fills the
+/// shared list from its own descent ([`IlistScratch::share_mom`]).
 pub(crate) type Mask = u8;
 
 /// The members of `mask` for which `f` holds.
@@ -167,6 +169,40 @@ impl IlistScratch {
     /// of them were a fifth of `treecode_replicated16`'s peak RSS.
     pub(crate) fn release_shared(&mut self) {
         self.shared = SharedList::default();
+    }
+
+    /// Empty the shared list for the next shared walk.
+    pub(crate) fn clear_shared(&mut self) {
+        let sh = &mut self.shared;
+        sh.cells.iter_mut().for_each(Vec::clear);
+        sh.cell_masks.clear();
+        sh.bodies.iter_mut().for_each(Vec::clear);
+        sh.body_masks.clear();
+    }
+
+    /// Append an accepted multipole to the shared list, for the members
+    /// of `mask`.
+    #[inline]
+    pub(crate) fn share_mom(&mut self, mask: Mask, mom: &Multipole) {
+        let a = &mut self.alloc_events;
+        let [x, y, z] = mom.com;
+        let [q0, q1, q2, q3, q4, q5] = mom.quad;
+        let planes = self.shared.cells.iter_mut();
+        for (plane, v) in planes.zip([x, y, z, mom.mass, q0, q1, q2, q3, q4, q5]) {
+            push_tracked(plane, a, v);
+        }
+        push_tracked(&mut self.shared.cell_masks, a, mask);
+    }
+
+    /// Append one leaf body to the shared list, for the members of `mask`.
+    #[inline]
+    pub(crate) fn share_body(&mut self, mask: Mask, pos: [f64; 3], mass: f64) {
+        let a = &mut self.alloc_events;
+        let [x, y, z] = pos;
+        for (plane, v) in self.shared.bodies.iter_mut().zip([x, y, z, mass]) {
+            push_tracked(plane, a, v);
+        }
+        push_tracked(&mut self.shared.body_masks, a, mask);
     }
 
     /// Number of accepted cells currently gathered.
@@ -334,14 +370,9 @@ pub fn gather_leaves(
 ) -> u64 {
     debug_assert!(cfg.periodic.is_none(), "group walks are non-periodic");
     assert!(!leaves.is_empty() && leaves.len() <= LEAVES);
-    let allocs = &mut sc.alloc_events;
-    let sh = &mut sc.shared;
-    sh.cells.iter_mut().for_each(Vec::clear);
-    sh.cell_masks.clear();
-    sh.bodies.iter_mut().for_each(Vec::clear);
-    sh.body_masks.clear();
-    sh.leaves[..leaves.len()].copy_from_slice(leaves);
-    sh.nleaves = leaves.len();
+    sc.clear_shared();
+    sc.shared.leaves[..leaves.len()].copy_from_slice(leaves);
+    sc.shared.nleaves = leaves.len();
     // Leaf spheres as lanes, so the tests of one cell are one SIMD pass;
     // lanes past a short last group are masked out.
     let (mut gx, mut gy, mut gz, mut rg) =
@@ -353,8 +384,8 @@ pub fn gather_leaves(
     }
     let mut opened = 0u64;
     let all = Mask::MAX >> (Mask::BITS as usize - leaves.len());
-    push_tracked(&mut sh.stack, allocs, (0, all));
-    while let Some((ci, mask)) = sh.stack.pop() {
+    push_tracked(&mut sc.shared.stack, &mut sc.alloc_events, (0, all));
+    while let Some((ci, mask)) = sc.shared.stack.pop() {
         let cell = tree.cell(ci);
         if cell.nbody == 0 {
             continue;
@@ -379,16 +410,7 @@ pub fn gather_leaves(
         }
         accept &= mask;
         if accept != 0 {
-            let [x, y, z] = mom.com;
-            let [q0, q1, q2, q3, q4, q5] = mom.quad;
-            for (plane, v) in sh
-                .cells
-                .iter_mut()
-                .zip([x, y, z, mom.mass, q0, q1, q2, q3, q4, q5])
-            {
-                push_tracked(plane, allocs, v);
-            }
-            push_tracked(&mut sh.cell_masks, allocs, accept);
+            sc.share_mom(accept, mom);
         }
         let open = mask & !accept;
         if open == 0 {
@@ -398,18 +420,14 @@ pub fn gather_leaves(
             let others = open & !select(open, |k| leaves[k] == ci);
             if others != 0 {
                 for b in tree.leaf_bodies(cell) {
-                    let [x, y, z] = b.pos;
-                    for (plane, v) in sh.bodies.iter_mut().zip([x, y, z, b.mass]) {
-                        push_tracked(plane, allocs, v);
-                    }
-                    push_tracked(&mut sh.body_masks, allocs, others);
+                    sc.share_body(others, b.pos, b.mass);
                 }
             }
         } else {
             opened += open.count_ones() as u64;
             for &ch in &cell.children {
                 if ch != NO_CELL {
-                    push_tracked(&mut sh.stack, allocs, (ch, open));
+                    push_tracked(&mut sc.shared.stack, &mut sc.alloc_events, (ch, open));
                 }
             }
         }
@@ -417,13 +435,10 @@ pub fn gather_leaves(
     opened
 }
 
-/// Load the list of leaf `k` of the gathered walk group into `sc`'s
-/// spans — the sub-sequence of shared entries carrying its bit, copied
-/// out by index — and return the leaf, ready for [`eval_group`].
-pub fn materialize(sc: &mut IlistScratch, k: usize) -> CellIdx {
+/// [`materialize`] for member `k` of any shared walk, leaf or body.
+pub(crate) fn materialize_member(sc: &mut IlistScratch, k: usize) {
     let allocs = &mut sc.alloc_events;
     let sh = &mut sc.shared;
-    assert!(k < sh.nleaves, "the gathered walk group has no leaf {k}");
     let n = indices_of(&sh.cell_masks, k, &mut sh.idx, allocs);
     let [q0, q1, q2, q3, q4, q5] = &mut sc.cq;
     let spans = [
@@ -437,8 +452,18 @@ pub fn materialize(sc: &mut IlistScratch, k: usize) -> CellIdx {
     for (dst, src) in spans.into_iter().zip(&sh.bodies) {
         gather_plane(dst, allocs, src, &sh.idx[..n]);
     }
-    sc.own_leaf = Some(sh.leaves[k]);
-    sh.leaves[k]
+}
+
+/// Load the list of leaf `k` of the gathered walk group into `sc`'s
+/// spans — the sub-sequence of shared entries carrying its bit, copied
+/// out by index — and return the leaf, ready for [`eval_group`].
+pub fn materialize(sc: &mut IlistScratch, k: usize) -> CellIdx {
+    let sh = &sc.shared;
+    assert!(k < sh.nleaves, "the gathered walk group has no leaf {k}");
+    let leaf = sh.leaves[k];
+    materialize_member(sc, k);
+    sc.own_leaf = Some(leaf);
+    leaf
 }
 
 /// Evaluate a materialised leaf list (from [`materialize`]) for every

@@ -7,6 +7,7 @@
 //! accurate enough or the cell must be opened.
 
 use crate::gravity::MacKind;
+use crate::ilist::Mask;
 use crate::tree::Cell;
 
 /// A configured acceptance test.
@@ -42,14 +43,45 @@ impl Mac {
         if d2 <= mom.bmax * mom.bmax {
             return false;
         }
-        let crit = match self.kind {
+        let crit = self.crit(side, mom.bmax);
+        d2 > crit * crit
+    }
+
+    /// The distance a target must be beyond.
+    #[inline]
+    fn crit(&self, side: f64, bmax: f64) -> f64 {
+        match self.kind {
             // s/d < θ with s the cell side.
             MacKind::BarnesHut => side / self.theta,
             // 2·bmax/d < θ: adapts to the true mass extent, so nearly
             // empty corners of a cell don't force an open.
-            MacKind::BmaxMac => 2.0 * mom.bmax / self.theta,
-        };
-        d2 > crit * crit
+            MacKind::BmaxMac => 2.0 * bmax / self.theta,
+        }
+    }
+
+    /// [`Mac::accept_raw`] for the targets `(at[0][k], at[1][k], at[2][k])`
+    /// as SIMD lanes, bit `k` of the result for target `k`: the same
+    /// operations and comparisons per target (no `mul_add`: a differently
+    /// rounded distance flips decisions at the boundary).
+    #[inline]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `accept_raw`'s answer on a NaN, too
+    pub(crate) fn accept_lanes<const N: usize>(
+        &self,
+        side: f64,
+        mom: &crate::multipole::Multipole,
+        at: &[[f64; N]; 3],
+    ) -> Mask {
+        let crit = self.crit(side, mom.bmax);
+        let (b2, c2) = (mom.bmax * mom.bmax, crit * crit);
+        let mut accept = 0;
+        for k in 0..N {
+            let dx = at[0][k] - mom.com[0];
+            let dy = at[1][k] - mom.com[1];
+            let dz = at[2][k] - mom.com[2];
+            let d2 = dx * dx + dy * dy + dz * dz;
+            accept |= ((!(d2 <= b2) && d2 > c2) as Mask) << k;
+        }
+        accept
     }
 }
 
@@ -110,6 +142,24 @@ mod tests {
         let pos = [1.5, 0.0, 0.0];
         assert!(Mac::new(MacKind::BmaxMac, 0.5).accept(&concentrated, pos));
         assert!(!Mac::new(MacKind::BarnesHut, 0.5).accept(&concentrated, pos));
+    }
+
+    #[test]
+    fn lanes_answer_as_accept_raw_does() {
+        // Inside and outside both radii, on them, an unbounded `bmax` (the
+        // distributed walk's synthesized root) and a NaN.
+        let xs = [0.0, 0.5, 0.9, 1.0, 3.9, 4.0, 4.1, f64::NAN];
+        let at = [xs, [0.0; 8], [0.0; 8]];
+        for kind in [MacKind::BarnesHut, MacKind::BmaxMac] {
+            for bmax in [0.0, 0.9, 1.0, 2.0, f64::INFINITY, f64::NAN] {
+                let (mac, cell) = (Mac::new(kind, 0.5), cell_at([0.0; 3], 1.0, bmax));
+                let lanes = mac.accept_lanes(cell.side(), &cell.mom, &at);
+                for (k, &x) in xs.iter().enumerate() {
+                    let one = mac.accept(&cell, [x, 0.0, 0.0]);
+                    assert_eq!(lanes >> k & 1 != 0, one, "{kind:?} bmax {bmax} x {x}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! computations have been put aside waiting for messages to arrive."
 //!
 //! Concretely: a run of [`GROUP`] consecutive Morton-sorted local bodies
-//! shares one `Walk` with an explicit stack of `(key, mask)`, the mask
+//! shares one `Walk` with an explicit stack of `(cell, mask)`, the mask
 //! naming the bodies that still have to look at that cell. When a walk
 //! needs a cell that is not purely local and whose data has not yet
 //! arrived, the walk is parked on the pending request and the engine
@@ -32,7 +32,7 @@ use crate::mac::Mac;
 use crate::morton::{Key, MAX_LEVEL};
 use crate::multipole::Multipole;
 use crate::traverse::TraverseStats;
-use crate::tree::{Body, Tree};
+use crate::tree::{Body, CellIdx, Tree, NO_CELL};
 use msg::abm::Termination;
 use msg::{Abm, Comm};
 use std::collections::{HashMap, VecDeque};
@@ -52,6 +52,29 @@ pub struct CellPartial {
 
 impl msg::payload::FixedWire for CellPartial {
     const WIRE: usize = 104;
+}
+
+impl CellPartial {
+    fn new(parent: u64, oct: u8, mom: &Multipole, nbody: u32) -> CellPartial {
+        CellPartial {
+            parent,
+            oct,
+            mass: mom.mass,
+            com: mom.com,
+            quad: mom.quad,
+            bmax: mom.bmax,
+            nbody,
+        }
+    }
+
+    fn moments(&self) -> Multipole {
+        Multipole {
+            mass: self.mass,
+            com: self.com,
+            quad: self.quad,
+            bmax: self.bmax,
+        }
+    }
 }
 
 /// One body shipped for a remote leaf's P2P phase. `id == u64::MAX` is the
@@ -138,6 +161,34 @@ where
 const GROUP: usize = 8;
 const _: () = assert!(GROUP <= Mask::BITS as usize);
 
+/// A list entry: the bodies that take it, and which cell or body it is —
+/// an index into the local tree's `cells`/`bodies`, or with [`GHOST`] set
+/// into the engine's `ghosts`/`ghost_bodies`. Every walk of a rank is
+/// parked at once, so what an entry weighs is the rank's memory.
+type Src = (Mask, u32);
+const GHOST: u32 = 1 << 31;
+const _: () = assert!(size_of::<Src>() == 8);
+
+/// Where a stacked cell's data lives, resolved once, when its parent's
+/// children arrive (the root's, before the first walk).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Node {
+    /// Entirely this rank's, and a cell of the local tree.
+    Local(CellIdx),
+    /// Entirely this rank's bodies `a..b`, below a local leaf: the
+    /// global parent is over `leaf_max`, this rank's part of it is not.
+    Range(u32, u32),
+    /// Shared or remote: a slot of `Engine::ghosts`.
+    Ghost(u32),
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch (test builds only): an imported leaf's
+    /// bodies go on the list of every body that opened it, itself included.
+    static KEEP_SELF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// One traversal shared by local bodies `first .. first + GROUP`.
 ///
 /// The stack restricted to one body's bit is that body's solo depth-first
@@ -145,7 +196,7 @@ const _: () = assert!(GROUP <= Mask::BITS as usize);
 /// walk of its own would.
 struct Walk {
     first: u32,
-    stack: Vec<(Key, Mask)>,
+    stack: Vec<(Node, Mask)>,
     /// Interaction lists accumulated across suspensions: each accepted
     /// multipole and gathered leaf body once, tagged with the bodies that
     /// take it. A body's slice (the entries carrying its bit, in list
@@ -153,17 +204,17 @@ struct Walk {
     /// floating-point summation order — and hence the accelerations —
     /// are a pure function of the traversal, independent of where the
     /// walk happened to suspend or how messages were scheduled.
-    cells: Vec<(Mask, Multipole)>,
-    bodies: Vec<(Mask, [f64; 3], f64)>,
+    cells: Vec<Src>,
+    bodies: Vec<Src>,
 }
 
 impl Walk {
     /// Append a leaf body for the bodies of `mask` (none, when the only
     /// body that opened the leaf is this one).
     #[inline]
-    fn gather(&mut self, mask: Mask, pos: [f64; 3], mass: f64) {
+    fn gather(&mut self, mask: Mask, body: u32) {
         if mask != 0 {
-            self.bodies.push((mask, pos, mass));
+            self.bodies.push((mask, body));
         }
     }
 }
@@ -171,10 +222,14 @@ impl Walk {
 /// A shared or remote cell: merged moments, and its children and leaf
 /// bodies once they have been fetched.
 struct GhostCell {
+    key: Key,
     mom: Multipole,
+    /// What `Cell::side` is to a local cell, for the MAC.
+    side: f64,
     nbody: u32,
-    kids: Option<Vec<Key>>,
-    bodies: Option<Vec<BodyPart>>,
+    kids: Option<Vec<Node>>,
+    /// Range of `Engine::ghost_bodies`.
+    bodies: Option<(u32, u32)>,
 }
 
 struct PendingChildren {
@@ -194,6 +249,56 @@ struct PendingBodies {
     waiting: Vec<u32>,
 }
 
+/// Bodies of the local shard lying inside `key`'s range.
+fn local_range(tree: &Tree, key: Key) -> (usize, usize) {
+    let (lo, hi) = key.key_range();
+    let a = tree.keys.partition_point(|k| k.0 < lo.0);
+    let b = tree.keys.partition_point(|k| k.0 <= hi.0);
+    (a, b)
+}
+
+/// This rank's partial moments of each occupied child octant of `key`, in
+/// octant order, straight from the sorted body array (works whether or
+/// not a local cell exists).
+fn partial_children(tree: Option<&Tree>, key: Key, mut visit: impl FnMut(CellPartial)) {
+    let Some(tree) = tree else { return };
+    let (a, b) = local_range(tree, key);
+    if a == b {
+        return;
+    }
+    let level = key.level();
+    debug_assert!(level < MAX_LEVEL);
+    let shift = 3 * (MAX_LEVEL - level - 1);
+    let mut start = a;
+    for oct in 0..8u8 {
+        let run_end =
+            start + tree.keys[start..b].partition_point(|k| ((k.0 >> shift) & 7) as u8 <= oct);
+        if run_end > start {
+            let mom = Multipole::from_bodies(
+                tree.bodies[start..run_end]
+                    .iter()
+                    .map(|bd| (&bd.pos, bd.mass)),
+            );
+            visit(CellPartial::new(key.0, oct, &mom, (run_end - start) as u32));
+        }
+        start = run_end;
+    }
+}
+
+/// This rank's bodies inside `key`, as wire records.
+fn partial_bodies(tree: Option<&Tree>, key: Key) -> impl Iterator<Item = BodyPart> + '_ {
+    let inside = tree.map_or(&[][..], |t| {
+        let (a, b) = local_range(t, key);
+        &t.bodies[a..b]
+    });
+    inside.iter().map(move |bd| BodyPart {
+        cell: key.0,
+        pos: bd.pos,
+        mass: bd.mass,
+        id: bd.id,
+    })
+}
+
 struct Engine<'a> {
     rank: usize,
     decomp: &'a Decomposition,
@@ -205,6 +310,8 @@ struct Engine<'a> {
     /// local tree uses for its cells).
     ghost_at: KeyMap,
     ghosts: Vec<GhostCell>,
+    /// Imported leaf bodies, each leaf's contiguous and in id order.
+    ghost_bodies: Vec<BodyPart>,
     /// Acceleration per local body and interaction totals, filled in as
     /// walks complete.
     accel: Vec<Accel>,
@@ -231,6 +338,9 @@ struct Engine<'a> {
     /// (`stats.interactions()` over this is the sharing factor).
     groups: u64,
     list_entries: u64,
+    /// Summed capacity of the completed walks' lists.
+    #[cfg(test)]
+    list_bytes: usize,
     /// Interactions accumulated since the last virtual-time charge.
     uncharged: u64,
     /// Batches already reported to the termination counter; lets
@@ -255,6 +365,7 @@ impl<'a> Engine<'a> {
             cfg,
             ghost_at: KeyMap::with_capacity(64),
             ghosts: Vec::new(),
+            ghost_bodies: Vec::new(),
             accel: vec![Accel::default(); tree.map_or(0, |t| t.bodies.len())],
             stats: TraverseStats::default(),
             pending_children: HashMap::new(),
@@ -268,90 +379,39 @@ impl<'a> Engine<'a> {
             coalesced: 0,
             groups: 0,
             list_entries: 0,
+            #[cfg(test)]
+            list_bytes: 0,
             uncharged: 0,
             reported_sent: 0,
         }
     }
 
-    fn insert_ghost(&mut self, key: Key, mom: Multipole, nbody: u32) {
-        self.ghost_at.insert(key, self.ghosts.len() as u32);
+    /// Name `key` for the stacks: as the local tree has it when no other
+    /// rank can own any of it, as a new ghost otherwise.
+    fn resolve(&mut self, key: Key, mom: Multipole, nbody: u32) -> Node {
+        if self.decomp.purely_local(key, self.rank) {
+            let tree = self.tree.expect("a purely local cell has local bodies");
+            let (a, b) = local_range(tree, key);
+            let raw = Node::Range(a as u32, b as u32);
+            return tree.map.get(key).map_or(raw, |i| Node::Local(i as CellIdx));
+        }
+        let slot = self.ghosts.len() as u32;
+        self.ghost_at.insert(key, slot);
         self.ghosts.push(GhostCell {
+            key,
             mom,
+            side: 2.0 * self.decomp.bbox.cell_geometry(key).1,
             nbody,
             kids: None,
             bodies: None,
         });
+        Node::Ghost(slot)
     }
 
-    /// The ghost record of a key some walk has already visited.
+    /// The ghost record a reply names by key.
     fn ghost_mut(&mut self, key: Key) -> &mut GhostCell {
         let slot = self.ghost_at.get(key).expect("fetch for an unvisited key");
         &mut self.ghosts[slot as usize]
-    }
-
-    /// Bodies of the local shard lying inside `key`'s range.
-    fn local_range(&self, key: Key) -> (usize, usize) {
-        let Some(tree) = self.tree else {
-            return (0, 0);
-        };
-        let (lo, hi) = key.key_range();
-        let a = tree.keys.partition_point(|k| k.0 < lo.0);
-        let b = tree.keys.partition_point(|k| k.0 <= hi.0);
-        (a, b)
-    }
-
-    /// This rank's partial child moments of `key`, straight from the
-    /// sorted body array (works whether or not a local cell exists).
-    fn partial_children(&self, key: Key) -> Vec<CellPartial> {
-        let (a, b) = self.local_range(key);
-        let mut out = Vec::new();
-        if a == b {
-            return out;
-        }
-        let tree = self.tree.unwrap();
-        let level = key.level();
-        debug_assert!(level < MAX_LEVEL);
-        let shift = 3 * (MAX_LEVEL - level - 1);
-        let mut start = a;
-        for oct in 0..8u8 {
-            let run_end =
-                start + tree.keys[start..b].partition_point(|k| ((k.0 >> shift) & 7) as u8 <= oct);
-            if run_end > start {
-                let mom = Multipole::from_bodies(
-                    tree.bodies[start..run_end]
-                        .iter()
-                        .map(|bd| (&bd.pos, bd.mass)),
-                );
-                out.push(CellPartial {
-                    parent: key.0,
-                    oct,
-                    mass: mom.mass,
-                    com: mom.com,
-                    quad: mom.quad,
-                    bmax: mom.bmax,
-                    nbody: (run_end - start) as u32,
-                });
-            }
-            start = run_end;
-        }
-        out
-    }
-
-    /// This rank's bodies inside `key`, as wire records.
-    fn partial_bodies(&self, key: Key) -> Vec<BodyPart> {
-        let (a, b) = self.local_range(key);
-        let Some(tree) = self.tree else {
-            return Vec::new();
-        };
-        tree.bodies[a..b]
-            .iter()
-            .map(|bd| BodyPart {
-                cell: key.0,
-                pos: bd.pos,
-                mass: bd.mass,
-                id: bd.id,
-            })
-            .collect()
     }
 
     /// Serve all incoming requests and integrate all incoming replies.
@@ -359,38 +419,29 @@ impl<'a> Engine<'a> {
     fn service(&mut self, comm: &mut Comm) -> (Vec<u32>, u64) {
         let mut wake = Vec::new();
         let mut received = 0u64;
+        let tree = self.tree;
 
         for (src, keys) in self.req_children.poll(comm) {
             received += 1;
             for k in keys {
-                let mut reply = self.partial_children(Key(k));
-                reply.push(CellPartial {
-                    parent: k,
-                    oct: 0xFF,
-                    mass: 0.0,
-                    com: [0.0; 3],
-                    quad: [0.0; 6],
-                    bmax: 0.0,
-                    nbody: 0,
-                });
-                for part in reply {
-                    self.rep_children.post(comm, src, part);
-                }
+                partial_children(tree, Key(k), |part| self.rep_children.post(comm, src, part));
+                let done = CellPartial::new(k, 0xFF, &Multipole::ZERO, 0);
+                self.rep_children.post(comm, src, done);
             }
         }
         for (src, keys) in self.req_bodies.poll(comm) {
             received += 1;
             for k in keys {
-                let mut reply = self.partial_bodies(Key(k));
-                reply.push(BodyPart {
+                for part in partial_bodies(tree, Key(k)) {
+                    self.rep_bodies.post(comm, src, part);
+                }
+                let done = BodyPart {
                     cell: k,
                     pos: [0.0; 3],
                     mass: 0.0,
                     id: u64::MAX,
-                });
-                for part in reply {
-                    self.rep_bodies.post(comm, src, part);
-                }
+                };
+                self.rep_bodies.post(comm, src, done);
             }
         }
         for (src, parts) in self.rep_children.poll(comm) {
@@ -406,15 +457,7 @@ impl<'a> Engine<'a> {
                         self.finalize_children(Key(p.parent), done, &mut wake);
                     }
                 } else {
-                    pending.moms[p.oct as usize].push((
-                        src,
-                        Multipole {
-                            mass: p.mass,
-                            com: p.com,
-                            quad: p.quad,
-                            bmax: p.bmax,
-                        },
-                    ));
+                    pending.moms[p.oct as usize].push((src, p.moments()));
                     pending.counts[p.oct as usize] += p.nbody;
                 }
             }
@@ -434,7 +477,10 @@ impl<'a> Engine<'a> {
                         // the resulting forces) schedule-independent.
                         done.bodies.sort_unstable_by_key(|b| b.id);
                         wake.extend(done.waiting.iter().copied());
-                        self.ghost_mut(Key(p.cell)).bodies = Some(done.bodies);
+                        let first = self.ghost_bodies.len() as u32;
+                        self.ghost_bodies.append(&mut done.bodies);
+                        self.ghost_mut(Key(p.cell)).bodies =
+                            Some((first, self.ghost_bodies.len() as u32));
                     }
                 } else {
                     pending.bodies.push(p);
@@ -446,7 +492,7 @@ impl<'a> Engine<'a> {
     }
 
     fn finalize_children(&mut self, parent: Key, mut done: PendingChildren, wake: &mut Vec<u32>) {
-        let mut kids: Vec<Key> = Vec::new();
+        let mut kids = Vec::new();
         for oct in 0..8u8 {
             let moms = &mut done.moms[oct as usize];
             let nbody = done.counts[oct as usize];
@@ -459,22 +505,20 @@ impl<'a> Engine<'a> {
             moms.sort_unstable_by_key(|&(src, _)| src);
             let parts: Vec<Multipole> = moms.iter().map(|&(_, m)| m).collect();
             let merged = Multipole::combine(&parts);
-            let ck = parent.child(oct);
-            self.insert_ghost(ck, merged, nbody);
-            kids.push(ck);
+            kids.push(self.resolve(parent.child(oct), merged, nbody));
         }
         self.ghost_mut(parent).kids = Some(kids);
         wake.extend(done.waiting.iter().copied());
     }
 
-    /// Request the merged children of `key`. Returns whether `walk_id` was
-    /// parked on the fetch; if no other rank owns any of the cell the
-    /// children are in place already and the caller retries at once.
-    fn request_children(&mut self, comm: &mut Comm, key: Key, walk_id: u32) -> bool {
+    /// Park `walk_id` on the merged children of ghost `slot`, requesting
+    /// them from every other possible owner unless a fetch is in flight.
+    fn request_children(&mut self, comm: &mut Comm, slot: u32, walk_id: u32) {
+        let key = self.ghosts[slot as usize].key;
         if let Some(p) = self.pending_children.get_mut(&key.0) {
             p.waiting.push(walk_id);
             self.coalesced += 1;
-            return true;
+            return;
         }
         let mut pending = PendingChildren {
             remaining: 0,
@@ -488,53 +532,34 @@ impl<'a> Engine<'a> {
         }
         // Fold in our own partial immediately, tagged with our rank so
         // the merge sorts it into the same slot every schedule.
-        for part in self.partial_children(key) {
-            pending.moms[part.oct as usize].push((
-                self.rank,
-                Multipole {
-                    mass: part.mass,
-                    com: part.com,
-                    quad: part.quad,
-                    bmax: part.bmax,
-                },
-            ));
-            pending.counts[part.oct as usize] += part.nbody;
-        }
-        if pending.remaining == 0 {
-            self.finalize_children(key, pending, &mut Vec::new());
-            return false;
-        }
+        partial_children(self.tree, key, |p| {
+            pending.moms[p.oct as usize].push((self.rank, p.moments()));
+            pending.counts[p.oct as usize] += p.nbody;
+        });
+        assert!(pending.remaining > 0, "a ghost cell has another owner");
         self.pending_children.insert(key.0, pending);
-        true
     }
 
-    /// Request the merged body list of `key`; returns as
-    /// [`Engine::request_children`] does.
-    fn request_bodies(&mut self, comm: &mut Comm, key: Key, walk_id: u32) -> bool {
+    /// Park `walk_id` on the merged body list of ghost `slot`, as
+    /// [`Engine::request_children`] does on its children.
+    fn request_bodies(&mut self, comm: &mut Comm, slot: u32, walk_id: u32) {
+        let key = self.ghosts[slot as usize].key;
         if let Some(p) = self.pending_bodies.get_mut(&key.0) {
             p.waiting.push(walk_id);
             self.coalesced += 1;
-            return true;
+            return;
         }
         let mut pending = PendingBodies {
             remaining: 0,
-            bodies: self.partial_bodies(key),
+            bodies: partial_bodies(self.tree, key).collect(),
             waiting: vec![walk_id],
         };
         for dst in self.decomp.owners_of(key).filter(|&r| r != self.rank) {
             self.req_bodies.post_unique(comm, dst, key.0);
             pending.remaining += 1;
         }
-        if pending.remaining == 0 {
-            // Same canonical id order as the remote-merge path in
-            // `service`, so the two ways a leaf list can materialize
-            // yield identical summation order.
-            pending.bodies.sort_unstable_by_key(|b| b.id);
-            self.ghost_mut(key).bodies = Some(pending.bodies);
-            return false;
-        }
+        assert!(pending.remaining > 0, "a ghost cell has another owner");
         self.pending_bodies.insert(key.0, pending);
-        true
     }
 
     /// Advance one walk until it completes (`true`) or suspends.
@@ -542,9 +567,10 @@ impl<'a> Engine<'a> {
     /// Each popped cell is tested against the MAC once per body still in
     /// its mask; the bodies that accept share one list entry, the rest go
     /// on to the leaf's bodies, the children, or the fetch. The lists
-    /// survive suspensions; on completion each body's slice is loaded
-    /// into the thread-local SoA scratch ([`crate::ilist`]) and evaluated
-    /// as spans in one pass — the same engine the single-address-space
+    /// hold references and survive suspensions; on completion they are
+    /// written once into the thread-local shared list ([`crate::ilist`]),
+    /// and each body's slice is copied out by index and evaluated as
+    /// spans in one pass — the same engine the single-address-space
     /// walks use. A single evaluation (rather than one per suspension)
     /// means the summation order never depends on where remote fetches
     /// happened to break the walk, so deferred and blocking traversals
@@ -554,6 +580,12 @@ impl<'a> Engine<'a> {
         let tree = self.tree.expect("rank with no bodies has no walks");
         let lo = w.first as usize;
         let group = &tree.bodies[lo..tree.bodies.len().min(lo + GROUP)];
+        // The group's positions as lanes, so the tests of one cell are
+        // one SIMD pass; lanes past a short last group are masked out.
+        let mut at = [[0.0; GROUP]; 3];
+        for (b, body) in group.iter().enumerate() {
+            [at[0][b], at[1][b], at[2][b]] = body.pos;
+        }
         // A body never interacts with itself: local leaves and raw ranges
         // know it by index, imported leaves by id.
         let own = |j: usize| -> Mask {
@@ -563,100 +595,110 @@ impl<'a> Engine<'a> {
             }
         };
 
-        while let Some((key, mask)) = w.stack.pop() {
-            if self.decomp.purely_local(key, self.rank) {
-                // Entirely ours: use the local tree (or the raw body range
-                // when the local tree didn't subdivide this far).
-                let Some(idx) = tree.map.get(key) else {
-                    let (a, b) = self.local_range(key);
-                    for j in a..b {
-                        let bd = &tree.bodies[j];
-                        w.gather(mask & !own(j), bd.pos, bd.mass);
+        while let Some((node, mask)) = w.stack.pop() {
+            let slot = match node {
+                Node::Local(idx) => {
+                    let cell = tree.cell(idx);
+                    if cell.nbody == 0 {
+                        continue;
                     }
-                    continue;
-                };
-                let cell = &tree.cells[idx as usize];
-                if cell.nbody == 0 {
-                    continue;
-                }
-                let accept = select(mask, |b| self.mac.accept(cell, group[b].pos));
-                let open = mask & !accept;
-                if accept != 0 {
-                    w.cells.push((accept, cell.mom));
-                }
-                if open == 0 {
-                    continue;
-                }
-                if cell.is_leaf {
-                    let first = cell.first_body as usize;
-                    for (j, b) in tree.leaf_bodies(cell).iter().enumerate() {
-                        w.gather(open & !own(first + j), b.pos, b.mass);
+                    let accept = mask & self.mac.accept_lanes(cell.side(), &cell.mom, &at);
+                    let open = mask & !accept;
+                    if accept != 0 {
+                        w.cells.push((accept, idx as u32));
                     }
-                } else {
-                    for &ch in &cell.children {
-                        if ch != crate::tree::NO_CELL {
-                            w.stack.push((tree.cells[ch as usize].key, open));
+                    if open == 0 {
+                        continue;
+                    }
+                    if cell.is_leaf {
+                        let first = cell.first_body as usize;
+                        for j in first..first + cell.nbody as usize {
+                            w.gather(open & !own(j), j as u32);
+                        }
+                    } else {
+                        for &ch in &cell.children {
+                            if ch != NO_CELL {
+                                w.stack.push((Node::Local(ch), open));
+                            }
                         }
                     }
+                    continue;
                 }
-                continue;
-            }
-
-            // Shared or remote cell: use the ghost store.
-            let Some(slot) = self.ghost_at.get(key) else {
-                panic!("walk reached key {key:?} with no ghost entry");
+                Node::Range(a, b) => {
+                    for j in a..b {
+                        w.gather(mask & !own(j as usize), j);
+                    }
+                    continue;
+                }
+                Node::Ghost(slot) => slot,
             };
+
             let g = &self.ghosts[slot as usize];
             if g.nbody == 0 {
                 continue;
             }
             // (The synthesized root, with its unbounded `bmax`, is never
             // accepted.)
-            let side = 2.0 * self.decomp.bbox.cell_geometry(key).1;
-            let accept = select(mask, |b| self.mac.accept_raw(side, &g.mom, group[b].pos));
+            let accept = mask & self.mac.accept_lanes(g.side, &g.mom, &at);
             let open = mask & !accept;
             if accept != 0 {
-                w.cells.push((accept, g.mom));
+                w.cells.push((accept, GHOST | slot));
             }
             if open == 0 {
                 continue;
             }
-            let parked = if g.nbody as usize <= leaf_max || key.level() == MAX_LEVEL {
-                if let Some(parts) = &g.bodies {
-                    for p in parts {
-                        let me = select(open, |b| group[b].id == p.id);
-                        w.gather(open & !me, p.pos, p.mass);
+            if g.nbody as usize <= leaf_max || g.key.level() == MAX_LEVEL {
+                if let Some((a, b)) = g.bodies {
+                    for i in a..b {
+                        let id = self.ghost_bodies[i as usize].id;
+                        let me = select(open, |b| group[b].id == id);
+                        #[cfg(test)]
+                        let me = if KEEP_SELF.get() { 0 } else { me };
+                        w.gather(open & !me, GHOST | i);
                     }
                     continue;
                 }
-                self.request_bodies(comm, key, walk_id)
+                self.request_bodies(comm, slot, walk_id);
             } else {
                 if let Some(kids) = &g.kids {
                     w.stack.extend(kids.iter().map(|&k| (k, open)));
                     continue;
                 }
-                self.request_children(comm, key, walk_id)
-            };
+                self.request_children(comm, slot, walk_id);
+            }
             // Come back to this cell, for the bodies that opened it, once
             // its data is in.
-            w.stack.push((key, open));
-            if parked {
-                self.deferred += 1;
-                return false;
-            }
+            w.stack.push((node, open));
+            self.deferred += 1;
+            return false;
         }
 
         // Single evaluation of each body's slice of the gathered lists.
         let quadrupole = self.cfg.gravity.quadrupole;
         crate::ilist::with_scratch(|sc| {
+            sc.clear_shared();
+            for &(mask, src) in &w.cells {
+                let mom = match src & GHOST {
+                    0 => &tree.cells[src as usize].mom,
+                    _ => &self.ghosts[(src ^ GHOST) as usize].mom,
+                };
+                sc.share_mom(mask, mom);
+            }
+            for &(mask, src) in &w.bodies {
+                let (pos, mass) = match src & GHOST {
+                    0 => {
+                        let b = &tree.bodies[src as usize];
+                        (b.pos, b.mass)
+                    }
+                    _ => {
+                        let p = &self.ghost_bodies[(src ^ GHOST) as usize];
+                        (p.pos, p.mass)
+                    }
+                };
+                sc.share_body(mask, pos, mass);
+            }
             for (b, body) in group.iter().enumerate() {
-                sc.clear();
-                for (_, mom) in w.cells.iter().filter(|e| e.0 >> b & 1 != 0) {
-                    sc.push_mom(mom.com, mom);
-                }
-                for (_, p, m) in w.bodies.iter().filter(|e| e.0 >> b & 1 != 0) {
-                    sc.push_body(*p, *m);
-                }
+                crate::ilist::materialize_member(sc, b);
                 let (m2p, p2p) = sc.eval(body.pos, self.eps2, quadrupole, &mut self.accel[lo + b]);
                 self.stats.m2p += m2p;
                 self.stats.p2p += p2p;
@@ -665,10 +707,90 @@ impl<'a> Engine<'a> {
         });
         self.groups += 1;
         self.list_entries += (w.cells.len() + w.bodies.len()) as u64;
+        #[cfg(test)]
+        {
+            self.list_bytes += (w.cells.capacity() + w.bodies.capacity()) * size_of::<Src>();
+        }
         // Completed walks never run again; return the lists' memory.
         w.cells = Vec::new();
         w.bodies = Vec::new();
         true
+    }
+
+    /// Walk every group of this rank's bodies, `global_n` in the world,
+    /// serving the other ranks' requests until all of them are done too.
+    fn run(&mut self, comm: &mut Comm, global_n: u64) {
+        // Where no other rank has bodies the root is the local tree's.
+        // Otherwise synthesize a ghost: its unbounded `bmax` contains
+        // every body, so it is never MAC-accepted, always descended.
+        let synthetic = Multipole {
+            mass: 1.0,
+            com: self.decomp.bbox.center,
+            quad: [0.0; 6],
+            bmax: f64::INFINITY,
+        };
+        let root = self.resolve(Key::ROOT, synthetic, global_n as u32);
+        let nlocal = self.accel.len();
+        let mut walks: Vec<Walk> = (0..nlocal)
+            .step_by(GROUP)
+            .map(|first| Walk {
+                first: first as u32,
+                // One bit per body: the last group of a shard may be short.
+                stack: vec![(
+                    root,
+                    Mask::MAX >> (Mask::BITS as usize - (nlocal - first).min(GROUP)),
+                )],
+                cells: Vec::new(),
+                bodies: Vec::new(),
+            })
+            .collect();
+        let mut active: VecDeque<u32> = (0..walks.len() as u32).collect();
+        let mut completed = 0usize;
+        let mut term = Termination::new();
+
+        while completed < walks.len() || !term.poll(comm) {
+            // Service traffic first so replies wake parked walks.
+            let (wake, received) = self.service(comm);
+            if received > 0 {
+                term.on_recv(received);
+            }
+            active.extend(wake);
+            if let Some(id) = active.pop_front() {
+                if self.run_walk(comm, &mut walks[id as usize], id) {
+                    completed += 1;
+                    self.charge(comm);
+                } else if !self.cfg.latency_hiding {
+                    // Ablation mode: spin until this walk can resume.
+                    // Flush every iteration, not just on entry: serving
+                    // another rank's request posts reply parts into a
+                    // batch that only auto-flushes when full, and if
+                    // every rank parks here waiting on someone else's
+                    // unflushed batch the whole world livelocks.
+                    loop {
+                        let (wake, received) = self.service(comm);
+                        if received > 0 {
+                            term.on_recv(received);
+                        }
+                        self.flush(comm, &mut term);
+                        if !wake.is_empty() {
+                            for w in wake {
+                                active.push_front(w);
+                            }
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
+                }
+            } else {
+                // Out of runnable walks: push requests out and serve others.
+                self.flush(comm, &mut term);
+                std::thread::yield_now();
+            }
+        }
+        // Final flush in case termination raced a reply (cannot happen with
+        // Safra, but keeps the channels clean for the next phase).
+        self.flush(comm, &mut term);
+        self.charge(comm);
     }
 
     /// Charge accumulated interactions to the virtual clock.
@@ -725,78 +847,8 @@ pub fn parallel_accelerations(
     comm.span_exit("hot.tree_build");
 
     let mut engine = Engine::new(comm, &decomp, tree.as_ref(), *cfg);
-    // Synthesize the root ghost: its unbounded `bmax` contains every
-    // body, so it is never MAC-accepted, always descended.
-    let root = Multipole {
-        mass: 1.0,
-        com: decomp.bbox.center,
-        quad: [0.0; 6],
-        bmax: f64::INFINITY,
-    };
-    engine.insert_ghost(Key::ROOT, root, global_n as u32);
-
-    let nlocal = tree.as_ref().map_or(0, |t| t.bodies.len());
-    let mut walks: Vec<Walk> = (0..nlocal)
-        .step_by(GROUP)
-        .map(|first| Walk {
-            first: first as u32,
-            // One bit per body: the last group of a shard may be short.
-            stack: vec![(
-                Key::ROOT,
-                Mask::MAX >> (Mask::BITS as usize - (nlocal - first).min(GROUP)),
-            )],
-            cells: Vec::new(),
-            bodies: Vec::new(),
-        })
-        .collect();
-    let mut active: VecDeque<u32> = (0..walks.len() as u32).collect();
-    let mut completed = 0usize;
-    let mut term = Termination::new();
-
     comm.span_enter("hot.walk");
-    while completed < walks.len() || !term.poll(comm) {
-        // Service traffic first so replies wake parked walks.
-        let (wake, received) = engine.service(comm);
-        if received > 0 {
-            term.on_recv(received);
-        }
-        active.extend(wake);
-        if let Some(id) = active.pop_front() {
-            if engine.run_walk(comm, &mut walks[id as usize], id) {
-                completed += 1;
-                engine.charge(comm);
-            } else if !cfg.latency_hiding {
-                // Ablation mode: spin until this walk can resume.
-                // Flush every iteration, not just on entry: serving
-                // another rank's request posts reply parts into a
-                // batch that only auto-flushes when full, and if
-                // every rank parks here waiting on someone else's
-                // unflushed batch the whole world livelocks.
-                loop {
-                    let (wake, received) = engine.service(comm);
-                    if received > 0 {
-                        term.on_recv(received);
-                    }
-                    engine.flush(comm, &mut term);
-                    if !wake.is_empty() {
-                        for w in wake {
-                            active.push_front(w);
-                        }
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        } else {
-            // Out of runnable walks: push requests out and serve others.
-            engine.flush(comm, &mut term);
-            std::thread::yield_now();
-        }
-    }
-    // Final flush in case termination raced a reply (cannot happen with
-    // Safra, but keeps the channels clean for the next phase).
-    engine.flush(comm, &mut term);
-    engine.charge(comm);
+    engine.run(comm, global_n);
     comm.span_exit("hot.walk");
 
     let stats = engine.stats;
@@ -920,15 +972,6 @@ mod tests {
     }
 
     #[test]
-    fn single_rank_equals_serial_exactly() {
-        let all = plummer(150, 7);
-        let cfg = ParallelConfig::default();
-        let par = run_parallel(&all, 1, &cfg);
-        let ser = serial_reference(&all, &cfg.gravity);
-        assert_close(&par, &ser, 1e-12);
-    }
-
-    #[test]
     fn no_latency_hiding_gets_same_answer() {
         let all = plummer(160, 13);
         let cfg = ParallelConfig {
@@ -940,6 +983,26 @@ mod tests {
         assert_close(&par, &ser, 1e-3);
     }
 
+    fn assert_bit_identical(a: &[(u64, Accel)], b: &[(u64, Accel)], what: &str) {
+        assert_eq!(a.len(), b.len());
+        for ((id_a, a), (id_b, b)) in a.iter().zip(b) {
+            assert_eq!(id_a, id_b);
+            let bits = |f: &Accel| (f.acc.map(f64::to_bits), f.pot.to_bits());
+            assert_eq!(bits(a), bits(b), "{what}, body {id_a}");
+        }
+    }
+
+    /// The deferred and the blocking walk of `all` on `nranks` ranks.
+    fn deferred_and_blocking(all: &[Body], nranks: usize) -> [Vec<(u64, Accel)>; 2] {
+        [true, false].map(|latency_hiding| {
+            let cfg = ParallelConfig {
+                latency_hiding,
+                ..Default::default()
+            };
+            run_parallel(all, nranks, &cfg)
+        })
+    }
+
     #[test]
     fn deferred_walk_forces_bit_identical_to_blocking() {
         // The latency-hiding engine gathers each walk's interaction list
@@ -949,39 +1012,107 @@ mod tests {
         // forces bit for bit, at any rank count, regardless of how the
         // message schedule interleaved the fetches.
         let all = plummer(192, 77);
-        for &nranks in &[1usize, 2, 4, 16] {
-            let mode = |hide: bool| {
-                let cfg = ParallelConfig {
-                    latency_hiding: hide,
-                    ..Default::default()
-                };
-                run_parallel(&all, nranks, &cfg)
-            };
-            let deferred = mode(true);
-            let blocking = mode(false);
-            assert_eq!(deferred.len(), blocking.len());
-            for ((id_d, a), (id_b, b)) in deferred.iter().zip(&blocking) {
-                assert_eq!(id_d, id_b);
-                assert_eq!(
-                    a.pot.to_bits(),
-                    b.pot.to_bits(),
-                    "{nranks} ranks, body {id_d}: potential differs"
-                );
-                for d in 0..3 {
-                    assert_eq!(
-                        a.acc[d].to_bits(),
-                        b.acc[d].to_bits(),
-                        "{nranks} ranks, body {id_d}, axis {d}"
-                    );
-                }
-            }
+        for nranks in [1usize, 2, 4, 16] {
+            let [deferred, blocking] = deferred_and_blocking(&all, nranks);
+            assert_bit_identical(&deferred, &blocking, &format!("{nranks} ranks"));
+        }
+    }
+
+    /// One rank's engine over its shard of `all`, run to completion, with
+    /// its forces by id: what `parallel_accelerations` does, engine kept.
+    fn with_engine<T: Send>(
+        all: &[Body],
+        nranks: usize,
+        look: impl Fn(&Engine, Vec<(u64, Accel)>) -> T + Sync,
+    ) -> Vec<T> {
+        msg::run(nranks, |c| {
+            let cfg = ParallelConfig::default();
+            let (shard, decomp) = decompose(c, split(all, nranks, c.rank()));
+            let global_n = c.allreduce(shard.len() as u64, |a, b| a + b);
+            let tree = (!shard.is_empty())
+                .then(|| Tree::build_in(shard, decomp.bbox, cfg.gravity.leaf_max));
+            let mut engine = Engine::new(c, &decomp, tree.as_ref(), cfg);
+            engine.run(c, global_n);
+            let ids = tree.iter().flat_map(|t| t.bodies.iter().map(|b| b.id));
+            let forces = ids.zip(engine.accel.iter().copied()).collect();
+            look(&engine, forces)
+        })
+    }
+
+    #[test]
+    fn single_rank_equals_serial_exactly() {
+        // Nobody else can own any of the root, so it resolves to local
+        // cell 0 and the walk never names a ghost: none is ever made.
+        let all = plummer(150, 7);
+        let mut runs = with_engine(&all, 1, |e, forces| {
+            assert_eq!(e.ghosts.len() + e.ghost_bodies.len() + e.ghost_at.len(), 0);
+            forces
+        });
+        let mut par = runs.pop().unwrap();
+        par.sort_by_key(|&(id, _)| id);
+        assert_close(
+            &par,
+            &serial_reference(&all, &GravityConfig::default()),
+            1e-12,
+        );
+        let [deferred, blocking] = deferred_and_blocking(&all, 1);
+        assert_bit_identical(&par, &deferred, "engine vs parallel_accelerations");
+        assert_bit_identical(&deferred, &blocking, "1 rank");
+    }
+
+    #[test]
+    fn raw_ranges_below_a_local_leaf_are_walked() {
+        // A cell straddling two ranks holds more than `leaf_max` bodies, so
+        // the world subdivides it; a rank's own part is under `leaf_max`,
+        // so its tree stopped at a leaf above: a child that is all this
+        // rank's has no local cell and is walked as a raw body range.
+        let all = plummer(240, 101);
+        let ranges = with_engine(&all, 2, |e, _| {
+            let kids = e.ghosts.iter().flat_map(|g| g.kids.iter().flatten());
+            let ranges = kids.filter_map(|kid| match *kid {
+                Node::Range(a, b) => Some((a, b)),
+                _ => None,
+            });
+            ranges
+                .inspect(|&(a, b)| {
+                    let holds = |c: &crate::tree::Cell| {
+                        c.is_leaf && c.first_body <= a && b <= c.first_body + c.nbody
+                    };
+                    assert!(a < b && e.tree.unwrap().cells.iter().any(holds));
+                })
+                .count()
+        });
+        assert!(ranges.iter().sum::<usize>() > 0, "no raw range: {ranges:?}");
+        let [deferred, blocking] = deferred_and_blocking(&all, 2);
+        assert_close(
+            &deferred,
+            &serial_reference(&all, &GravityConfig::default()),
+            1e-3,
+        );
+        assert_bit_identical(&deferred, &blocking, "2 ranks");
+    }
+
+    #[test]
+    fn parked_lists_weigh_two_words_an_entry_at_most() {
+        // Every walk of a rank is parked at once, so the lists are the
+        // rank's footprint: 8 B an entry, at most doubled by `Vec` growth
+        // (they were 96 B a cell and 40 B a body when they held copies).
+        let per_rank = with_engine(&plummer(2048, 5), 4, |e, _| (e.list_bytes, e.list_entries));
+        for (bytes, entries) in per_rank {
+            assert!(entries > 30_000, "{entries} entries");
+            assert!(
+                bytes as u64 <= 16 * entries,
+                "{bytes} B for {entries} entries"
+            );
         }
     }
 
     /// FNV-1a over the bits of `(id, acc, pot)` in id order, with the summed
-    /// `(p2p, m2p)` counts, of a run on the Space Simulator fabric.
-    fn force_digest(all: &[Body], nranks: usize) -> (u64, u64, u64) {
-        let outs = msg::run_with(msg::Machine::space_simulator_lam(), nranks, |c| {
+    /// `(p2p, m2p)` counts and `(walk.groups, walk.list_entries)` counters,
+    /// of a run on the Space Simulator fabric.
+    fn force_digest(all: &[Body], nranks: usize) -> (u64, u64, u64, [u64; 2]) {
+        let machine = msg::Machine::space_simulator_lam();
+        let (outs, trace) = msg::run_observed(machine, nranks, |c| {
             let mine = split(all, nranks, c.rank());
             let r = parallel_accelerations(c, mine, &ParallelConfig::default());
             let forces: Vec<(u64, Accel)> = r.bodies.iter().map(|b| b.id).zip(r.accel).collect();
@@ -989,6 +1120,8 @@ mod tests {
         });
         let p2p = outs.iter().map(|o| o.1).sum();
         let m2p = outs.iter().map(|o| o.2).sum();
+        let walks = ["walk.groups", "walk.list_entries"]
+            .map(|name| trace.ranks.iter().map(|r| r.metrics.counter(name)).sum());
         let mut forces: Vec<(u64, Accel)> = outs.into_iter().flat_map(|o| o.0).collect();
         forces.sort_by_key(|f| f.0);
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -1000,24 +1133,42 @@ mod tests {
                 }
             }
         }
-        (h, p2p, m2p)
+        (h, p2p, m2p, walks)
     }
 
     #[test]
     fn shared_walk_reproduces_per_body_walk_bit_for_bit() {
         // Recorded at the last commit whose engine walked one body at a
         // time (e6d39fe): the shared traversal must hand every body the
-        // interaction sequence its own walk produced.
+        // interaction sequence its own walk produced. The walk and list
+        // counts are those of the last commit whose lists held copies
+        // (cb89fb9): references change what an entry is, not how many.
         let small = plummer(192, 77);
         let pins = [
-            (&small, 1, (0xcf0c_f2bc_b538_6626, 17_019, 6_234)),
-            (&small, 2, (0x8d6a_53dd_18c7_1045, 17_019, 6_234)),
-            (&small, 4, (0x772a_f51a_a85d_dba5, 17_208, 6_078)),
-            (&small, 16, (0xb289_68f4_f830_c04b, 17_149, 6_145)),
+            (
+                &small,
+                1,
+                (0xcf0c_f2bc_b538_6626, 17_019, 6_234, [24, 4_572]),
+            ),
+            (
+                &small,
+                2,
+                (0x8d6a_53dd_18c7_1045, 17_019, 6_234, [25, 4_614]),
+            ),
+            (
+                &small,
+                4,
+                (0x772a_f51a_a85d_dba5, 17_208, 6_078, [26, 4_797]),
+            ),
+            (
+                &small,
+                16,
+                (0xb289_68f4_f830_c04b, 17_149, 6_145, [32, 5_662]),
+            ),
             (
                 &plummer(2048, 5),
                 4,
-                (0x8b8a_7dd7_3059_f4a2, 356_201, 553_213),
+                (0x8b8a_7dd7_3059_f4a2, 356_201, 553_213, [257, 172_666]),
             ),
         ];
         for (all, nranks, want) in pins {
@@ -1028,6 +1179,18 @@ mod tests {
 
     #[test]
     fn group_edges_match_serial_per_body_walk() {
+        group_edges_match_with(false);
+    }
+
+    /// Teeth: a body left on its own list (zero distance, no softening)
+    /// must trip the comparison with the serial walk.
+    #[test]
+    #[should_panic(expected = "parallel vs serial rms NaN")]
+    fn parallel_oracle_catches_a_body_left_on_its_own_list() {
+        group_edges_match_with(true);
+    }
+
+    fn group_edges_match_with(keep_self: bool) {
         // Fewer bodies than one group, counts that are no multiple of the
         // width, ranks left with no bodies, and a clump tight enough that
         // a whole group shares one imported leaf, so self-exclusion by id
@@ -1043,6 +1206,7 @@ mod tests {
             let ser = serial_reference(&all, &cfg.gravity);
             for nranks in 1..=5usize {
                 let outs = msg::run(nranks, |c| {
+                    KEEP_SELF.set(keep_self);
                     let r = parallel_accelerations(c, split(&all, nranks, c.rank()), &cfg);
                     let ids: Vec<u64> = r.bodies.iter().map(|b| b.id).collect();
                     (ids, r.accel, r.stats.interactions())
