@@ -63,10 +63,11 @@ impl fmt::Display for CkptError {
 
 impl std::error::Error for CkptError {}
 
-/// CRC-32 (IEEE 802.3, reflected), table-driven; the table is built at
-/// compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) tables for slicing-by-8, built at
+/// compile time: `CRC_TABLES[k][b]` is byte `b` carried past `k` zero
+/// bytes, so eight reads advance the CRC by one `u64`.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -79,17 +80,30 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut j = 256;
+    while j < 8 * 256 {
+        let prev = t[j / 256 - 1][j % 256];
+        t[j / 256][j % 256] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+        j += 1;
+    }
+    t
 };
 
 /// CRC-32 of `bytes` (IEEE polynomial, as used by Ethernet/zip).
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let v = u64::from_le_bytes(w.try_into().expect("chunks_exact(8)")) ^ u64::from(c);
+        c = (0..8).fold(0, |c, k| {
+            c ^ CRC_TABLES[7 - k][(v >> (8 * k)) as usize & 0xFF]
+        });
+    }
+    for &b in words.remainder() {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -430,7 +444,7 @@ mod tests {
         roundtrip(-123i64);
         roundtrip(usize::MAX as u64);
         roundtrip(true);
-        roundtrip(3.141592653589793f64);
+        roundtrip(std::f64::consts::PI);
         roundtrip(1.0e-300f64);
     }
 
@@ -537,6 +551,40 @@ mod tests {
         // The classic IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The one-byte-a-step CRC this crate had before slicing-by-8: the
+    /// reference the sliced loop must equal on every input.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_reference_at_every_length_and_offset() {
+        // Every length either side of the 8-byte blocks, at every
+        // alignment of the slice start.
+        let data: Vec<u8> = (0..1024u32 + 8)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=1024 {
+                let s = &data[offset..offset + len];
+                assert_eq!(crc32(s), crc32_reference(s), "offset {offset} len {len}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sliced_crc_equals_the_bytewise_reference(
+            bytes in proptest::collection::vec(0u8..=255, 0..4096),
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_reference(&bytes));
+        }
     }
 
     #[test]

@@ -61,10 +61,12 @@ pub struct EngineConfig {
     pub checkpoint_every: u64,
     /// Virtual-time width of one tick's arrival window.
     pub tick_window_s: f64,
-    /// How many *materialized* generations may live decoded in RAM at
-    /// once. Committed history itself lives in the snapshot store
-    /// (full + dirty-cell delta frames); this only bounds the cache in
-    /// front of it.
+    /// How many *materialized* generations may live in RAM at once:
+    /// each one its encoded cells plus whichever of them time-travel
+    /// queries have decoded so far (`store::Snapshot::cell`), dropped
+    /// together on eviction. Committed history itself lives in the
+    /// snapshot store (full + dirty-cell delta frames); this only
+    /// bounds the cache in front of it.
     pub history_cache: usize,
     pub fleet: FleetConfig,
 }
@@ -138,7 +140,7 @@ pub struct EngineOutput {
     /// previous commit). The on-disk form time-travel queries are
     /// served from.
     pub commits: Vec<(u64, Vec<u8>)>,
-    /// Most materialized generations ever decoded in RAM at once —
+    /// Most materialized generations ever held in RAM at once —
     /// the memory-ceiling number the long-run test pins against
     /// [`EngineConfig::history_cache`].
     pub history_decoded_peak: usize,

@@ -12,7 +12,9 @@
 //! * **kNN** — cells visited in lower-bound distance order, stopping
 //!   once the bound exceeds the current k-th distance.
 //!
-//! Every result is *bit-identical* to [`crate::oracle`] over the fully
+//! Cells are read through [`Snapshot::cell`]: decoded the first time a
+//! query touches them, borrowed by every query after. Every result is
+//! *bit-identical* to [`crate::oracle`] over the fully
 //! decoded stripe — the oracle tests quantify over exactly that.
 
 use crate::wire::{dist2, hit_order, Answer, Hit, PointHit, QueryKind};
@@ -35,7 +37,7 @@ pub fn answer(snap: &Snapshot, kind: &QueryKind) -> (Answer, ReadStats) {
             let read = candidates.len() as u64;
             let mut hit = None;
             for i in candidates {
-                let (bodies, _) = snap.decode_cell(i).expect("own commit decodes");
+                let (bodies, _) = snap.cell(i).expect("own commit decodes");
                 if let Some(b) = bodies.iter().find(|b| b.id == *id) {
                     hit = Some(PointHit {
                         id: b.id,
@@ -57,7 +59,7 @@ pub fn answer(snap: &Snapshot, kind: &QueryKind) -> (Answer, ReadStats) {
             let read = survivors.len() as u64;
             let mut ids = Vec::new();
             for i in survivors {
-                let (bodies, _) = snap.decode_cell(i).expect("own commit decodes");
+                let (bodies, _) = snap.cell(i).expect("own commit decodes");
                 ids.extend(
                     bodies
                         .iter()
@@ -99,8 +101,8 @@ fn knn(snap: &Snapshot, at: [f64; 3], k: usize) -> (Vec<Hit>, u64) {
             break;
         }
         read += 1;
-        let (bodies, _) = snap.decode_cell(i).expect("own commit decodes");
-        for b in &bodies {
+        let (bodies, _) = snap.cell(i).expect("own commit decodes");
+        for b in bodies {
             hits.push(Hit {
                 id: b.id,
                 dist2: dist2(at, b.pos),

@@ -27,7 +27,7 @@ pub mod varint;
 
 pub use delta::Delta;
 pub use log::{GenRecord, GenerationLog, SnapshotCache, StoreConfig};
-pub use snapshot::{CellChunk, CellData, Snapshot};
+pub use snapshot::{CellChunk, CellData, Rows, Snapshot};
 
 /// Magic prefix of a full snapshot frame.
 pub const MAGIC: [u8; 8] = *b"SSSTORE1";

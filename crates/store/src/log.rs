@@ -116,8 +116,9 @@ impl GenerationLog {
             padded_bbox(bodies, PAD_FACTOR)
         };
         let cur = Snapshot::build(bodies, aux, self.n_aux, bbox, CELL_LEVEL);
-        let full = cur.to_bytes();
-        self.full_bytes += full.len() as u64;
+        // A delta commit needs the full frame's length, not its bytes.
+        let full_len = cur.frame_len();
+        self.full_bytes += full_len as u64;
         self.cells_total += cur.cells.len() as u64;
         let record = if reuse {
             let (prev_step, prev) = self.last.as_ref().unwrap();
@@ -125,7 +126,7 @@ impl GenerationLog {
             let bytes = delta.to_bytes();
             // A delta that lost to the full frame (heavy churn) is
             // committed as a full frame instead, resetting the chain.
-            if bytes.len() < full.len() {
+            if bytes.len() < full_len {
                 self.cells_dirty += delta.dirty.len() as u64;
                 Some(GenRecord::Delta {
                     base_step: *prev_step,
@@ -137,7 +138,7 @@ impl GenerationLog {
         } else {
             None
         };
-        let record = record.unwrap_or(GenRecord::Full(full));
+        let record = record.unwrap_or_else(|| GenRecord::Full(cur.to_bytes()));
         self.chain_len = match record {
             GenRecord::Full(_) => 0,
             GenRecord::Delta { .. } => self.chain_len + 1,
@@ -236,8 +237,16 @@ fn padded_bbox(bodies: &[Body], pad: f64) -> BBox {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch: the newest entry answers every lookup, so
+    /// the time-travel oracle can be shown to catch a stale generation.
+    static SERVE_NEWEST: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Bounded LRU of materialized generations: the RAM ceiling for
-/// time-travel reads. `peak` pins the ceiling in tests.
+/// time-travel reads (an entry is a generation's encoded cells plus
+/// those [`Snapshot::cell`] has decoded). `peak` pins it in tests.
 #[derive(Debug)]
 pub struct SnapshotCache {
     cap: usize,
@@ -273,7 +282,12 @@ impl SnapshotCache {
         step: u64,
         materialize: impl FnOnce() -> Result<Snapshot, E>,
     ) -> Result<&Snapshot, E> {
-        if let Some(i) = self.entries.iter().position(|(s, _)| *s == step) {
+        let found = self.entries.iter().position(|(s, _)| *s == step);
+        #[cfg(test)]
+        let found = (self.entries.len().checked_sub(1))
+            .filter(|_| SERVE_NEWEST.get())
+            .or(found);
+        if let Some(i) = found {
             self.hits += 1;
             let e = self.entries.remove(i);
             self.entries.push(e);
@@ -287,5 +301,52 @@ impl SnapshotCache {
             self.peak = self.peak.max(self.entries.len());
         }
         Ok(&self.entries.last().unwrap().1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hot::models::plummer;
+
+    /// The time-travel oracle in miniature: read committed generations
+    /// back through a two-entry cache in an order that hits, misses and
+    /// evicts, and demand each time the bodies committed at that step.
+    fn cache_serves_the_generation_asked_for() -> bool {
+        let mut bodies = plummer(120, 31);
+        let mut log = GenerationLog::new(StoreConfig::default(), 0);
+        let mut committed = Vec::new();
+        for step in 0..4u64 {
+            for b in &mut bodies {
+                b.pos[2] += 1e-4 * (1 + b.id % 5) as f64;
+            }
+            log.commit(step, &bodies, &[]);
+            let mut want = bodies.clone();
+            want.sort_by_key(|b| b.id);
+            committed.push(want);
+        }
+        let mut cache = SnapshotCache::new(2);
+        [0u64, 1, 1, 0, 3, 2, 3, 0].iter().all(|&step| {
+            let snap = cache
+                .get_or_try_insert(step, || log.materialize(step))
+                .expect("committed step materializes");
+            let mut got: Vec<Body> = (0..snap.cells.len())
+                .flat_map(|i| snap.cell(i).expect("decodes").0.clone())
+                .collect();
+            got.sort_by_key(|b| b.id);
+            got == committed[step as usize]
+        })
+    }
+
+    #[test]
+    fn time_travel_reads_the_generation_asked_for() {
+        assert!(cache_serves_the_generation_asked_for());
+    }
+
+    /// Teeth: a cache that serves whatever it holds must fail the oracle.
+    #[test]
+    fn cache_oracle_catches_a_stale_generation() {
+        SERVE_NEWEST.set(true);
+        assert!(!cache_serves_the_generation_asked_for());
     }
 }

@@ -23,6 +23,7 @@ use crate::{put_f64_bits, put_u32, put_u64, Cur, StoreError, ENC_IDS, ENC_SHUF, 
 use ckpt::crc32;
 use hot::morton::MAX_LEVEL;
 use hot::{BBox, Body, Key};
+use std::sync::OnceLock;
 
 /// Fixed columns before the aux lanes: ids, pos xyz, vel xyz, mass,
 /// work.
@@ -43,15 +44,44 @@ impl CellChunk {
     }
 }
 
+/// A cell's decoded rows: bodies sorted by id, and their row-major aux
+/// lanes.
+pub type Rows = (Vec<Body>, Vec<f64>);
+
+/// The once-slot [`Snapshot::cell`] decodes into. A cache, not part of
+/// the cell's value: a clone starts empty and equality ignores it.
+#[derive(Debug, Default)]
+pub(crate) struct Decoded(OnceLock<Rows>);
+
+impl Clone for Decoded {
+    fn clone(&self) -> Decoded {
+        Decoded::default()
+    }
+}
+
+impl PartialEq for Decoded {
+    fn eq(&self, _: &Decoded) -> bool {
+        true
+    }
+}
+
 /// One cell: its Morton key (level-prefixed, at the snapshot's
 /// `cell_level`), row count, id range, and one chunk per column.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellData {
     pub key: u64,
     pub n: u32,
     pub id_min: u64,
     pub id_max: u64,
     pub cols: Vec<CellChunk>,
+    pub(crate) decoded: Decoded,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch: decode trusts chunks without checking their
+    /// CRCs, so the sweep can be shown to catch an unverified memo.
+    static MEMO_SKIPS_CHUNK_CRCS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// An in-memory snapshot: encoded cells plus the footer metadata.
@@ -121,6 +151,7 @@ impl Snapshot {
                 id_min: ids[0],
                 id_max: *ids.last().unwrap(),
                 cols,
+                decoded: Decoded::default(),
             });
             start = end;
         }
@@ -133,50 +164,48 @@ impl Snapshot {
         }
     }
 
-    pub fn n_cols(&self) -> usize {
-        FIXED_COLS + self.n_aux as usize
-    }
-
     /// Serialize to the framed wire format (byte-deterministic).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.frame_len());
         out.extend_from_slice(&MAGIC);
-        let mut offsets: Vec<Vec<(u64, u64)>> = Vec::with_capacity(self.cells.len());
-        for cell in &self.cells {
-            let mut per_col = Vec::with_capacity(cell.cols.len());
-            for col in &cell.cols {
-                per_col.push((out.len() as u64, col.bytes.len() as u64));
-                out.extend_from_slice(&col.bytes);
-            }
-            offsets.push(per_col);
+        for col in self.cells.iter().flat_map(|c| &c.cols) {
+            out.extend_from_slice(&col.bytes);
         }
-        let mut footer = Vec::new();
-        put_u32(&mut footer, self.cell_level);
-        put_u32(&mut footer, self.n_aux);
-        put_u64(&mut footer, self.n_rows);
+        let footer_at = out.len();
+        put_u32(&mut out, self.cell_level);
+        put_u32(&mut out, self.n_aux);
+        put_u64(&mut out, self.n_rows);
         for d in 0..3 {
-            put_f64_bits(&mut footer, self.bbox.center[d]);
+            put_f64_bits(&mut out, self.bbox.center[d]);
         }
-        put_f64_bits(&mut footer, self.bbox.half);
-        put_u64(&mut footer, self.cells.len() as u64);
-        for (cell, per_col) in self.cells.iter().zip(&offsets) {
-            put_u64(&mut footer, cell.key);
-            put_u32(&mut footer, cell.n);
-            put_u64(&mut footer, cell.id_min);
-            put_u64(&mut footer, cell.id_max);
-            for (col, &(off, len)) in cell.cols.iter().zip(per_col) {
-                footer.push(col.enc);
-                put_u64(&mut footer, off);
-                put_u64(&mut footer, len);
-                put_u32(&mut footer, col.crc);
+        put_f64_bits(&mut out, self.bbox.half);
+        put_u64(&mut out, self.cells.len() as u64);
+        let mut off = MAGIC.len() as u64;
+        for cell in &self.cells {
+            put_u64(&mut out, cell.key);
+            put_u32(&mut out, cell.n);
+            put_u64(&mut out, cell.id_min);
+            put_u64(&mut out, cell.id_max);
+            for col in &cell.cols {
+                out.push(col.enc);
+                put_u64(&mut out, off);
+                put_u64(&mut out, col.bytes.len() as u64);
+                put_u32(&mut out, col.crc);
+                off += col.bytes.len() as u64;
             }
         }
-        let fcrc = crc32(&footer);
-        let flen = footer.len() as u64;
-        out.extend_from_slice(&footer);
+        let (fcrc, flen) = (crc32(&out[footer_at..]), out.len() - footer_at);
         put_u32(&mut out, fcrc);
-        put_u64(&mut out, flen);
+        put_u64(&mut out, flen as u64);
         out
+    }
+
+    /// `to_bytes().len()` without writing the frame: magic, 56 bytes of
+    /// footer head, 28 a cell, 21 and its chunk a column, crc and length.
+    pub fn frame_len(&self) -> usize {
+        let cols = self.cells.iter().flat_map(|c| &c.cols);
+        let chunks: usize = cols.map(|col| 21 + col.bytes.len()).sum();
+        MAGIC.len() + 56 + 28 * self.cells.len() + chunks + 12
     }
 
     /// Parse a framed snapshot. The footer is CRC-checked here; column
@@ -271,6 +300,7 @@ impl Snapshot {
                 id_min,
                 id_max,
                 cols,
+                decoded: Decoded::default(),
             });
         }
         if !cur.done() {
@@ -293,23 +323,16 @@ impl Snapshot {
         self.bbox.cell_geometry(Key(self.cells[i].key))
     }
 
-    /// Full-depth Morton key range covered by cell `i` — what the
-    /// footer index maps to chunk offsets.
-    pub fn key_range(&self, i: usize) -> (u64, u64) {
-        let (lo, hi) = Key(self.cells[i].key).key_range();
-        (lo.0, hi.0)
-    }
-
     /// Indices of cells whose full-depth key range intersects
     /// `[lo, hi]` (inclusive). Never drops a cell that could hold a
     /// matching key.
     pub fn cells_in_key_range(&self, lo: u64, hi: u64) -> Vec<usize> {
-        (0..self.cells.len())
-            .filter(|&i| {
-                let (clo, chi) = self.key_range(i);
-                clo <= hi && lo <= chi
-            })
-            .collect()
+        // Cells are sorted by key at one level, so their key ranges are
+        // disjoint and ascending: the survivors are one run of them.
+        let range = |c: &CellData| Key(c.key).key_range();
+        let first = self.cells.partition_point(|c| range(c).1 .0 < lo);
+        let end = self.cells.partition_point(|c| range(c).0 .0 <= hi);
+        (first..end).collect()
     }
 
     /// Indices of cells surviving a conservative geometric predicate:
@@ -331,52 +354,141 @@ impl Snapshot {
             .collect()
     }
 
-    /// Decode one cell to bodies (sorted by id) plus its row-major aux
-    /// lanes. Verifies every column chunk CRC.
-    pub fn decode_cell(&self, i: usize) -> Result<(Vec<Body>, Vec<f64>), StoreError> {
+    /// Verify cell `i`'s chunk CRCs and append its rows to the given ones:
+    /// the one decode body behind `cell`, `decode_cell` and `decode_all`.
+    fn decode_into(&self, i: usize, (bodies, aux): &mut Rows) -> Result<(), StoreError> {
         let cell = &self.cells[i];
-        let n = cell.n as usize;
-        for col in &cell.cols {
-            if crc32(&col.bytes) != col.crc {
-                return Err(StoreError::BadChunkCrc { cell: cell.key });
-            }
+        let (n, na) = (cell.n as usize, self.n_aux as usize);
+        let verified = cell.cols.iter().all(|col| crc32(&col.bytes) == col.crc);
+        #[cfg(test)]
+        let verified = verified || MEMO_SKIPS_CHUNK_CRCS.get();
+        if !verified {
+            return Err(StoreError::BadChunkCrc { cell: cell.key });
         }
+        // `n` is the footer's word: before it sizes an allocation the id
+        // chunk must hold that many ids and every lane be `8 n` bytes.
         let ids = decode_ids(&cell.cols[0].bytes, n)?;
         if ids.first() != Some(&cell.id_min) || ids.last() != Some(&cell.id_max) {
             return Err(StoreError::BadEncoding("id column outside footer range"));
         }
-        let mut f64_cols = Vec::with_capacity(self.n_cols() - 1);
-        for col in &cell.cols[1..] {
-            f64_cols.push(unshuffle_f64(&col.bytes, n)?);
+        if cell.cols[1..].iter().any(|col| col.bytes.len() != n * 8) {
+            return Err(StoreError::BadEncoding("f64 column length mismatch"));
         }
-        let na = self.n_aux as usize;
-        let mut bodies = Vec::with_capacity(n);
-        let mut aux = Vec::with_capacity(n * na);
-        for r in 0..n {
-            bodies.push(Body {
-                pos: [f64_cols[0][r], f64_cols[1][r], f64_cols[2][r]],
-                vel: [f64_cols[3][r], f64_cols[4][r], f64_cols[5][r]],
-                mass: f64_cols[6][r],
-                id: ids[r],
-                work: f64_cols[7][r],
+        let (b0, a0) = (bodies.len(), aux.len());
+        let blank = Body::at([0.0; 3], 0.0);
+        bodies.extend(ids.iter().map(|&id| Body { id, ..blank }));
+        aux.resize(a0 + n * na, 0.0);
+        for (c, col) in cell.cols[1..].iter().enumerate() {
+            unshuffle_f64(&col.bytes, |r, v| match c {
+                0..=2 => bodies[b0 + r].pos[c] = v,
+                3..=5 => bodies[b0 + r].vel[c - 3] = v,
+                6 => bodies[b0 + r].mass = v,
+                7 => bodies[b0 + r].work = v,
+                _ => aux[a0 + r * na + c - 8] = v,
             });
-            for j in 0..na {
-                aux.push(f64_cols[8 + j][r]);
-            }
         }
-        Ok((bodies, aux))
+        Ok(())
+    }
+
+    /// Cell `i`'s rows, borrowed: verified and decoded on the first touch
+    /// into the cell's once-slot (an error is returned, never kept), a
+    /// load after. Assumes `cells[i].cols` is not edited past that touch.
+    pub fn cell(&self, i: usize) -> Result<&Rows, StoreError> {
+        let slot = &self.cells[i].decoded.0;
+        if let Some(rows) = slot.get() {
+            return Ok(rows);
+        }
+        let rows = self.decode_cell(i)?;
+        Ok(slot.get_or_init(|| rows))
+    }
+
+    /// How many cells [`cell`](Self::cell) has decoded and holds.
+    pub fn cells_decoded(&self) -> usize {
+        self.cells
+            .iter()
+            .filter(|c| c.decoded.0.get().is_some())
+            .count()
+    }
+
+    /// Decode one cell to owned rows. Verifies every column chunk CRC
+    /// on every call and leaves [`cell`](Self::cell)'s slots alone.
+    pub fn decode_cell(&self, i: usize) -> Result<Rows, StoreError> {
+        let mut rows = Rows::default();
+        self.decode_into(i, &mut rows)?;
+        Ok(rows)
     }
 
     /// Decode every cell in key order: the canonical (cell-key, id)
-    /// ordering of the whole snapshot.
-    pub fn decode_all(&self) -> Result<(Vec<Body>, Vec<f64>), StoreError> {
-        let mut bodies = Vec::with_capacity(self.n_rows as usize);
-        let mut aux = Vec::with_capacity(self.n_rows as usize * self.n_aux as usize);
+    /// ordering of the whole snapshot. Owned and verified like
+    /// `decode_cell`: a whole-snapshot read leaves no second copy behind.
+    pub fn decode_all(&self) -> Result<Rows, StoreError> {
+        // Reserve the footer's row count as far as id bytes, one a row, back it.
+        let id_bytes = self.cells.iter().map(|c| c.cols[0].bytes.len()).sum();
+        let n = (self.n_rows as usize).min(id_bytes);
+        let mut rows = (Vec::with_capacity(n), Vec::new());
         for i in 0..self.cells.len() {
-            let (b, a) = self.decode_cell(i)?;
-            bodies.extend(b);
-            aux.extend(a);
+            self.decode_into(i, &mut rows)?;
         }
-        Ok((bodies, aux))
+        Ok(rows)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hot::models::plummer;
+    use proptest::prelude::*;
+
+    /// The chunk-region half of `tests/corruption.rs`'s sweep in
+    /// miniature, read the way time travel reads: every single-bit flip
+    /// in a column chunk must come back from `cell` as an error.
+    fn cell_reads_catch_every_chunk_flip() -> bool {
+        let bodies = plummer(24, 3);
+        let bbox = BBox::enclosing(bodies.iter().map(|b| b.pos));
+        let snap = Snapshot::build(&bodies, &[], 0, bbox, 1);
+        let frame = snap.to_bytes();
+        let chunk_bytes = snap
+            .cells
+            .iter()
+            .flat_map(|c| &c.cols)
+            .map(|col| col.bytes.len());
+        let chunks = MAGIC.len()..MAGIC.len() + chunk_bytes.sum::<usize>();
+        chunks
+            .flat_map(|at| (0..8).map(move |bit| (at, bit)))
+            .all(|(at, bit)| {
+                let mut rotten = frame.clone();
+                rotten[at] ^= 1 << bit;
+                let snap = Snapshot::from_bytes(&rotten).expect("the footer is intact");
+                (0..snap.cells.len()).any(|i| snap.cell(i).is_err())
+            })
+    }
+
+    #[test]
+    fn every_chunk_flip_is_caught_through_the_memo() {
+        assert!(cell_reads_catch_every_chunk_flip());
+    }
+
+    /// Teeth: a memo filled without checking chunk CRCs must fail the
+    /// sweep.
+    #[test]
+    fn corruption_oracle_catches_an_unverified_memo() {
+        MEMO_SKIPS_CHUNK_CRCS.set(true);
+        assert!(!cell_reads_catch_every_chunk_flip());
+    }
+
+    proptest! {
+        #[test]
+        fn frame_len_is_the_length_of_the_frame(
+            n in 0usize..80,
+            seed in 0u64..1000,
+            n_aux in 0u32..3,
+            level in 0u32..5,
+        ) {
+            let bodies = if n == 0 { Vec::new() } else { plummer(n, seed) };
+            let aux = vec![0.25; n * n_aux as usize];
+            let bbox = BBox { center: [0.0; 3], half: 1e3 };
+            let snap = Snapshot::build(&bodies, &aux, n_aux, bbox, level);
+            prop_assert_eq!(snap.frame_len(), snap.to_bytes().len());
+        }
     }
 }

@@ -29,12 +29,15 @@ fn sample_frames() -> (Vec<u8>, Vec<u8>) {
     (base.to_bytes(), delta.to_bytes())
 }
 
-/// Open a full frame and force every cell through decode, returning the
-/// first typed error anywhere in the path.
+/// Open a full frame and force every cell through decode — owned
+/// (`decode_all`) and borrowed through the memo (`cell`), which must
+/// agree — returning the first typed error anywhere in the path.
 fn open_and_decode(bytes: &[u8]) -> Result<(), StoreError> {
     let snap = Snapshot::from_bytes(bytes)?;
-    snap.decode_all()?;
-    Ok(())
+    let owned = snap.decode_all().map(drop);
+    let borrowed = (0..snap.cells.len()).try_for_each(|i| snap.cell(i).map(drop));
+    assert_eq!(owned, borrowed, "decode_all and cell disagree on a frame");
+    owned
 }
 
 #[test]
@@ -129,7 +132,26 @@ fn a_rotten_record_rots_the_generations_it_feeds() {
     }
 }
 
-// The sweeps above never get a hostile *length* past a CRC. These three
+#[test]
+fn a_rotten_chunk_errors_on_every_touch_and_is_never_memoised() {
+    let (full, _) = sample_frames();
+    let mut snap = Snapshot::from_bytes(&full).expect("pristine frame parses");
+    snap.cells[1].cols[4].bytes[0] ^= 0x10;
+    let rotten = StoreError::BadChunkCrc {
+        cell: snap.cells[1].key,
+    };
+    for _ in 0..3 {
+        assert_eq!(snap.cell(1).err(), Some(rotten));
+        assert_eq!(snap.cells_decoded(), 0, "an error filled the memo");
+    }
+    // Its neighbours still read, and only they are held.
+    snap.cell(0).expect("clean cell");
+    snap.cell(2).expect("clean cell");
+    assert_eq!(snap.cell(1).err(), Some(rotten));
+    assert_eq!(snap.cells_decoded(), 2);
+}
+
+// The sweeps above never get a hostile *length* past a CRC. These four
 // frames carry valid CRCs (or sit in the one field no CRC covers) around
 // a length chosen to overflow the decoder's own arithmetic.
 
@@ -138,6 +160,28 @@ fn all_ones_footer_length_is_rejected() {
     let (mut full, _) = sample_frames();
     full.extend_from_slice(&[0xFF; 8]);
     assert_eq!(Snapshot::from_bytes(&full), Err(StoreError::Truncated));
+}
+
+#[test]
+fn row_count_of_u32_max_is_rejected_before_allocating() {
+    // One cell's row count (and the total, so the footer still adds up)
+    // set to u32::MAX under a valid footer CRC: a decoder that sizes a
+    // Vec by it asks for 34 GB and the process aborts.
+    let (full, _) = sample_frames();
+    let mut snap = Snapshot::from_bytes(&full).expect("pristine frame parses");
+    snap.n_rows += u64::from(u32::MAX - snap.cells[0].n);
+    snap.cells[0].n = u32::MAX;
+    let hostile = Snapshot::from_bytes(&snap.to_bytes()).expect("the footer crc is valid");
+    assert!(matches!(
+        hostile.decode_cell(0),
+        Err(StoreError::BadEncoding(_))
+    ));
+    assert!(matches!(
+        hostile.decode_all(),
+        Err(StoreError::BadEncoding(_))
+    ));
+    assert!(matches!(hostile.cell(0), Err(StoreError::BadEncoding(_))));
+    assert_eq!(hostile.cells_decoded(), 0);
 }
 
 #[test]

@@ -2,13 +2,14 @@
 //! canonical, byte-deterministic function of the body *set*; cell
 //! partitioning and merge are inverses; every f64 lane survives
 //! bit-for-bit (NaN payloads, signed zeros, subnormals included);
-//! footer pruning never drops a cell that could hold a match; and
+//! footer pruning never drops a cell that could hold a match;
 //! full/delta generation chains materialize back to exactly the states
-//! they committed.
+//! they committed; and a cell decoded through `Snapshot::cell` is
+//! decoded once and dies with its snapshot.
 
 use hot::models::plummer;
 use hot::{BBox, Body};
-use store::{record_kind, GenerationLog, RecordKind, Snapshot, SnapshotCache, StoreConfig};
+use store::{record_kind, Delta, GenerationLog, RecordKind, Snapshot, SnapshotCache, StoreConfig};
 
 /// SplitMix64 — deterministic perturbations without external deps.
 struct Rng(u64);
@@ -194,6 +195,14 @@ fn pruning_never_drops_a_matching_cell() {
         let b = rng.next();
         let (lo, hi) = (a.min(b), a.max(b));
         let kept = snap.cells_in_key_range(lo, hi);
+        // The two binary searches keep exactly what a scan would.
+        let scan: Vec<usize> = (0..snap.cells.len())
+            .filter(|&i| {
+                let (clo, chi) = hot::Key(snap.cells[i].key).key_range();
+                clo.0 <= hi && lo <= chi.0
+            })
+            .collect();
+        assert_eq!(kept, scan);
         for (i, cell) in snap.cells.iter().enumerate() {
             let (decoded, _) = snap.decode_cell(i).expect("decodes");
             let holds_match = decoded.iter().any(|bd| {
@@ -336,4 +345,64 @@ fn snapshot_cache_is_a_bounded_lru() {
     cache.get_or_try_insert(7, || hit(7)).expect("hit");
     cache.get_or_try_insert(6, || hit(6)).expect("hit");
     assert_eq!(cache.hits, 2);
+}
+
+#[test]
+fn a_cell_is_decoded_once_and_only_by_a_borrowed_read() {
+    let (mut bodies, aux, bbox) = sample(130, 17);
+    let snap = Snapshot::build(&bodies, &aux, 2, bbox, 2);
+    assert_eq!(snap.cells_decoded(), 0);
+    let first = snap.cell(1).expect("decodes");
+    assert_eq!(snap.cells_decoded(), 1);
+    let again = snap.cell(1).expect("borrows");
+    assert!(std::ptr::eq(first, again), "second touch decoded again");
+    assert_eq!(snap.cells_decoded(), 1);
+    assert_eq!(*first, snap.decode_cell(1).expect("decodes"));
+
+    // The memo is no part of the snapshot's value: a clone and a delta
+    // applied on top start empty, and equality does not see it.
+    let clone = snap.clone();
+    assert_eq!(clone.cells_decoded(), 0);
+    assert_eq!(clone, snap);
+    evolve(&mut bodies, &mut Rng(5), 1e-6);
+    let next = Snapshot::build(&bodies, &aux, 2, bbox, 2);
+    let applied = Delta::build(&snap, &next, 0)
+        .apply(&snap)
+        .expect("applies to its base");
+    assert_eq!(applied.cells_decoded(), 0);
+    assert_eq!(applied, next);
+
+    // Owned reads stay off it.
+    let fresh = Snapshot::from_bytes(&snap.to_bytes()).expect("parses");
+    fresh.decode_all().expect("decodes");
+    fresh.decode_cell(0).expect("decodes");
+    assert_eq!(fresh.cells_decoded(), 0);
+}
+
+#[test]
+fn evicting_a_generation_drops_its_decoded_cells() {
+    let (bodies, _, _) = sample(60, 77);
+    let mut log = GenerationLog::new(StoreConfig::default(), 0);
+    log.commit(0, &bodies, &[]);
+    log.commit(1, &bodies, &[]);
+    let mut cache = SnapshotCache::new(1);
+    let gen0 = cache
+        .get_or_try_insert(0, || log.materialize(0))
+        .expect("materializes");
+    gen0.cell(0).expect("decodes");
+    assert_eq!(gen0.cells_decoded(), 1);
+    // A hit finds the decoded cell still there; an eviction and a fresh
+    // materialization do not.
+    let hit = cache
+        .get_or_try_insert(0, || log.materialize(0))
+        .expect("hit");
+    assert_eq!(hit.cells_decoded(), 1);
+    cache
+        .get_or_try_insert(1, || log.materialize(1))
+        .expect("materializes");
+    assert_eq!(cache.len(), 1);
+    let back = cache
+        .get_or_try_insert(0, || log.materialize(0))
+        .expect("materializes again");
+    assert_eq!(back.cells_decoded(), 0);
 }
