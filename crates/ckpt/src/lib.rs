@@ -1,22 +1,18 @@
-//! Deterministic binary checkpoints for the simulated integrators.
+//! CRC, frames and shard headers: the integrity layer under every
+//! checkpoint `cluster::chaos` and `query::engine` write.
 //!
-//! The checkpoint/restart story of §2.1 — run production science *through*
-//! hardware failures — needs integrator state that can round-trip
-//! bit-for-bit: a restored SPH run must continue exactly where the lost
-//! one left off, or restart-equivalence tests cannot distinguish "recovered"
-//! from "silently diverged". `f64` therefore travels as its raw IEEE-754
-//! bits (little-endian), never through decimal formatting.
-//!
-//! The format is deliberately tiny and dependency-free:
+//! A frame is
 //!
 //! ```text
 //! magic "SSCKPT01" | payload bytes | crc32(payload) as u32 LE
 //! ```
 //!
-//! with every value encoded by its [`Pack`] implementation (fixed-width
-//! little-endian scalars, `u64` length-prefixed sequences). A truncated or
-//! bit-flipped file fails [`load`] with a typed [`CkptError`] instead of
-//! yielding corrupt physics.
+//! and a per-rank shard is a frame whose payload is a 24-byte
+//! [`ShardHeader`] followed by a `u64` LE length prefix and that many
+//! bytes. Floats travel as raw IEEE-754 bits, never through decimal
+//! formatting, so a restored state is the committed one bit for bit. A
+//! truncated or bit-flipped frame fails with a typed [`CkptError`]
+//! instead of yielding corrupt physics.
 
 use std::fmt;
 
@@ -32,7 +28,7 @@ pub enum CkptError {
     BadMagic,
     /// Payload checksum mismatch (bit rot, torn write).
     BadCrc { stored: u32, computed: u32 },
-    /// A decoded discriminant or flag byte is out of range.
+    /// A decoded field is out of range.
     BadEncoding(&'static str),
     /// Payload decoded cleanly but bytes were left over.
     TrailingBytes(usize),
@@ -108,189 +104,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// Cursor over a checkpoint payload being decoded.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        if self.remaining() < n {
-            return Err(CkptError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-}
-
-/// A value with a deterministic binary encoding.
-pub trait Pack {
-    fn pack(&self, out: &mut Vec<u8>);
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError>
-    where
-        Self: Sized;
-}
-
-macro_rules! scalar_pack {
-    ($($t:ty),*) => {$(
-        impl Pack for $t {
-            fn pack(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
-            }
-            fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
-                let b = r.take(std::mem::size_of::<$t>())?;
-                Ok(<$t>::from_le_bytes(b.try_into().expect("sized take")))
-            }
-        }
-    )*};
-}
-
-scalar_pack!(u8, u16, u32, u64, i8, i16, i32, i64);
-
-impl Pack for f64 {
-    fn pack(&self, out: &mut Vec<u8>) {
-        // Raw bits: NaN payloads, signed zeros and subnormals all survive,
-        // which is what makes restart equivalence *bit-for-bit*.
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
-        Ok(f64::from_bits(u64::unpack(r)?))
-    }
-}
-
-impl Pack for f32 {
-    fn pack(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
-        Ok(f32::from_bits(u32::unpack(r)?))
-    }
-}
-
-impl Pack for usize {
-    /// Always 8 bytes on the wire, independent of platform width.
-    fn pack(&self, out: &mut Vec<u8>) {
-        (*self as u64).pack(out);
-    }
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
-        let v = u64::unpack(r)?;
-        usize::try_from(v).map_err(|_| CkptError::BadEncoding("usize"))
-    }
-}
-
-impl Pack for bool {
-    fn pack(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
-    }
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
-        match u8::unpack(r)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CkptError::BadEncoding("bool")),
-        }
-    }
-}
-
-impl<T: Pack, const N: usize> Pack for [T; N] {
-    fn pack(&self, out: &mut Vec<u8>) {
-        for v in self {
-            v.pack(out);
-        }
-    }
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
-        let mut tmp = Vec::with_capacity(N);
-        for _ in 0..N {
-            tmp.push(T::unpack(r)?);
-        }
-        tmp.try_into()
-            .map_err(|_| CkptError::BadEncoding("fixed array"))
-    }
-}
-
-impl<T: Pack> Pack for Vec<T> {
-    fn pack(&self, out: &mut Vec<u8>) {
-        self.len().pack(out);
-        for v in self {
-            v.pack(out);
-        }
-    }
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
-        let n = usize::unpack(r)?;
-        // Sanity bound: no element is smaller than a byte, so a length
-        // beyond the remaining bytes is corrupt, not just big.
-        if n > r.remaining() {
-            return Err(CkptError::Truncated);
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(T::unpack(r)?);
-        }
-        Ok(v)
-    }
-}
-
-impl<T: Pack> Pack for Option<T> {
-    fn pack(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.pack(out);
-            }
-        }
-    }
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
-        match u8::unpack(r)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::unpack(r)?)),
-            _ => Err(CkptError::BadEncoding("Option")),
-        }
-    }
-}
-
-impl Pack for String {
-    fn pack(&self, out: &mut Vec<u8>) {
-        self.len().pack(out);
-        out.extend_from_slice(self.as_bytes());
-    }
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
-        let n = usize::unpack(r)?;
-        let b = r.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| CkptError::BadEncoding("String"))
-    }
-}
-
-impl<A: Pack, B: Pack> Pack for (A, B) {
-    fn pack(&self, out: &mut Vec<u8>) {
-        self.0.pack(out);
-        self.1.pack(out);
-    }
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
-        Ok((A::unpack(r)?, B::unpack(r)?))
-    }
-}
-
-impl<A: Pack, B: Pack, C: Pack> Pack for (A, B, C) {
-    fn pack(&self, out: &mut Vec<u8>) {
-        self.0.pack(out);
-        self.1.pack(out);
-        self.2.pack(out);
-    }
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
-        Ok((A::unpack(r)?, B::unpack(r)?, C::unpack(r)?))
-    }
-}
-
 /// Which fragment of which commit a per-rank checkpoint shard holds.
 ///
 /// A *shard* is one rank's independently-framed fragment of a global
@@ -312,19 +125,29 @@ pub struct ShardHeader {
     pub time: f64,
 }
 
-impl Pack for ShardHeader {
-    fn pack(&self, out: &mut Vec<u8>) {
-        self.rank.pack(out);
-        self.of_ranks.pack(out);
-        self.step.pack(out);
-        self.time.pack(out);
+impl ShardHeader {
+    /// Encoded size: rank, of_ranks (`u32` LE), step (`u64` LE), time
+    /// (raw `f64` bits, LE).
+    const LEN: usize = 24;
+
+    fn to_bytes(self) -> [u8; Self::LEN] {
+        let mut b = [0u8; Self::LEN];
+        b[0..4].copy_from_slice(&self.rank.to_le_bytes());
+        b[4..8].copy_from_slice(&self.of_ranks.to_le_bytes());
+        b[8..16].copy_from_slice(&self.step.to_le_bytes());
+        b[16..24].copy_from_slice(&self.time.to_bits().to_le_bytes());
+        b
     }
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
+
+    /// Decode a header; a rank at or beyond the world size is corrupt
+    /// even behind a valid CRC.
+    fn from_bytes(b: &[u8; Self::LEN]) -> Result<ShardHeader, CkptError> {
+        let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
         let h = ShardHeader {
-            rank: u32::unpack(r)?,
-            of_ranks: u32::unpack(r)?,
-            step: u64::unpack(r)?,
-            time: f64::unpack(r)?,
+            rank: u32::from_le_bytes(b[0..4].try_into().expect("4 bytes")),
+            of_ranks: u32::from_le_bytes(b[4..8].try_into().expect("4 bytes")),
+            step: word(8),
+            time: f64::from_bits(word(16)),
         };
         if h.of_ranks == 0 || h.rank >= h.of_ranks {
             return Err(CkptError::BadEncoding("shard rank out of range"));
@@ -375,7 +198,7 @@ pub fn validate_shard_headers(headers: &[ShardHeader], of_ranks: usize) -> Resul
 }
 
 /// The one frame writer: [`MAGIC`], whatever `payload` appends, then the
-/// crc32 of what it appended. [`load`] reads it back.
+/// crc32 of what it appended. [`unframe`] reads it back.
 pub fn frame(payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&MAGIC);
@@ -385,164 +208,104 @@ pub fn frame(payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     out
 }
 
-/// Frame one rank's checkpoint fragment: magic, header + payload, crc32.
-pub fn save_shard<T: Pack>(header: &ShardHeader, payload: &T) -> Vec<u8> {
-    frame(|out| {
-        header.pack(out);
-        payload.pack(out);
-    })
-}
-
-/// Decode a shard produced by [`save_shard`]. Corruption anywhere in the
-/// frame — header or payload — fails with a typed error so recovery can
-/// fall back to an older complete generation instead of crashing.
-pub fn load_shard<T: Pack>(bytes: &[u8]) -> Result<(ShardHeader, T), CkptError> {
-    load(bytes)
-}
-
-/// Encode `value` as a framed checkpoint: magic, payload, payload crc32.
-pub fn save<T: Pack>(value: &T) -> Vec<u8> {
-    frame(|out| value.pack(out))
-}
-
-/// Decode a framed checkpoint produced by [`save`].
-pub fn load<T: Pack>(bytes: &[u8]) -> Result<T, CkptError> {
+/// The payload of a [`frame`], once its magic and CRC check out.
+pub fn unframe(bytes: &[u8]) -> Result<&[u8], CkptError> {
     if bytes.len() < MAGIC.len() + 4 {
         return Err(CkptError::Truncated);
     }
     if bytes[..MAGIC.len()] != MAGIC {
         return Err(CkptError::BadMagic);
     }
-    let payload = &bytes[MAGIC.len()..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
+    let (payload, trailer) = bytes[MAGIC.len()..].split_at(bytes.len() - MAGIC.len() - 4);
+    let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
     let computed = crc32(payload);
     if stored != computed {
         return Err(CkptError::BadCrc { stored, computed });
     }
-    let mut r = Reader::new(payload);
-    let v = T::unpack(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(CkptError::TrailingBytes(r.remaining()));
+    Ok(payload)
+}
+
+/// Frame one rank's checkpoint fragment: magic, header, `u64` length
+/// prefix and payload, crc32.
+pub fn save_shard(header: &ShardHeader, payload: &[u8]) -> Vec<u8> {
+    frame(|out| {
+        out.reserve(ShardHeader::LEN + 8 + payload.len() + 4);
+        out.extend_from_slice(&header.to_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+    })
+}
+
+/// Decode a shard produced by [`save_shard`]. Corruption anywhere in the
+/// frame — header or payload — fails with a typed error so recovery can
+/// fall back to an older complete generation instead of crashing.
+pub fn load_shard(bytes: &[u8]) -> Result<(ShardHeader, Vec<u8>), CkptError> {
+    let p = unframe(bytes)?;
+    let (header, rest) = p
+        .split_first_chunk::<{ ShardHeader::LEN }>()
+        .ok_or(CkptError::Truncated)?;
+    let header = ShardHeader::from_bytes(header)?;
+    let (len, body) = rest.split_first_chunk::<8>().ok_or(CkptError::Truncated)?;
+    // Compared as `u64`: a hostile length never becomes a `usize`, let
+    // alone an allocation, before it is known to fit.
+    let len = u64::from_le_bytes(*len);
+    if len > body.len() as u64 {
+        return Err(CkptError::Truncated);
     }
-    Ok(v)
+    if len < body.len() as u64 {
+        return Err(CkptError::TrailingBytes(body.len() - len as usize));
+    }
+    Ok((header, body.to_vec()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip<T: Pack + PartialEq + std::fmt::Debug>(v: T) {
-        let bytes = save(&v);
-        let back: T = load(&bytes).expect("roundtrip");
-        assert_eq!(back, v);
-    }
-
-    #[test]
-    fn scalars_roundtrip() {
-        roundtrip(0u8);
-        roundtrip(u64::MAX);
-        roundtrip(-123i64);
-        roundtrip(usize::MAX as u64);
-        roundtrip(true);
-        roundtrip(std::f64::consts::PI);
-        roundtrip(1.0e-300f64);
-    }
-
-    #[test]
-    fn f64_is_bit_exact() {
-        for v in [
-            0.0f64,
-            -0.0,
-            f64::MIN_POSITIVE / 2.0, // subnormal
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MAX,
-            1.0 + f64::EPSILON,
-        ] {
-            let bytes = save(&v);
-            let back: f64 = load(&bytes).expect("roundtrip");
-            assert_eq!(back.to_bits(), v.to_bits(), "{v}");
-        }
-        // NaN payload bits survive too.
-        let nan = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
-        let back: f64 = load(&save(&nan)).expect("roundtrip");
-        assert_eq!(back.to_bits(), nan.to_bits());
-    }
-
-    #[test]
-    fn composites_roundtrip() {
-        roundtrip(vec![1.0f64, -2.5, 3.75]);
-        roundtrip(Vec::<u64>::new());
-        roundtrip(Some([1.0f64, 2.0, 3.0]));
-        roundtrip(None::<u64>);
-        roundtrip(("label".to_string(), 42u64, vec![true, false]));
-        roundtrip(vec![(1u64, 2.0f64), (3, 4.0)]);
-    }
-
-    #[test]
-    fn crc_detects_bit_flips() {
-        let bytes = save(&vec![1.0f64; 16]);
-        for flip in [MAGIC.len(), MAGIC.len() + 7, bytes.len() - 5] {
-            let mut bad = bytes.clone();
-            bad[flip] ^= 0x10;
-            match load::<Vec<f64>>(&bad) {
-                Err(CkptError::BadCrc { .. }) => {}
-                other => panic!("flip at {flip}: expected BadCrc, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn wrong_magic_and_truncation_rejected() {
-        let bytes = save(&7u64);
-        assert_eq!(load::<u64>(&bytes[..4]), Err(CkptError::Truncated));
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert_eq!(load::<u64>(&bad), Err(CkptError::BadMagic));
-        // Payload shorter than the type needs.
-        let short = save(&1u32);
-        assert_eq!(load::<u64>(&short), Err(CkptError::Truncated));
-    }
-
-    #[test]
-    fn trailing_bytes_rejected() {
-        let long = save(&(1u64, 2u64));
-        assert_eq!(load::<u64>(&long), Err(CkptError::TrailingBytes(8)));
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_truncation_not_oom() {
-        // A corrupt length prefix must fail cleanly before allocation.
-        let out = frame(|out| (u64::MAX).pack(out));
-        assert_eq!(load::<Vec<f64>>(&out), Err(CkptError::Truncated));
-    }
-
-    #[test]
-    fn shard_roundtrip_and_header_validation() {
-        let h = ShardHeader {
+    fn header() -> ShardHeader {
+        ShardHeader {
             rank: 3,
             of_ranks: 16,
             step: 40,
             time: 12.5,
-        };
-        let payload = vec![[1.0f64, -2.0, 3.0]; 7];
-        let bytes = save_shard(&h, &payload);
-        let (back_h, back_p): (ShardHeader, Vec<[f64; 3]>) = load_shard(&bytes).expect("roundtrip");
-        assert_eq!(back_h, h);
-        assert_eq!(back_p, payload);
+        }
+    }
+
+    #[test]
+    fn shard_roundtrip_and_header_validation() {
+        let payload: Vec<u8> = (0..77u8).collect();
+        let bytes = save_shard(&header(), &payload);
+        assert_eq!(load_shard(&bytes), Ok((header(), payload.clone())));
         // A rank at-or-beyond the world size is a corrupt header even if
         // the crc (recomputed here) is formally valid.
-        let bad = save_shard(
-            &ShardHeader {
-                rank: 16,
-                of_ranks: 16,
-                ..h
-            },
-            &payload,
-        );
+        let mut bad = header();
+        bad.rank = bad.of_ranks;
+        let why = CkptError::BadEncoding("shard rank out of range");
+        assert_eq!(load_shard(&save_shard(&bad, &payload)), Err(why));
+    }
+
+    /// A valid-CRC shard frame whose payload is `bytes` as given.
+    fn crafted(bytes: &[u8]) -> Vec<u8> {
+        frame(|out| out.extend_from_slice(bytes))
+    }
+
+    #[test]
+    fn hostile_shard_lengths_are_typed_errors() {
+        let head = header().to_bytes();
+        let with_len = |len: u64| [&head[..], &len.to_le_bytes(), &[7u8; 16]].concat();
+        for (len, want) in [
+            (u64::MAX, Err(CkptError::Truncated)),
+            (17, Err(CkptError::Truncated)),
+            (10, Err(CkptError::TrailingBytes(6))),
+            (16, Ok((header(), vec![7u8; 16]))),
+        ] {
+            assert_eq!(load_shard(&crafted(&with_len(len))), want, "length {len}");
+        }
+        // A header or length prefix cut short behind a valid CRC.
+        assert_eq!(load_shard(&crafted(&head[..20])), Err(CkptError::Truncated));
         assert_eq!(
-            load_shard::<Vec<[f64; 3]>>(&bad),
-            Err(CkptError::BadEncoding("shard rank out of range"))
+            load_shard(&crafted(&with_len(0)[..31])),
+            Err(CkptError::Truncated)
         );
     }
 
@@ -585,11 +348,5 @@ mod tests {
         ) {
             proptest::prop_assert_eq!(crc32(&bytes), crc32_reference(&bytes));
         }
-    }
-
-    #[test]
-    fn encoding_is_deterministic() {
-        let v = vec![[1.0f64, 2.0, 3.0]; 5];
-        assert_eq!(save(&v), save(&v.clone()));
     }
 }

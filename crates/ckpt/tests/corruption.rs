@@ -6,43 +6,43 @@
 //! that survived a soft error is only trustworthy if the format cannot
 //! lie.
 
-use ckpt::{load, load_shard, save, save_shard, validate_shard_headers, CkptError, ShardHeader};
+use ckpt::{
+    frame, load_shard, save_shard, unframe, validate_shard_headers, CkptError, ShardHeader,
+};
 
-type State = ((u64, f64), Vec<[f64; 3]>);
+/// Step, time, then 17 count-prefixed rows of three floats: the shape
+/// of `cluster::chaos`'s whole-state payload, as raw LE words.
+fn sample_payload() -> Vec<u8> {
+    let mut words = vec![0xDEAD_BEEF, 0.015625f64.to_bits(), 17];
+    for x in (0..17).map(f64::from) {
+        words.extend([x * 0.25 - 2.0, -x * 1.5, 1.0 / (1.0 + x)].map(f64::to_bits));
+    }
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
 
-fn sample_state() -> State {
-    let bodies: Vec<[f64; 3]> = (0..17)
-        .map(|i| {
-            let x = i as f64;
-            [x * 0.25 - 2.0, -x * 1.5, 1.0 / (1.0 + x)]
-        })
-        .collect();
-    ((0xDEAD_BEEF_u64, 0.015625), bodies)
+fn sample_frame() -> Vec<u8> {
+    frame(|out| out.extend(sample_payload()))
 }
 
 fn sample_shard() -> Vec<u8> {
-    let ((_, time), bodies) = sample_state();
-    save_shard(
-        &ShardHeader {
-            rank: 5,
-            of_ranks: 16,
-            step: 12,
-            time,
-        },
-        &bodies,
-    )
+    let header = ShardHeader {
+        rank: 5,
+        of_ranks: 16,
+        step: 12,
+        time: 0.015625,
+    };
+    save_shard(&header, &sample_payload()[16..])
 }
 
 #[test]
 fn every_single_byte_flip_is_detected() {
-    let state = sample_state();
-    let bytes = save(&state);
-    assert!(load::<State>(&bytes).is_ok(), "pristine frame must load");
+    let bytes = sample_frame();
+    assert!(unframe(&bytes).is_ok(), "pristine frame must load");
     for i in 0..bytes.len() {
         let mut c = bytes.clone();
         c[i] ^= 0xFF;
         assert!(
-            load::<State>(&c).is_err(),
+            unframe(&c).is_err(),
             "byte {i}/{} flipped 0xFF but the frame still decoded",
             bytes.len()
         );
@@ -51,14 +51,13 @@ fn every_single_byte_flip_is_detected() {
 
 #[test]
 fn every_single_bit_flip_is_detected() {
-    let state = sample_state();
-    let bytes = save(&state);
+    let bytes = sample_frame();
     for i in 0..bytes.len() {
         for bit in 0..8 {
             let mut c = bytes.clone();
             c[i] ^= 1 << bit;
             assert!(
-                load::<State>(&c).is_err(),
+                unframe(&c).is_err(),
                 "bit {bit} of byte {i} flipped but the frame still decoded"
             );
         }
@@ -67,10 +66,10 @@ fn every_single_bit_flip_is_detected() {
 
 #[test]
 fn every_truncation_is_detected() {
-    let bytes = save(&sample_state());
+    let bytes = sample_frame();
     for len in 0..bytes.len() {
         assert!(
-            load::<State>(&bytes[..len]).is_err(),
+            unframe(&bytes[..len]).is_err(),
             "truncation to {len} bytes decoded"
         );
     }
@@ -78,20 +77,20 @@ fn every_truncation_is_detected() {
 
 #[test]
 fn error_kinds_match_the_damaged_region() {
-    let bytes = save(&sample_state());
+    let bytes = sample_frame();
     // Magic damage -> BadMagic.
     let mut c = bytes.clone();
     c[0] ^= 0xFF;
-    assert_eq!(load::<State>(&c), Err(CkptError::BadMagic));
+    assert_eq!(unframe(&c), Err(CkptError::BadMagic));
     // Payload damage -> CRC mismatch.
     let mut c = bytes.clone();
     c[ckpt::MAGIC.len() + 3] ^= 0x01;
-    assert!(matches!(load::<State>(&c), Err(CkptError::BadCrc { .. })));
+    assert!(matches!(unframe(&c), Err(CkptError::BadCrc { .. })));
     // Trailer damage -> CRC mismatch.
     let mut c = bytes.clone();
     let last = c.len() - 1;
     c[last] ^= 0x01;
-    assert!(matches!(load::<State>(&c), Err(CkptError::BadCrc { .. })));
+    assert!(matches!(unframe(&c), Err(CkptError::BadCrc { .. })));
 }
 
 #[test]
@@ -101,16 +100,13 @@ fn every_single_bit_flip_in_a_shard_is_detected() {
     // surfaces as a typed error, so degraded recovery falls back to the
     // previous complete generation instead of restoring rot.
     let bytes = sample_shard();
-    assert!(
-        load_shard::<Vec<[f64; 3]>>(&bytes).is_ok(),
-        "pristine shard must load"
-    );
+    assert!(load_shard(&bytes).is_ok(), "pristine shard must load");
     for i in 0..bytes.len() {
         for bit in 0..8 {
             let mut c = bytes.clone();
             c[i] ^= 1 << bit;
             assert!(
-                load_shard::<Vec<[f64; 3]>>(&c).is_err(),
+                load_shard(&c).is_err(),
                 "bit {bit} of shard byte {i} flipped but the frame still decoded"
             );
         }
@@ -122,7 +118,7 @@ fn every_shard_truncation_is_detected() {
     let bytes = sample_shard();
     for len in 0..bytes.len() {
         assert!(
-            load_shard::<Vec<[f64; 3]>>(&bytes[..len]).is_err(),
+            load_shard(&bytes[..len]).is_err(),
             "shard truncation to {len} bytes decoded"
         );
     }
@@ -194,7 +190,10 @@ fn appended_bytes_are_detected() {
     // A torn write that *grew* the file (e.g. stale tail after a short
     // rewrite) must fail too: the CRC trailer is taken from the end, so
     // extra bytes corrupt the payload view.
-    let mut bytes = save(&sample_state());
+    let mut bytes = sample_frame();
     bytes.push(0u8);
-    assert!(load::<State>(&bytes).is_err(), "grown frame decoded");
+    assert!(unframe(&bytes).is_err(), "grown frame decoded");
+    let mut shard = sample_shard();
+    shard.push(0u8);
+    assert!(load_shard(&shard).is_err(), "grown shard decoded");
 }

@@ -28,7 +28,7 @@
 //! does certify the recovery machinery.
 
 use crate::io::IoModel;
-use ckpt::{CkptError, Pack};
+use ckpt::CkptError;
 use hot::gravity::{Accel, GravityConfig};
 use hot::traverse::{group_accelerations, TraverseStats};
 use hot::tree::{Body, Tree};
@@ -177,6 +177,7 @@ pub struct ChaosReport {
 }
 
 /// Integrator state at a step boundary, as committed to stable storage.
+#[derive(Clone)]
 struct State {
     step: u64,
     time: f64,
@@ -184,34 +185,65 @@ struct State {
     accel: Vec<Accel>,
 }
 
+/// The whole-world commit: a [`ckpt::frame`] around step, time (raw
+/// bits), the body count and [`Body::write_row`] rows, then the accel
+/// count and `acc, pot` rows — every word little-endian.
 fn encode_state(step: u64, time: f64, bodies: &[Body], accel: &[Accel]) -> Vec<u8> {
     ckpt::frame(|out| {
-        out.reserve(bodies.len() * 96);
-        step.pack(out);
-        time.pack(out);
-        // Same wire shape as `Vec<T>::pack` (length prefix + elements),
-        // without cloning the arrays.
-        bodies.len().pack(out);
+        out.reserve(32 + bodies.len() * (Body::ROW_BYTES + 8 * N_AUX));
+        out.extend_from_slice(&step.to_le_bytes());
+        out.extend_from_slice(&time.to_bits().to_le_bytes());
+        out.extend_from_slice(&(bodies.len() as u64).to_le_bytes());
         for b in bodies {
-            b.pack(out);
+            b.write_row(out);
         }
-        accel.len().pack(out);
-        for a in accel {
-            a.pack(out);
+        out.extend_from_slice(&(accel.len() as u64).to_le_bytes());
+        for v in accel.iter().flat_map(|a| a.acc.iter().chain([&a.pot])) {
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
     })
 }
 
+/// The `u64` count at `p[at..]` and the `count × width` bytes after it,
+/// checked against the bytes actually present before anything is sized
+/// from the count.
+fn counted_rows(p: &[u8], at: usize, width: usize) -> Result<(u64, &[u8]), CkptError> {
+    let count = p.get(at..at + 8).ok_or(CkptError::Truncated)?;
+    let count = u64::from_le_bytes(count.try_into().expect("8 bytes"));
+    let rows = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(width))
+        .and_then(|len| p[at + 8..].get(..len))
+        .ok_or(CkptError::Truncated)?;
+    Ok((count, rows))
+}
+
+/// Decode [`encode_state`]'s frame into the state every rank clones.
 fn decode_state(bytes: &[u8]) -> Result<State, CkptError> {
-    let ((step, time), (bodies, accel)): ((u64, f64), (Vec<Body>, Vec<Accel>)) = ckpt::load(bytes)?;
-    if bodies.len() != accel.len() {
+    let p = ckpt::unframe(bytes)?;
+    let word = |at: usize| u64::from_le_bytes(p[at..at + 8].try_into().expect("8 bytes"));
+    let (n, rows) = counted_rows(p, 16, Body::ROW_BYTES)?;
+    let accel_at = 24 + rows.len();
+    let (n_accel, accel) = counted_rows(p, accel_at, 8 * N_AUX)?;
+    if n_accel != n {
         return Err(CkptError::BadEncoding("accel/bodies length mismatch"));
     }
+    let end = accel_at + 8 + accel.len();
+    if end < p.len() {
+        return Err(CkptError::TrailingBytes(p.len() - end));
+    }
+    let lanes: Vec<f64> = (accel_at + 8..end)
+        .step_by(8)
+        .map(|at| f64::from_bits(word(at)))
+        .collect();
     Ok(State {
-        step,
-        time,
-        bodies,
-        accel,
+        step: word(0),
+        time: f64::from_bits(word(8)),
+        bodies: rows
+            .chunks_exact(Body::ROW_BYTES)
+            .map(|row| Body::read_row(row.try_into().expect("chunks_exact")))
+            .collect(),
+        accel: accel_of(&lanes),
     })
 }
 
@@ -349,8 +381,7 @@ fn encode_shards(
 fn assemble(gen: &Gen, size: usize) -> Option<State> {
     let mut decoded = Vec::with_capacity(size);
     for bytes in &gen.shards {
-        let (h, record): (ckpt::ShardHeader, Vec<u8>) = ckpt::load_shard(bytes).ok()?;
-        decoded.push((h, record));
+        decoded.push(ckpt::load_shard(bytes).ok()?);
     }
     let headers: Vec<ckpt::ShardHeader> = decoded.iter().map(|(h, _)| *h).collect();
     ckpt::validate_shard_headers(&headers, size).ok()?;
@@ -467,28 +498,25 @@ fn run_treecode_impl(
 
     while report.attempts < chaos.max_attempts {
         report.attempts += 1;
-        // Choose the state to (re)launch from. Degraded mode reassembles
-        // the newest shard generation whose every fragment decodes
-        // cleanly, discarding rotten generations (and accounting the
-        // extra rolled-back interval as lost work).
-        let start_bytes: Vec<u8> = if degraded {
+        // Choose the state to (re)launch from, decoded once for every
+        // rank. Degraded mode reassembles the newest shard generation
+        // whose every fragment decodes cleanly, discarding rotten
+        // generations (and accounting the extra rolled-back interval as
+        // lost work).
+        let start: State = if degraded {
             let mut picked = None;
             while let Some(gen) = gens.last() {
-                match assemble(gen, nranks) {
-                    Some(st) => {
-                        picked = Some(encode_state(st.step, st.time, &st.bodies, &st.accel));
-                        break;
-                    }
-                    None => {
-                        let rotten = gens.pop().expect("non-empty");
-                        report.shard_fallbacks += 1;
-                        let prev_vtime = gens.last().map_or(0.0, |g| g.vtime);
-                        report.lost_vtime += (rotten.vtime - prev_vtime).max(0.0);
-                    }
+                picked = assemble(gen, nranks);
+                if picked.is_some() {
+                    break;
                 }
+                let rotten = gens.pop().expect("non-empty");
+                report.shard_fallbacks += 1;
+                let prev_vtime = gens.last().map_or(0.0, |g| g.vtime);
+                report.lost_vtime += (rotten.vtime - prev_vtime).max(0.0);
             }
             match picked {
-                Some(b) => b,
+                Some(st) => st,
                 None => {
                     report.diagnosis =
                         Some("every retained checkpoint generation is corrupt".to_string());
@@ -496,7 +524,7 @@ fn run_treecode_impl(
                 }
             }
         } else {
-            committed.2.clone()
+            decode_state(&committed.2).expect("stable storage is uncorrupted")
         };
         let progress_floor = if degraded {
             gens.last().map_or(0, |g| g.step)
@@ -509,7 +537,7 @@ fn run_treecode_impl(
         // degraded mode logs every rank's shard.
         let store: Mutex<Option<(u64, f64, Vec<u8>)>> = Mutex::new(None);
         let shard_log: Mutex<Vec<ShardCommit>> = Mutex::new(Vec::new());
-        let start_bytes = &start_bytes;
+        let start = &start;
         let shard_log_ref = &shard_log;
         let world = |comm: &mut Comm| {
             if let Some(w) = chaos.timeline_window_s {
@@ -521,7 +549,7 @@ fn run_treecode_impl(
                 mut time,
                 bodies,
                 accel,
-            } = decode_state(start_bytes).expect("stable storage is uncorrupted");
+            } = start.clone();
             comm.span_exit("chaos.restore");
             let mut replica = Replica { bodies, accel };
             let n = replica.bodies.len();
@@ -658,7 +686,7 @@ fn run_treecode_impl(
             let mut hdrs: std::collections::BTreeMap<(u64, usize), ckpt::ShardHeader> =
                 std::collections::BTreeMap::new();
             for (step, vtime, rank, bytes) in shard_log.into_inner().unwrap() {
-                if let Ok((h, record)) = ckpt::load_shard::<Vec<u8>>(&bytes) {
+                if let Ok((h, record)) = ckpt::load_shard(&bytes) {
                     hdrs.insert((step, rank), h);
                     chains[rank].push((step, record));
                 }
@@ -849,6 +877,84 @@ mod tests {
             }
         }
         worst
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The pinned whole-state frame's input (`ckpt`'s `tests/frame_pin.rs`
+    /// lays out the same state by hand): signed zeros, a subnormal and a
+    /// NaN payload among ordinary values.
+    fn pinned_state() -> (Vec<Body>, Vec<Accel>) {
+        (0..5u64)
+            .map(|i| {
+                let x = i as f64;
+                let work = if i == 3 {
+                    f64::from_bits(0x7FF8_0000_DEAD_BEEF)
+                } else {
+                    x * 0.125
+                };
+                let body = Body {
+                    pos: [x * 0.25 - 1.0, -x * 1.5, 1.0 / (1.0 + x)],
+                    vel: [0.5 * x, -0.0, f64::MIN_POSITIVE / 2.0],
+                    mass: 1.0 / (x + 3.0),
+                    id: 1000 + 7 * i,
+                    work,
+                };
+                let accel = Accel {
+                    acc: [x, -2.0 * x, 0.5],
+                    pot: -1.0 / (x + 1.0),
+                };
+                (body, accel)
+            })
+            .unzip()
+    }
+
+    /// Recorded at the parent of PR 25, when this frame was written by
+    /// `Pack`; never re-record.
+    #[test]
+    fn whole_state_frame_bytes_are_pinned() {
+        let (bodies, accel) = pinned_state();
+        let bytes = encode_state(7, 0.0703125, &bodies, &accel);
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (564, 0xa5fc_a029_fcc6_73a1));
+        let back = decode_state(&bytes).expect("own frame decodes");
+        assert_eq!((back.step, back.time), (7, 0.0703125));
+        assert!(back.bodies.bit_eq(&bodies) && back.accel.bit_eq(&accel));
+    }
+
+    #[test]
+    fn hostile_state_lengths_are_typed_errors() {
+        let (bodies, accel) = pinned_state();
+        let good = ckpt::unframe(&encode_state(7, 0.5, &bodies, &accel))
+            .expect("own frame")
+            .to_vec();
+        let accel_count_at = 24 + bodies.len() * Body::ROW_BYTES;
+        let patched = |at: usize, count: u64| {
+            let mut p = good.clone();
+            p[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            p
+        };
+        let cut = |len: usize| good[..len].to_vec();
+        let grown = [&good[..], &[0; 3]].concat();
+        use CkptError::{BadEncoding, TrailingBytes, Truncated};
+        for (what, payload, want) in [
+            ("body count u64::MAX", patched(16, u64::MAX), Truncated),
+            ("count × 72 past the payload", patched(16, 9), Truncated),
+            ("accel rows cut short", cut(good.len() - 8), Truncated),
+            ("no accel count", cut(accel_count_at), Truncated),
+            ("trailing bytes", grown, TrailingBytes(3)),
+            (
+                "accel count != body count",
+                patched(accel_count_at, 4),
+                BadEncoding("accel/bodies length mismatch"),
+            ),
+        ] {
+            let bytes = ckpt::frame(|out| out.extend_from_slice(&payload));
+            assert_eq!(decode_state(&bytes).err(), Some(want), "{what}");
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 use crate::gravity::{Accel, GravityConfig};
 use crate::traverse::{group_accelerations, TraverseStats};
 use crate::tree::{Body, Tree};
-use ckpt::{CkptError, Pack, Reader};
 use msg::BitEq;
 
 /// A running N-body simulation with a global timestep.
@@ -78,26 +77,6 @@ impl Simulation {
         }
     }
 
-    /// Serialize the full integrator state (bodies, accelerations, clock)
-    /// as a framed [`ckpt`] checkpoint. Restoring with [`Simulation::restore`]
-    /// continues the run bit-for-bit — the stored accelerations make the
-    /// next half-kick identical to the one the saved run would have taken.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        ckpt::save(self)
-    }
-
-    /// Rebuild a simulation from [`Simulation::checkpoint`] bytes.
-    pub fn restore(bytes: &[u8]) -> Result<Simulation, CkptError> {
-        let sim: Simulation = ckpt::load(bytes)?;
-        if sim.accel.len() != sim.bodies.len() {
-            return Err(CkptError::BadEncoding("accel/bodies length mismatch"));
-        }
-        if sim.dt.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(CkptError::BadEncoding("non-positive dt"));
-        }
-        Ok(sim)
-    }
-
     /// (kinetic, potential) energy using the current tree forces'
     /// potential (recomputed through a fresh traversal).
     pub fn energy(&mut self) -> (f64, f64) {
@@ -133,29 +112,6 @@ impl BitEq for Simulation {
             && self.steps == o.steps
             && self.accel.bit_eq(&o.accel)
             && self.stats == o.stats
-    }
-}
-
-impl Pack for Simulation {
-    fn pack(&self, out: &mut Vec<u8>) {
-        self.bodies.pack(out);
-        self.cfg.pack(out);
-        self.dt.pack(out);
-        self.time.pack(out);
-        self.steps.pack(out);
-        self.accel.pack(out);
-        self.stats.pack(out);
-    }
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
-        Ok(Simulation {
-            bodies: Pack::unpack(r)?,
-            cfg: Pack::unpack(r)?,
-            dt: Pack::unpack(r)?,
-            time: Pack::unpack(r)?,
-            steps: Pack::unpack(r)?,
-            accel: Pack::unpack(r)?,
-            stats: Pack::unpack(r)?,
-        })
     }
 }
 
@@ -246,43 +202,6 @@ mod tests {
                 assert!((p0[d] - p1[d]).abs() < 1e-3, "{p0:?} vs {p1:?}");
             }
         }
-    }
-
-    #[test]
-    fn checkpoint_restart_is_bit_exact() {
-        let bodies = plummer(120, 11);
-        let cfg = GravityConfig {
-            theta: 0.5,
-            eps: 0.02,
-            ..Default::default()
-        };
-        let mut sim = Simulation::new(bodies, cfg, 0.004);
-        sim.run(5);
-        let snap = sim.checkpoint();
-        // The original continues; the restored copy replays the same steps.
-        sim.run(7);
-        let mut replay = Simulation::restore(&snap).expect("restore");
-        assert_eq!(replay.steps, 5);
-        replay.run(7);
-        assert_eq!(replay.steps, sim.steps);
-        assert_eq!(replay.time.to_bits(), sim.time.to_bits());
-        assert_eq!(replay.bodies.len(), sim.bodies.len());
-        for (a, b) in sim.bodies.iter().zip(&replay.bodies) {
-            assert_eq!(a.id, b.id);
-            for d in 0..3 {
-                assert_eq!(a.pos[d].to_bits(), b.pos[d].to_bits(), "pos id {}", a.id);
-                assert_eq!(a.vel[d].to_bits(), b.vel[d].to_bits(), "vel id {}", a.id);
-            }
-        }
-    }
-
-    #[test]
-    fn tampered_checkpoint_is_rejected() {
-        let sim = Simulation::new(plummer(30, 3), GravityConfig::default(), 0.01);
-        let mut snap = sim.checkpoint();
-        let mid = snap.len() / 2;
-        snap[mid] ^= 0x40;
-        assert!(Simulation::restore(&snap).is_err());
     }
 
     #[test]

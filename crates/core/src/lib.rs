@@ -32,7 +32,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod boundary;
-pub mod checkpoint;
 pub mod direct;
 pub mod domain;
 pub mod gravity;

@@ -21,16 +21,10 @@ use crate::morton::{BBox, Key, MAX_LEVEL};
 use crate::multipole::Multipole;
 use crate::traverse::TraverseStats;
 use crate::tree::Body;
-use ckpt::{Pack, Reader};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
-/// On-disk size of one body in the [`Pack`] layout of
-/// `crate::checkpoint`: pos(24) + vel(24) + mass(8) + id(8) + work(8),
-/// little-endian.
-const BODY_BYTES: usize = 72;
 
 /// A Morton-sorted body file plus its in-memory key index.
 pub struct OocStore {
@@ -51,9 +45,9 @@ impl OocStore {
             .collect();
         keyed.sort_by_key(|&(k, _)| k);
         let keys: Vec<Key> = keyed.iter().map(|&(k, _)| k).collect();
-        let mut buf = Vec::with_capacity(keyed.len() * BODY_BYTES);
+        let mut buf = Vec::with_capacity(keyed.len() * Body::ROW_BYTES);
         for (_, b) in &keyed {
-            b.pack(&mut buf);
+            b.write_row(&mut buf);
         }
         let mut file = File::create(path)?;
         file.write_all(&buf)?;
@@ -76,14 +70,13 @@ impl OocStore {
     /// Read bodies `[a, b)` from disk.
     pub fn read_range(&self, a: usize, b: usize) -> std::io::Result<Vec<Body>> {
         let mut file = File::open(&self.path)?;
-        file.seek(SeekFrom::Start((a * BODY_BYTES) as u64))?;
-        let mut buf = vec![0u8; (b - a) * BODY_BYTES];
+        file.seek(SeekFrom::Start((a * Body::ROW_BYTES) as u64))?;
+        let mut buf = vec![0u8; (b - a) * Body::ROW_BYTES];
         file.read_exact(&mut buf)?;
-        let mut r = Reader::new(&buf);
-        (a..b)
-            .map(|_| Body::unpack(&mut r))
-            .collect::<Result<_, _>>()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        Ok(buf
+            .chunks_exact(Body::ROW_BYTES)
+            .map(|row| Body::read_row(row.try_into().expect("chunks_exact")))
+            .collect())
     }
 }
 
@@ -214,7 +207,7 @@ impl OocGravity {
             }
             let cell = &self.cells[gidx as usize];
             let bodies = self.store.read_range(cell.first, cell.first + cell.n)?;
-            stats.bytes_read += (cell.n * BODY_BYTES) as u64;
+            stats.bytes_read += (cell.n * Body::ROW_BYTES) as u64;
             stats.chunk_loads += 1;
             if cache.len() >= self.cache_cap {
                 // Evict least-recently-used.
@@ -350,7 +343,7 @@ mod tests {
         let n = 800;
         let bodies = plummer(n, 3);
         let store = OocStore::create(&path, bodies).unwrap();
-        let file_bytes = (n * BODY_BYTES) as u64;
+        let file_bytes = (n * Body::ROW_BYTES) as u64;
         // Note: octant splitting makes far more (smaller) leaves than
         // n/chunk; size the cache for the leaf count.
         let ooc = OocGravity::build(store, 50, 512).unwrap();

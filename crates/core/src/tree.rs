@@ -43,6 +43,34 @@ impl Body {
             work: 1.0,
         }
     }
+
+    /// Size of one row of [`Body::write_row`].
+    pub const ROW_BYTES: usize = 72;
+
+    /// Append this body as one fixed-width little-endian row: pos, vel,
+    /// mass, id, work, floats as raw IEEE-754 bits so NaN payloads,
+    /// signed zeros and subnormals survive. The one on-disk body row:
+    /// `cluster::chaos`'s whole-state frame and the `outofcore` page file.
+    pub fn write_row(&self, out: &mut Vec<u8>) {
+        for v in self.pos.iter().chain(&self.vel).chain([&self.mass]) {
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        out.extend_from_slice(&self.id.to_le_bytes());
+        out.extend_from_slice(&self.work.to_bits().to_le_bytes());
+    }
+
+    /// Decode one row written by [`Body::write_row`].
+    pub fn read_row(row: &[u8; Self::ROW_BYTES]) -> Body {
+        let w = |i: usize| u64::from_le_bytes(row[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        let f = |i: usize| f64::from_bits(w(i));
+        Body {
+            pos: [f(0), f(1), f(2)],
+            vel: [f(3), f(4), f(5)],
+            mass: f(6),
+            id: w(7),
+            work: f(8),
+        }
+    }
 }
 
 /// Index of a cell in [`Tree::cells`]; `NONE` marks an absent child.

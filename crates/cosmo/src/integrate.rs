@@ -5,7 +5,6 @@
 //! the "initial evolution of a cosmological N-body simulation" the
 //! paper's Table 6 workload measures.
 
-use ckpt::{CkptError, Pack, Reader};
 use hot::gravity::GravityConfig;
 use hot::integrate::Simulation;
 use hot::traverse::TraverseStats;
@@ -73,24 +72,6 @@ impl CosmoSimulation {
     pub fn stats(&self) -> TraverseStats {
         self.sim.stats
     }
-
-    /// Serialize the driver state (inner simulation plus the reference
-    /// radius behind [`CosmoSimulation::scale_factor`]).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        ckpt::frame(|out| {
-            self.sim.pack(out);
-            self.r0.pack(out);
-        })
-    }
-
-    /// Rebuild from [`CosmoSimulation::checkpoint`] bytes.
-    pub fn restore(bytes: &[u8]) -> Result<CosmoSimulation, CkptError> {
-        let (sim, r0): (Simulation, f64) = ckpt::load(bytes)?;
-        if r0.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(CkptError::BadEncoding("non-positive reference radius"));
-        }
-        Ok(CosmoSimulation { sim, r0 })
-    }
 }
 
 #[cfg(test)]
@@ -130,28 +111,6 @@ mod tests {
         let mut sim = CosmoSimulation::new(bodies, 0.7, 0.02, 0.01);
         sim.run(2);
         assert!(sim.stats().interactions() > 0);
-    }
-
-    #[test]
-    fn sphere_restart_is_bit_exact() {
-        let bodies = standard_problem(300, 0.1, 7);
-        let mut sim = CosmoSimulation::new(bodies, 0.7, 0.02, 0.01);
-        sim.run(3);
-        let snap = sim.checkpoint();
-        sim.run(4);
-        let mut replay = CosmoSimulation::restore(&snap).expect("restore");
-        // The scale factor normalization survives the round-trip.
-        replay.run(4);
-        assert_eq!(
-            replay.scale_factor().to_bits(),
-            sim.scale_factor().to_bits()
-        );
-        for (a, b) in sim.sim.bodies.iter().zip(&replay.sim.bodies) {
-            assert_eq!(a.id, b.id);
-            for d in 0..3 {
-                assert_eq!(a.pos[d].to_bits(), b.pos[d].to_bits());
-            }
-        }
     }
 }
 
@@ -267,45 +226,6 @@ impl BoxSimulation {
             self.step(step);
         }
     }
-
-    /// Serialize the comoving-box state as a framed [`ckpt`] checkpoint.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        ckpt::save(self)
-    }
-
-    /// Rebuild from [`BoxSimulation::checkpoint`] bytes. The canonical
-    /// momenta are stored as-is, so no IC conversion reruns on restore.
-    pub fn restore(bytes: &[u8]) -> Result<BoxSimulation, CkptError> {
-        let sim: BoxSimulation = ckpt::load(bytes)?;
-        if sim.bodies.is_empty() {
-            return Err(CkptError::BadEncoding("empty body set"));
-        }
-        if !(sim.box_size > 0.0 && sim.a > 0.0) {
-            return Err(CkptError::BadEncoding("non-positive box or scale factor"));
-        }
-        Ok(sim)
-    }
-}
-
-impl Pack for BoxSimulation {
-    fn pack(&self, out: &mut Vec<u8>) {
-        self.bodies.pack(out);
-        self.a.pack(out);
-        self.box_size.pack(out);
-        self.h0.pack(out);
-        self.cfg.pack(out);
-        self.stats.pack(out);
-    }
-    fn unpack(r: &mut Reader) -> Result<Self, CkptError> {
-        Ok(BoxSimulation {
-            bodies: Pack::unpack(r)?,
-            a: Pack::unpack(r)?,
-            box_size: Pack::unpack(r)?,
-            h0: Pack::unpack(r)?,
-            cfg: Pack::unpack(r)?,
-            stats: Pack::unpack(r)?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -387,35 +307,5 @@ mod box_tests {
             }
         }
         assert!(max_move < 5e-3, "lattice drifted by {max_move}");
-    }
-
-    #[test]
-    fn box_restart_is_bit_exact() {
-        let ps = PowerSpectrum::new(Cosmology::eds());
-        let field = zeldovich::realize(&ps, 8, 200.0, 17);
-        let mut bodies = zeldovich::particles(&field, &Cosmology::eds(), 0.05, 1.0);
-        for b in &mut bodies {
-            for d in 0..3 {
-                b.pos[d] /= 200.0;
-                b.vel[d] /= 200.0;
-            }
-        }
-        let mut sim = BoxSimulation::new(bodies, 1.0, 0.05, 0.6, 0.005);
-        sim.run_to(0.08, 0.01);
-        let snap = sim.checkpoint();
-        let a_snap = sim.a;
-        sim.run_to(0.12, 0.01);
-        let mut replay = BoxSimulation::restore(&snap).expect("restore");
-        assert_eq!(replay.a.to_bits(), a_snap.to_bits());
-        replay.run_to(0.12, 0.01);
-        assert_eq!(replay.a.to_bits(), sim.a.to_bits());
-        assert_eq!(replay.h0.to_bits(), sim.h0.to_bits());
-        for (a, b) in sim.bodies.iter().zip(&replay.bodies) {
-            assert_eq!(a.id, b.id);
-            for d in 0..3 {
-                assert_eq!(a.pos[d].to_bits(), b.pos[d].to_bits());
-                assert_eq!(a.vel[d].to_bits(), b.vel[d].to_bits());
-            }
-        }
     }
 }

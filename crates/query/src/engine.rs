@@ -164,6 +164,14 @@ pub fn stripe(n: usize, size: usize, r: usize) -> Range<usize> {
     start..start + base + usize::from(r < rem)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch (test builds only): a stale owner forwards
+    /// a point query to the rank after the current owner. Rank threads
+    /// read their own copy, so a test arms it inside the rank closure.
+    static MISROUTE_FORWARD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// `(body id, owner rank)` sorted by id, for one ownership epoch.
 fn owner_map(bodies: &[Body], size: usize) -> Vec<(u64, u32)> {
     let n = bodies.len();
@@ -411,6 +419,12 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
                     } else {
                         stats.forwarded += 1;
                         comm.obs_count("query.forwarded", 1);
+                        #[cfg(test)]
+                        let owner = if MISROUTE_FORWARD.get() {
+                            (owner + 1) % size
+                        } else {
+                            owner
+                        };
                         fwd_out[owner].push(q);
                     }
                 }
@@ -427,7 +441,7 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
         for q in &to_answer {
             let answer = match q.at_step {
                 None => match &q.kind {
-                    QueryKind::Point { id } => match index.point(*id) {
+                    QueryKind::Point { id } => match index.point_in(*id, span.clone()) {
                         Some(hit) => Answer::Point(hit),
                         None => Answer::Missing,
                     },
@@ -623,5 +637,48 @@ mod tests {
             }
         }
         assert!(live > 0);
+    }
+
+    /// Live answers on 8 ranks that differ from `oracle::answer`, and
+    /// how many forwards the run made, with the mis-route mutant armed
+    /// or not on every rank thread.
+    fn oracle_misses(misroute: bool) -> (usize, u64) {
+        // `tests/forwarding.rs`'s migration-heavy run: big steps, so
+        // bodies cross stripe boundaries and stale owners forward.
+        let cfg = EngineConfig {
+            dt: 0.1,
+            steps: 6,
+            checkpoint_every: 3,
+            fleet: FleetConfig {
+                per_rank: 64,
+                ..FleetConfig::default()
+            },
+            ..EngineConfig::default()
+        };
+        let ics = plummer(256, 41);
+        let states = replicated_states(ics.clone(), &cfg);
+        let outs = msg::comm::run_with(Machine::ideal(10), 8, move |comm| {
+            MISROUTE_FORWARD.set(misroute);
+            run(comm, ics.clone(), &cfg)
+        });
+        let misses = outs
+            .iter()
+            .flat_map(|o| &o.replies)
+            .filter(|r| r.at_step.is_none())
+            .filter(|r| r.answer != oracle::answer(&states[r.tick as usize], &r.kind))
+            .count();
+        (misses, outs.iter().map(|o| o.stats.forwarded).sum())
+    }
+
+    #[test]
+    fn routing_oracle_catches_a_misrouted_forward() {
+        let (clean, forwarded) = oracle_misses(false);
+        assert_eq!(clean, 0);
+        assert!(forwarded > 0, "no forward to mis-route");
+        let (mutant, _) = oracle_misses(true);
+        assert!(
+            mutant > 0,
+            "{forwarded} forwards mis-routed, every answer still matched"
+        );
     }
 }

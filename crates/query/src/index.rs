@@ -66,7 +66,13 @@ impl QueryIndex {
 
     /// Q1: point lookup by id.
     pub fn point(&self, id: u64) -> Option<PointHit> {
-        self.locate(id).map(|i| {
+        self.point_in(id, 0..self.len())
+    }
+
+    /// Q1 restricted to the owned body span: a rank that does not own
+    /// the id answers as if it were unknown.
+    pub fn point_in(&self, id: u64, span: Range<usize>) -> Option<PointHit> {
+        self.locate(id).filter(|i| span.contains(i)).map(|i| {
             let b = &self.tree.bodies[i];
             PointHit {
                 id: b.id,

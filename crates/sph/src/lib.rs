@@ -25,7 +25,6 @@
 // iterator-adapter rewrites clippy suggests obscure that.
 #![allow(clippy::needless_range_loop)]
 
-pub mod checkpoint;
 pub mod collapse;
 pub mod density;
 pub mod eos;
