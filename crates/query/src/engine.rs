@@ -155,8 +155,8 @@ pub struct EngineOutput {
 }
 
 /// This rank's contiguous slice of the Morton-sorted body array —
-/// ownership *is* a Morton key range, so these spans are what turn a
-/// tree walk into a Morton-range cell walk.
+/// ownership *is* a Morton key range, so a few tree cells tile it
+/// ([`QueryIndex::cover`]) and the rank's walks start from those.
 pub fn stripe(n: usize, size: usize, r: usize) -> Range<usize> {
     let base = n / size;
     let rem = n % size;
@@ -224,17 +224,39 @@ fn merge(kind: &QueryKind, parts: Vec<Answer>) -> Answer {
             Answer::Ids(ids)
         }
         QueryKind::Knn { k, .. } => {
-            let mut hits: Vec<Hit> = Vec::new();
-            for p in parts {
-                if let Answer::Neighbors(part) = p {
-                    hits.extend(part);
-                }
-            }
-            hits.sort_by(hit_order);
-            hits.truncate(*k as usize);
-            Answer::Neighbors(hits)
+            let parts: Vec<Vec<Hit>> = parts
+                .into_iter()
+                .filter_map(|p| match p {
+                    Answer::Neighbors(part) => Some(part),
+                    _ => None,
+                })
+                .collect();
+            Answer::Neighbors(k_smallest(&parts, *k as usize))
         }
     }
+}
+
+/// The `k` smallest hits of parts each sorted by [`hit_order`], by
+/// repeatedly taking the least head (the earliest part on a tie): what
+/// concatenating, stable-sorting and truncating to `k` would give.
+fn k_smallest(parts: &[Vec<Hit>], k: usize) -> Vec<Hit> {
+    let total: usize = parts.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(k.min(total));
+    let mut heads = vec![0usize; parts.len()];
+    while out.len() < k {
+        let mut least: Option<(usize, &Hit)> = None;
+        for (p, part) in parts.iter().enumerate() {
+            if let Some(h) = part.get(heads[p]) {
+                if least.is_none_or(|(_, l)| hit_order(h, l).is_lt()) {
+                    least = Some((p, h));
+                }
+            }
+        }
+        let Some((p, &h)) = least else { break };
+        out.push(h);
+        heads[p] += 1;
+    }
+    out
 }
 
 /// The replicated universe after one tick's physics, with the index that
@@ -311,6 +333,7 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
         }
         let (sim, index) = (&tick.sim, &tick.index);
         let span = stripe(n, size, me);
+        let cover = index.cover(span.clone());
 
         // -- Commit: write this rank's stripe into the snapshot store
         // (full frame first, dirty-cell deltas after), then frame the
@@ -434,8 +457,8 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
         to_answer.extend(comm.alltoallv(fwd_out).into_iter().flatten());
         comm.span_exit("query.route");
 
-        // -- Answer: live queries against the owned span of the shared
-        // index, time-travel queries against the committed shard.
+        // -- Answer: live queries against the owned span's cover in the
+        // shared index, time-travel queries against the committed shard.
         comm.span_enter("query.answer");
         let mut reply_out: Vec<ReplyBatch> = vec![ReplyBatch::default(); size];
         for q in &to_answer {
@@ -445,9 +468,9 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
                         Some(hit) => Answer::Point(hit),
                         None => Answer::Missing,
                     },
-                    QueryKind::Region(shape) => Answer::Ids(index.region_in(shape, span.clone())),
+                    QueryKind::Region(shape) => Answer::Ids(index.region_in(shape, &cover)),
                     QueryKind::Knn { at, k } => {
-                        Answer::Neighbors(index.knn_in(*at, *k as usize, span.clone()))
+                        Answer::Neighbors(index.knn_in(*at, *k as usize, &cover))
                     }
                 },
                 Some(s) if log.contains(s) => {
@@ -570,6 +593,37 @@ mod tests {
     use crate::oracle;
     use hot::models::plummer;
     use msg::machine::Machine;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Head selection equals concatenate, stable sort and truncate:
+        /// on equal distances with different ids across parts, on empty
+        /// and short parts, and with k past the total.
+        #[test]
+        fn knn_merge_equals_concat_sort_truncate(
+            raw in prop::collection::vec(prop::collection::vec((0u8..4, 0u64..24), 0..9), 0..7),
+            k in 0usize..48,
+        ) {
+            let parts: Vec<Vec<Hit>> = raw
+                .iter()
+                .map(|part| {
+                    let mut hits: Vec<Hit> = part
+                        .iter()
+                        .map(|&(d, id)| Hit { id, dist2: f64::from(d) * 0.25 })
+                        .collect();
+                    hits.sort_by(hit_order);
+                    hits
+                })
+                .collect();
+            let mut reference: Vec<Hit> = parts.concat();
+            reference.sort_by(hit_order);
+            reference.truncate(k);
+            prop_assert_eq!(k_smallest(&parts, k), reference.clone());
+            let answers = parts.into_iter().map(Answer::Neighbors).collect();
+            let kind = QueryKind::Knn { at: [0.0; 3], k: k as u32 };
+            prop_assert_eq!(merge(&kind, answers), Answer::Neighbors(reference));
+        }
+    }
 
     fn small_cfg() -> EngineConfig {
         EngineConfig {

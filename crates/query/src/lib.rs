@@ -7,8 +7,8 @@
 //! ([`fleet`]) issues point lookups, region/cone scans, k-nearest-
 //! neighbour searches, and time-travel queries against committed
 //! checkpoint generations. Queries batch per simulation tick and are
-//! answered from one shared spatial index ([`index`]) that reuses the
-//! Morton-sorted HOT tree the physics already builds; distributed
+//! answered from one shared spatial index ([`index`]), a Morton-sorted
+//! HOT tree over the tick's bodies, each rank from its own span; distributed
 //! execution rides the `msg` virtual-time transport ([`engine`]), with
 //! replies merged deterministically so the rank partition is
 //! unobservable. A brute-force O(N) oracle ([`oracle`]) defines the

@@ -17,7 +17,7 @@
 //! *bit-identical* to [`crate::oracle`] over the fully
 //! decoded stripe — the oracle tests quantify over exactly that.
 
-use crate::wire::{dist2, hit_order, Answer, Hit, PointHit, QueryKind};
+use crate::wire::{dist2, keep_k, Answer, Hit, PointHit, QueryKind};
 use store::Snapshot;
 
 /// Footer-index effectiveness for one answered query.
@@ -80,7 +80,8 @@ pub fn answer(snap: &Snapshot, kind: &QueryKind) -> (Answer, ReadStats) {
 /// Expanding cell search: visit cells by a conservative lower bound on
 /// the distance to any body they can hold (deflated the same way the
 /// live index walk deflates its bound, so float rounding can only make
-/// the search *less* eager to stop, never wrong).
+/// the search *less* eager to stop, never wrong), keeping only the best
+/// `k` hits seen.
 fn knn(snap: &Snapshot, at: [f64; 3], k: usize) -> (Vec<Hit>, u64) {
     if k == 0 {
         return (Vec::new(), 0);
@@ -93,8 +94,9 @@ fn knn(snap: &Snapshot, at: [f64; 3], k: usize) -> (Vec<Hit>, u64) {
             (lb * lb, i)
         })
         .collect();
-    order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut hits: Vec<Hit> = Vec::new();
+    // Total: the cell index breaks every tie.
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut hits: Vec<Hit> = Vec::with_capacity(k + 1);
     let mut read = 0u64;
     for (lb2, i) in order {
         if hits.len() == k && lb2 > hits[k - 1].dist2 {
@@ -103,15 +105,9 @@ fn knn(snap: &Snapshot, at: [f64; 3], k: usize) -> (Vec<Hit>, u64) {
         read += 1;
         let (bodies, _) = snap.cell(i).expect("own commit decodes");
         for b in bodies {
-            hits.push(Hit {
-                id: b.id,
-                dist2: dist2(at, b.pos),
-            });
+            let dist2 = dist2(at, b.pos);
+            keep_k(&mut hits, k, Hit { id: b.id, dist2 });
         }
-        hits.sort_by(hit_order);
-        // Anything ranked past k among bodies seen so far can never
-        // re-enter the top k.
-        hits.truncate(k);
     }
     (hits, read)
 }
@@ -120,5 +116,74 @@ fn stats(read: u64, total: u64) -> ReadStats {
     ReadStats {
         cells_read: read,
         cells_pruned: total - read,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::hit_order;
+    use hot::models::plummer;
+    use hot::BBox;
+    use proptest::prelude::*;
+
+    /// The search as it was before the top-k bound: every body of a
+    /// visited cell is pushed, then all hits seen are sorted and cut.
+    fn knn_push_all(snap: &Snapshot, at: [f64; 3], k: usize) -> (Vec<Hit>, u64) {
+        if k == 0 {
+            return (Vec::new(), 0);
+        }
+        let mut order: Vec<(f64, usize)> = (0..snap.cells.len())
+            .map(|i| {
+                let (center, half) = snap.cell_geometry(i);
+                let rho = half * 1.732_050_807_568_877_3 * (1.0 + 1e-9);
+                let lb = (dist2(at, center).sqrt() - rho).max(0.0) * (1.0 - 1e-9);
+                (lb * lb, i)
+            })
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut hits: Vec<Hit> = Vec::new();
+        let mut read = 0u64;
+        for (lb2, i) in order {
+            if hits.len() == k && lb2 > hits[k - 1].dist2 {
+                break;
+            }
+            read += 1;
+            let (bodies, _) = snap.cell(i).expect("own commit decodes");
+            for b in bodies {
+                hits.push(Hit {
+                    id: b.id,
+                    dist2: dist2(at, b.pos),
+                });
+            }
+            hits.sort_by(hit_order);
+            hits.truncate(k);
+        }
+        (hits, read)
+    }
+
+    proptest! {
+        /// Bounded top-k reads the same cells and returns the same hits,
+        /// bit for bit, as the push-all search — on clumped bodies too,
+        /// where many share one distance.
+        #[test]
+        fn bounded_knn_equals_push_all(
+            n in 1usize..120,
+            seed in 0u64..1000,
+            level in 0u32..5,
+            k in 0usize..40,
+            clump in 0usize..4,
+            at in [-1.5f64..1.5, -1.5..1.5, -1.5..1.5],
+        ) {
+            let mut bodies = plummer(n, seed);
+            // Stack the first `clump` bodies on one point.
+            for i in 1..clump.min(n) {
+                bodies[i].pos = bodies[0].pos;
+            }
+            let bbox = BBox::enclosing(bodies.iter().map(|b| b.pos));
+            let snap = Snapshot::build(&bodies, &[], 0, bbox, level);
+            prop_assert_eq!(knn(&snap, at, k), knn_push_all(&snap, at, k));
+            prop_assert_eq!(knn(&snap, bodies[0].pos, k), knn_push_all(&snap, bodies[0].pos, k));
+        }
     }
 }

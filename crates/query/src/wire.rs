@@ -17,8 +17,8 @@
 //!   same expression through [`dist2`], which is what makes the results
 //!   *bit*-identical, not merely set-equal.
 //! * A merged distributed answer must equal the serial answer over the
-//!   concatenated shards: partial replies are merged by re-sorting under
-//!   the same total order, so the rank partition is unobservable.
+//!   concatenated shards: partial replies are merged under the same
+//!   total order, so the rank partition is unobservable.
 //! * Shape membership is decided only by [`Shape::contains`]; index
 //!   pruning must be conservative (inflated bounds) and may never decide
 //!   membership itself.
@@ -156,6 +156,22 @@ pub struct Hit {
 /// construction (positions and query points are finite).
 pub fn hit_order(a: &Hit, b: &Hit) -> std::cmp::Ordering {
     a.dist2.total_cmp(&b.dist2).then(a.id.cmp(&b.id))
+}
+
+/// Fold `h` into `best`, the `k` smallest hits seen so far sorted by
+/// [`hit_order`]: a hit ranked past the k-th is dropped before any
+/// search, so `best` ends as a push-all, stable sort and truncate to
+/// `k` would leave it. `k` must be at least 1.
+#[inline]
+pub fn keep_k(best: &mut Vec<Hit>, k: usize, h: Hit) {
+    if best.len() == k && hit_order(&h, &best[k - 1]).is_gt() {
+        return;
+    }
+    let pos = best
+        .binary_search_by(|probe| hit_order(probe, &h))
+        .unwrap_or_else(|e| e);
+    best.insert(pos, h);
+    best.truncate(k);
 }
 
 /// A (partial or merged) answer.

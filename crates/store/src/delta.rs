@@ -16,7 +16,7 @@
 //! makes the *generation* rotten, and recovery falls back to its base.
 
 use crate::column::{xor_rle_decode, xor_rle_encode};
-use crate::snapshot::{CellChunk, CellData, Decoded, Snapshot};
+use crate::snapshot::{CellChunk, CellData, Snapshot};
 use crate::{
     put_f64_bits, put_u32, put_u64, Cur, StoreError, DELTA_MAGIC, ENC_IDS, ENC_SAME, ENC_SHUF,
     ENC_XRLE,
@@ -164,14 +164,7 @@ impl Delta {
                 };
                 cols.push(chunk);
             }
-            let cell = CellData {
-                key: dc.key,
-                n: dc.n,
-                id_min: dc.id_min,
-                id_max: dc.id_max,
-                cols,
-                decoded: Decoded::default(),
-            };
+            let cell = CellData::new(&self.bbox, dc.key, dc.n, (dc.id_min, dc.id_max), cols);
             match cells.binary_search_by_key(&dc.key, |x| x.key) {
                 Ok(i) => cells[i] = cell,
                 Err(i) => cells.insert(i, cell),

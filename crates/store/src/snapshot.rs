@@ -51,7 +51,7 @@ pub type Rows = (Vec<Body>, Vec<f64>);
 /// The once-slot [`Snapshot::cell`] decodes into. A cache, not part of
 /// the cell's value: a clone starts empty and equality ignores it.
 #[derive(Debug, Default)]
-pub(crate) struct Decoded(OnceLock<Rows>);
+struct Decoded(OnceLock<Rows>);
 
 impl Clone for Decoded {
     fn clone(&self) -> Decoded {
@@ -74,7 +74,31 @@ pub struct CellData {
     pub id_min: u64,
     pub id_max: u64,
     pub cols: Vec<CellChunk>,
-    pub(crate) decoded: Decoded,
+    /// `(center, half)` of the key's cube in the snapshot's bbox,
+    /// derived once when the cell is made: in memory only, never on disk.
+    geom: ([f64; 3], f64),
+    decoded: Decoded,
+}
+
+impl CellData {
+    /// A cell of `bbox` with nothing decoded yet.
+    pub(crate) fn new(
+        bbox: &BBox,
+        key: u64,
+        n: u32,
+        (id_min, id_max): (u64, u64),
+        cols: Vec<CellChunk>,
+    ) -> CellData {
+        CellData {
+            key,
+            n,
+            id_min,
+            id_max,
+            cols,
+            geom: bbox.cell_geometry(Key(key)),
+            decoded: Decoded::default(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -145,14 +169,8 @@ impl Snapshot {
             for j in 0..na {
                 cols.push(f64_col(&|i| aux[i * na + j]));
             }
-            cells.push(CellData {
-                key,
-                n: rows.len() as u32,
-                id_min: ids[0],
-                id_max: *ids.last().unwrap(),
-                cols,
-                decoded: Decoded::default(),
-            });
+            let id_range = (ids[0], *ids.last().unwrap());
+            cells.push(CellData::new(&bbox, key, rows.len() as u32, id_range, cols));
             start = end;
         }
         Snapshot {
@@ -294,14 +312,7 @@ impl Snapshot {
                     crc,
                 });
             }
-            cells.push(CellData {
-                key,
-                n,
-                id_min,
-                id_max,
-                cols,
-                decoded: Decoded::default(),
-            });
+            cells.push(CellData::new(&bbox, key, n, (id_min, id_max), cols));
         }
         if !cur.done() {
             return Err(StoreError::BadEncoding("trailing bytes in footer"));
@@ -320,7 +331,7 @@ impl Snapshot {
 
     /// Geometric center and half-size of cell `i`.
     pub fn cell_geometry(&self, i: usize) -> ([f64; 3], f64) {
-        self.bbox.cell_geometry(Key(self.cells[i].key))
+        self.cells[i].geom
     }
 
     /// Indices of cells whose full-depth key range intersects
