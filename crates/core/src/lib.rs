@@ -31,7 +31,6 @@
 // iterator-adapter rewrites clippy suggests obscure that.
 #![allow(clippy::needless_range_loop)]
 
-pub mod boundary;
 pub mod direct;
 pub mod domain;
 pub mod gravity;
@@ -46,7 +45,6 @@ pub mod outofcore;
 pub mod parallel;
 pub mod traverse;
 pub mod tree;
-pub mod vortex;
 
 pub use direct::direct_accelerations;
 pub use gravity::{Accel, GravityConfig};

@@ -1,4 +1,5 @@
-//! Complex radix-2 FFT, 1-D and 3-D — the computational heart of NPB FT.
+//! Complex radix-2 FFT, 1-D and 3-D — what `cosmo` builds Zel'dovich
+//! initial conditions and P(k) on.
 
 use std::f64::consts::PI;
 use std::ops::{Add, Mul, Sub};
@@ -126,14 +127,6 @@ impl Field3 {
         (z * self.ny + y) * self.nx + x
     }
 
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// 3-D FFT: 1-D transforms along x, then y, then z.
     pub fn fft3(&mut self, inverse: bool) {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
@@ -176,15 +169,6 @@ impl Field3 {
             }
         }
     }
-
-    /// Σ |f|² over the field.
-    pub fn energy(&self) -> f64 {
-        self.data.iter().map(|c| c.norm_sqr()).sum()
-    }
-}
-
-impl msg::payload::FixedWire for C64 {
-    const WIRE: usize = 16;
 }
 
 #[cfg(test)]
@@ -298,7 +282,7 @@ mod tests {
         let peak = f.idx(kx, ky, kz);
         let n = (nx * ny * nz) as f64;
         assert!((f.data[peak].re - n).abs() < 1e-8);
-        let total = f.energy();
+        let total: f64 = f.data.iter().map(|c| c.norm_sqr()).sum();
         assert!((total - n * n).abs() < 1e-6 * total);
     }
 

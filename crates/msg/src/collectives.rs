@@ -140,30 +140,6 @@ impl Comm {
         })
     }
 
-    /// Gather every rank's value to `root`, in rank order.
-    pub fn gather<T: Payload>(&mut self, root: usize, value: T) -> Option<Vec<T>> {
-        self.with_span("coll.gather", |c| c.gather_inner(root, value))
-    }
-
-    fn gather_inner<T: Payload>(&mut self, root: usize, value: T) -> Option<Vec<T>> {
-        let tag = self.coll_tag();
-        let (rank, size) = (self.rank(), self.size());
-        if rank != root {
-            self.send(root, tag, value);
-            return None;
-        }
-        let mut slots: Vec<Option<T>> = (0..size).map(|_| None).collect();
-        slots[rank] = Some(value);
-        // Receive in a fixed peer order, never "whoever arrived first":
-        // the root's clock after folding in P-1 arrivals then depends on
-        // the arrival times alone, not on host scheduling.
-        for k in 1..size {
-            let src = (rank + k) % size;
-            slots[src] = Some(self.recv::<T>(Some(src), tag).1);
-        }
-        Some(slots.into_iter().map(Option::unwrap).collect())
-    }
-
     /// Every rank gets every rank's value, in rank order (staggered direct
     /// exchange).
     ///
@@ -223,7 +199,9 @@ impl Comm {
             let dst = (rank + k) % size;
             self.send(dst, tag, std::mem::take(&mut data[dst]));
         }
-        // Fixed peer order, as in `gather`.
+        // Receive in a fixed peer order, never "whoever arrived first":
+        // the clock after folding in P-1 arrivals then depends on the
+        // arrival times alone, not on host scheduling.
         for k in 1..size {
             let src = (rank + k) % size;
             result[src] = Some(self.recv::<Vec<T>>(Some(src), tag).1);
@@ -330,13 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_collects_in_rank_order() {
-        let out = run(5, |c| c.gather(2, (c.rank() * 10) as u64));
-        assert_eq!(out[2], Some(vec![0, 10, 20, 30, 40]));
-        assert_eq!(out[0], None);
-    }
-
-    #[test]
     fn allgather_everywhere() {
         for size in [1usize, 2, 3, 6] {
             let out = run(size, |c| c.allgather(c.rank() as u64));
@@ -422,11 +393,11 @@ mod tests {
     /// alone; arrival *order at the host* is not. Ranks reach the
     /// collectives at rank-dependent virtual times and, separately, at
     /// rank-dependent wall times; the end clocks may depend on the
-    /// first only. With wildcard receives inside `gather`/`alltoallv`
-    /// the two sleep patterns below folded arrivals in opposite orders
-    /// and ended on different clocks.
+    /// first only. With wildcard receives inside `alltoallv` the two
+    /// sleep patterns below folded arrivals in opposite orders and ended
+    /// on different clocks.
     #[test]
-    fn alltoallv_and_gather_clocks_ignore_host_arrival_order() {
+    fn alltoallv_clocks_ignore_host_arrival_order() {
         use crate::{run_with, Machine};
         use std::time::Duration;
         const SIZE: usize = 8;
@@ -437,7 +408,6 @@ mod tests {
                 let buckets = (0..SIZE).map(|d| vec![c.rank() as u64; d + 1]).collect();
                 let got = c.alltoallv(buckets);
                 assert!(got.iter().enumerate().all(|(s, v)| v[0] == s as u64));
-                c.gather(3, c.time());
                 c.time().to_bits()
             })
         };
@@ -508,23 +478,6 @@ mod reference_tests {
                             Some(&vrank_order(size, root)),
                             "size {size} root {root}"
                         );
-                    } else {
-                        assert!(v.is_none(), "size {size}: non-root {r} returned Some");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_exhaustive_sizes_and_roots() {
-        for size in 1..=17usize {
-            for root in 0..size {
-                let out = run(size, move |c| c.gather(root, contrib(c.rank())));
-                let expect: Vec<u64> = (0..size).map(contrib).collect();
-                for (r, v) in out.iter().enumerate() {
-                    if r == root {
-                        assert_eq!(v.as_ref(), Some(&expect), "size {size} root {root}");
                     } else {
                         assert!(v.is_none(), "size {size}: non-root {r} returned Some");
                     }

@@ -32,8 +32,8 @@
 //!   and the one loop in which a rank waits;
 //! * [`transport`] — the reliable transport underneath a faulted world;
 //! * [`health`] — the heartbeat failure detector inside that transport;
-//! * [`collectives`] — barrier, broadcast, reduce, allreduce, gather,
-//!   allgather, alltoallv, scan;
+//! * [`collectives`] — barrier, broadcast, reduce, allreduce, allgather,
+//!   alltoallv, scan;
 //! * [`abm`] — "asynchronous batched messages": the paper's §4.2 paradigm
 //!   (batched active-message-style traffic with Dijkstra-token
 //!   termination detection);

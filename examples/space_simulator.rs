@@ -1,5 +1,5 @@
-//! Tour of the simulated cluster itself: price, power, reliability,
-//! network, Linpack and the TOP500 milestone — the whole §2-§3 story.
+//! Tour of the simulated cluster itself: price, reliability, network,
+//! Linpack and the TOP500 milestone — the whole §2-§3 story.
 //!
 //! ```text
 //! cargo run --release --example space_simulator
@@ -8,7 +8,7 @@
 use space_simulator::cluster::linpack_run;
 use space_simulator::cluster::top500::{self, List};
 use space_simulator::netsim::{Fabric, LibraryProfile};
-use space_simulator::nodesim::{Bom, PowerBudget, ReliabilityModel};
+use space_simulator::nodesim::{Bom, ReliabilityModel};
 
 fn main() {
     let bom = Bom::space_simulator();
@@ -18,12 +18,6 @@ fn main() {
         bom.total(),
         bom.per_node().round(),
         bom.peak() / 1e12
-    );
-
-    let power = PowerBudget::space_simulator();
-    println!(
-        "power: {:.1} kW at full load (cooling budget 35 kW)",
-        power.cluster_watts(1.0) / 1e3
     );
 
     let rel = ReliabilityModel::space_simulator();

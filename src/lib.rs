@@ -7,7 +7,7 @@
 //! * [`msg`] — MPI-like message passing with virtual-time accounting;
 //! * [`netsim`] — the Gigabit-Ethernet switch-fabric model (§3.1);
 //! * [`nodesim`] — node roofline models, pricing, reliability (§2, §3.2);
-//! * [`kernels`] — STREAM / NPB / HPL / gravity micro-kernel (§3);
+//! * [`kernels`] — STREAM, NPB operation counts, gravity micro-kernel (§3);
 //! * [`sph`] — smoothed particle hydrodynamics + neutrino transport (§4.4);
 //! * [`cosmo`] — cosmological initial conditions and integration (§4.3);
 //! * [`cluster`] — assembled simulated machines and experiment runners.

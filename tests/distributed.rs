@@ -131,22 +131,3 @@ fn work_weighted_decomposition_rebalances() {
         "imbalance after rebalancing: {interactions:?}"
     );
 }
-
-#[test]
-fn distributed_ft_runs_on_the_ss_fabric() {
-    use space_simulator::kernels::ft::{ft_benchmark, ft_distributed};
-    let serial = ft_benchmark(8, 8, 8, 2, 271_828_183);
-    let machine = msg::Machine::space_simulator(LibraryProfile::lam_homogeneous());
-    let results = msg::run_with(machine, 4, |c| {
-        let cs = ft_distributed(c, 8, 8, 8, 2, 271_828_183);
-        (cs, c.time(), c.stats().bytes_sent)
-    });
-    for (cs, vtime, bytes) in &results {
-        for (a, b) in cs.iter().zip(&serial) {
-            assert!((a.re - b.re).abs() < 1e-10);
-        }
-        // The transpose really moved data and cost virtual time.
-        assert!(*bytes > 1000, "no transpose traffic: {bytes}");
-        assert!(*vtime > 0.0);
-    }
-}

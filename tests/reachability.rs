@@ -3,6 +3,8 @@
 //! `BENCH_report.json` row, a hostbench layer, a binary, an example or an
 //! oracle — and every row names a file that exists. A new module must say
 //! what runs it before it lands; a deleted one must take its row along.
+//! No row may say that only an oracle or an example runs it, except the
+//! module that is itself an oracle.
 //! `crates/hostbench` is the frozen measuring stick and keeps its own
 //! README.
 
@@ -38,24 +40,42 @@ fn source_modules(root: &Path) -> BTreeSet<String> {
     out
 }
 
-/// The file column of the table: second cell of every row between the
-/// *Module → file map* heading and the next heading of the same depth.
-fn table_files(design: &str) -> BTreeSet<String> {
+/// The module rows of the table: every line between the *Module → file
+/// map* heading and the next heading of the same depth whose first cell
+/// is a code span, split into its cells.
+fn table_rows(design: &str) -> Vec<Vec<&str>> {
     design
         .lines()
         .skip_while(|l| !l.starts_with("## Module → file map"))
         .skip(1)
         .take_while(|l| !l.starts_with("## "))
-        .filter_map(|l| l.strip_prefix("| `")?.split('|').nth(1))
-        .map(|cell| cell.trim().trim_matches('`').to_string())
+        .filter(|l| l.starts_with("| `"))
+        .map(|l| l.trim_matches('|').split('|').map(str::trim).collect())
+        .collect()
+}
+
+/// The file column of the table.
+fn table_files(design: &str) -> BTreeSet<String> {
+    table_rows(design)
+        .iter()
+        .filter_map(|row| row.get(1))
+        .map(|cell| cell.trim_matches('`').to_string())
         .filter(|cell| cell.starts_with("crates/"))
         .collect()
 }
 
+fn read_design(root: &Path) -> String {
+    fs::read_to_string(root.join("DESIGN.md")).expect("reading DESIGN.md")
+}
+
+/// The one module whose reason to exist is to be an oracle: the
+/// Sedov–Taylor blast holds the SPH hydro to R ∝ t^0.4.
+const ORACLE_MODULE: &str = "sph::sedov";
+
 #[test]
 fn every_module_has_a_row_saying_what_runs_it() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let design = fs::read_to_string(root.join("DESIGN.md")).expect("reading DESIGN.md");
+    let design = read_design(root);
     let modules = source_modules(root);
     let rows = table_files(&design);
     assert!(modules.len() > 80, "found only {} modules", modules.len());
@@ -69,5 +89,32 @@ fn every_module_has_a_row_saying_what_runs_it() {
     assert!(
         stale.is_empty(),
         "DESIGN.md's Module → file map names files that do not exist: {stale:?}"
+    );
+}
+
+/// Reached or removed: a module that only its own oracle or an example
+/// runs is wired into an exhibit, a ledger row or a hostbench workload,
+/// or it is deleted.
+#[test]
+fn no_module_is_run_only_by_an_oracle_or_an_example() {
+    let design = read_design(Path::new(env!("CARGO_MANIFEST_DIR")));
+    let rows = table_rows(&design);
+    assert!(rows.len() > 80, "found only {} rows", rows.len());
+
+    let unreached: Vec<&str> = rows
+        .iter()
+        .filter(|row| {
+            row.iter().any(|cell| {
+                let cell = cell.to_lowercase();
+                cell.contains("oracle-only") || cell.contains("example-only")
+            })
+        })
+        .map(|row| row[0].trim_matches('`'))
+        .filter(|module| *module != ORACLE_MODULE)
+        .collect();
+    assert!(
+        unreached.is_empty(),
+        "DESIGN.md's Module → file map says only an oracle or an example runs \
+         {unreached:?}: wire each into an exhibit, ledger row or hostbench workload, or delete it"
     );
 }
