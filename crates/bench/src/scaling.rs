@@ -197,7 +197,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> BenchReport {
 /// The efficiency of a `(ranks, T)` point against its curve baseline
 /// `(p0, T0)`.
 pub fn scaling_efficiency(mode: Mode, p0: usize, t0: f64, ranks: usize, t: f64) -> f64 {
-    if !(t > 0.0) || !(t0 > 0.0) {
+    // Not `<= 0.0`: a NaN time scores zero too.
+    if !(t > 0.0 && t0 > 0.0) {
         return 0.0;
     }
     match mode {

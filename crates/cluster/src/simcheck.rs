@@ -1140,7 +1140,7 @@ mod tests {
                 let splan = sched_plan(&cfg, World::Degraded, seed, schedule);
                 let fplan =
                     FaultPlan::none(mix(World::Degraded, seed, schedule) ^ 0xFA17_0000_0000_0002)
-                        .with_heartbeat(mutant.clone());
+                        .with_heartbeat(mutant);
                 let drag = Some((cfg.ranks - 1, DRAG_S));
                 let body = |c: &mut Comm| treecode_world(c, &ics, &gcfg, cfg.steps, 0.01, drag);
                 let run = msg::World::new(Machine::ideal(cfg.ranks as u32), cfg.ranks)

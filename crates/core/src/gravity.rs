@@ -550,11 +550,14 @@ mod span_tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// One span source: position, mass and quadrupole.
+    type Source = ([f64; 3], f64, [f64; 6]);
+
     /// Sources in [1,2)³ with a target in [−1,0)³ keep every separation
     /// ≥ 1, so the comparison is free of cancellation blow-ups while the
     /// span length (0..40) sweeps empty, sub-chunk, exact-chunk, and
     /// remainder cases for both the 8-lane and 4-lane kernels.
-    fn span_inputs() -> impl Strategy<Value = ([f64; 3], Vec<([f64; 3], f64, [f64; 6])>, f64)> {
+    fn span_inputs() -> impl Strategy<Value = ([f64; 3], Vec<Source>, f64)> {
         (
             [-1.0..0.0f64, -1.0..0.0, -1.0..0.0],
             prop::collection::vec(

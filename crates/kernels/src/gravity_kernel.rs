@@ -165,7 +165,7 @@ mod observed_tests {
         // Same code path, same float operations, bit-identical result.
         assert_eq!(plain.acc, nulled.acc);
         assert_eq!(plain.pot, nulled.pot);
-        assert!(!obs::NullSink::ENABLED);
+        const { assert!(!obs::NullSink::ENABLED) };
     }
 
     #[test]

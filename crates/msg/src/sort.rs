@@ -265,8 +265,8 @@ mod tests {
             "degraded rank holds {sick:.3} of the work (want ~{:.3})",
             0.2 / 3.2
         );
-        for r in 0..3 {
-            let share = shards[r].len() as f64 / total as f64;
+        for (r, shard) in shards.iter().enumerate().take(3) {
+            let share = shard.len() as f64 / total as f64;
             assert!(
                 (share - 1.0 / 3.2).abs() < 0.06,
                 "healthy rank {r} holds {share:.3}"

@@ -37,7 +37,6 @@ fn main() {
 
     let outs = msg::comm::run_with(Machine::space_simulator_lam(), ranks, {
         let ics = ics.clone();
-        let cfg = cfg;
         move |comm| run(comm, ics.clone(), &cfg)
     });
 

@@ -14,10 +14,15 @@
 //! ordered rank pair per phase — so the message structure is
 //! schedule-invariant and the simcheck structure oracle can pin it.
 //!
-//! * **Route.** The origin sends each query to its responders. Point
-//!   lookups go to the single rank that owned the id in the *previous*
-//!   ownership epoch (the map a real client-facing frontend would have
-//!   cached); region / kNN / time-travel queries go to every rank.
+//! * **Route.** The origin sends each query only to the ranks that can
+//!   hold part of its answer, by a [`Directory`] of the state it asks
+//!   about ([`crate::route`]). A live point lookup goes to the single
+//!   rank that owned the id in the *previous* ownership epoch (the map
+//!   a real client-facing frontend would have cached); region, cone and
+//!   kNN queries go to the ranks with a zone their reach or k-th
+//!   distance bound can touch; a time-travel query routes the same way
+//!   by the directory of the generation it asks for, and to every rank
+//!   when that generation was never committed.
 //! * **Forward.** Bodies drift, the Morton re-sort moves them across
 //!   stripe boundaries, so a point query can land on a stale owner
 //!   mid-migration. The stale owner forwards it to the current owner
@@ -38,6 +43,7 @@
 use crate::fleet::{self, FleetConfig};
 use crate::index::QueryIndex;
 use crate::past;
+use crate::route::Directory;
 use crate::wire::{hit_order, reply_tag, Answer, Hit, Query, QueryKind, Reply, ReplyBatch};
 use ckpt::ShardHeader;
 use hot::integrate::Simulation;
@@ -46,6 +52,7 @@ use hot::GravityConfig;
 use msg::comm::Comm;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 use store::{GenerationLog, SnapshotCache, StoreConfig};
 
 /// Engine knobs. `steps` simulation ticks are run; arrivals are batched
@@ -172,35 +179,11 @@ thread_local! {
     static MISROUTE_FORWARD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// `(body id, owner rank)` sorted by id, for one ownership epoch.
-fn owner_map(bodies: &[Body], size: usize) -> Vec<(u64, u32)> {
-    let n = bodies.len();
-    let mut m = Vec::with_capacity(n);
-    for r in 0..size {
-        for b in &bodies[stripe(n, size, r)] {
-            m.push((b.id, r as u32));
-        }
-    }
-    m.sort_unstable();
-    m
-}
-
-fn lookup(map: &[(u64, u32)], id: u64) -> Option<usize> {
-    map.binary_search_by_key(&id, |e| e.0)
-        .ok()
-        .map(|i| map[i].1 as usize)
-}
-
-/// Where a point query for `id` goes under `map`; ids nobody owns are
-/// deterministically assigned a fallback rank that answers `Missing`.
-fn point_owner(map: &[(u64, u32)], id: u64, size: usize) -> usize {
-    lookup(map, id).unwrap_or((id % size as u64) as usize)
-}
-
 /// Merge partial replies into the final answer under the wire total
 /// orders. The partition of responders is unobservable: the result
-/// equals a serial evaluation over the concatenated shards.
-fn merge(kind: &QueryKind, parts: Vec<Answer>) -> Answer {
+/// equals a serial evaluation over the concatenated shards, and a query
+/// routed to no rank merges to the empty answer.
+pub(crate) fn merge(kind: &QueryKind, parts: Vec<Answer>) -> Answer {
     // A typed time-travel miss from any responder is authoritative:
     // the commit schedule is global, so one miss means every shard
     // missed, and the merged answer must stay distinguishable from an
@@ -260,22 +243,29 @@ fn k_smallest(parts: &[Vec<Hit>], k: usize) -> Vec<Hit> {
 }
 
 /// The replicated universe after one tick's physics, with the index that
-/// serves the tick's live queries.
+/// serves the tick's live queries and the directory that routes them.
 struct Tick {
     sim: Simulation,
     index: QueryIndex,
+    /// Where the tick's bodies live. An origin keeps it past the tick,
+    /// alone: for stale point routing one tick later, and for
+    /// time-travel routing while this tick is the newest commit (a
+    /// committed shard of rank r is exactly this tick's stripe r).
+    dir: Arc<Directory>,
 }
 
 impl Tick {
-    fn of(sim: Simulation) -> Tick {
+    fn of(sim: Simulation, size: usize) -> Tick {
         let index = QueryIndex::build(sim.bodies.clone(), sim.cfg.leaf_max);
-        Tick { sim, index }
+        let dir = Arc::new(Directory::of(&sim.bodies, size));
+        Tick { sim, index, dir }
     }
 }
 
 struct Pending {
     query: Query,
     at_s: f64,
+    /// How many ranks the query was routed to.
     expected: usize,
     parts: Vec<Answer>,
 }
@@ -289,7 +279,7 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
     assert!(cfg.steps > 0 && cfg.checkpoint_every > 0);
 
     let mut tick = comm.replicated("query.initial", &ics, |ics| {
-        Tick::of(Simulation::new(ics.clone(), cfg.gravity, cfg.dt))
+        Tick::of(Simulation::new(ics.clone(), cfg.gravity, cfg.dt), size)
     });
     let n = tick.sim.bodies.len();
 
@@ -308,10 +298,12 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
     // decoded-generation memory stays flat however long the run gets.
     let mut log = GenerationLog::new(StoreConfig::default(), 0);
     let mut cache = SnapshotCache::new(cfg.history_cache);
-    let mut last_commit: Option<u64> = None;
+    // The newest committed step and the directory of the tick it was
+    // committed at.
+    let mut committed: Option<(u64, Arc<Directory>)> = None;
 
-    let mut cur_owner = owner_map(&tick.sim.bodies, size);
-    let mut prev_owner;
+    let mut prev_dir = Arc::clone(&tick.dir);
+    let mut responders: Vec<usize> = Vec::new();
 
     for t in 0..cfg.steps {
         // -- Physics: advance the replicated universe and charge the
@@ -319,17 +311,15 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
         if t > 0 {
             comm.span_enter("query.physics");
             let before = tick.sim.stats.interactions();
+            prev_dir = Arc::clone(&tick.dir);
             tick = comm.replicated("query.physics", &tick.sim, |sim| {
                 let mut sim = sim.clone();
                 sim.step();
-                Tick::of(sim)
+                Tick::of(sim, size)
             });
             let stepped = tick.sim.stats.interactions() - before;
             comm.compute_eff(stepped as f64 * 30.0, (n * 64) as f64, 0.8);
             comm.span_exit("query.physics");
-            prev_owner = std::mem::replace(&mut cur_owner, owner_map(&tick.sim.bodies, size));
-        } else {
-            prev_owner = cur_owner.clone();
         }
         let (sim, index) = (&tick.sim, &tick.index);
         let span = stripe(n, size, me);
@@ -349,8 +339,9 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
             comm.obs_count("query.commits", 1);
             comm.obs_count("store.commit_bytes", record.len() as u64);
             commits.push((t, ckpt::save_shard(&hdr, &record)));
-            last_commit = Some(t);
+            committed = Some((t, Arc::clone(&tick.dir)));
         }
+        let last_commit = committed.as_ref().map(|c| c.0);
 
         // -- Issue: drain this tick's arrival window (the last tick
         // drains everything, so the run never strands a query).
@@ -375,6 +366,7 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
         let mut outbound: Vec<Vec<Query>> = vec![Vec::new(); size];
         let mut pending: HashMap<u64, Pending> = HashMap::new();
         let mut tick_qids: Vec<u64> = Vec::new();
+        let mut zones_measured = 0usize;
         while next_arrival < arrivals.len() && arrivals[next_arrival].at_s <= cutoff {
             let a = arrivals[next_arrival];
             let qid = ((me as u64) << 32) | next_arrival as u64;
@@ -397,36 +389,44 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
             };
             stats.issued += 1;
             comm.obs_count("query.issued", 1);
-            let expected = match (q.at_step, &q.kind) {
-                // A live point lookup has exactly one responder; every
-                // other class fans out to all ranks.
-                (None, QueryKind::Point { .. }) => 1,
-                _ => size,
+            // The directory of the state the answer lives in: the
+            // previous epoch's for a live point lookup, this tick's for
+            // other live queries, the commit tick's for time travel.
+            let dir = match q.at_step {
+                None if matches!(q.kind, QueryKind::Point { .. }) => Some(&prev_dir),
+                None => Some(&tick.dir),
+                Some(s) => committed.as_ref().filter(|c| c.0 == s).map(|c| &c.1),
             };
+            responders.clear();
+            match dir {
+                Some(dir) => zones_measured += dir.route(&q.kind, &mut responders),
+                // Never committed: every rank answers the typed miss.
+                None => responders.extend(0..size),
+            }
+            for &r in &responders {
+                outbound[r].push(q);
+            }
             pending.insert(
                 qid,
                 Pending {
                     query: q,
                     at_s: a.at_s,
-                    expected,
+                    expected: responders.len(),
                     parts: Vec::new(),
                 },
             );
             tick_qids.push(qid);
-            match (q.at_step, &q.kind) {
-                (None, QueryKind::Point { id }) => {
-                    outbound[point_owner(&prev_owner, *id, size)].push(q);
-                }
-                _ => {
-                    for bucket in outbound.iter_mut() {
-                        bucket.push(q);
-                    }
-                }
-            }
         }
 
-        // -- Route: one query vector per ordered rank pair.
+        // -- Route: one query vector per ordered rank pair. The zone
+        // scan that picked the responders is charged like the answer
+        // stage: a fixed model per zone box measured.
         comm.span_enter("query.route");
+        comm.compute_eff(
+            zones_measured as f64 * 16.0,
+            zones_measured as f64 * 56.0,
+            0.6,
+        );
         let inbox = comm.alltoallv(outbound).into_iter().flatten();
 
         // -- Forward: a point query that raced a migration lands on the
@@ -436,7 +436,7 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
         for q in inbox {
             match (q.at_step, &q.kind) {
                 (None, QueryKind::Point { id }) => {
-                    let owner = point_owner(&cur_owner, *id, size);
+                    let owner = tick.dir.owner(*id);
                     if owner == me {
                         to_answer.push(q);
                     } else {

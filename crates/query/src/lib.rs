@@ -8,7 +8,9 @@
 //! neighbour searches, and time-travel queries against committed
 //! checkpoint generations. Queries batch per simulation tick and are
 //! answered from one shared spatial index ([`index`]), a Morton-sorted
-//! HOT tree over the tick's bodies, each rank from its own span; distributed
+//! HOT tree over the tick's bodies, each rank from its own span; a
+//! per-tick directory ([`route`]) sends each query only to the ranks
+//! that can hold part of its answer; distributed
 //! execution rides the `msg` virtual-time transport ([`engine`]), with
 //! replies merged deterministically so the rank partition is
 //! unobservable. A brute-force O(N) oracle ([`oracle`]) defines the
@@ -19,6 +21,7 @@ pub mod fleet;
 pub mod index;
 pub mod oracle;
 pub mod past;
+pub mod route;
 pub mod wire;
 
 pub use engine::{

@@ -89,6 +89,16 @@ impl Shape {
         }
     }
 
+    /// `(anchor, reach)`: every member `p` has `dist2(p, anchor) <=
+    /// reach * reach` — the one bound tree pruning and query routing
+    /// reject by.
+    pub fn bounding_ball(&self) -> ([f64; 3], f64) {
+        match *self {
+            Shape::Ball { center, radius } => (center, radius),
+            Shape::Cone { apex, range, .. } => (apex, range),
+        }
+    }
+
     /// Conservative "a cube at `center` with half-side `half` cannot
     /// intersect this shape" test, used for tree pruning. Inflated by a
     /// relative slack of ~1e-9 so float rounding in the bound can never
@@ -97,10 +107,7 @@ impl Shape {
     pub fn certainly_outside(&self, center: [f64; 3], half: f64) -> bool {
         // Circumscribed-sphere radius of the cell, inflated.
         let rho = half * 1.732_050_807_568_877_3 * (1.0 + 1e-9);
-        let (anchor, reach) = match *self {
-            Shape::Ball { center: c, radius } => (c, radius),
-            Shape::Cone { apex, range, .. } => (apex, range),
-        };
+        let (anchor, reach) = self.bounding_ball();
         let d = dist2(center, anchor).sqrt();
         d > (reach + rho) * (1.0 + 1e-9) + 1e-300
     }
@@ -277,7 +284,7 @@ mod tests {
         let a = Hit { id: 7, dist2: 1.0 };
         let b = Hit { id: 3, dist2: 1.0 };
         let c = Hit { id: 9, dist2: 0.5 };
-        let mut v = vec![a, b, c];
+        let mut v = [a, b, c];
         v.sort_by(hit_order);
         assert_eq!(
             v.iter().map(|h| h.id).collect::<Vec<_>>(),

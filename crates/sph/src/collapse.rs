@@ -186,10 +186,13 @@ mod tests {
         };
         let (parts, _) = rotating_core(&setup);
         let inner = parts.iter().filter(|p| p.radius() < 0.5).count();
-        // The sinc (n = 1 polytrope) profile encloses ~31.8% of the mass
-        // inside half the radius — 2.5x the uniform ball's 12.5%.
+        // The sinc (n = 1 polytrope) profile encloses 1/π ≈ 31.8% of the
+        // mass inside half the radius — 2.5x the uniform ball's 12.5%.
         let frac = inner as f64 / 2000.0;
-        assert!((frac - 0.318).abs() < 0.05, "inner fraction {frac}");
+        assert!(
+            (frac - std::f64::consts::FRAC_1_PI).abs() < 0.05,
+            "inner fraction {frac}"
+        );
         // Solid-body: j_z = Ω (x²+y²).
         for p in parts.iter().take(50) {
             let expect = setup.omega * (p.pos[0].powi(2) + p.pos[1].powi(2));
