@@ -40,8 +40,9 @@ const _: () = assert!(LEAVES <= Mask::BITS as usize);
 
 /// One bit per member of a shared walk: a leaf of a walk group here, a
 /// body of a `parallel::GROUP` in the distributed walk, which fills the
-/// shared list from its own descent ([`IlistScratch::share_mom`]).
-pub(crate) type Mask = u8;
+/// shared list from its own descent ([`IlistScratch::share_mom`]). Wide
+/// enough for the wider of the two groups.
+pub(crate) type Mask = u16;
 
 /// The members of `mask` for which `f` holds.
 #[inline]

@@ -8,15 +8,17 @@
 //! 'context switching' using a software queue to keep track of which
 //! computations have been put aside waiting for messages to arrive."
 //!
-//! Concretely: a run of [`GROUP`] consecutive Morton-sorted local bodies
+//! Concretely: a run of up to [`GROUP`] consecutive Morton-sorted local bodies
 //! shares one `Walk` with an explicit stack of `(cell, mask)`, the mask
 //! naming the bodies that still have to look at that cell. When a walk
 //! needs a cell that is not purely local and whose data has not yet
 //! arrived, the walk is parked on the pending request and the engine
 //! switches to another walk; requests accumulate in asynchronous batched
 //! messages ([`msg::Abm`]) and the walk resumes when the merged reply is
-//! in. Quiescence is detected with the Safra token
-//! ([`msg::abm::Termination`]).
+//! in. A rank with no runnable walk does not spin: it flushes its batches
+//! and sleeps until a request, a reply or the token arrives
+//! ([`msg::Comm::await_arrival`]). Quiescence is detected with the Safra
+//! token ([`msg::abm::Termination`]).
 //!
 //! Because the domain decomposition splits a Morton-sorted list, a cell
 //! may straddle several ranks. A request for such a cell goes to *every*
@@ -155,11 +157,30 @@ where
     }
 }
 
-/// Bodies per walk. Wider groups share more of the descent but park fewer
-/// walks at once, so fewer fetches overlap (measured: DESIGN.md, *Latency
-/// hiding*); a [`Mask`] has one bit per body of the group.
-const GROUP: usize = 8;
+/// Bodies per walk on a rank with [`WIDE_WALKS`] walks or more. Wider
+/// groups share more of the descent but park fewer walks at once, so
+/// fewer fetches overlap (measured: DESIGN.md, *Latency hiding*); a
+/// [`Mask`] has one bit per body of the group.
+const GROUP: usize = 16;
 const _: () = assert!(GROUP <= Mask::BITS as usize);
+
+/// Fewest walks of [`GROUP`] bodies a rank walks that wide. A rank with
+/// fewer has too few walks to park for 16-wide ones to hide its fetches,
+/// and walks `GROUP / 2` bodies at a time instead.
+const WIDE_WALKS: usize = 64;
+
+/// Bodies per walk on a rank of `nlocal` bodies.
+fn walk_width(nlocal: usize) -> usize {
+    #[cfg(test)]
+    if let Some(width) = FORCE_WIDTH.get() {
+        return width;
+    }
+    if nlocal >= WIDE_WALKS * GROUP {
+        GROUP
+    } else {
+        GROUP / 2
+    }
+}
 
 /// A list entry: the bodies that take it, and which cell or body it is —
 /// an index into the local tree's `cells`/`bodies`, or with [`GHOST`] set
@@ -187,9 +208,11 @@ thread_local! {
     /// Mutation-teeth switch (test builds only): an imported leaf's
     /// bodies go on the list of every body that opened it, itself included.
     static KEEP_SELF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Walk width regardless of the rank's body count (test builds only).
+    static FORCE_WIDTH: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
 
-/// One traversal shared by local bodies `first .. first + GROUP`.
+/// One traversal shared by local bodies `first .. first + width`.
 ///
 /// The stack restricted to one body's bit is that body's solo depth-first
 /// stack, so each body meets its cells and leaf bodies in the order a
@@ -306,6 +329,8 @@ struct Engine<'a> {
     cfg: ParallelConfig,
     mac: Mac,
     eps2: f64,
+    /// Bodies per walk ([`walk_width`]).
+    width: usize,
     /// Slot of each ghost key in `ghosts` (the Fibonacci-hashed table the
     /// local tree uses for its cells).
     ghost_at: KeyMap,
@@ -362,6 +387,7 @@ impl<'a> Engine<'a> {
             tree,
             mac: Mac::new(cfg.gravity.mac, cfg.gravity.theta),
             eps2: cfg.gravity.eps * cfg.gravity.eps,
+            width: walk_width(tree.map_or(0, |t| t.bodies.len())),
             cfg,
             ghost_at: KeyMap::with_capacity(64),
             ghosts: Vec::new(),
@@ -579,9 +605,10 @@ impl<'a> Engine<'a> {
         let leaf_max = self.cfg.gravity.leaf_max;
         let tree = self.tree.expect("rank with no bodies has no walks");
         let lo = w.first as usize;
-        let group = &tree.bodies[lo..tree.bodies.len().min(lo + GROUP)];
+        let group = &tree.bodies[lo..tree.bodies.len().min(lo + self.width)];
         // The group's positions as lanes, so the tests of one cell are
-        // one SIMD pass; lanes past a short last group are masked out.
+        // one SIMD pass; lanes past the group (a narrow walk's, or a
+        // short last group's) are masked out.
         let mut at = [[0.0; GROUP]; 3];
         for (b, body) in group.iter().enumerate() {
             [at[0][b], at[1][b], at[2][b]] = body.pos;
@@ -590,7 +617,7 @@ impl<'a> Engine<'a> {
         // know it by index, imported leaves by id.
         let own = |j: usize| -> Mask {
             match j.wrapping_sub(lo) {
-                b if b < GROUP => 1 << b,
+                b if b < group.len() => 1 << b,
                 _ => 0,
             }
         };
@@ -732,13 +759,13 @@ impl<'a> Engine<'a> {
         let root = self.resolve(Key::ROOT, synthetic, global_n as u32);
         let nlocal = self.accel.len();
         let mut walks: Vec<Walk> = (0..nlocal)
-            .step_by(GROUP)
+            .step_by(self.width)
             .map(|first| Walk {
                 first: first as u32,
                 // One bit per body: the last group of a shard may be short.
                 stack: vec![(
                     root,
-                    Mask::MAX >> (Mask::BITS as usize - (nlocal - first).min(GROUP)),
+                    Mask::MAX >> (Mask::BITS as usize - (nlocal - first).min(self.width)),
                 )],
                 cells: Vec::new(),
                 bodies: Vec::new(),
@@ -748,7 +775,14 @@ impl<'a> Engine<'a> {
         let mut completed = 0usize;
         let mut term = Termination::new();
 
-        while completed < walks.len() || !term.poll(comm) {
+        loop {
+            // The mark comes before anything that receives: a packet the
+            // turn pumps in but leaves queued (a token while walks are
+            // left, say) is then news to the wait below, not slept past.
+            let seen = comm.arrivals();
+            if completed == walks.len() && term.poll(comm) {
+                break;
+            }
             // Service traffic first so replies wake parked walks.
             let (wake, received) = self.service(comm);
             if received > 0 {
@@ -760,13 +794,14 @@ impl<'a> Engine<'a> {
                     completed += 1;
                     self.charge(comm);
                 } else if !self.cfg.latency_hiding {
-                    // Ablation mode: spin until this walk can resume.
-                    // Flush every iteration, not just on entry: serving
+                    // Ablation mode: block until this walk can resume.
+                    // Flush every turn, not just on entry: serving
                     // another rank's request posts reply parts into a
                     // batch that only auto-flushes when full, and if
-                    // every rank parks here waiting on someone else's
-                    // unflushed batch the whole world livelocks.
+                    // every rank waits here on someone else's unflushed
+                    // batch the whole world deadlocks.
                     loop {
+                        let seen = comm.arrivals();
                         let (wake, received) = self.service(comm);
                         if received > 0 {
                             term.on_recv(received);
@@ -778,13 +813,14 @@ impl<'a> Engine<'a> {
                             }
                             break;
                         }
-                        std::thread::yield_now();
+                        comm.await_arrival(seen);
                     }
                 }
             } else {
-                // Out of runnable walks: push requests out and serve others.
+                // Out of runnable walks: push requests out, then sleep
+                // until a request, a reply or the token comes in.
                 self.flush(comm, &mut term);
-                std::thread::yield_now();
+                comm.await_arrival(seen);
             }
         }
         // Final flush in case termination raced a reply (cannot happen with
@@ -1097,7 +1133,11 @@ mod tests {
         // Every walk of a rank is parked at once, so the lists are the
         // rank's footprint: 8 B an entry, at most doubled by `Vec` growth
         // (they were 96 B a cell and 40 B a body when they held copies).
-        let per_rank = with_engine(&plummer(2048, 5), 4, |e, _| (e.list_bytes, e.list_entries));
+        // ≈ 1 500 bodies a rank: 16-wide walks.
+        let per_rank = with_engine(&plummer(6144, 5), 4, |e, _| {
+            assert_eq!(e.width, GROUP);
+            (e.list_bytes, e.list_entries)
+        });
         for (bytes, entries) in per_rank {
             assert!(entries > 30_000, "{entries} entries");
             assert!(
@@ -1109,10 +1149,11 @@ mod tests {
 
     /// FNV-1a over the bits of `(id, acc, pot)` in id order, with the summed
     /// `(p2p, m2p)` counts and `(walk.groups, walk.list_entries)` counters,
-    /// of a run on the Space Simulator fabric.
-    fn force_digest(all: &[Body], nranks: usize) -> (u64, u64, u64, [u64; 2]) {
+    /// of a run of `width`-body walks on the Space Simulator fabric.
+    fn force_digest(all: &[Body], nranks: usize, width: usize) -> (u64, u64, u64, [u64; 2]) {
         let machine = msg::Machine::space_simulator_lam();
         let (outs, trace) = msg::run_observed(machine, nranks, |c| {
+            FORCE_WIDTH.set(Some(width));
             let mine = split(all, nranks, c.rank());
             let r = parallel_accelerations(c, mine, &ParallelConfig::default());
             let forces: Vec<(u64, Accel)> = r.bodies.iter().map(|b| b.id).zip(r.accel).collect();
@@ -1140,40 +1181,70 @@ mod tests {
     fn shared_walk_reproduces_per_body_walk_bit_for_bit() {
         // Recorded at the last commit whose engine walked one body at a
         // time (e6d39fe): the shared traversal must hand every body the
-        // interaction sequence its own walk produced. The walk and list
-        // counts are those of the last commit whose lists held copies
-        // (cb89fb9): references change what an entry is, not how many.
+        // interaction sequence its own walk produced, at either width.
+        // The walk and list counts are those of 8- and 16-body walks (the
+        // former recorded at cb89fb9): the width moves them, never the
+        // forces or the interaction counts.
         let small = plummer(192, 77);
         let pins = [
             (
                 &small,
                 1,
-                (0xcf0c_f2bc_b538_6626, 17_019, 6_234, [24, 4_572]),
+                (
+                    0xcf0c_f2bc_b538_6626,
+                    17_019,
+                    6_234,
+                    [[24, 4_572], [12, 2_616]],
+                ),
             ),
             (
                 &small,
                 2,
-                (0x8d6a_53dd_18c7_1045, 17_019, 6_234, [25, 4_614]),
+                (
+                    0x8d6a_53dd_18c7_1045,
+                    17_019,
+                    6_234,
+                    [[25, 4_614], [13, 2_690]],
+                ),
             ),
             (
                 &small,
                 4,
-                (0x772a_f51a_a85d_dba5, 17_208, 6_078, [26, 4_797]),
+                (
+                    0x772a_f51a_a85d_dba5,
+                    17_208,
+                    6_078,
+                    [[26, 4_797], [14, 2_847]],
+                ),
             ),
             (
                 &small,
                 16,
-                (0xb289_68f4_f830_c04b, 17_149, 6_145, [32, 5_662]),
+                (
+                    0xb289_68f4_f830_c04b,
+                    17_149,
+                    6_145,
+                    [[32, 5_662], [16, 3_298]],
+                ),
             ),
             (
                 &plummer(2048, 5),
                 4,
-                (0x8b8a_7dd7_3059_f4a2, 356_201, 553_213, [257, 172_666]),
+                (
+                    0x8b8a_7dd7_3059_f4a2,
+                    356_201,
+                    553_213,
+                    [[257, 172_666], [130, 102_231]],
+                ),
             ),
         ];
-        for (all, nranks, want) in pins {
-            let got = force_digest(all, nranks);
-            assert_eq!(got, want, "{} bodies on {nranks} ranks", all.len());
+        for (all, nranks, (digest, p2p, m2p, walks)) in pins {
+            for (width, walks) in [GROUP / 2, GROUP].into_iter().zip(walks) {
+                let got = force_digest(all, nranks, width);
+                let n = all.len();
+                let want = (digest, p2p, m2p, walks);
+                assert_eq!(got, want, "{n} bodies on {nranks} ranks, width {width}");
+            }
         }
     }
 
@@ -1191,12 +1262,13 @@ mod tests {
     }
 
     fn group_edges_match_with(keep_self: bool) {
-        // Fewer bodies than one group, counts that are no multiple of the
-        // width, ranks left with no bodies, and a clump tight enough that
-        // a whole group shares one imported leaf, so self-exclusion by id
-        // is what keeps a body off its own list.
+        // At both widths: fewer bodies than one group, up to three full
+        // groups of 16, counts that are no multiple of the width, ranks
+        // left with no bodies, and a clump tight enough that a whole
+        // group shares one imported leaf, so self-exclusion by id is what
+        // keeps a body off its own list.
         let cfg = ParallelConfig::default();
-        for n in 1..=40usize {
+        for n in 1..=48usize {
             let mut all = plummer(n, 900 + n as u64);
             for (i, b) in all.iter_mut().enumerate().take(12) {
                 b.pos = [0.3 + 1e-7 * i as f64, 0.3, 0.3 - 1e-7 * i as f64];
@@ -1204,9 +1276,11 @@ mod tests {
             let tree = Tree::build(all.clone(), cfg.gravity.leaf_max);
             let (_, serial_stats) = tree_accelerations(&tree, &cfg.gravity);
             let ser = serial_reference(&all, &cfg.gravity);
-            for nranks in 1..=5usize {
+            let runs = (1..=5usize).flat_map(|nranks| [(nranks, GROUP / 2), (nranks, GROUP)]);
+            for (nranks, width) in runs {
                 let outs = msg::run(nranks, |c| {
                     KEEP_SELF.set(keep_self);
+                    FORCE_WIDTH.set(Some(width));
                     let r = parallel_accelerations(c, split(&all, nranks, c.rank()), &cfg);
                     let ids: Vec<u64> = r.bodies.iter().map(|b| b.id).collect();
                     (ids, r.accel, r.stats.interactions())
@@ -1224,7 +1298,8 @@ mod tests {
                     assert_eq!((par.len(), par[0].1.acc), (1, [0.0; 3]));
                 }
                 if nranks == 1 {
-                    assert_eq!(interactions, serial_stats.interactions(), "{n} bodies");
+                    let what = format!("{n} bodies, width {width}");
+                    assert_eq!(interactions, serial_stats.interactions(), "{what}");
                 }
             }
         }

@@ -202,12 +202,23 @@ where
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch (test builds only): rank 0 leaves an
+    /// unfinished token to be relaunched on its next poll, which a caller
+    /// blocked until something arrives never makes.
+    pub(crate) static DEFER_RELAUNCH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Safra's termination-detection token algorithm.
 ///
 /// Usage: call [`Termination::on_send`] / [`Termination::on_recv`] for
 /// every *basic* (application) message; when locally idle, call
 /// [`Termination::poll`] until it returns `true` on every rank. Between
-/// polls the caller must keep serving incoming basic messages.
+/// polls the caller must keep serving incoming basic messages, and may
+/// block until some packet arrives ([`Comm::await_arrival`]): a poll
+/// leaves nothing to be done by the next one, so every step of the
+/// protocol is started by a packet.
 pub struct Termination {
     /// Basic messages sent minus received by this rank (cumulative).
     counter: i64,
@@ -216,7 +227,6 @@ pub struct Termination {
     /// Rank 0 only: is a token currently circulating?
     token_out: bool,
     done: bool,
-    initiated: bool,
 }
 
 impl Termination {
@@ -226,7 +236,6 @@ impl Termination {
             black: false,
             token_out: false,
             done: false,
-            initiated: false,
         }
     }
 
@@ -264,16 +273,12 @@ impl Termination {
         }
         // Rank 0 launches the token when idle and none is out.
         if rank == 0 && !self.token_out {
-            self.token_out = true;
-            self.initiated = true;
-            comm.send(1, TOKEN_TAG, (0i64, 0u8)); // (count, black?)
-            self.black = false;
+            self.launch(comm);
             return false;
         }
         // Token in hand?
         if let Some((_, (count, black))) = comm.try_recv::<(i64, u8)>(None, TOKEN_TAG) {
             if rank == 0 {
-                self.token_out = false;
                 let total = count + self.counter;
                 let any_black = black != 0 || self.black;
                 if !any_black && total == 0 {
@@ -282,8 +287,16 @@ impl Termination {
                     self.done = true;
                     return true;
                 }
-                // Retry: token will be relaunched on the next poll.
-                self.black = false;
+                // Retry at once: rank 0 polls only while idle, and an
+                // idle caller may block until the next packet, which
+                // would never come if the token waited for another poll.
+                #[cfg(test)]
+                if DEFER_RELAUNCH.get() {
+                    self.token_out = false;
+                    self.black = false;
+                    return false;
+                }
+                self.launch(comm);
             } else {
                 let fwd_count = count + self.counter;
                 let fwd_black = (black != 0 || self.black) as u8;
@@ -292,6 +305,13 @@ impl Termination {
             }
         }
         false
+    }
+
+    /// Rank 0: send a fresh white token with a zero count round the ring.
+    fn launch(&mut self, comm: &mut Comm) {
+        self.token_out = true;
+        comm.send(1, TOKEN_TAG, (0i64, 0u8)); // (count, black?)
+        self.black = false;
     }
 }
 

@@ -135,10 +135,13 @@ pub(crate) struct Mailbox {
     /// Slot ids in arrival order — the FIFO contract lives here.
     order: VecDeque<u32>,
     free: Vec<u32>,
+    /// Packets ever pushed ([`Comm::arrivals`]).
+    pushed: u64,
 }
 
 impl Mailbox {
     pub(crate) fn push(&mut self, pkt: Packet) {
+        self.pushed += 1;
         let id = match self.free.pop() {
             Some(id) => {
                 self.slots[id as usize] = Some(pkt);
@@ -515,7 +518,9 @@ impl Comm {
     /// `poll_channel` chooses; an empty poll charges the transport's idle
     /// quantum, so virtual time moves and ack timeouts can expire while
     /// the rank sits here (jumping straight to the next timer when one is
-    /// pending).
+    /// pending). A blocking receive waits here for a match, a reliable
+    /// send for its window, and an event loop with nothing to do for any
+    /// new packet at all ([`Comm::await_arrival`]).
     ///
     /// `park` says the wait may count as parked for the deadlock
     /// detector. Even then a rank with unacked or held packets does not:
@@ -820,6 +825,24 @@ impl Comm {
         None
     }
 
+    /// Drain the channel into the mailbox and return how many packets the
+    /// mailbox has ever taken in: the mark [`Comm::await_arrival`] waits
+    /// past.
+    pub fn arrivals(&mut self) -> u64 {
+        self.pump();
+        self.port.mailbox.pushed
+    }
+
+    /// Block until a packet newer than the mark `seen` (an earlier
+    /// [`Comm::arrivals`]) is in the mailbox, whatever its tag; return at
+    /// once if one already is. For an event loop that has run out of
+    /// work: take the mark at the top of a turn, before the `try_recv`s
+    /// that serve it, and a packet those pumped in but left unmatched
+    /// cannot be slept past.
+    pub fn await_arrival(&mut self, seen: u64) {
+        self.wait(true, |c| (c.port.mailbox.pushed > seen).then_some(()));
+    }
+
     /// Convenience: receive from a specific rank.
     pub fn recv_from<T: Payload>(&mut self, src: usize, tag: Tag) -> T {
         self.recv::<T>(Some(src), tag).1
@@ -1042,6 +1065,32 @@ pub(crate) mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn await_arrival_returns_for_a_packet_another_tags_probe_pumped_in() {
+        // The lost wakeup: rank 0 takes its mark, then a `try_recv` for
+        // tag 9 pumps in rank 1's tag-5 packet and leaves it unmatched.
+        // That packet is newer than the mark, so the wait must return at
+        // once; on a scheduled world a wait that sleeps past it is a
+        // reported deadlock rather than a hung test.
+        let plan = SchedPlan::new(1);
+        let run = World::new(Machine::ideal(2), 2).schedule(&plan).run(|c| {
+            if c.rank() == 1 {
+                c.recv_from::<()>(0, 1);
+                c.send(0, 5, 7u64);
+                return c.recv_from::<u64>(0, 2);
+            }
+            let seen = c.arrivals();
+            c.send(1, 1, ());
+            while c.port.mailbox.pushed == seen {
+                assert!(c.try_recv::<u64>(None, 9).is_none());
+            }
+            c.await_arrival(seen);
+            c.send(1, 2, 0u64);
+            c.recv_from::<u64>(1, 5)
+        });
+        assert_eq!(run.outcome.expect_completed("lost wakeup"), vec![7, 0]);
     }
 
     #[test]

@@ -706,6 +706,77 @@ mod tests {
         }
     }
 
+    /// The storm world on four ranks whose idle turns block until a packet
+    /// arrives ([`Comm::await_arrival`]) instead of spinning on Safra's
+    /// poll, as the distributed tree walk's do. `defer` arms
+    /// `abm::DEFER_RELAUNCH`.
+    fn blocking_storm(seed: u64, defer: bool) -> WorldOutcome<Vec<u64>> {
+        let splan = SchedPlan::new(seed).with_jitter(2.0e-5);
+        World::new(Machine::ideal(4), 4)
+            .schedule(&splan)
+            .run(|c| {
+                crate::abm::DEFER_RELAUNCH.set(defer);
+                let mut abm: Abm<u64> = Abm::new(c.size(), 3, 3);
+                let mut term = Termination::new();
+                for i in 0..12u64 {
+                    let id = (c.rank() as u64) << 32 | i;
+                    let dst = (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % c.size();
+                    abm.post(c, dst, id);
+                }
+                abm.flush_all(c);
+                term.on_send(abm.sent);
+                let mut got: Vec<u64> = Vec::new();
+                loop {
+                    // The mark comes first: a token the polls below pump
+                    // in but leave queued is then news to the wait.
+                    let seen = c.arrivals();
+                    let batches = abm.poll(c);
+                    let busy = !batches.is_empty();
+                    for (_, batch) in batches {
+                        term.on_recv(1);
+                        got.extend(batch);
+                    }
+                    if busy {
+                        continue;
+                    }
+                    if term.poll(c) {
+                        break;
+                    }
+                    c.await_arrival(seen);
+                }
+                got
+            })
+            .outcome
+    }
+
+    #[test]
+    fn blocking_storm_terminates_with_every_message_received_once() {
+        for seed in 0..8u64 {
+            let got = blocking_storm(seed, false).expect_completed("blocking storm");
+            let mut all: Vec<u64> = got.into_iter().flatten().collect();
+            all.sort_unstable();
+            let expect: Vec<u64> = (0..4u64)
+                .flat_map(|r| (0..12).map(move |i| r << 32 | i))
+                .collect();
+            assert_eq!(all, expect, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn termination_oracle_catches_a_deferred_relaunch() {
+        // Teeth: rank 0 sits on an unfinished token until its next poll,
+        // but an idle rank polls again only once a packet wakes it, and
+        // every rank is idle: the parked-world detector must say so.
+        let caught = (0..8u64).find_map(|seed| match blocking_storm(seed, true) {
+            WorldOutcome::Completed(_) => None,
+            stalled => Some(stalled),
+        });
+        match caught.expect("the deferred relaunch must be caught") {
+            WorldOutcome::Stalled { deadlock, .. } => assert!(deadlock, "deadlock, not budget"),
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+    }
+
     #[test]
     fn simcheck_catches_safra_undercount_mutant() {
         // Teeth: re-arm the PR-1 Safra send under-count and assert the
