@@ -15,26 +15,28 @@
 //! Every rank holds the full body set — a replica — but *owns* one stripe
 //! of the acceleration array. The force phase is the same function of
 //! the same bits on every replica, so the host evaluates it once per
-//! step (`force_phase`, through [`Comm::replicated`]) and the replicas
-//! share the result, each charging its 1/size share to its own virtual
-//! clock; what runs per rank is everything that makes the replicas
-//! replicas: the stripes are allgathered and every replica overwrites
-//! its own accelerations with the *received* ones, then kicks its own
-//! bodies with them. Delivery integrity is therefore load-bearing — a
-//! dropped, duplicated or corrupted stripe that the reliable transport
-//! failed to repair diverges that replica, its next force phase no
-//! longer matches the others' bit for bit, it is evaluated on its own,
-//! and the answer changes. "Same physics as the fault-free run" really
+//! step ([`hot::integrate::Forces::replicated`]) and the replicas share
+//! the result, each charging its 1/size share to its own virtual clock;
+//! each replica steps through [`hot::integrate::step`], and what runs per
+//! rank is everything that makes the replicas replicas: the stripes are
+//! allgathered and every replica overwrites its own accelerations with
+//! the *received* ones, then kicks its own bodies with them. Delivery
+//! integrity is therefore load-bearing — a dropped, duplicated or
+//! corrupted stripe that the reliable transport failed to repair
+//! diverges that replica, its next force phase no longer matches the
+//! others' bit for bit, it is evaluated on its own, and the answer
+//! changes. "Same physics as the fault-free run" really
 //! does certify the recovery machinery.
 
 use crate::io::IoModel;
 use ckpt::CkptError;
 use hot::gravity::{Accel, GravityConfig};
-use hot::traverse::{group_accelerations, TraverseStats};
-use hot::tree::{Body, Tree};
-use msg::{BitEq, Comm, FaultPlan, Machine, World, WorldOutcome, WorldRun};
+use hot::integrate::{self, Forces};
+use hot::tree::Body;
+use msg::{Comm, FaultPlan, Machine, World, WorldOutcome, WorldRun};
 use query::stripe;
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::Mutex;
 use store::{GenerationLog, RecordKind, StoreConfig};
 
 /// Aux lanes a degraded-mode shard carries alongside each body: the
@@ -42,24 +44,32 @@ use store::{GenerationLog, RecordKind, StoreConfig};
 /// failed-over rank needs to resume mid-KDK.
 const N_AUX: usize = 4;
 
-/// Flatten a stripe's `Accel` values into the store's row-major aux lanes.
-fn aux_of(accel: &[Accel]) -> Vec<f64> {
-    let mut v = Vec::with_capacity(accel.len() * N_AUX);
-    for a in accel {
-        v.extend_from_slice(&a.acc);
-        v.push(a.pot);
-    }
-    v
+/// Accelerations as `[acc, pot]` rows: what a stripe carries on the wire,
+/// and flattened, the store's row-major aux lanes.
+pub(crate) fn rows_of(accel: &[Accel]) -> Vec<[f64; N_AUX]> {
+    let row = |a: &Accel| [a.acc[0], a.acc[1], a.acc[2], a.pot];
+    accel.iter().map(row).collect()
 }
 
-/// Rebuild `Accel` values from the store's aux lanes.
-fn accel_of(aux: &[f64]) -> Vec<Accel> {
-    aux.chunks_exact(N_AUX)
-        .map(|c| Accel {
-            acc: [c[0], c[1], c[2]],
-            pot: c[3],
-        })
-        .collect()
+/// Rebuild `Accel` values from [`rows_of`]'s rows.
+fn accel_of(rows: &[[f64; N_AUX]]) -> Vec<Accel> {
+    let accel = |&[x, y, z, pot]: &[f64; N_AUX]| Accel {
+        acc: [x, y, z],
+        pot,
+    };
+    rows.iter().map(accel).collect()
+}
+
+/// Adopt the stripe rank `from` sent as the accelerations `accel[range]`:
+/// what a replica kicks with is what the wire delivered.
+pub(crate) fn adopt_stripe(
+    accel: &mut [Accel],
+    range: Range<usize>,
+    part: &[[f64; N_AUX]],
+    from: usize,
+) {
+    assert_eq!(part.len(), range.len(), "stripe {from} truncated");
+    accel[range].copy_from_slice(&accel_of(part));
 }
 
 /// Give up after this many *consecutive* recoveries that resumed from
@@ -67,9 +77,6 @@ fn accel_of(aux: &[f64]) -> Vec<Accel> {
 /// crashes faster than the checkpoint cadence would otherwise burn all
 /// of `max_attempts` replaying the identical doomed interval.
 const MAX_FUTILE_ATTEMPTS: usize = 3;
-/// Fraction of peak the force kernel sustains in the virtual-time model
-/// (the P4/gcc gravity micro-kernel).
-const CPU_EFF: f64 = 790.0 / 5060.0;
 
 /// Knobs of the checkpoint/restart loop (times are virtual seconds).
 #[derive(Debug, Clone, Copy)]
@@ -243,84 +250,8 @@ fn decode_state(bytes: &[u8]) -> Result<State, CkptError> {
             .chunks_exact(Body::ROW_BYTES)
             .map(|row| Body::read_row(row.try_into().expect("chunks_exact")))
             .collect(),
-        accel: accel_of(&lanes),
+        accel: accel_of(lanes.as_chunks().0),
     })
-}
-
-/// What one replica carries from step to step: the full body set and the
-/// accelerations it adopted from the last exchange, index-aligned.
-#[derive(Clone)]
-pub(crate) struct Replica {
-    pub bodies: Vec<Body>,
-    pub accel: Vec<Accel>,
-}
-
-impl BitEq for Replica {
-    fn bit_eq(&self, o: &Self) -> bool {
-        self.bodies.bit_eq(&o.bodies) && self.accel.bit_eq(&o.accel)
-    }
-}
-
-/// A body set in tree order with the forces on all of it.
-pub(crate) struct Forces {
-    pub bodies: Vec<Body>,
-    pub accel: Vec<Accel>,
-    pub stats: TraverseStats,
-}
-
-/// Build the tree over `bodies` and walk it for every body.
-pub(crate) fn tree_forces(bodies: Vec<Body>, cfg: &GravityConfig) -> Forces {
-    let tree = Tree::build(bodies, cfg.leaf_max);
-    let (accel, stats) = group_accelerations(&tree, cfg);
-    Forces {
-        bodies: tree.bodies,
-        accel,
-        stats,
-    }
-}
-
-/// One replica's force phase inside span `span`: half kick + drift from
-/// the replica's own state, then the forces on every stripe at the
-/// drifted positions. `Tree::build` is deterministic, so replicas that
-/// agree bit for bit get the same reordered bodies and the same forces;
-/// the host evaluates those once. The clock is charged `1/size` of the
-/// work — the simulated machine runs the force phase in parallel — plus
-/// `straggle_s` of extra virtual time inside the span.
-pub(crate) fn force_phase(
-    comm: &mut Comm,
-    span: &'static str,
-    replica: &Replica,
-    dt: f64,
-    cfg: &GravityConfig,
-    straggle_s: f64,
-) -> Arc<Forces> {
-    comm.span_enter(span);
-    let forces = comm.replicated(span, replica, |r| {
-        let mut bodies = r.bodies.clone();
-        for (b, a) in bodies.iter_mut().zip(&r.accel) {
-            for d in 0..3 {
-                b.vel[d] += 0.5 * dt * a.acc[d];
-                b.pos[d] += dt * b.vel[d];
-            }
-        }
-        tree_forces(bodies, cfg)
-    });
-    let stats = &forces.stats;
-    let share = 1.0 / comm.size() as f64;
-    comm.obs_count(
-        "walk.interactions",
-        ((stats.p2p + stats.m2p) as f64 * share) as u64,
-    );
-    comm.compute_eff(
-        stats.flops(cfg.quadrupole) * share,
-        std::mem::size_of_val(&forces.bodies[..]) as f64 * share,
-        CPU_EFF,
-    );
-    if straggle_s > 0.0 {
-        comm.elapse(straggle_s);
-    }
-    comm.span_exit(span);
-    forces
 }
 
 /// One complete per-rank shard generation in stable storage: `of_ranks`
@@ -358,7 +289,11 @@ fn encode_shards(
             let range = stripe(bodies.len(), size, r);
             let mut log = GenerationLog::new(StoreConfig::default(), N_AUX as u32);
             let record = log
-                .commit(step, &bodies[range.clone()], &aux_of(&accel[range]))
+                .commit(
+                    step,
+                    &bodies[range.clone()],
+                    rows_of(&accel[range]).as_flattened(),
+                )
                 .to_vec();
             ckpt::save_shard(
                 &ckpt::ShardHeader {
@@ -400,7 +335,7 @@ fn assemble(gen: &Gen, size: usize) -> Option<State> {
             return None;
         }
         bodies.extend(b);
-        accel.extend(accel_of(&aux));
+        accel.extend(accel_of(aux.as_chunks().0));
     }
     Some(State {
         step: gen.step,
@@ -472,7 +407,8 @@ fn run_treecode_impl(
     // over the one condemned rank instead of restarting the world.
     let degraded = plan.heartbeat.is_some();
     // Initial forces, then the step-0 "checkpoint" is the ICs themselves.
-    let Forces { bodies, accel, .. } = tree_forces(bodies, cfg);
+    let Forces { tree, accel, .. } = Forces::of(bodies, cfg);
+    let bodies = tree.bodies;
     let mut committed = (0u64, 0.0f64, encode_state(0, 0.0, &bodies, &accel));
     // Degraded-mode stable storage: complete shard generations, newest
     // last; two are retained so a rotten shard falls back one commit.
@@ -547,12 +483,11 @@ fn run_treecode_impl(
             let State {
                 mut step,
                 mut time,
-                bodies,
-                accel,
+                mut bodies,
+                mut accel,
             } = start.clone();
             comm.span_exit("chaos.restore");
-            let mut replica = Replica { bodies, accel };
-            let n = replica.bodies.len();
+            let n = bodies.len();
             let size = comm.size();
             // Per-attempt incremental commit log: the first commit of an
             // attempt ships a full columnar snapshot of this rank's
@@ -562,39 +497,28 @@ fn run_treecode_impl(
             // materializes it back into full records.
             let mut log = GenerationLog::new(StoreConfig::default(), N_AUX as u32);
             while step < steps {
-                let forces = force_phase(comm, "chaos.force", &replica, dt, cfg, 0.0);
-                replica.bodies.clone_from(&forces.bodies);
-                // Exchange acceleration stripes and adopt the *received*
-                // values, so transport integrity decides the physics.
-                comm.span_enter("chaos.exchange");
-                let mine: Vec<[f64; 4]> = forces.accel[stripe(n, size, comm.rank())]
-                    .iter()
-                    .map(|a| [a.acc[0], a.acc[1], a.acc[2], a.pot])
-                    .collect();
-                #[allow(unused_mut)]
-                let mut stripes = comm.allgather(mine);
-                #[cfg(test)]
-                if chaos.corrupt_stripe == Some((comm.rank(), step)) {
-                    let v = &mut stripes[(comm.rank() + 1) % size][0][0];
-                    *v = f64::from_bits(v.to_bits() ^ (1 << 50));
-                }
-                for (r, part) in stripes.iter().enumerate() {
-                    let range = stripe(n, size, r);
-                    assert_eq!(part.len(), range.len(), "stripe {r} truncated");
-                    for (a, v) in replica.accel[range].iter_mut().zip(part) {
-                        *a = Accel {
-                            acc: [v[0], v[1], v[2]],
-                            pot: v[3],
-                        };
+                bodies = integrate::step(bodies, &mut accel, dt, |drifted, accel| {
+                    comm.span_enter("chaos.force");
+                    let forces = Forces::replicated(comm, "chaos.force", drifted, cfg);
+                    comm.span_exit("chaos.force");
+                    // Exchange acceleration stripes and adopt the
+                    // *received* values, so transport integrity decides
+                    // the physics.
+                    comm.span_enter("chaos.exchange");
+                    let mine = rows_of(&forces.accel[stripe(n, size, comm.rank())]);
+                    #[allow(unused_mut)]
+                    let mut stripes = comm.allgather(mine);
+                    #[cfg(test)]
+                    if chaos.corrupt_stripe == Some((comm.rank(), step)) {
+                        let v = &mut stripes[(comm.rank() + 1) % size][0][0];
+                        *v = f64::from_bits(v.to_bits() ^ (1 << 50));
                     }
-                }
-                comm.span_exit("chaos.exchange");
-                // Kick (half).
-                for (b, a) in replica.bodies.iter_mut().zip(&replica.accel) {
-                    for d in 0..3 {
-                        b.vel[d] += 0.5 * dt * a.acc[d];
+                    for (r, part) in stripes.iter().enumerate() {
+                        adopt_stripe(accel, stripe(n, size, r), part, r);
                     }
-                }
+                    comm.span_exit("chaos.exchange");
+                    forces.tree.bodies.clone()
+                });
                 step += 1;
                 time += dt;
                 if step % chaos.checkpoint_every == 0 || step == steps {
@@ -610,8 +534,8 @@ fn run_treecode_impl(
                         let record = log
                             .commit(
                                 step,
-                                &replica.bodies[range.clone()],
-                                &aux_of(&replica.accel[range]),
+                                &bodies[range.clone()],
+                                rows_of(&accel[range]).as_flattened(),
                             )
                             .to_vec();
                         if matches!(store::record_kind(&record), Ok(RecordKind::Delta { .. })) {
@@ -638,7 +562,7 @@ fn run_treecode_impl(
                             .unwrap()
                             .push((step, comm.time(), comm.rank(), shard));
                     } else {
-                        let bytes = encode_state(step, time, &replica.bodies, &replica.accel);
+                        let bytes = encode_state(step, time, &bodies, &accel);
                         comm.obs_count("ckpt.bytes", bytes.len() as u64);
                         comm.obs_count("ckpt.commits", 1);
                         comm.elapse(io.snapshot_time(bytes.len() as f64 / size as f64));
@@ -650,11 +574,7 @@ fn run_treecode_impl(
                     comm.span_exit("chaos.checkpoint");
                 }
             }
-            let final_bodies = if comm.rank() == 0 {
-                replica.bodies
-            } else {
-                Vec::new()
-            };
+            let final_bodies = if comm.rank() == 0 { bodies } else { Vec::new() };
             (final_bodies, comm.time(), comm.stats())
         };
         let WorldRun { outcome, trace, .. } = World::new(machine.clone(), nranks)
@@ -854,6 +774,7 @@ mod tests {
     use super::*;
     use crate::machines::MachineSpec;
     use hot::models::plummer;
+    use msg::BitEq;
 
     fn ss_machine() -> Machine {
         Machine::space_simulator(MachineSpec::space_simulator().profile)

@@ -36,9 +36,10 @@
 //! still trips an oracle (decisions past the prefix fall back to
 //! first-match delivery).
 
-use crate::chaos::{force_phase, tree_forces, Replica};
+use crate::chaos::{adopt_stripe, rows_of};
 use crate::golden_ics;
 use hot::gravity::{Accel, GravityConfig};
+use hot::integrate::{self, Forces};
 use hot::tree::Body;
 use msg::{
     Abm, Comm, FaultPlan, Machine, SchedPlan, ScheduleLog, SplitMix64, Termination, WorldOutcome,
@@ -293,62 +294,43 @@ fn treecode_world(
     let size = comm.size();
     let rank = comm.rank();
     let initial = comm.replicated("simcheck.initial", &ics.to_vec(), |ics| {
-        tree_forces(ics.clone(), gcfg)
+        Forces::of(ics.clone(), gcfg)
     });
-    let mut replica = Replica {
-        bodies: initial.bodies.clone(),
-        accel: initial.accel.clone(),
-    };
+    let mut bodies = initial.tree.bodies.clone();
+    let mut accel = initial.accel.clone();
     for step in 0..steps {
-        // The degraded world's straggler: one rank's force phase drags a
-        // large extra virtual cost, so its silence (as seen by virtual
-        // clocks) crosses the suspicion threshold every step.
-        let straggle_s = match drag {
-            Some((slow_rank, drag_s)) if rank == slow_rank => drag_s,
-            _ => 0.0,
-        };
-        let forces = force_phase(comm, "simcheck.force", &replica, dt, gcfg, straggle_s);
-        replica.bodies.clone_from(&forces.bodies);
-        comm.span_enter("simcheck.exchange");
-        let tag = EXCHANGE_TAG0 + step as msg::Tag;
-        let mine: Vec<[f64; 4]> = forces.accel[stripe(n, size, rank)]
-            .iter()
-            .map(|a| [a.acc[0], a.acc[1], a.acc[2], a.pot])
-            .collect();
-        for dst in 0..size {
-            if dst != rank {
-                comm.send(dst, tag, mine.clone());
+        bodies = integrate::step(bodies, &mut accel, dt, |drifted, accel| {
+            comm.span_enter("simcheck.force");
+            let forces = Forces::replicated(comm, "simcheck.force", drifted, gcfg);
+            // The degraded world's straggler: one rank's force phase drags
+            // a large extra virtual cost, so its silence (as seen by
+            // virtual clocks) crosses the suspicion threshold every step.
+            if let Some((_, drag_s)) = drag.filter(|&(slow_rank, _)| slow_rank == rank) {
+                comm.elapse(drag_s);
             }
-        }
-        // Adopt own stripe directly, everyone else's from the wire. The
-        // wildcard source is the point: which peer's stripe lands first
-        // is the scheduler's choice.
-        let own = stripe(n, size, rank);
-        for (a, v) in replica.accel[own].iter_mut().zip(&mine) {
-            *a = Accel {
-                acc: [v[0], v[1], v[2]],
-                pot: v[3],
-            };
-        }
-        for _ in 0..size - 1 {
-            let (src, part): (usize, Vec<[f64; 4]>) = comm.recv(None, tag);
-            let range = stripe(n, size, src);
-            assert_eq!(part.len(), range.len(), "stripe {src} truncated");
-            for (a, v) in replica.accel[range].iter_mut().zip(&part) {
-                *a = Accel {
-                    acc: [v[0], v[1], v[2]],
-                    pot: v[3],
-                };
+            comm.span_exit("simcheck.force");
+            comm.span_enter("simcheck.exchange");
+            let tag = EXCHANGE_TAG0 + step as msg::Tag;
+            let own = stripe(n, size, rank);
+            let mine = rows_of(&forces.accel[own.clone()]);
+            for dst in 0..size {
+                if dst != rank {
+                    comm.send(dst, tag, mine.clone());
+                }
             }
-        }
-        comm.span_exit("simcheck.exchange");
-        for (b, a) in replica.bodies.iter_mut().zip(&replica.accel) {
-            for d in 0..3 {
-                b.vel[d] += 0.5 * dt * a.acc[d];
+            // Adopt own stripe directly, everyone else's from the wire.
+            // The wildcard source is the point: which peer's stripe
+            // lands first is the scheduler's choice.
+            adopt_stripe(accel, own, &mine, rank);
+            for _ in 0..size - 1 {
+                let (src, part): (usize, Vec<[f64; 4]>) = comm.recv(None, tag);
+                adopt_stripe(accel, stripe(n, size, src), &part, src);
             }
-        }
+            comm.span_exit("simcheck.exchange");
+            forces.tree.bodies.clone()
+        });
     }
-    let mut digest = digest_state(&replica.bodies, &replica.accel);
+    let mut digest = digest_state(&bodies, &accel);
     if rank == 0 {
         // Fold every replica's digest, gathered via wildcard recvs, in
         // rank order (sorting makes the fold schedule-independent; the

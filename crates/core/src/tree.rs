@@ -234,6 +234,14 @@ impl Tree {
     }
 }
 
+/// The bodies a KDK step closes on ([`crate::integrate::step`]): only
+/// velocities change, so the cells stay the tree over them.
+impl AsMut<[Body]> for Tree {
+    fn as_mut(&mut self) -> &mut [Body] {
+        &mut self.bodies
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

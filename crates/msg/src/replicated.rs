@@ -85,6 +85,14 @@ impl<T: BitEq> BitEq for Option<T> {
     }
 }
 
+/// Two handles on one value are equal without a look inside: a replica
+/// that already holds the shared result compares in O(1).
+impl<T: BitEq> BitEq for Arc<T> {
+    fn bit_eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(self, other) || (**self).bit_eq(other)
+    }
+}
+
 /// One call's shared evaluation: the opening rank's input and the result
 /// of the closure on it, computed at most once.
 struct Shared<I, T> {

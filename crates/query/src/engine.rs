@@ -1,18 +1,21 @@
 //! The distributed query engine: simulation-as-a-service over `msg`.
 //!
 //! Every rank serves queries against the *same* replicated KDK universe.
-//! A tick's physics and its [`QueryIndex`] are a pure function of the
-//! previous tick's state, which no message ever touches, so they are
+//! A tick's physics — one [`hot::integrate::step`] — and the
+//! [`QueryIndex`] over the tree that step built are a pure function of
+//! the previous tick's state, which no message ever touches, so they are
 //! evaluated once per tick on the host ([`Comm::replicated`]) and every
-//! rank holds the result behind one `Arc`; each rank still charges the
-//! tick's force work to its own virtual clock. What runs per rank is the
-//! service: a rank owns a contiguous stripe of the Morton-sorted body
-//! array, commits that stripe to its own snapshot log, and answers from
-//! it. Queries are the wire traffic: each simulation tick batches the
-//! arrivals that fell into its window and runs a three-phase protocol
-//! with a *fixed message count* — one (possibly empty) payload per
-//! ordered rank pair per phase — so the message structure is
-//! schedule-invariant and the simcheck structure oracle can pin it.
+//! rank holds the result behind one `Arc`; each rank charges its `1/size`
+//! share of the force work to its own virtual clock
+//! ([`hot::integrate::charge`], as the cluster treecode does). What runs
+//! per rank is the service: a rank owns a contiguous stripe of the
+//! Morton-sorted body array, commits that stripe to its own snapshot log,
+//! and answers from it. Queries are the wire traffic: each simulation
+//! tick batches the arrivals that fell into its window and runs a
+//! three-phase protocol with a *fixed message count* — one (possibly
+//! empty) payload per ordered rank pair per phase — so the message
+//! structure is schedule-invariant and the simcheck structure oracle can
+//! pin it.
 //!
 //! * **Route.** The origin sends each query only to the ranks that can
 //!   hold part of its answer, by a [`Directory`] of the state it asks
@@ -46,10 +49,11 @@ use crate::past;
 use crate::route::Directory;
 use crate::wire::{hit_order, reply_tag, Answer, Hit, Query, QueryKind, Reply, ReplyBatch};
 use ckpt::ShardHeader;
-use hot::integrate::Simulation;
+use hot::integrate::{self, Forces, Simulation};
 use hot::tree::Body;
-use hot::GravityConfig;
+use hot::{Accel, GravityConfig, TraverseStats};
 use msg::comm::Comm;
+use msg::BitEq;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -242,11 +246,16 @@ fn k_smallest(parts: &[Vec<Hit>], k: usize) -> Vec<Hit> {
     out
 }
 
-/// The replicated universe after one tick's physics, with the index that
-/// serves the tick's live queries and the directory that routes them.
+/// The replicated universe after one tick's physics: its bodies in the
+/// order of the tree the tick's step built, indexed for the tick's live
+/// queries; the accelerations the next step opens with; and the
+/// directory that routes the tick's queries.
 struct Tick {
-    sim: Simulation,
     index: QueryIndex,
+    /// Index-aligned with `index.bodies()`.
+    accel: Vec<Accel>,
+    /// The walk that computed `accel`, which every rank charges.
+    stats: TraverseStats,
     /// Where the tick's bodies live. An origin keeps it past the tick,
     /// alone: for stale point routing one tick later, and for
     /// time-travel routing while this tick is the newest commit (a
@@ -255,10 +264,37 @@ struct Tick {
 }
 
 impl Tick {
-    fn of(sim: Simulation, size: usize) -> Tick {
-        let index = QueryIndex::build(sim.bodies.clone(), sim.cfg.leaf_max);
-        let dir = Arc::new(Directory::of(&sim.bodies, size));
-        Tick { sim, index, dir }
+    fn of(Forces { tree, accel, stats }: Forces, size: usize) -> Tick {
+        let dir = Arc::new(Directory::of(&tree.bodies, size));
+        let index = QueryIndex::from_tree(tree);
+        Tick {
+            index,
+            accel,
+            stats,
+            dir,
+        }
+    }
+
+    /// One KDK step with the serial tree; the next tick indexes the tree
+    /// the step built.
+    fn next(&self, cfg: &EngineConfig, size: usize) -> Tick {
+        let mut accel = self.accel.clone();
+        let mut stats = TraverseStats::default();
+        let bodies = self.index.bodies().to_vec();
+        let tree = integrate::step(bodies, &mut accel, cfg.dt, |drifted, accel| {
+            let forces = Forces::of(drifted, &cfg.gravity);
+            (*accel, stats) = (forces.accel, forces.stats);
+            forces.tree
+        });
+        Tick::of(Forces { tree, accel, stats }, size)
+    }
+}
+
+/// The next tick is a function of the bodies and their accelerations
+/// alone.
+impl BitEq for Tick {
+    fn bit_eq(&self, o: &Self) -> bool {
+        self.index.bodies().bit_eq(o.index.bodies()) && self.accel.bit_eq(&o.accel)
     }
 }
 
@@ -279,9 +315,10 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
     assert!(cfg.steps > 0 && cfg.checkpoint_every > 0);
 
     let mut tick = comm.replicated("query.initial", &ics, |ics| {
-        Tick::of(Simulation::new(ics.clone(), cfg.gravity, cfg.dt), size)
+        Tick::of(Forces::of(ics.clone(), &cfg.gravity), size)
     });
-    let n = tick.sim.bodies.len();
+    let n = tick.index.len();
+    let mut time = 0.0;
 
     let mut fleet_cfg = cfg.fleet;
     if fleet_cfg.n_bodies == 0 {
@@ -306,22 +343,17 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
     let mut responders: Vec<usize> = Vec::new();
 
     for t in 0..cfg.steps {
-        // -- Physics: advance the replicated universe and charge the
-        // force work to the virtual clock.
+        // -- Physics: advance the replicated universe and charge this
+        // rank's share of the force work to the virtual clock.
         if t > 0 {
             comm.span_enter("query.physics");
-            let before = tick.sim.stats.interactions();
             prev_dir = Arc::clone(&tick.dir);
-            tick = comm.replicated("query.physics", &tick.sim, |sim| {
-                let mut sim = sim.clone();
-                sim.step();
-                Tick::of(sim, size)
-            });
-            let stepped = tick.sim.stats.interactions() - before;
-            comm.compute_eff(stepped as f64 * 30.0, (n * 64) as f64, 0.8);
+            tick = comm.replicated("query.physics", &tick, |prev| prev.next(cfg, size));
+            integrate::charge(comm, &tick.stats, n, &cfg.gravity);
+            time += cfg.dt;
             comm.span_exit("query.physics");
         }
-        let (sim, index) = (&tick.sim, &tick.index);
+        let index = &tick.index;
         let span = stripe(n, size, me);
         let cover = index.cover(span.clone());
 
@@ -329,12 +361,12 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
         // (full frame first, dirty-cell deltas after), then frame the
         // record as this rank's crc-checked checkpoint shard.
         if t % cfg.checkpoint_every == 0 {
-            let record = log.commit(t, &sim.bodies[span.clone()], &[]).to_vec();
+            let record = log.commit(t, &index.bodies()[span.clone()], &[]).to_vec();
             let hdr = ShardHeader {
                 rank: me as u32,
                 of_ranks: size as u32,
                 step: t,
-                time: sim.time,
+                time,
             };
             comm.obs_count("query.commits", 1);
             comm.obs_count("store.commit_bytes", record.len() as u64);

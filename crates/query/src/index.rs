@@ -2,8 +2,8 @@
 //!
 //! [`QueryIndex`] is a Morton-sorted [`hot::Tree`] plus the two lookups
 //! the force walk does not need: an id directory (point queries) and
-//! span-restricted traversals. The engine builds it each tick from a
-//! clone of the stepped bodies (it does not reuse the physics' tree).
+//! span-restricted traversals. The engine indexes the tree its tick's
+//! physics step built ([`QueryIndex::from_tree`]); it builds no other.
 //!
 //! A rank answers only from the contiguous Morton range it owns, and a
 //! tree cell's bodies are one contiguous interval of the sorted array,
@@ -50,7 +50,11 @@ thread_local! {
 impl QueryIndex {
     /// Index a body set (builds the tree).
     pub fn build(bodies: Vec<Body>, leaf_max: usize) -> QueryIndex {
-        let tree = Tree::build(bodies, leaf_max);
+        QueryIndex::from_tree(Tree::build(bodies, leaf_max))
+    }
+
+    /// Index the bodies of a built tree, in its order.
+    pub fn from_tree(tree: Tree) -> QueryIndex {
         let mut ids: Vec<(u64, u32)> = tree
             .bodies
             .iter()

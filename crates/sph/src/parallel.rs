@@ -19,6 +19,15 @@ use crate::neighbors::NeighborTree;
 use crate::particle::SphParticle;
 use msg::Comm;
 
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch (test builds only): the force phase imports
+    /// ghosts through a pad one `h_max` short of `SUPPORT · h_max`, so
+    /// an edge particle misses neighbours it interacts with. Rank threads
+    /// read their own copy, so a test arms it inside the rank closure.
+    static SHORT_GHOST_PAD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 impl msg::payload::FixedWire for SphParticle {
     // pos, vel (48) + mass, id (16) + h, rho, u, pres, cs (40)
     // + acc (24) + du_dt, enu, denu_dt (24)
@@ -170,6 +179,11 @@ pub fn distributed_hydro(
     // 4. Phase 2 — forces, with ghosts now carrying their owners'
     //    converged rho / pres / cs / h.
     comm.span_enter("sph.forces");
+    #[cfg(test)]
+    if SHORT_GHOST_PAD.get() {
+        let h_max_local = mine.iter().map(|p| p.h).fold(0.0f64, f64::max);
+        pad = (kernel::SUPPORT - 1.0) * comm.allreduce(h_max_local, |a, b| a.max(*b));
+    }
     let ghosts = exchange_ghosts(comm, &mine, pad);
     let mut work: Vec<SphParticle> = Vec::with_capacity(n_own + ghosts.len());
     work.extend(mine.iter().copied());
@@ -296,7 +310,22 @@ pub(crate) mod tests {
     /// FNV-1a over the bits of `(id, h, rho, pres, cs, du_dt, acc)` in id
     /// order of that call's result.
     fn hydro_digest(nranks: usize) -> u64 {
-        let shards = msg::run_with(Machine::space_simulator_lam(), nranks, one_hydro_call);
+        digest_of(msg::run_with(
+            Machine::space_simulator_lam(),
+            nranks,
+            one_hydro_call,
+        ))
+    }
+
+    /// [`hydro_digest`] with every rank's `SHORT_GHOST_PAD` armed.
+    fn short_pad_digest(nranks: usize) -> u64 {
+        digest_of(msg::run_with(Machine::space_simulator_lam(), nranks, |c| {
+            SHORT_GHOST_PAD.set(true);
+            one_hydro_call(c)
+        }))
+    }
+
+    fn digest_of(shards: Vec<Vec<SphParticle>>) -> u64 {
         let mut parts: Vec<SphParticle> = shards.into_iter().flatten().collect();
         parts.sort_by_key(|p| p.id);
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -312,18 +341,30 @@ pub(crate) mod tests {
         h
     }
 
+    /// `hydro_digest` pins, recorded at the last commit that evaluated
+    /// density, EOS and forces at every ghost and threw those rows away
+    /// (c1a2bf0).
+    const HYDRO_PINS: [(usize, u64); 3] = [
+        (1, 0xc8ae_ad35_2453_3a28),
+        (2, 0xc8ae_ad35_2453_3a28),
+        (4, 0xd800_a88c_0751_8833),
+    ];
+
     #[test]
     fn owned_only_hydro_reproduces_full_evaluation_bit_for_bit() {
-        // Recorded at the last commit that evaluated density, EOS and
-        // forces at every ghost and threw those rows away (c1a2bf0).
-        let pins = [
-            (1usize, 0xc8ae_ad35_2453_3a28u64),
-            (2, 0xc8ae_ad35_2453_3a28),
-            (4, 0xd800_a88c_0751_8833),
-        ];
-        for (nranks, want) in pins {
+        for (nranks, want) in HYDRO_PINS {
             let got = hydro_digest(nranks);
             assert_eq!(got, want, "{nranks} ranks: digest {got:016x}");
+        }
+    }
+
+    /// Teeth: a force-phase ghost pad one `h_max` short of the kernel's
+    /// reach must move the pinned digest wherever ghosts exist.
+    #[test]
+    fn hydro_oracle_catches_a_ghost_pad_one_h_short() {
+        for (nranks, want) in HYDRO_PINS.into_iter().skip(1) {
+            assert_eq!(hydro_digest(nranks), want, "{nranks} ranks, no mutant");
+            assert_ne!(short_pad_digest(nranks), want, "{nranks} ranks, short pad");
         }
     }
 
