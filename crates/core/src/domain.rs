@@ -8,13 +8,16 @@
 //! Each body carries a `work` estimate (interactions from the previous
 //! traversal, or 1.0 initially); the sample sort balances summed work.
 //! The resulting per-rank key ranges drive ownership queries during the
-//! distributed traversal.
+//! distributed traversal. Distributed SPH splits its particles through
+//! the same [`decompose_by`], so its hydro and its gravity walk share one
+//! decomposition.
 
 use crate::morton::{BBox, Key};
 use crate::tree::Body;
+use msg::payload::FixedWire;
 use msg::Comm;
 
-impl msg::payload::FixedWire for Body {
+impl FixedWire for Body {
     // pos + vel + mass + id + work
     const WIRE: usize = 3 * 8 + 3 * 8 + 8 + 8 + 8;
 }
@@ -75,14 +78,28 @@ pub fn decompose_with_health(
     bodies: Vec<Body>,
     health: &[f64],
 ) -> (Vec<Body>, Decomposition) {
+    decompose_by(comm, bodies, |b| b.pos, |b| b.work.max(1e-9), health)
+}
+
+/// The one Morton-key decomposition, over any item with a position:
+/// bodies for the treecode, particles for distributed SPH. Returns this
+/// rank's shard, sorted by key and balanced on `work` scaled by `health`
+/// (see [`decompose_with_health`]), and the global decomposition map.
+pub fn decompose_by<T: FixedWire>(
+    comm: &mut Comm,
+    items: Vec<T>,
+    pos: impl Fn(&T) -> [f64; 3],
+    work: impl Fn(&T) -> f64,
+    health: &[f64],
+) -> (Vec<T>, Decomposition) {
     // Global bounding box (min/max reduction, same construction as the
     // serial BBox::enclosing so serial and parallel agree bitwise).
     let mut lo = [f64::INFINITY; 3];
     let mut hi = [f64::NEG_INFINITY; 3];
-    for b in &bodies {
+    for p in items.iter().map(&pos) {
         for d in 0..3 {
-            lo[d] = lo[d].min(b.pos[d]);
-            hi[d] = hi[d].max(b.pos[d]);
+            lo[d] = lo[d].min(p[d]);
+            hi[d] = hi[d].max(p[d]);
         }
     }
     let lo = comm.allreduce(lo.to_vec(), |a, b| {
@@ -96,9 +113,9 @@ pub fn decompose_with_health(
 
     let shard = msg::sort::sample_sort_weighted_shares(
         comm,
-        bodies,
-        |b| bbox.key_of(b.pos).0,
-        |b| b.work.max(1e-9),
+        items,
+        |t| bbox.key_of(pos(t)).0,
+        work,
         health,
         64,
     );
@@ -112,8 +129,8 @@ pub fn decompose_with_health(
         Vec::new()
     } else {
         vec![
-            bbox.key_of(shard[first].pos).0,
-            bbox.key_of(shard[shard.len() - 1].pos).0,
+            bbox.key_of(pos(&shard[first])).0,
+            bbox.key_of(pos(&shard[shard.len() - 1])).0,
         ]
     };
     let all = comm.allgather(my_range);

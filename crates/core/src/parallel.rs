@@ -875,14 +875,28 @@ pub fn parallel_accelerations(
 ) -> ParallelResult {
     comm.span_enter("hot.decompose");
     let (shard, decomp) = decompose(comm, bodies);
-    let global_n = comm.allreduce(shard.len() as u64, |a, b| a + b);
     comm.span_exit("hot.decompose");
+    accelerations_on(comm, shard, &decomp, cfg)
+}
+
+/// The deferred-walk traversal on a decomposition the caller already
+/// chose: `shard` is this rank's part of `decomp`, as
+/// [`crate::domain::decompose_by`] returned it. The returned bodies are
+/// `shard` in key order; a shard that is already key-sorted comes back in
+/// the order it went in, because the tree's key sort is stable.
+pub fn accelerations_on(
+    comm: &mut Comm,
+    shard: Vec<Body>,
+    decomp: &Decomposition,
+    cfg: &ParallelConfig,
+) -> ParallelResult {
     comm.span_enter("hot.tree_build");
+    let global_n = comm.allreduce(shard.len() as u64, |a, b| a + b);
     let tree =
         (!shard.is_empty()).then(|| Tree::build_in(shard, decomp.bbox, cfg.gravity.leaf_max));
     comm.span_exit("hot.tree_build");
 
-    let mut engine = Engine::new(comm, &decomp, tree.as_ref(), *cfg);
+    let mut engine = Engine::new(comm, decomp, tree.as_ref(), *cfg);
     comm.span_enter("hot.walk");
     engine.run(comm, global_n);
     comm.span_exit("hot.walk");
@@ -933,6 +947,7 @@ pub fn parallel_accelerations(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::decompose_with_health;
     use crate::models::plummer;
     use crate::traverse::tree_accelerations;
 
@@ -945,20 +960,25 @@ mod tests {
             .collect()
     }
 
-    /// Collect (id → accel) from all ranks.
-    fn run_parallel(all: &[Body], nranks: usize, cfg: &ParallelConfig) -> Vec<(u64, Accel)> {
-        let shards = msg::run(nranks, |c| {
-            let mine = split(all, nranks, c.rank());
-            let r = parallel_accelerations(c, mine, cfg);
-            r.bodies
-                .iter()
-                .map(|b| b.id)
-                .zip(r.accel.iter().copied())
-                .collect::<Vec<_>>()
-        });
+    /// One rank's `(id, accel)` pairs.
+    fn forces_of(r: &ParallelResult) -> Vec<(u64, Accel)> {
+        let ids = r.bodies.iter().map(|b| b.id);
+        ids.zip(r.accel.iter().copied()).collect()
+    }
+
+    /// All ranks' `(id, accel)` pairs in id order.
+    fn by_id(shards: Vec<Vec<(u64, Accel)>>) -> Vec<(u64, Accel)> {
         let mut out: Vec<(u64, Accel)> = shards.into_iter().flatten().collect();
         out.sort_by_key(|&(id, _)| id);
         out
+    }
+
+    /// Collect (id → accel) from all ranks.
+    fn run_parallel(all: &[Body], nranks: usize, cfg: &ParallelConfig) -> Vec<(u64, Accel)> {
+        by_id(msg::run(nranks, |c| {
+            let mine = split(all, nranks, c.rank());
+            forces_of(&parallel_accelerations(c, mine, cfg))
+        }))
     }
 
     fn serial_reference(all: &[Body], cfg: &GravityConfig) -> Vec<(u64, Accel)> {
@@ -1005,6 +1025,32 @@ mod tests {
         let par = run_parallel(&all, 4, &cfg);
         let ser = serial_reference(&all, &cfg.gravity);
         assert_close(&par, &ser, 1e-3);
+    }
+
+    #[test]
+    fn walk_on_a_callers_decomposition_matches_serial() {
+        // Health-skewed shards, not the ones `parallel_accelerations`
+        // would pick: the walk takes the caller's split as it is.
+        let all = plummer(300, 55);
+        let cfg = ParallelConfig::default();
+        let health = [1.0, 0.25, 1.0, 0.5];
+        let shards = msg::run(4, |c| {
+            let mine = split(&all, 4, c.rank());
+            let (shard, decomp) = decompose_with_health(c, mine.clone(), &health);
+            assert_ne!(decomp, decompose(c, mine).1);
+            forces_of(&accelerations_on(c, shard, &decomp, &cfg))
+        });
+        let ser = serial_reference(&all, &cfg.gravity);
+        assert_close(&by_id(shards), &ser, 1e-3);
+        // On one rank it is `parallel_accelerations`, bit for bit.
+        let [on, whole] = msg::run(1, |c| {
+            let (shard, decomp) = decompose(c, all.clone());
+            let on = forces_of(&accelerations_on(c, shard, &decomp, &cfg));
+            [on, forces_of(&parallel_accelerations(c, all.clone(), &cfg))]
+        })
+        .pop()
+        .unwrap();
+        assert_bit_identical(&on, &whole, "1 rank");
     }
 
     #[test]

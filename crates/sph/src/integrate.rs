@@ -72,43 +72,17 @@ impl SphSimulation {
         }
     }
 
-    /// The CFL timestep: `cfl · min h/(cs + |v| + ε)`.
+    /// The CFL timestep: `cfl · min h/(cs + |v| + ε)`, floored at `dt_min`.
     pub fn cfl_dt(&self) -> f64 {
-        let mut dt = self.cfg.dt_max;
-        for p in &self.parts {
-            let signal = p.cs + p.speed() + 1e-12;
-            dt = dt.min(self.cfg.cfl * p.h / signal);
-            // Acceleration limit.
-            let a = (p.acc[0].powi(2) + p.acc[1].powi(2) + p.acc[2].powi(2)).sqrt();
-            if a > 0.0 {
-                dt = dt.min(self.cfg.cfl * (p.h / a).sqrt());
-            }
-        }
-        dt.max(self.cfg.dt_min)
+        cfl_limit(&self.parts, self.cfg.cfl, self.cfg.dt_max).max(self.cfg.dt_min)
     }
 
     /// One KDK leapfrog step; returns the dt taken.
     pub fn step(&mut self) -> f64 {
         let dt = self.cfl_dt();
-        // Kick + drift.
-        for p in &mut self.parts {
-            for d in 0..3 {
-                p.vel[d] += 0.5 * dt * p.acc[d];
-                p.pos[d] += dt * p.vel[d];
-            }
-            p.u = (p.u + 0.5 * dt * p.du_dt).max(0.0);
-            p.enu = (p.enu + 0.5 * dt * p.denu_dt).max(0.0);
-        }
-        // New forces.
-        Self::compute_rhs(&mut self.parts, &self.cfg);
-        // Kick.
-        for p in &mut self.parts {
-            for d in 0..3 {
-                p.vel[d] += 0.5 * dt * p.acc[d];
-            }
-            p.u = (p.u + 0.5 * dt * p.du_dt).max(0.0);
-            p.enu = (p.enu + 0.5 * dt * p.denu_dt).max(0.0);
-        }
+        kick_drift_kick(&mut self.parts, dt, |parts| {
+            Self::compute_rhs(parts, &self.cfg)
+        });
         self.time += dt;
         self.steps += 1;
         dt
@@ -150,6 +124,48 @@ impl SphSimulation {
         }
         l
     }
+}
+
+/// The CFL limit over `parts`, at most `dt_max`: `cfl · min h/(cs + |v|
+/// + ε)`, and `cfl · min √(h/|a|)` over accelerating particles.
+pub(crate) fn cfl_limit(parts: &[SphParticle], cfl: f64, dt_max: f64) -> f64 {
+    let mut dt = dt_max;
+    for p in parts {
+        let signal = p.cs + p.speed() + 1e-12;
+        dt = dt.min(cfl * p.h / signal);
+        let a = (p.acc[0].powi(2) + p.acc[1].powi(2) + p.acc[2].powi(2)).sqrt();
+        if a > 0.0 {
+            dt = dt.min(cfl * (p.h / a).sqrt());
+        }
+    }
+    dt
+}
+
+/// One kick–drift–kick leapfrog step of `dt`, the one both steppers take:
+/// a half kick of `vel`, `u` and `enu`, the drift, `rhs` (which may
+/// re-shard `parts`), and the closing half kick of whatever it left.
+pub(crate) fn kick_drift_kick(
+    parts: &mut Vec<SphParticle>,
+    dt: f64,
+    rhs: impl FnOnce(&mut Vec<SphParticle>),
+) {
+    let half_kick = |parts: &mut [SphParticle]| {
+        for p in parts {
+            for d in 0..3 {
+                p.vel[d] += 0.5 * dt * p.acc[d];
+            }
+            p.u = (p.u + 0.5 * dt * p.du_dt).max(0.0);
+            p.enu = (p.enu + 0.5 * dt * p.denu_dt).max(0.0);
+        }
+    };
+    half_kick(parts);
+    for p in parts.iter_mut() {
+        for d in 0..3 {
+            p.pos[d] += dt * p.vel[d];
+        }
+    }
+    rhs(parts);
+    half_kick(parts);
 }
 
 #[cfg(test)]

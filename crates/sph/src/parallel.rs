@@ -1,22 +1,28 @@
 //! Distributed SPH over the message-passing layer (§4.4: "For our 1
 //! million particle simulations on 128 processors...").
 //!
-//! The decomposition mirrors the treecode's: particles are sample-sorted
-//! by Morton key across ranks; each rank then imports **ghost**
-//! particles — remote particles within interaction range of its domain
-//! box — computes density, EOS and hydrodynamic forces locally
-//! (gravity is handled by `hot::parallel` in a production stepper), and
+//! The decomposition is the treecode's: particles are split by Morton key
+//! across ranks with `hot::domain::decompose_by`; each rank then imports
+//! **ghost** particles — remote particles within interaction range of its
+//! domain box — computes density, EOS and hydrodynamic forces locally, and
 //! returns its shard. Ghosts are **sources, not targets**: they sit in
 //! the neighbour tree and every sum over an owned particle reads them,
 //! but no sum is evaluated *at* a ghost — its owner does that, with the
-//! whole neighbourhood an edge ghost lacks here.
+//! whole neighbourhood an edge ghost lacks here. [`DistributedSph`] runs
+//! self-gravity with `hot::parallel::accelerations_on` on that same
+//! decomposition, so each acceleration lands on the rank that owns it.
 
 use crate::density::compute_density_targets;
 use crate::eos::Eos;
 use crate::forces::{apply_eos, hydro_forces_targets, Viscosity};
+use crate::integrate::{cfl_limit, kick_drift_kick};
 use crate::kernel;
 use crate::neighbors::NeighborTree;
 use crate::particle::SphParticle;
+use hot::domain::{decompose_by, Decomposition};
+use hot::gravity::GravityConfig;
+use hot::parallel::{accelerations_on, ParallelConfig};
+use hot::tree::Body;
 use msg::Comm;
 
 #[cfg(test)]
@@ -74,40 +80,23 @@ pub fn distributed_hydro(
     visc: &Viscosity,
     h_max_hint: f64,
 ) -> Vec<SphParticle> {
-    // 1. Rebalance by Morton key (reusing the hot machinery via plain
-    //    spatial sort on interleaved bits of the global box).
+    hydro(comm, parts, eos, visc, h_max_hint).0
+}
+
+/// [`distributed_hydro`], also returning the decomposition the shard is
+/// this rank's part of and the converged global `h_max`.
+fn hydro(
+    comm: &mut Comm,
+    parts: Vec<SphParticle>,
+    eos: &Eos,
+    visc: &Viscosity,
+    h_max_hint: f64,
+) -> (Vec<SphParticle>, Decomposition, f64) {
+    // 1. Rebalance: the treecode's Morton-key decomposition, one unit of
+    //    work per particle.
     comm.span_enter("sph.rebalance");
-    let all_bounds = {
-        let local = if parts.is_empty() {
-            vec![
-                f64::INFINITY,
-                f64::INFINITY,
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-                f64::NEG_INFINITY,
-                f64::NEG_INFINITY,
-            ]
-        } else {
-            let b = bounds(&parts, 0.0);
-            b.to_vec()
-        };
-        comm.allreduce(local, |a, b| {
-            vec![
-                a[0].min(b[0]),
-                a[1].min(b[1]),
-                a[2].min(b[2]),
-                a[3].max(b[3]),
-                a[4].max(b[4]),
-                a[5].max(b[5]),
-            ]
-        })
-    };
-    let bbox = hot::morton::BBox::from_lo_hi(
-        [all_bounds[0], all_bounds[1], all_bounds[2]],
-        [all_bounds[3], all_bounds[4], all_bounds[5]],
-    );
-    let mut mine =
-        msg::sort::sample_sort_weighted(comm, parts, |p| bbox.key_of(p.pos).0, |_| 1.0, 64);
+    let health = vec![1.0; comm.size()];
+    let (mut mine, decomp) = decompose_by(comm, parts, |p| p.pos, |_| 1.0, &health);
     comm.span_exit("sph.rebalance");
 
     // 2. Ghost exchange helper: ship my particles lying inside other
@@ -144,6 +133,7 @@ pub fn distributed_hydro(
     //    ghosts completing the boundary neighbourhoods. If the adaptive
     //    h outgrows the pad, widen and redo.
     let mut pad = kernel::SUPPORT * h_max_hint * 1.3;
+    let mut h_max = 0.0;
     comm.span_enter("sph.density");
     for attempt in 0..4 {
         let ghosts = exchange_ghosts(comm, &mine, pad);
@@ -165,7 +155,7 @@ pub fn distributed_hydro(
         work.truncate(n_own);
         mine = work;
         let h_max_local = mine.iter().map(|p| p.h).fold(0.0f64, f64::max);
-        let h_max = comm.allreduce(h_max_local, |a, b| a.max(*b));
+        h_max = comm.allreduce(h_max_local, |a, b| a.max(*b));
         let needed = kernel::SUPPORT * h_max * 1.05;
         let done = comm.allreduce(u8::from(needed <= pad), |a, b| (*a).min(*b));
         if done == 1 || attempt == 3 {
@@ -181,8 +171,7 @@ pub fn distributed_hydro(
     comm.span_enter("sph.forces");
     #[cfg(test)]
     if SHORT_GHOST_PAD.get() {
-        let h_max_local = mine.iter().map(|p| p.h).fold(0.0f64, f64::max);
-        pad = (kernel::SUPPORT - 1.0) * comm.allreduce(h_max_local, |a, b| a.max(*b));
+        pad = (kernel::SUPPORT - 1.0) * h_max;
     }
     let ghosts = exchange_ghosts(comm, &mine, pad);
     let mut work: Vec<SphParticle> = Vec::with_capacity(n_own + ghosts.len());
@@ -190,7 +179,7 @@ pub fn distributed_hydro(
     work.extend(ghosts);
     if work.is_empty() {
         comm.span_exit("sph.forces");
-        return Vec::new();
+        return (work, decomp, h_max);
     }
     let nt = NeighborTree::build(&work);
     hydro_forces_targets(&mut work, &nt, visc, n_own);
@@ -200,7 +189,7 @@ pub fn distributed_hydro(
     comm.obs_count("sph.interactions", (n_own as u64).saturating_mul(120));
     work.truncate(n_own);
     comm.span_exit("sph.forces");
-    work
+    (work, decomp, h_max)
 }
 
 #[cfg(test)]
@@ -458,21 +447,9 @@ pub(crate) mod tests {
     }
 }
 
-/// A gravity acceleration keyed by particle id, routed between the
-/// gravity decomposition and the SPH decomposition through id-hashed
-/// home ranks.
-#[derive(Debug, Clone, Copy)]
-struct GravAcc {
-    id: u64,
-    acc: [f64; 3],
-}
-
-impl msg::payload::FixedWire for GravAcc {
-    const WIRE: usize = 32;
-}
-
 /// A fully distributed SPH simulation: hydrodynamics via ghost exchange,
-/// self-gravity via the distributed HOT traversal, global CFL timestep.
+/// self-gravity via the distributed HOT traversal on the hydro's own
+/// decomposition, global CFL timestep.
 pub struct DistributedSph {
     pub shard: Vec<SphParticle>,
     pub eos: Eos,
@@ -488,7 +465,7 @@ impl DistributedSph {
     /// Set up from this rank's initial shard and compute the first RHS.
     pub fn new(comm: &mut Comm, shard: Vec<SphParticle>, eos: Eos, theta: f64) -> DistributedSph {
         let mut sim = DistributedSph {
-            shard,
+            shard: Vec::new(),
             eos,
             visc: Viscosity::default(),
             theta,
@@ -497,26 +474,17 @@ impl DistributedSph {
             time: 0.0,
             h_hint: 0.2,
         };
-        sim.compute_rhs(comm);
+        sim.shard = sim.compute_rhs(comm, shard);
         sim
     }
 
-    /// Hydro + gravity RHS across the world; re-shards `self.shard`.
-    pub fn compute_rhs(&mut self, comm: &mut Comm) {
-        // Hydro (density, EOS, pressure/viscosity forces, re-sharding).
-        let parts = std::mem::take(&mut self.shard);
-        let mut parts = distributed_hydro(comm, parts, &self.eos, &self.visc, self.h_hint);
-        self.h_hint = comm
-            .allreduce(parts.iter().map(|p| p.h).fold(0.0f64, f64::max), |a, b| {
-                a.max(*b)
-            })
-            .max(1e-6);
-        // Gravity: distributed treecode over the same particles (its own
-        // decomposition), results routed home by id hash.
-        let softening = 0.5 * self.h_hint;
-        let bodies: Vec<hot::tree::Body> = parts
+    /// Hydro + gravity RHS across the world; returns `parts` re-sharded.
+    fn compute_rhs(&mut self, comm: &mut Comm, parts: Vec<SphParticle>) -> Vec<SphParticle> {
+        let (mut parts, decomp, h_max) = hydro(comm, parts, &self.eos, &self.visc, self.h_hint);
+        self.h_hint = h_max.max(1e-6);
+        let bodies: Vec<Body> = parts
             .iter()
-            .map(|p| hot::tree::Body {
+            .map(|p| Body {
                 pos: p.pos,
                 vel: [0.0; 3],
                 mass: p.mass,
@@ -524,84 +492,39 @@ impl DistributedSph {
                 work: 1.0,
             })
             .collect();
-        let cfg = hot::parallel::ParallelConfig {
-            gravity: hot::gravity::GravityConfig {
+        let cfg = ParallelConfig {
+            gravity: GravityConfig {
                 theta: self.theta,
-                eps: softening,
+                eps: 0.5 * self.h_hint,
                 ..Default::default()
             },
             ..Default::default()
         };
-        let r = hot::parallel::parallel_accelerations(comm, bodies, &cfg);
-        // Route (id, acc) to home rank id % P; request my ids from homes.
-        let size = comm.size();
-        let mut grav_out: Vec<Vec<GravAcc>> = (0..size).map(|_| Vec::new()).collect();
-        for (b, a) in r.bodies.iter().zip(&r.accel) {
-            grav_out[(b.id % size as u64) as usize].push(GravAcc {
-                id: b.id,
-                acc: a.acc,
-            });
-        }
-        let at_home: Vec<GravAcc> = comm.alltoallv(grav_out).into_iter().flatten().collect();
-        let home_map: std::collections::HashMap<u64, [f64; 3]> =
-            at_home.iter().map(|g| (g.id, g.acc)).collect();
-        // Ask homes for my SPH shard's ids.
-        let mut want: Vec<Vec<u64>> = (0..size).map(|_| Vec::new()).collect();
-        for p in &parts {
-            want[(p.id % size as u64) as usize].push(p.id);
-        }
-        let requests = comm.alltoallv(want);
-        let mut replies: Vec<Vec<GravAcc>> = (0..size).map(|_| Vec::new()).collect();
-        for (r_src, ids) in requests.into_iter().enumerate() {
-            for id in ids {
-                replies[r_src].push(GravAcc {
-                    id,
-                    acc: home_map[&id],
-                });
-            }
-        }
-        let got: Vec<GravAcc> = comm.alltoallv(replies).into_iter().flatten().collect();
-        let acc_of: std::collections::HashMap<u64, [f64; 3]> =
-            got.iter().map(|g| (g.id, g.acc)).collect();
-        for p in &mut parts {
-            let g = acc_of[&p.id];
+        // The shard is key-sorted, so the walk hands it back in order.
+        let r = accelerations_on(comm, bodies, &decomp, &cfg);
+        assert_eq!(r.bodies.len(), parts.len());
+        for ((p, b), g) in parts.iter_mut().zip(&r.bodies).zip(&r.accel) {
+            assert_eq!(p.id, b.id, "gravity out of shard order");
             for d in 0..3 {
-                p.acc[d] += g[d];
+                p.acc[d] += g.acc[d];
             }
         }
-        self.shard = parts;
+        parts
     }
 
     /// Global CFL timestep (allreduced minimum).
     pub fn cfl_dt(&self, comm: &mut Comm) -> f64 {
-        let mut dt = self.dt_max;
-        for p in &self.shard {
-            let signal = p.cs + p.speed() + 1e-12;
-            dt = dt.min(self.cfl * p.h / signal);
-            let a = (p.acc[0].powi(2) + p.acc[1].powi(2) + p.acc[2].powi(2)).sqrt();
-            if a > 0.0 {
-                dt = dt.min(self.cfl * (p.h / a).sqrt());
-            }
-        }
+        let dt = cfl_limit(&self.shard, self.cfl, self.dt_max);
         comm.allreduce(dt, |a, b| a.min(*b))
     }
 
     /// One KDK step with an explicit `dt` (pass `cfl_dt` for adaptive).
     pub fn step(&mut self, comm: &mut Comm, dt: f64) {
-        for p in &mut self.shard {
-            for d in 0..3 {
-                p.vel[d] += 0.5 * dt * p.acc[d];
-                p.pos[d] += dt * p.vel[d];
-            }
-            p.u = (p.u + 0.5 * dt * p.du_dt).max(0.0);
-        }
-        self.compute_rhs(comm);
-        for p in &mut self.shard {
-            for d in 0..3 {
-                p.vel[d] += 0.5 * dt * p.acc[d];
-            }
-            p.u = (p.u + 0.5 * dt * p.du_dt).max(0.0);
-        }
+        let mut shard = std::mem::take(&mut self.shard);
+        kick_drift_kick(&mut shard, dt, |parts| {
+            *parts = self.compute_rhs(comm, std::mem::take(parts));
+        });
+        self.shard = shard;
         self.time += dt;
     }
 }
@@ -678,6 +601,73 @@ mod stepper_tests {
         // Serial uses the per-body serial tree; distributed uses the HOT
         // request-driven walk. Both are within MAC error of the truth,
         // so trajectories agree to ~1e-4 over a few steps.
+        assert!(worst < 5e-3, "worst position deviation {worst}");
+    }
+
+    /// FNV-1a over the bits of `(id, pos, vel, acc, u, rho, enu)` in id
+    /// order of `gas_ball(500, 21)` after `new` and three CFL steps on
+    /// one rank.
+    fn one_rank_end_state_digest() -> u64 {
+        let all = tests::gas_ball(500, 21);
+        let mut shards = msg::run(1, |c| {
+            let mut sim =
+                DistributedSph::new(c, all.clone(), Eos::GammaLaw { gamma: 5.0 / 3.0 }, 0.5);
+            for _ in 0..3 {
+                let dt = sim.cfl_dt(c);
+                sim.step(c, dt);
+            }
+            sim.shard
+        });
+        let mut parts = shards.pop().unwrap();
+        parts.sort_by_key(|p| p.id);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for p in &parts {
+            let vectors = [p.pos, p.vel, p.acc].into_iter().flatten();
+            let state = vectors.chain([p.u, p.rho, p.enu]).map(f64::to_bits);
+            for word in std::iter::once(p.id).chain(state) {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Recorded while gravity still ran on its own decomposition and came
+    /// home by id hash: on one rank both decompositions are the same
+    /// sort, so the tree, and every bit of the end state, is unchanged.
+    #[test]
+    fn one_rank_stepper_end_state_is_pinned() {
+        let got = one_rank_end_state_digest();
+        assert_eq!(got, 0x0194_63c6_fba9_ddf3, "digest {got:016x}");
+    }
+
+    #[test]
+    fn ranks_that_own_nothing_step_with_the_rest() {
+        // 40 particles on 48 ranks: most ranks own nothing and enter the
+        // hydro and the gravity walk with an empty shard.
+        let all = tests::gas_ball(40, 13);
+        let run = |nranks: usize| {
+            let shards = msg::run(nranks, |c| {
+                let mine = tests::shard_of(&all, c);
+                let mut sim = DistributedSph::new(c, mine, Eos::GammaLaw { gamma: 5.0 / 3.0 }, 0.5);
+                sim.step(c, 0.004);
+                sim.shard
+            });
+            assert!(nranks == 1 || shards.iter().any(Vec::is_empty));
+            let mut parts: Vec<SphParticle> = shards.into_iter().flatten().collect();
+            parts.sort_by_key(|p| p.id);
+            parts
+        };
+        let (one, many) = (run(1), run(48));
+        let ids = |ps: &[SphParticle]| ps.iter().map(|p| p.id).collect::<Vec<_>>();
+        assert_eq!(ids(&many), (0..40).collect::<Vec<u64>>());
+        let mut worst: f64 = 0.0;
+        for (a, b) in many.iter().zip(&one) {
+            for d in 0..3 {
+                worst = worst.max((a.pos[d] - b.pos[d]).abs());
+            }
+        }
         assert!(worst < 5e-3, "worst position deviation {worst}");
     }
 
