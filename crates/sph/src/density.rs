@@ -11,11 +11,27 @@ pub const N_NGB_TOL: usize = 10;
 
 /// Adapt one particle's `h` so its neighbour count (within `SUPPORT·h`)
 /// lands in `N_NGB ± N_NGB_TOL`. Multiplicative search for a bracketing
-/// h, then bisect. Reads only positions, so it is independent of
-/// evaluation order.
-fn adapt_h(nt: &NeighborTree, pos: [f64; 3], h0: f64) -> f64 {
+/// h, then bisect. Each count also sums ρ = Σ m_j W(r, h) over its ball;
+/// the last count is always at the `h` returned, so it returns `(h, ρ)`.
+/// Reads only positions and masses, so it is independent of evaluation
+/// order.
+fn adapt_h(nt: &NeighborTree, parts: &[SphParticle], pos: [f64; 3], h0: f64) -> (f64, f64) {
     let mut h = h0.max(1e-6);
-    let count = |h: f64| nt.ball_count(pos, kernel::SUPPORT * h);
+    let mut rho = 0.0;
+    let mut count = |h: f64| {
+        let (mut n, mut sum) = (0, 0.0);
+        nt.ball_visit(pos, kernel::SUPPORT * h, |j| {
+            let pj = &parts[j];
+            let dx = pos[0] - pj.pos[0];
+            let dy = pos[1] - pj.pos[1];
+            let dz = pos[2] - pj.pos[2];
+            let r = (dx * dx + dy * dy + dz * dz).sqrt();
+            sum += pj.mass * kernel::w(r, h);
+            n += 1;
+        });
+        rho = sum;
+        n
+    };
     let mut n = count(h);
     let mut iter = 0;
     while n < N_NGB - N_NGB_TOL && iter < 60 {
@@ -45,17 +61,18 @@ fn adapt_h(nt: &NeighborTree, pos: [f64; 3], h0: f64) -> f64 {
             }
         }
     }
-    h
+    (h, rho)
 }
 
 /// Adapt each particle's `h` so its neighbour count (within `SUPPORT·h`)
-/// lands in `N_NGB ± N_NGB_TOL`, then compute ρ_i = Σ m_j W(r_ij, h_i).
+/// lands in `N_NGB ± N_NGB_TOL`, and set ρ_i = Σ m_j W(r_ij, h_i), summed
+/// by the count that settled `h_i` — one pass, one ball walk per count.
 ///
-/// In both phases each particle reads only neighbour positions/masses
-/// (never `h`/`rho` of others), so the result does not depend on the
-/// order particles are visited in and is bitwise stable across runs. The
-/// neighbour queries are the non-allocating visitor/count variants, so
-/// the steady-state sweep does no per-particle heap allocation.
+/// Each particle reads only neighbour positions/masses (never `h`/`rho`
+/// of others), so the result does not depend on the order particles are
+/// visited in and is bitwise stable across runs. The walks are
+/// [`NeighborTree::ball_visit`]'s, so the steady-state sweep does no
+/// per-particle heap allocation.
 pub fn compute_density(parts: &mut [SphParticle], nt: &NeighborTree) {
     compute_density_targets(parts, nt, parts.len());
 }
@@ -71,35 +88,14 @@ pub(crate) fn compute_density_targets(
     nt: &NeighborTree,
     n_targets: usize,
 ) {
-    // Phase 1: adaptive h.
     let snap: &[SphParticle] = parts;
-    let hs: Vec<f64> = snap[..n_targets]
+    let adapted: Vec<(f64, f64)> = snap[..n_targets]
         .iter()
-        .map(|p| adapt_h(nt, p.pos, p.h))
+        .map(|p| adapt_h(nt, snap, p.pos, p.h))
         .collect();
-    for (p, h) in parts.iter_mut().zip(&hs) {
-        p.h = *h;
-    }
-    // Phase 2: density summation at the adapted h.
-    let snap: &[SphParticle] = parts;
-    let rhos: Vec<f64> = snap[..n_targets]
-        .iter()
-        .map(|pi| {
-            let pos = pi.pos;
-            let mut rho = 0.0;
-            nt.ball_visit(pos, kernel::SUPPORT * pi.h, |j| {
-                let pj = &snap[j];
-                let dx = pos[0] - pj.pos[0];
-                let dy = pos[1] - pj.pos[1];
-                let dz = pos[2] - pj.pos[2];
-                let r = (dx * dx + dy * dy + dz * dz).sqrt();
-                rho += pj.mass * kernel::w(r, pi.h);
-            });
-            rho
-        })
-        .collect();
-    for (p, rho) in parts.iter_mut().zip(&rhos) {
-        p.rho = *rho;
+    for (p, (h, rho)) in parts.iter_mut().zip(adapted) {
+        p.h = h;
+        p.rho = rho;
     }
 }
 
@@ -212,7 +208,7 @@ mod tests {
             .iter()
             .filter(|p| p.pos.iter().all(|&x| x > 0.2 && x < 0.8))
         {
-            let n = nt.ball(p.pos, kernel::SUPPORT * p.h).len();
+            let n = crate::neighbors::tests::ball(&nt, p.pos, kernel::SUPPORT * p.h).len();
             if (N_NGB - N_NGB_TOL..=N_NGB + N_NGB_TOL).contains(&n) {
                 ok += 1;
             }

@@ -54,17 +54,19 @@ pub fn hydro_forces(parts: &mut [SphParticle], nt: &NeighborTree, visc: &Viscosi
 /// term reads their `h`, `rho`, `pres`, `cs` and `vel` — but their `acc`
 /// and `du_dt` are left as they came. Rows `..n_targets` are bit for bit
 /// those of the full evaluation.
+///
+/// Candidates come from [`NeighborTree::pair_visit`], which finds every
+/// pair with r < SUPPORT·h̄ from both sides, so the pair set does not
+/// depend on particle order.
 pub(crate) fn hydro_forces_targets(
     parts: &mut [SphParticle],
     nt: &NeighborTree,
     visc: &Viscosity,
     n_targets: usize,
 ) {
-    // Candidate radius SUPPORT·(h_i + h_max)/2 guarantees every pair with
-    // r < SUPPORT·h̄ is discovered from both sides, making the pair set
-    // independent of particle ordering. `h_max` is over sources too: a
-    // wide ghost reaches a target from further than the target's own h.
-    let h_max = parts.iter().map(|p| p.h).fold(0.0f64, f64::max);
+    // Cell bounds over sources too: a wide ghost reaches a target from
+    // further than the target's own h.
+    let hb = nt.h_bounds(parts);
     let snap: &[SphParticle] = parts;
     let sums: Vec<([f64; 3], f64)> = snap[..n_targets]
         .iter()
@@ -75,7 +77,7 @@ pub(crate) fn hydro_forces_targets(
             if pi.rho <= 0.0 {
                 return (acc, dudt);
             }
-            nt.ball_visit(pi.pos, kernel::SUPPORT * 0.5 * (pi.h + h_max), |j| {
+            nt.pair_visit(pi.pos, pi.h, &hb, |j| {
                 if j == i {
                     return; // no self-interaction
                 }

@@ -65,20 +65,19 @@ pub fn neutrino_transport(parts: &mut [SphParticle], nt: &NeighborTree, cfg: &Ne
     let n = parts.len();
     let mut denu = vec![0.0f64; n];
     let mut du = vec![0.0f64; n];
-    let h_max = parts.iter().map(|p| p.h).fold(0.0f64, f64::max);
+    let hb = nt.h_bounds(parts);
     // Diffusion (Brookshaw form, harmonic-mean D, flux-limited).
-    for i in 0..n {
-        let pi = parts[i];
+    for (i, pi) in parts.iter().enumerate() {
         if pi.rho <= 0.0 {
             continue;
         }
-        for j in nt.ball(pi.pos, kernel::SUPPORT * 0.5 * (pi.h + h_max)) {
+        nt.pair_visit(pi.pos, pi.h, &hb, |j| {
             if j <= i {
-                continue;
+                return;
             }
-            let pj = parts[j];
+            let pj = &parts[j];
             if pj.rho <= 0.0 {
-                continue;
+                return;
             }
             let dx = [
                 pi.pos[0] - pj.pos[0],
@@ -88,7 +87,7 @@ pub fn neutrino_transport(parts: &mut [SphParticle], nt: &NeighborTree, cfg: &Ne
             let r = (dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2]).sqrt();
             let hbar = 0.5 * (pi.h + pj.h);
             if r >= kernel::SUPPORT * hbar || r == 0.0 {
-                continue;
+                return;
             }
             let de = pi.enu - pj.enu;
             let kr_i = cfg.kappa0 * pi.rho * pi.rho;
@@ -104,7 +103,7 @@ pub fn neutrino_transport(parts: &mut [SphParticle], nt: &NeighborTree, cfg: &Ne
             let flux = 2.0 * d_harm * f * (pj.enu - pi.enu) / (pi.rho * pj.rho);
             denu[i] += pj.mass * pi.rho * flux / pi.rho;
             denu[j] -= pi.mass * pj.rho * flux / pj.rho;
-        }
+        });
     }
     // Emission / thermal coupling.
     for (i, p) in parts.iter().enumerate() {

@@ -198,10 +198,12 @@ pub(crate) mod tests {
     use crate::collapse::{rotating_core, CollapseSetup};
     use crate::density::compute_density;
     use crate::forces::hydro_forces;
+    use crate::neighbors::GATHER_ONLY_REACH;
     use msg::Machine;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
+    use std::thread::LocalKey;
 
     pub(crate) fn gas_ball(n: usize, seed: u64) -> Vec<SphParticle> {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -306,10 +308,10 @@ pub(crate) mod tests {
         ))
     }
 
-    /// [`hydro_digest`] with every rank's `SHORT_GHOST_PAD` armed.
-    fn short_pad_digest(nranks: usize) -> u64 {
+    /// [`hydro_digest`] with `mutant` armed on every rank.
+    fn mutant_digest(nranks: usize, mutant: &'static LocalKey<std::cell::Cell<bool>>) -> u64 {
         digest_of(msg::run_with(Machine::space_simulator_lam(), nranks, |c| {
-            SHORT_GHOST_PAD.set(true);
+            mutant.set(true);
             one_hydro_call(c)
         }))
     }
@@ -353,7 +355,25 @@ pub(crate) mod tests {
     fn hydro_oracle_catches_a_ghost_pad_one_h_short() {
         for (nranks, want) in HYDRO_PINS.into_iter().skip(1) {
             assert_eq!(hydro_digest(nranks), want, "{nranks} ranks, no mutant");
-            assert_ne!(short_pad_digest(nranks), want, "{nranks} ranks, short pad");
+            let got = mutant_digest(nranks, &SHORT_GHOST_PAD);
+            assert_ne!(got, want, "{nranks} ranks, short pad");
+        }
+    }
+
+    /// Teeth: a pair search pruned at the target's own reach, `SUPPORT·h`,
+    /// fails the pair-search property and moves the pinned digest.
+    #[test]
+    fn pair_oracle_catches_a_gather_only_reach() {
+        let parts = crate::neighbors::tests::spread_particles(150, 1);
+        let violation = crate::neighbors::tests::pair_visit_violation;
+        assert_eq!(violation(&parts), None, "no mutant");
+        GATHER_ONLY_REACH.set(true);
+        let caught = violation(&parts);
+        GATHER_ONLY_REACH.set(false);
+        assert!(caught.is_some(), "gather-only reach kept every pair");
+        for (nranks, want) in HYDRO_PINS {
+            let got = mutant_digest(nranks, &GATHER_ONLY_REACH);
+            assert_ne!(got, want, "{nranks} ranks, gather-only reach");
         }
     }
 
