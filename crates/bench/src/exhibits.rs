@@ -23,7 +23,7 @@ use nodesim::roofline::{table2_rows, ClockConfig};
 use nodesim::Bom;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sph::collapse::{run_collapse, CollapseSetup};
+use sph::collapse::{run_collapse, CollapseSetup, RANKS as SPH_RANKS};
 
 /// An exhibit's name and the function rendering its text.
 pub type Exhibit = (&'static str, fn() -> String);
@@ -557,11 +557,10 @@ fn figure8() -> String {
     };
     let res = run_collapse(&setup, 500);
     let mut out = format!(
-        "# Figure 8: rotating core collapse ({} particles)\n\
-         # running to bounce; this takes a couple of minutes...\n\
-         # peak density: {:.1} (rho_nuc = {})\n\
-         # bounce at t = {:.3}, {} steps\n",
-        setup.n_particles, res.peak_density, setup.rho_nuc, res.bounce_time, res.steps
+        "# Figure 8: rotating core collapse ({} particles, {} ranks)\n\
+         # peak density: {:.3} (rho_nuc = {})\n\
+         # peak at t = {:.4}, {} steps\n",
+        setup.n_particles, SPH_RANKS, res.peak_density, setup.rho_nuc, res.bounce_time, res.steps
     );
     let bins = res.j_by_angle.len();
     let rows: Vec<Vec<f64>> = res

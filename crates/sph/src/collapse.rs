@@ -12,8 +12,10 @@
 //! against polar angle.
 
 use crate::eos::Eos;
-use crate::integrate::{SphConfig, SphSimulation};
+use crate::integrate::SphConfig;
+use crate::parallel::DistributedSph;
 use crate::particle::SphParticle;
+use msg::Comm;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -100,37 +102,51 @@ pub struct CollapseResult {
     pub steps: u64,
 }
 
-/// Run the collapse to just past bounce and measure the Figure 8
-/// angular-momentum distribution.
+/// Ranks of the Figure 8 run.
+pub const RANKS: usize = 4;
+
+/// Run the collapse to just past bounce on [`RANKS`] ranks and measure
+/// the Figure 8 angular-momentum distribution over the gathered shards.
 pub fn run_collapse(setup: &CollapseSetup, max_steps: u64) -> CollapseResult {
     let (parts, cfg) = rotating_core(setup);
-    let mut sim = SphSimulation::new(parts, cfg);
-    let mut peak = sim.max_density();
-    let mut bounce_time = 0.0;
-    let mut post_bounce = 0u64;
-    while sim.steps < max_steps {
-        sim.step();
-        let rho = sim.max_density();
-        if rho > peak {
-            peak = rho;
-            bounce_time = sim.time;
-            post_bounce = 0;
-        } else if peak > 4.0 * setup.rho_nuc {
-            // Past bounce: run a little longer ("40 ms after"), then stop.
-            post_bounce += 1;
-            if post_bounce > 10 {
-                break;
+    let peak_of = |c: &mut Comm, sim: &DistributedSph| {
+        let rho = sim.shard.iter().map(|p| p.rho).fold(0.0, f64::max);
+        c.allreduce(rho, |a, b| a.max(*b))
+    };
+    let ranks = msg::run(RANKS, |c| {
+        let mine = parts.iter().skip(c.rank()).step_by(c.size()).copied();
+        let mut sim = DistributedSph::with_config(c, mine.collect(), cfg);
+        let mut peak = peak_of(c, &sim);
+        let mut bounce_time = 0.0;
+        let mut post_bounce = 0u64;
+        let mut steps = 0;
+        while steps < max_steps {
+            let dt = sim.cfl_dt(c);
+            sim.step(c, dt);
+            steps += 1;
+            let rho = peak_of(c, &sim);
+            if rho > peak {
+                peak = rho;
+                bounce_time = sim.time;
+                post_bounce = 0;
+            } else if peak > 4.0 * setup.rho_nuc {
+                // Past bounce: run a little longer ("40 ms after"), then stop.
+                post_bounce += 1;
+                if post_bounce > 10 {
+                    break;
+                }
             }
         }
-    }
-    let j_by_angle = angular_momentum_histogram(&sim.parts, 9);
-    let pole_to_equator = pole_equator_ratio(&sim.parts);
+        (sim.shard, peak, bounce_time, steps)
+    });
+    let (_, peak_density, bounce_time, steps) = ranks[0];
+    let parts: Vec<SphParticle> = ranks.into_iter().flat_map(|r| r.0).collect();
     CollapseResult {
-        peak_density: peak,
+        peak_density,
         bounce_time,
-        j_by_angle,
-        pole_to_equator,
-        steps: sim.steps,
+        j_by_angle: angular_momentum_histogram(&parts, 9),
+        pole_to_equator: pole_equator_ratio(&parts),
+        steps,
     }
 }
 
@@ -224,7 +240,8 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow: full collapse through bounce (~2 min); run with --ignored"]
+    #[ignore = "fails: the 600-particle core peaks at rho 6.15 < 10 x its initial 1.126 \
+                and never reaches rho_nuc = 50 (~8 s release); run with --ignored"]
     fn collapse_bounces_at_nuclear_density() {
         let setup = CollapseSetup {
             n_particles: 600,

@@ -128,7 +128,9 @@ pub(crate) fn hydro_forces_targets(
 }
 
 /// Add self-gravity accelerations from the tree (softened by the local
-/// smoothing length scale `eps`).
+/// smoothing length scale `eps`). The stepper walks gravity with
+/// `hot::parallel` instead; this per-body walk stays for hostbench's
+/// replay of the serial right-hand side's stages.
 pub fn add_gravity(parts: &mut [SphParticle], nt: &NeighborTree, theta: f64, eps: f64) {
     let cfg = GravityConfig {
         theta,

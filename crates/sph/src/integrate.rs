@@ -1,10 +1,9 @@
-//! CFL-limited leapfrog driver for the SPH equations.
+//! SPH configuration, CFL limit and the one-rank driver.
 
-use crate::density::compute_density;
 use crate::eos::Eos;
-use crate::forces::{add_gravity, apply_eos, hydro_forces, Viscosity};
-use crate::neighbors::NeighborTree;
-use crate::neutrino::{neutrino_transport, NeutrinoConfig};
+use crate::forces::Viscosity;
+use crate::neutrino::NeutrinoConfig;
+use crate::parallel::DistributedSph;
 use crate::particle::SphParticle;
 
 /// Simulation configuration.
@@ -37,62 +36,51 @@ impl Default for SphConfig {
     }
 }
 
-/// A running SPH simulation.
+/// A running SPH simulation: [`DistributedSph`] on a world of one rank.
 pub struct SphSimulation {
     pub parts: Vec<SphParticle>,
     pub cfg: SphConfig,
     pub time: f64,
     pub steps: u64,
+    h_hint: f64,
 }
 
 impl SphSimulation {
     /// Set up: build the tree, compute densities, EOS and initial forces.
-    pub fn new(mut parts: Vec<SphParticle>, cfg: SphConfig) -> SphSimulation {
+    pub fn new(parts: Vec<SphParticle>, cfg: SphConfig) -> SphSimulation {
         assert!(!parts.is_empty());
-        Self::compute_rhs(&mut parts, &cfg);
+        let sim = one_rank(|c| DistributedSph::with_config(c, parts.clone(), cfg));
         SphSimulation {
-            parts,
+            parts: sim.shard,
             cfg,
             time: 0.0,
             steps: 0,
-        }
-    }
-
-    fn compute_rhs(parts: &mut [SphParticle], cfg: &SphConfig) {
-        let nt = NeighborTree::build(parts);
-        compute_density(parts, &nt);
-        apply_eos(parts, &cfg.eos);
-        hydro_forces(parts, &nt, &cfg.viscosity);
-        if let Some(theta) = cfg.gravity_theta {
-            let eps = 0.5 * parts.iter().map(|p| p.h).fold(f64::INFINITY, f64::min);
-            add_gravity(parts, &nt, theta, eps.max(1e-6));
-        }
-        if let Some(nu) = &cfg.neutrino {
-            neutrino_transport(parts, &nt, nu);
+            h_hint: sim.h_hint,
         }
     }
 
     /// The CFL timestep: `cfl · min h/(cs + |v| + ε)`, floored at `dt_min`.
     pub fn cfl_dt(&self) -> f64 {
-        cfl_limit(&self.parts, self.cfg.cfl, self.cfg.dt_max).max(self.cfg.dt_min)
+        cfl_limit(&self.parts, &self.cfg)
     }
 
     /// One KDK leapfrog step; returns the dt taken.
     pub fn step(&mut self) -> f64 {
         let dt = self.cfl_dt();
-        kick_drift_kick(&mut self.parts, dt, |parts| {
-            Self::compute_rhs(parts, &self.cfg)
+        let state = DistributedSph {
+            shard: std::mem::take(&mut self.parts),
+            cfg: self.cfg,
+            time: self.time,
+            h_hint: self.h_hint,
+        };
+        let sim = one_rank(|c| {
+            let mut sim = state.clone();
+            sim.step(c, dt);
+            sim
         });
-        self.time += dt;
+        (self.parts, self.time, self.h_hint) = (sim.shard, sim.time, sim.h_hint);
         self.steps += 1;
         dt
-    }
-
-    /// Run until `t_end` or `max_steps`.
-    pub fn run_until(&mut self, t_end: f64, max_steps: u64) {
-        while self.time < t_end && self.steps < max_steps {
-            self.step();
-        }
     }
 
     /// Peak density over particles (bounce diagnostic).
@@ -126,10 +114,16 @@ impl SphSimulation {
     }
 }
 
-/// The CFL limit over `parts`, at most `dt_max`: `cfl · min h/(cs + |v|
-/// + ε)`, and `cfl · min √(h/|a|)` over accelerating particles.
-pub(crate) fn cfl_limit(parts: &[SphParticle], cfl: f64, dt_max: f64) -> f64 {
-    let mut dt = dt_max;
+/// `f` on the one rank of a plain world.
+fn one_rank<T: Send>(f: impl Fn(&mut msg::Comm) -> T + Sync) -> T {
+    msg::run(1, f).pop().expect("a world of one rank")
+}
+
+/// The CFL limit over `parts`, within `[dt_min, dt_max]`: `cfl · min
+/// h/(cs + |v| + ε)`, and `cfl · min √(h/|a|)` over accelerating
+/// particles.
+pub(crate) fn cfl_limit(parts: &[SphParticle], cfg: &SphConfig) -> f64 {
+    let (cfl, mut dt) = (cfg.cfl, cfg.dt_max);
     for p in parts {
         let signal = p.cs + p.speed() + 1e-12;
         dt = dt.min(cfl * p.h / signal);
@@ -138,34 +132,7 @@ pub(crate) fn cfl_limit(parts: &[SphParticle], cfl: f64, dt_max: f64) -> f64 {
             dt = dt.min(cfl * (p.h / a).sqrt());
         }
     }
-    dt
-}
-
-/// One kick–drift–kick leapfrog step of `dt`, the one both steppers take:
-/// a half kick of `vel`, `u` and `enu`, the drift, `rhs` (which may
-/// re-shard `parts`), and the closing half kick of whatever it left.
-pub(crate) fn kick_drift_kick(
-    parts: &mut Vec<SphParticle>,
-    dt: f64,
-    rhs: impl FnOnce(&mut Vec<SphParticle>),
-) {
-    let half_kick = |parts: &mut [SphParticle]| {
-        for p in parts {
-            for d in 0..3 {
-                p.vel[d] += 0.5 * dt * p.acc[d];
-            }
-            p.u = (p.u + 0.5 * dt * p.du_dt).max(0.0);
-            p.enu = (p.enu + 0.5 * dt * p.denu_dt).max(0.0);
-        }
-    };
-    half_kick(parts);
-    for p in parts.iter_mut() {
-        for d in 0..3 {
-            p.pos[d] += dt * p.vel[d];
-        }
-    }
-    rhs(parts);
-    half_kick(parts);
+    dt.max(cfg.dt_min)
 }
 
 #[cfg(test)]
@@ -286,13 +253,13 @@ mod tests {
         h
     }
 
-    /// Recorded before the pair search pruned by each cell's largest h
-    /// and before density was summed inside the h search: every accepted
-    /// pair is still visited in the same order, so no bit moves.
+    /// Recorded when the serial stepper became the one-rank
+    /// `DistributedSph`: particles in Morton order, gravity from the
+    /// `hot::parallel` walk (was `883c25dc78c33cc5`).
     #[test]
     fn serial_stepper_end_state_is_pinned() {
         let got = serial_end_state_digest();
-        assert_eq!(got, 0x883c_25dc_78c3_3cc5, "digest {got:016x}");
+        assert_eq!(got, 0xe674_5d50_c1ab_7e4a, "digest {got:016x}");
     }
 
     #[test]

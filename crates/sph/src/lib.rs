@@ -15,11 +15,12 @@
 //! * [`forces`] — momentum and energy equations with Monaghan
 //!   artificial viscosity, plus tree gravity;
 //! * [`neutrino`] — grey flux-limited diffusion on particles;
-//! * [`integrate`] — CFL-limited leapfrog driver;
+//! * [`integrate`] — CFL-limited leapfrog step and the one-rank driver;
 //! * [`collapse`] — rotating-polytrope core-collapse setup (Figure 8);
 //! * [`sedov`] — the Sedov–Taylor blast validation problem;
 //! * [`parallel`] — domain-decomposed SPH with ghost exchange over the
-//!   message-passing layer (§4.4's distributed runs).
+//!   message-passing layer (§4.4's distributed runs), the one right-hand
+//!   side and stepper.
 
 // Numeric kernels index several parallel arrays in lockstep; the
 // iterator-adapter rewrites clippy suggests obscure that.

@@ -18,6 +18,13 @@ use crate::kernel;
 use crate::neighbors::NeighborTree;
 use crate::particle::SphParticle;
 
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch (test builds only): transport skips every
+    /// pair whose source is a ghost. Rank threads read their own copy.
+    pub(crate) static OWNED_SOURCES_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Transport parameters (code units).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeutrinoConfig {
@@ -62,17 +69,37 @@ fn fld_r(de: f64, dr: f64, kappa_rho: f64, e_mean: f64) -> f64 {
 /// total (thermal + neutrino) energy is conserved up to the free-
 /// streaming losses at the surface, which here stay in `enu`.
 pub fn neutrino_transport(parts: &mut [SphParticle], nt: &NeighborTree, cfg: &NeutrinoConfig) {
+    neutrino_transport_targets(parts, nt, cfg, parts.len());
+}
+
+/// [`neutrino_transport`] for the first `n_targets` particles only: the
+/// rest (ghosts) are sources, and their `denu_dt` and `du_dt` are left
+/// as they came. Each pair is taken once, from its lower index, and
+/// scattered to both sides; ghosts sit above every target, so a target
+/// still gets every pair term, and the all-targets case is the full
+/// evaluation bit for bit.
+pub(crate) fn neutrino_transport_targets(
+    parts: &mut [SphParticle],
+    nt: &NeighborTree,
+    cfg: &NeutrinoConfig,
+    n_targets: usize,
+) {
     let n = parts.len();
     let mut denu = vec![0.0f64; n];
     let mut du = vec![0.0f64; n];
+    // Cell bounds over sources too, as in the force pass.
     let hb = nt.h_bounds(parts);
     // Diffusion (Brookshaw form, harmonic-mean D, flux-limited).
-    for (i, pi) in parts.iter().enumerate() {
+    for (i, pi) in parts[..n_targets].iter().enumerate() {
         if pi.rho <= 0.0 {
             continue;
         }
         nt.pair_visit(pi.pos, pi.h, &hb, |j| {
             if j <= i {
+                return;
+            }
+            #[cfg(test)]
+            if OWNED_SOURCES_ONLY.get() && j >= n_targets {
                 return;
             }
             let pj = &parts[j];
@@ -106,12 +133,13 @@ pub fn neutrino_transport(parts: &mut [SphParticle], nt: &NeighborTree, cfg: &Ne
         });
     }
     // Emission / thermal coupling.
-    for (i, p) in parts.iter().enumerate() {
+    for (i, p) in parts[..n_targets].iter().enumerate() {
         let emit = cfg.emit0 * p.rho * p.u.max(0.0).powi(3);
         denu[i] += emit;
         du[i] -= emit;
     }
-    for (p, (de, duv)) in parts.iter_mut().zip(denu.into_iter().zip(du)) {
+    let targets = parts[..n_targets].iter_mut();
+    for (p, (de, duv)) in targets.zip(denu.into_iter().zip(du)) {
         p.denu_dt = de;
         p.du_dt += duv;
     }

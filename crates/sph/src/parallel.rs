@@ -8,16 +8,19 @@
 //! returns its shard. Ghosts are **sources, not targets**: they sit in
 //! the neighbour tree and every sum over an owned particle reads them,
 //! but no sum is evaluated *at* a ghost — its owner does that, with the
-//! whole neighbourhood an edge ghost lacks here. [`DistributedSph`] runs
-//! self-gravity with `hot::parallel::accelerations_on` on that same
-//! decomposition, so each acceleration lands on the rank that owns it.
+//! whole neighbourhood an edge ghost lacks here. Neutrino transport runs
+//! in the force phase the same way. [`DistributedSph`] runs self-gravity
+//! with `hot::parallel::accelerations_on` on that same decomposition, so
+//! each acceleration lands on the rank that owns it; on one rank it is
+//! [`SphSimulation`](crate::SphSimulation).
 
 use crate::density::compute_density_targets;
 use crate::eos::Eos;
 use crate::forces::{apply_eos, hydro_forces_targets, Viscosity};
-use crate::integrate::{cfl_limit, kick_drift_kick};
+use crate::integrate::{cfl_limit, SphConfig};
 use crate::kernel;
 use crate::neighbors::NeighborTree;
+use crate::neutrino::neutrino_transport_targets;
 use crate::particle::SphParticle;
 use hot::domain::{decompose_by, Decomposition};
 use hot::gravity::GravityConfig;
@@ -80,18 +83,23 @@ pub fn distributed_hydro(
     visc: &Viscosity,
     h_max_hint: f64,
 ) -> Vec<SphParticle> {
-    hydro(comm, parts, eos, visc, h_max_hint).0
+    let cfg = SphConfig {
+        eos: *eos,
+        viscosity: *visc,
+        ..Default::default()
+    };
+    hydro(comm, parts, &cfg, h_max_hint).0
 }
 
-/// [`distributed_hydro`], also returning the decomposition the shard is
-/// this rank's part of and the converged global `h_max`.
+/// [`distributed_hydro`] under `cfg`'s EOS and viscosity, with neutrino
+/// transport if `cfg` has it, also returning the decomposition the shard
+/// is this rank's part of and the converged global `(h_min, h_max)`.
 fn hydro(
     comm: &mut Comm,
     parts: Vec<SphParticle>,
-    eos: &Eos,
-    visc: &Viscosity,
+    cfg: &SphConfig,
     h_max_hint: f64,
-) -> (Vec<SphParticle>, Decomposition, f64) {
+) -> (Vec<SphParticle>, Decomposition, (f64, f64)) {
     // 1. Rebalance: the treecode's Morton-key decomposition, one unit of
     //    work per particle.
     comm.span_enter("sph.rebalance");
@@ -133,7 +141,7 @@ fn hydro(
     //    ghosts completing the boundary neighbourhoods. If the adaptive
     //    h outgrows the pad, widen and redo.
     let mut pad = kernel::SUPPORT * h_max_hint * 1.3;
-    let mut h_max = 0.0;
+    let (mut h_min, mut h_max) = (0.0, 0.0);
     comm.span_enter("sph.density");
     for attempt in 0..4 {
         let ghosts = exchange_ghosts(comm, &mine, pad);
@@ -143,7 +151,7 @@ fn hydro(
         if !work.is_empty() {
             let nt = NeighborTree::build(&work);
             compute_density_targets(&mut work, &nt, n_own);
-            apply_eos(&mut work[..n_own], eos);
+            apply_eos(&mut work[..n_own], &cfg.eos);
             // Charge the density pass to the virtual clock with the
             // §4.4 cost model: ~120 neighbours/particle, density+EOS is
             // the cheaper ~2/5 of the ~250 flops per interaction. Flops
@@ -154,8 +162,11 @@ fn hydro(
         }
         work.truncate(n_own);
         mine = work;
+        let h_min_local = mine.iter().map(|p| p.h).fold(f64::INFINITY, f64::min);
         let h_max_local = mine.iter().map(|p| p.h).fold(0.0f64, f64::max);
-        h_max = comm.allreduce(h_max_local, |a, b| a.max(*b));
+        (h_min, h_max) = comm.allreduce((h_min_local, h_max_local), |a, b| {
+            (a.0.min(b.0), a.1.max(b.1))
+        });
         let needed = kernel::SUPPORT * h_max * 1.05;
         let done = comm.allreduce(u8::from(needed <= pad), |a, b| (*a).min(*b));
         if done == 1 || attempt == 3 {
@@ -179,17 +190,23 @@ fn hydro(
     work.extend(ghosts);
     if work.is_empty() {
         comm.span_exit("sph.forces");
-        return (work, decomp, h_max);
+        return (work, decomp, (h_min, h_max));
     }
     let nt = NeighborTree::build(&work);
-    hydro_forces_targets(&mut work, &nt, visc, n_own);
+    hydro_forces_targets(&mut work, &nt, &cfg.viscosity, n_own);
     // Force pass: the remaining ~3/5 of the per-interaction flops.
     let flops = n_own as f64 * 120.0 * 150.0;
     comm.compute(flops, (work.len() * PARTICLE_BYTES) as f64);
     comm.obs_count("sph.interactions", (n_own as u64).saturating_mul(120));
+    if let Some(nu) = &cfg.neutrino {
+        // Transport over the same pairs: ~60 flops per interaction.
+        neutrino_transport_targets(&mut work, &nt, nu, n_own);
+        let flops = n_own as f64 * 120.0 * 60.0;
+        comm.compute(flops, (work.len() * PARTICLE_BYTES) as f64);
+    }
     work.truncate(n_own);
     comm.span_exit("sph.forces");
-    (work, decomp, h_max)
+    (work, decomp, (h_min, h_max))
 }
 
 #[cfg(test)]
@@ -199,9 +216,11 @@ pub(crate) mod tests {
     use crate::density::compute_density;
     use crate::forces::hydro_forces;
     use crate::neighbors::GATHER_ONLY_REACH;
+    use crate::neutrino::{neutrino_transport, OWNED_SOURCES_ONLY};
     use msg::Machine;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
     use std::collections::HashMap;
     use std::thread::LocalKey;
 
@@ -377,6 +396,61 @@ pub(crate) mod tests {
         }
     }
 
+    /// Worst relative deviation of an owned particle's `denu_dt` on
+    /// `nranks` ranks from the full `neutrino_transport`, on the
+    /// 600-particle core (seed 5) with random `enu`, with `mutant` (if
+    /// any) armed on every rank.
+    fn neutrino_deviation(nranks: usize, mutant: Option<&'static LocalKey<Cell<bool>>>) -> f64 {
+        let (mut all, cfg) = rotating_core(&CollapseSetup {
+            n_particles: 600,
+            seed: 5,
+            ..Default::default()
+        });
+        let mut rng = SmallRng::seed_from_u64(5);
+        for p in &mut all {
+            p.enu = rng.gen();
+        }
+        let mut full = all.clone();
+        let nt = NeighborTree::build(&full);
+        compute_density(&mut full, &nt);
+        apply_eos(&mut full, &cfg.eos);
+        neutrino_transport(&mut full, &nt, &cfg.neutrino.unwrap());
+        let want: HashMap<u64, f64> = full.iter().map(|p| (p.id, p.denu_dt)).collect();
+        let shards = msg::run(nranks, |c| {
+            if let Some(m) = mutant {
+                m.set(true);
+            }
+            hydro(c, shard_of(&all, c), &cfg, 0.2).0
+        });
+        let owned = shards.iter().flatten();
+        assert_eq!(owned.clone().count(), 600);
+        owned
+            .map(|p| (p.denu_dt - want[&p.id]).abs() / want[&p.id].abs())
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn owned_neutrino_transport_matches_the_full_evaluation() {
+        for nranks in [1, 2, 4] {
+            let worst = neutrino_deviation(nranks, None);
+            assert!(worst <= 1e-12, "{nranks} ranks: worst {worst:e}");
+        }
+    }
+
+    /// Teeth: transport that reads no ghost misses the pair terms across
+    /// every rank boundary.
+    #[test]
+    fn neutrino_oracle_catches_a_transport_blind_to_ghosts() {
+        for nranks in [2, 4] {
+            assert!(neutrino_deviation(nranks, None) <= 1e-12, "{nranks} ranks");
+            let worst = neutrino_deviation(nranks, Some(&OWNED_SOURCES_ONLY));
+            assert!(
+                worst > 1e-12,
+                "{nranks} ranks, owned sources only: {worst:e}"
+            );
+        }
+    }
+
     #[test]
     fn adding_ranks_shortens_the_hydro_call_on_the_virtual_clock() {
         let end_vtime = |nranks: usize| {
@@ -467,30 +541,37 @@ pub(crate) mod tests {
     }
 }
 
-/// A fully distributed SPH simulation: hydrodynamics via ghost exchange,
-/// self-gravity via the distributed HOT traversal on the hydro's own
-/// decomposition, global CFL timestep.
+/// A fully distributed SPH simulation: hydrodynamics and neutrino
+/// transport via ghost exchange, self-gravity via the distributed HOT
+/// traversal on the hydro's own decomposition, global CFL timestep.
+#[derive(Clone)]
 pub struct DistributedSph {
     pub shard: Vec<SphParticle>,
-    pub eos: Eos,
-    pub visc: Viscosity,
-    pub theta: f64,
-    pub cfl: f64,
-    pub dt_max: f64,
+    pub cfg: SphConfig,
     pub time: f64,
-    h_hint: f64,
+    /// The last converged global `h_max`: the next ghost pad's guess.
+    pub(crate) h_hint: f64,
 }
 
 impl DistributedSph {
-    /// Set up from this rank's initial shard and compute the first RHS.
+    /// Set up from this rank's initial shard with gravity at `theta`,
+    /// `dt_max` 0.02 and the other defaults (no neutrinos), and compute
+    /// the first RHS.
     pub fn new(comm: &mut Comm, shard: Vec<SphParticle>, eos: Eos, theta: f64) -> DistributedSph {
+        let cfg = SphConfig {
+            eos,
+            gravity_theta: Some(theta),
+            dt_max: 0.02,
+            ..Default::default()
+        };
+        Self::with_config(comm, shard, cfg)
+    }
+
+    /// Set up from this rank's initial shard and compute the first RHS.
+    pub fn with_config(comm: &mut Comm, shard: Vec<SphParticle>, cfg: SphConfig) -> DistributedSph {
         let mut sim = DistributedSph {
             shard: Vec::new(),
-            eos,
-            visc: Viscosity::default(),
-            theta,
-            cfl: 0.3,
-            dt_max: 0.02,
+            cfg,
             time: 0.0,
             h_hint: 0.2,
         };
@@ -498,10 +579,14 @@ impl DistributedSph {
         sim
     }
 
-    /// Hydro + gravity RHS across the world; returns `parts` re-sharded.
+    /// Hydro, neutrino and gravity RHS across the world; returns `parts`
+    /// re-sharded. Gravity is softened at `0.5 · h_min`.
     fn compute_rhs(&mut self, comm: &mut Comm, parts: Vec<SphParticle>) -> Vec<SphParticle> {
-        let (mut parts, decomp, h_max) = hydro(comm, parts, &self.eos, &self.visc, self.h_hint);
+        let (mut parts, decomp, (h_min, h_max)) = hydro(comm, parts, &self.cfg, self.h_hint);
         self.h_hint = h_max.max(1e-6);
+        let Some(theta) = self.cfg.gravity_theta else {
+            return parts;
+        };
         let bodies: Vec<Body> = parts
             .iter()
             .map(|p| Body {
@@ -514,8 +599,8 @@ impl DistributedSph {
             .collect();
         let cfg = ParallelConfig {
             gravity: GravityConfig {
-                theta: self.theta,
-                eps: 0.5 * self.h_hint,
+                theta,
+                eps: (0.5 * h_min).max(1e-6),
                 ..Default::default()
             },
             ..Default::default()
@@ -534,17 +619,32 @@ impl DistributedSph {
 
     /// Global CFL timestep (allreduced minimum).
     pub fn cfl_dt(&self, comm: &mut Comm) -> f64 {
-        let dt = cfl_limit(&self.shard, self.cfl, self.dt_max);
+        let dt = cfl_limit(&self.shard, &self.cfg);
         comm.allreduce(dt, |a, b| a.min(*b))
     }
 
-    /// One KDK step with an explicit `dt` (pass `cfl_dt` for adaptive).
+    /// One kick–drift–kick leapfrog step of an explicit `dt` (pass
+    /// `cfl_dt` for adaptive): a half kick of `vel`, `u` and `enu`, the
+    /// drift, the RHS (which re-shards), and the closing half kick.
     pub fn step(&mut self, comm: &mut Comm, dt: f64) {
-        let mut shard = std::mem::take(&mut self.shard);
-        kick_drift_kick(&mut shard, dt, |parts| {
-            *parts = self.compute_rhs(comm, std::mem::take(parts));
-        });
-        self.shard = shard;
+        let half_kick = |parts: &mut [SphParticle]| {
+            for p in parts {
+                for d in 0..3 {
+                    p.vel[d] += 0.5 * dt * p.acc[d];
+                }
+                p.u = (p.u + 0.5 * dt * p.du_dt).max(0.0);
+                p.enu = (p.enu + 0.5 * dt * p.denu_dt).max(0.0);
+            }
+        };
+        half_kick(&mut self.shard);
+        for p in &mut self.shard {
+            for d in 0..3 {
+                p.pos[d] += dt * p.vel[d];
+            }
+        }
+        let drifted = std::mem::take(&mut self.shard);
+        self.shard = self.compute_rhs(comm, drifted);
+        half_kick(&mut self.shard);
         self.time += dt;
     }
 }
@@ -552,56 +652,14 @@ impl DistributedSph {
 #[cfg(test)]
 mod stepper_tests {
     use super::*;
-    use crate::density::compute_density;
-    use crate::forces::hydro_forces;
-    use crate::integrate::{SphConfig, SphSimulation};
+    use crate::collapse::{rotating_core, CollapseSetup};
+    use crate::integrate::SphSimulation;
 
-    #[test]
-    fn distributed_stepper_tracks_the_serial_one() {
+    /// `gas_ball(500, 21)` after three fixed 0.004 steps of θ = 0.5
+    /// gravity on `nranks` ranks, as `(id, pos)` in id order.
+    fn fixed_dt_positions(nranks: usize) -> Vec<(u64, [f64; 3])> {
         let all = tests::gas_ball(500, 21);
-        // Serial reference with the matching configuration.
-        let cfg = SphConfig {
-            eos: Eos::GammaLaw { gamma: 5.0 / 3.0 },
-            gravity_theta: Some(0.5),
-            neutrino: None,
-            dt_max: 0.02,
-            ..Default::default()
-        };
-        let dt = 0.004;
-        let mut serial = SphSimulation::new(all.clone(), cfg);
-        for _ in 0..3 {
-            // Reproduce SphSimulation::step with a fixed dt, bypassing
-            // the CFL (the distributed run uses the same value):
-            for p in &mut serial.parts {
-                for d in 0..3 {
-                    p.vel[d] += 0.5 * dt * p.acc[d];
-                    p.pos[d] += dt * p.vel[d];
-                }
-                p.u = (p.u + 0.5 * dt * p.du_dt).max(0.0);
-            }
-            // Recompute serial RHS through the public pipeline.
-            let mut parts = std::mem::take(&mut serial.parts);
-            let nt = NeighborTree::build(&parts);
-            compute_density(&mut parts, &nt);
-            apply_eos(&mut parts, &cfg.eos);
-            hydro_forces(&mut parts, &nt, &cfg.viscosity);
-            // Serial gravity at matching softening rule (0.5 * h_max).
-            let h_max = parts.iter().map(|p| p.h).fold(0.0f64, f64::max);
-            let nt2 = NeighborTree::build(&parts);
-            crate::forces::add_gravity(&mut parts, &nt2, 0.5, 0.5 * h_max);
-            serial.parts = parts;
-            for p in &mut serial.parts {
-                for d in 0..3 {
-                    p.vel[d] += 0.5 * dt * p.acc[d];
-                }
-                p.u = (p.u + 0.5 * dt * p.du_dt).max(0.0);
-            }
-        }
-        let mut serial_pos: Vec<(u64, [f64; 3])> =
-            serial.parts.iter().map(|p| (p.id, p.pos)).collect();
-        serial_pos.sort_by_key(|x| x.0);
-
-        let shards = msg::run(3, |c| {
+        let shards = msg::run(nranks, |c| {
             let mine = tests::shard_of(&all, c);
             let mut sim = DistributedSph::new(c, mine, Eos::GammaLaw { gamma: 5.0 / 3.0 }, 0.5);
             for _ in 0..3 {
@@ -609,8 +667,15 @@ mod stepper_tests {
             }
             sim.shard.iter().map(|p| (p.id, p.pos)).collect::<Vec<_>>()
         });
-        let mut dist_pos: Vec<(u64, [f64; 3])> = shards.into_iter().flatten().collect();
-        dist_pos.sort_by_key(|x| x.0);
+        let mut pos: Vec<(u64, [f64; 3])> = shards.into_iter().flatten().collect();
+        pos.sort_by_key(|x| x.0);
+        pos
+    }
+
+    #[test]
+    fn distributed_stepper_tracks_the_serial_one() {
+        // The serial stepper is the one-rank case.
+        let (serial_pos, dist_pos) = (fixed_dt_positions(1), fixed_dt_positions(3));
         assert_eq!(dist_pos.len(), serial_pos.len());
         let mut worst: f64 = 0.0;
         for ((_, a), (_, b)) in dist_pos.iter().zip(&serial_pos) {
@@ -618,10 +683,46 @@ mod stepper_tests {
                 worst = worst.max((a[d] - b[d]).abs());
             }
         }
-        // Serial uses the per-body serial tree; distributed uses the HOT
-        // request-driven walk. Both are within MAC error of the truth,
-        // so trajectories agree to ~1e-4 over a few steps.
+        // Three ranks cut the gravity tree and order the pair sums
+        // differently from one, so the bits part, but the trajectories
+        // agree far inside MAC error over a few steps.
         assert!(worst < 5e-3, "worst position deviation {worst}");
+    }
+
+    /// Every particle's state as bits, in shard order.
+    fn state_bits(parts: &[SphParticle]) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for p in parts {
+            let vectors = [p.pos, p.vel, p.acc].into_iter().flatten();
+            let scalars = [p.h, p.rho, p.u, p.pres, p.cs, p.du_dt, p.enu, p.denu_dt];
+            bits.push(p.id);
+            bits.extend(vectors.chain(scalars).map(f64::to_bits));
+        }
+        bits
+    }
+
+    #[test]
+    fn sph_simulation_is_the_one_rank_stepper() {
+        let (parts, cfg) = rotating_core(&CollapseSetup {
+            n_particles: 500,
+            ..Default::default()
+        });
+        assert!(cfg.gravity_theta.is_some() && cfg.neutrino.is_some());
+        let mut serial = SphSimulation::new(parts.clone(), cfg);
+        for _ in 0..3 {
+            serial.step();
+        }
+        let mut one = msg::run(1, |c| {
+            let mut sim = DistributedSph::with_config(c, parts.clone(), cfg);
+            for _ in 0..3 {
+                let dt = sim.cfl_dt(c);
+                sim.step(c, dt);
+            }
+            sim
+        });
+        let one = one.pop().unwrap();
+        assert_eq!(serial.time.to_bits(), one.time.to_bits());
+        assert!(state_bits(&serial.parts) == state_bits(&one.shard));
     }
 
     /// FNV-1a over the bits of `(id, pos, vel, acc, u, rho, enu)` in id
@@ -653,13 +754,12 @@ mod stepper_tests {
         h
     }
 
-    /// Recorded while gravity still ran on its own decomposition and came
-    /// home by id hash: on one rank both decompositions are the same
-    /// sort, so the tree, and every bit of the end state, is unchanged.
+    /// Recorded when gravity softening moved from `0.5 · h_max` to the
+    /// serial stepper's `0.5 · h_min` (was `019463c6fba9ddf3`).
     #[test]
     fn one_rank_stepper_end_state_is_pinned() {
         let got = one_rank_end_state_digest();
-        assert_eq!(got, 0x0194_63c6_fba9_ddf3, "digest {got:016x}");
+        assert_eq!(got, 0xb7cd_308b_b4d5_99b1, "digest {got:016x}");
     }
 
     #[test]
