@@ -390,6 +390,72 @@ mod tests {
 /// autovectorizer 512 bits of f64 to play with.
 pub const SPAN_LANES: usize = 8;
 
+/// The softened P2P pair of a source at `s` with mass `m` on a target at
+/// `t`: the separation `s − t`, `m/r³` and `1/r`, `[dx, dy, dz, m/r³,
+/// 1/r]`, which [`p2p_add`] folds into one accumulator lane. Every P2P kernel — lanes over sources
+/// ([`p2p_span`]) or over targets ([`crate::ilist`]'s walk evaluator) —
+/// goes through these two, so they agree to the bit.
+#[inline(always)]
+pub(crate) fn p2p_pair(t: [f64; 3], s: [f64; 3], m: f64, eps2: f64) -> [f64; 5] {
+    let dx = s[0] - t[0];
+    let dy = s[1] - t[1];
+    let dz = s[2] - t[2];
+    let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
+    let rinv = 1.0 / r2.sqrt();
+    [dx, dy, dz, m * (rinv * rinv * rinv), rinv]
+}
+
+/// Fold a [`p2p_pair`] of a source of mass `m` into one lane's
+/// `[ax, ay, az, φ]` accumulators.
+#[inline(always)]
+pub(crate) fn p2p_add(lane: [&mut f64; 4], [dx, dy, dz, mr3, rinv]: [f64; 5], m: f64) {
+    let [ax, ay, az, ph] = lane;
+    *ax = dx.mul_add(mr3, *ax);
+    *ay = dy.mul_add(mr3, *ay);
+    *az = dz.mul_add(mr3, *az);
+    *ph = m.mul_add(-rinv, *ph);
+}
+
+/// The quadrupole M2P pair of a cell with center of mass `s`, mass `m`
+/// and traceless quadrupole `q` on a target at `t`: what it adds to the
+/// acceleration and subtracts from the potential, `[ax, ay, az, φ]`, for
+/// [`m2p_quad_add`]. Shared by [`m2p_span`] and the walk evaluator, as
+/// [`p2p_pair`] is.
+#[inline(always)]
+pub(crate) fn m2p_quad_pair(t: [f64; 3], s: [f64; 3], m: f64, q: [f64; 6], eps2: f64) -> [f64; 4] {
+    let dx = s[0] - t[0];
+    let dy = s[1] - t[1];
+    let dz = s[2] - t[2];
+    let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
+    let rinv = 1.0 / r2.sqrt();
+    let rinv2 = rinv * rinv;
+    let rinv3 = rinv * rinv2;
+    let mr3 = m * rinv3;
+    let qr0 = q[4].mul_add(dz, q[3].mul_add(dy, q[0] * dx));
+    let qr1 = q[5].mul_add(dz, q[1].mul_add(dy, q[3] * dx));
+    let qr2 = q[2].mul_add(dz, q[5].mul_add(dy, q[4] * dx));
+    let rqr = qr2.mul_add(dz, qr1.mul_add(dy, qr0 * dx));
+    let rinv5 = rinv3 * rinv2;
+    let rinv7 = rinv5 * rinv2;
+    let c25 = 2.5 * rqr * rinv7;
+    [
+        dx.mul_add(mr3, dx.mul_add(c25, -qr0 * rinv5)),
+        dy.mul_add(mr3, dy.mul_add(c25, -qr1 * rinv5)),
+        dz.mul_add(mr3, dz.mul_add(c25, -qr2 * rinv5)),
+        m.mul_add(rinv, 0.5 * rqr * rinv5),
+    ]
+}
+
+/// Fold an [`m2p_quad_pair`] into one lane's `[ax, ay, az, φ]`.
+#[inline(always)]
+pub(crate) fn m2p_quad_add(lane: [&mut f64; 4], terms: [f64; 4]) {
+    let [ax, ay, az, ph] = lane;
+    *ax += terms[0];
+    *ay += terms[1];
+    *az += terms[2];
+    *ph -= terms[3];
+}
+
 /// P2P over a structure-of-arrays span of sources: `xs/ys/zs/ms` are
 /// parallel slices gathered by the interaction-list engine
 /// ([`crate::ilist`]). Eight-wide unrolled with `f64::mul_add`; the
@@ -419,30 +485,18 @@ pub fn p2p_span(
         let z: &[f64; W] = zs[o..o + W].try_into().unwrap();
         let m: &[f64; W] = ms[o..o + W].try_into().unwrap();
         for l in 0..W {
-            let dx = x[l] - tp[0];
-            let dy = y[l] - tp[1];
-            let dz = z[l] - tp[2];
-            let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
-            let rinv = 1.0 / r2.sqrt();
-            let mr3 = m[l] * (rinv * rinv * rinv);
-            ax[l] = dx.mul_add(mr3, ax[l]);
-            ay[l] = dy.mul_add(mr3, ay[l]);
-            az[l] = dz.mul_add(mr3, az[l]);
-            ph[l] = m[l].mul_add(-rinv, ph[l]);
+            let pair = p2p_pair(tp, [x[l], y[l], z[l]], m[l], eps2);
+            p2p_add([&mut ax[l], &mut ay[l], &mut az[l], &mut ph[l]], pair, m[l]);
         }
     }
     for i in chunks * W..n {
         let l = i - chunks * W;
-        let dx = xs[i] - tp[0];
-        let dy = ys[i] - tp[1];
-        let dz = zs[i] - tp[2];
-        let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
-        let rinv = 1.0 / r2.sqrt();
-        let mr3 = ms[i] * (rinv * rinv * rinv);
-        ax[l] = dx.mul_add(mr3, ax[l]);
-        ay[l] = dy.mul_add(mr3, ay[l]);
-        az[l] = dz.mul_add(mr3, az[l]);
-        ph[l] = ms[i].mul_add(-rinv, ph[l]);
+        let pair = p2p_pair(tp, [xs[i], ys[i], zs[i]], ms[i], eps2);
+        p2p_add(
+            [&mut ax[l], &mut ay[l], &mut az[l], &mut ph[l]],
+            pair,
+            ms[i],
+        );
     }
     out.acc[0] += ax.iter().sum::<f64>();
     out.acc[1] += ay.iter().sum::<f64>();
@@ -496,48 +550,16 @@ pub fn m2p_span(
         let q4: &[f64; W] = q[4][o..o + W].try_into().unwrap();
         let q5: &[f64; W] = q[5][o..o + W].try_into().unwrap();
         for l in 0..W {
-            let dx = x[l] - tp[0];
-            let dy = y[l] - tp[1];
-            let dz = z[l] - tp[2];
-            let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
-            let rinv = 1.0 / r2.sqrt();
-            let rinv2 = rinv * rinv;
-            let rinv3 = rinv * rinv2;
-            let mr3 = m[l] * rinv3;
-            let qr0 = q4[l].mul_add(dz, q3[l].mul_add(dy, q0[l] * dx));
-            let qr1 = q5[l].mul_add(dz, q1[l].mul_add(dy, q3[l] * dx));
-            let qr2 = q2[l].mul_add(dz, q5[l].mul_add(dy, q4[l] * dx));
-            let rqr = qr2.mul_add(dz, qr1.mul_add(dy, qr0 * dx));
-            let rinv5 = rinv3 * rinv2;
-            let rinv7 = rinv5 * rinv2;
-            let c25 = 2.5 * rqr * rinv7;
-            ax[l] += dx.mul_add(mr3, dx.mul_add(c25, -qr0 * rinv5));
-            ay[l] += dy.mul_add(mr3, dy.mul_add(c25, -qr1 * rinv5));
-            az[l] += dz.mul_add(mr3, dz.mul_add(c25, -qr2 * rinv5));
-            ph[l] -= m[l].mul_add(rinv, 0.5 * rqr * rinv5);
+            let ql = [q0[l], q1[l], q2[l], q3[l], q4[l], q5[l]];
+            let terms = m2p_quad_pair(tp, [x[l], y[l], z[l]], m[l], ql, eps2);
+            m2p_quad_add([&mut ax[l], &mut ay[l], &mut az[l], &mut ph[l]], terms);
         }
     }
     for i in chunks * W..n {
         let l = i - chunks * W;
-        let dx = xs[i] - tp[0];
-        let dy = ys[i] - tp[1];
-        let dz = zs[i] - tp[2];
-        let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
-        let rinv = 1.0 / r2.sqrt();
-        let rinv2 = rinv * rinv;
-        let rinv3 = rinv * rinv2;
-        let mr3 = ms[i] * rinv3;
-        let qr0 = q[4][i].mul_add(dz, q[3][i].mul_add(dy, q[0][i] * dx));
-        let qr1 = q[5][i].mul_add(dz, q[1][i].mul_add(dy, q[3][i] * dx));
-        let qr2 = q[2][i].mul_add(dz, q[5][i].mul_add(dy, q[4][i] * dx));
-        let rqr = qr2.mul_add(dz, qr1.mul_add(dy, qr0 * dx));
-        let rinv5 = rinv3 * rinv2;
-        let rinv7 = rinv5 * rinv2;
-        let c25 = 2.5 * rqr * rinv7;
-        ax[l] += dx.mul_add(mr3, dx.mul_add(c25, -qr0 * rinv5));
-        ay[l] += dy.mul_add(mr3, dy.mul_add(c25, -qr1 * rinv5));
-        az[l] += dz.mul_add(mr3, dz.mul_add(c25, -qr2 * rinv5));
-        ph[l] -= ms[i].mul_add(rinv, 0.5 * rqr * rinv5);
+        let qi = [q[0][i], q[1][i], q[2][i], q[3][i], q[4][i], q[5][i]];
+        let terms = m2p_quad_pair(tp, [xs[i], ys[i], zs[i]], ms[i], qi, eps2);
+        m2p_quad_add([&mut ax[l], &mut ay[l], &mut az[l], &mut ph[l]], terms);
     }
     out.acc[0] += ax.iter().sum::<f64>();
     out.acc[1] += ay.iter().sum::<f64>();

@@ -17,6 +17,11 @@
 //! and each leaf's own list is then copied out of the shared one by index
 //! ([`materialize`]) for [`eval_group`].
 //!
+//! The distributed walk (`crate::parallel`) shares its descent over
+//! bodies, not leaves, and keeps its own list of references. It evaluates
+//! that list once, entry by entry, with the walk's bodies as SIMD lanes
+//! (`eval_members`): no span is copied for it.
+//!
 //! The scratch is allocation-free in steady state: buffers are
 //! truncated, never dropped, so after a warm-up pass the walk performs
 //! no heap allocation per body or per group. A debug counter
@@ -27,7 +32,7 @@ use crate::gravity::{self, Accel, GravityConfig};
 use crate::mac::Mac;
 use crate::multipole::Multipole;
 use crate::traverse::TraverseStats;
-use crate::tree::{Cell, CellIdx, Tree, NO_CELL};
+use crate::tree::{Body, Cell, CellIdx, Tree, NO_CELL};
 use std::cell::RefCell;
 
 /// Leaves per walk group of the serial group walk. Wider groups share
@@ -39,9 +44,9 @@ pub const LEAVES: usize = 8;
 const _: () = assert!(LEAVES <= Mask::BITS as usize);
 
 /// One bit per member of a shared walk: a leaf of a walk group here, a
-/// body of a `parallel::GROUP` in the distributed walk, which fills the
-/// shared list from its own descent ([`IlistScratch::share_mom`]). Wide
-/// enough for the wider of the two groups.
+/// body of a `parallel::GROUP` in the distributed walk, whose list
+/// entries carry the mask of the bodies that take them
+/// ([`eval_members`]). Wide enough for the wider of the two groups.
 pub(crate) type Mask = u16;
 
 /// The members of `mask` for which `f` holds.
@@ -173,7 +178,7 @@ impl IlistScratch {
     }
 
     /// Empty the shared list for the next shared walk.
-    pub(crate) fn clear_shared(&mut self) {
+    fn clear_shared(&mut self) {
         let sh = &mut self.shared;
         sh.cells.iter_mut().for_each(Vec::clear);
         sh.cell_masks.clear();
@@ -184,7 +189,7 @@ impl IlistScratch {
     /// Append an accepted multipole to the shared list, for the members
     /// of `mask`.
     #[inline]
-    pub(crate) fn share_mom(&mut self, mask: Mask, mom: &Multipole) {
+    fn share_mom(&mut self, mask: Mask, mom: &Multipole) {
         let a = &mut self.alloc_events;
         let [x, y, z] = mom.com;
         let [q0, q1, q2, q3, q4, q5] = mom.quad;
@@ -197,7 +202,7 @@ impl IlistScratch {
 
     /// Append one leaf body to the shared list, for the members of `mask`.
     #[inline]
-    pub(crate) fn share_body(&mut self, mask: Mask, pos: [f64; 3], mass: f64) {
+    fn share_body(&mut self, mask: Mask, pos: [f64; 3], mass: f64) {
         let a = &mut self.alloc_events;
         let [x, y, z] = pos;
         for (plane, v) in self.shared.bodies.iter_mut().zip([x, y, z, mass]) {
@@ -217,9 +222,7 @@ impl IlistScratch {
     }
 
     /// Append an accepted multipole, with its center of mass at `com`
-    /// (callers apply periodic image shifts before pushing). This is
-    /// what the distributed walk uses for ghost cells, which carry
-    /// moments but no local [`Cell`].
+    /// (callers apply periodic image shifts before pushing).
     #[inline]
     pub fn push_mom(&mut self, com: [f64; 3], mom: &crate::multipole::Multipole) {
         let a = &mut self.alloc_events;
@@ -436,10 +439,14 @@ pub fn gather_leaves(
     opened
 }
 
-/// [`materialize`] for member `k` of any shared walk, leaf or body.
-pub(crate) fn materialize_member(sc: &mut IlistScratch, k: usize) {
+/// Load the list of leaf `k` of the gathered walk group into `sc`'s
+/// spans — the sub-sequence of shared entries carrying its bit, copied
+/// out by index — and return the leaf, ready for [`eval_group`].
+pub fn materialize(sc: &mut IlistScratch, k: usize) -> CellIdx {
     let allocs = &mut sc.alloc_events;
     let sh = &mut sc.shared;
+    assert!(k < sh.nleaves, "the gathered walk group has no leaf {k}");
+    let leaf = sh.leaves[k];
     let n = indices_of(&sh.cell_masks, k, &mut sh.idx, allocs);
     let [q0, q1, q2, q3, q4, q5] = &mut sc.cq;
     let spans = [
@@ -453,16 +460,6 @@ pub(crate) fn materialize_member(sc: &mut IlistScratch, k: usize) {
     for (dst, src) in spans.into_iter().zip(&sh.bodies) {
         gather_plane(dst, allocs, src, &sh.idx[..n]);
     }
-}
-
-/// Load the list of leaf `k` of the gathered walk group into `sc`'s
-/// spans — the sub-sequence of shared entries carrying its bit, copied
-/// out by index — and return the leaf, ready for [`eval_group`].
-pub fn materialize(sc: &mut IlistScratch, k: usize) -> CellIdx {
-    let sh = &sc.shared;
-    assert!(k < sh.nleaves, "the gathered walk group has no leaf {k}");
-    let leaf = sh.leaves[k];
-    materialize_member(sc, k);
     sc.own_leaf = Some(leaf);
     leaf
 }
@@ -499,6 +496,132 @@ pub fn eval_group(
         out[bi] = a;
     }
     stats
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch (test builds only): a member adds an entry
+    /// into the lane of the entry's index in the shared list, not of its
+    /// own count of entries taken.
+    pub(crate) static LANE_BY_ENTRY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The accumulators of a shared walk's `W` members: for each member, the
+/// [`gravity::SPAN_LANES`] lanes of `[ax, ay, az, φ]` a span kernel keeps,
+/// and the count of entries it has taken so far.
+struct MemberLanes<const W: usize> {
+    acc: [[[f64; gravity::SPAN_LANES]; 4]; W],
+    taken: [u32; W],
+}
+
+impl<const W: usize> MemberLanes<W> {
+    const ZERO: Self = MemberLanes {
+        acc: [[[0.0; gravity::SPAN_LANES]; 4]; W],
+        taken: [0; W],
+    };
+
+    /// Hand entry `entry` to the members of `mask`: `add` folds member
+    /// `b`'s result into the lane its own `p`-th entry would have in a
+    /// span of its list, `p % SPAN_LANES`.
+    #[inline(always)]
+    fn take(&mut self, mask: Mask, entry: usize, mut add: impl FnMut([&mut f64; 4], usize)) {
+        let mut rest = mask;
+        while rest != 0 {
+            let b = rest.trailing_zeros() as usize;
+            let p = self.taken[b] as usize;
+            #[cfg(test)]
+            let p = if LANE_BY_ENTRY.get() { entry } else { p };
+            #[cfg(not(test))]
+            let _ = entry;
+            let l = p % gravity::SPAN_LANES;
+            let [ax, ay, az, ph] = &mut self.acc[b];
+            add([&mut ax[l], &mut ay[l], &mut az[l], &mut ph[l]], b);
+            self.taken[b] += 1;
+            rest &= rest - 1;
+        }
+    }
+
+    /// Add each member's lane sums into its slot of `out`, as a span
+    /// kernel ends, and start over. Returns the entries taken.
+    fn fold(&mut self, out: &mut [Accel]) -> u64 {
+        let mut taken = 0;
+        for (b, o) in out.iter_mut().enumerate() {
+            let [ax, ay, az, ph] = &self.acc[b];
+            o.acc[0] += ax.iter().sum::<f64>();
+            o.acc[1] += ay.iter().sum::<f64>();
+            o.acc[2] += az.iter().sum::<f64>();
+            o.pot += ph.iter().sum::<f64>();
+            taken += self.taken[b] as u64;
+        }
+        *self = Self::ZERO;
+        taken
+    }
+}
+
+/// `f` of each of `W` lanes, stored component by component, so that the
+/// loop over the lanes vectorizes.
+#[inline(always)]
+fn lanes<const K: usize, const W: usize>(f: impl Fn(usize) -> [f64; K]) -> [[f64; W]; K] {
+    let mut out = [[0.0; W]; K];
+    for b in 0..W {
+        for (o, v) in out.iter_mut().zip(f(b)) {
+            o[b] = v;
+        }
+    }
+    out
+}
+
+/// Lane `b` of [`lanes`]' result.
+#[inline(always)]
+fn lane<const K: usize, const W: usize>(v: &[[f64; W]; K], b: usize) -> [f64; K] {
+    std::array::from_fn(|k| v[k][b])
+}
+
+/// Evaluate a shared walk's list for its members `group` (at most `W`
+/// bodies), adding into `out` (one slot per body). `cells` and `bodies`
+/// are the list's accepted multipoles and gathered leaf bodies, in list
+/// order, each tagged with the members that take it.
+///
+/// Each entry is read once and its interaction computed for all `W`
+/// members at once, as lanes; each member of its mask then folds the
+/// result into the accumulator lane its own list, streamed through
+/// [`gravity::m2p_span`] and then [`gravity::p2p_span`], would have used.
+/// The pair arithmetic is those kernels' ([`gravity::p2p_pair`],
+/// [`gravity::m2p_quad_pair`]), so every member's acceleration,
+/// potential and counts are bit-identical to copying its list out and
+/// evaluating it as spans. Returns `(m2p, p2p)` interaction counts.
+pub(crate) fn eval_members<'m, const W: usize>(
+    group: &[Body],
+    cells: impl Iterator<Item = (Mask, &'m Multipole)>,
+    bodies: impl Iterator<Item = (Mask, [f64; 3], f64)>,
+    eps2: f64,
+    quadrupole: bool,
+    out: &mut [Accel],
+) -> (u64, u64) {
+    assert!(group.len() <= W && out.len() == group.len());
+    // Lanes past the group compute on the origin, and no mask names them.
+    let t: [[f64; W]; 3] = lanes(|b| group.get(b).map_or([0.0; 3], |body| body.pos));
+    let at = |b| lane(&t, b);
+    let mut acc = MemberLanes::<W>::ZERO;
+    for (entry, (mask, mom)) in cells.enumerate() {
+        if quadrupole {
+            let v: [[f64; W]; 4] =
+                lanes(|b| gravity::m2p_quad_pair(at(b), mom.com, mom.mass, mom.quad, eps2));
+            acc.take(mask, entry, |l, b| gravity::m2p_quad_add(l, lane(&v, b)));
+        } else {
+            let v: [[f64; W]; 5] = lanes(|b| gravity::p2p_pair(at(b), mom.com, mom.mass, eps2));
+            acc.take(mask, entry, |l, b| {
+                gravity::p2p_add(l, lane(&v, b), mom.mass)
+            });
+        }
+    }
+    let m2p = acc.fold(out);
+    for (entry, (mask, pos, mass)) in bodies.enumerate() {
+        let v: [[f64; W]; 5] = lanes(|b| gravity::p2p_pair(at(b), pos, mass, eps2));
+        acc.take(mask, entry, |l, b| gravity::p2p_add(l, lane(&v, b), mass));
+    }
+    let p2p = acc.fold(out);
+    (m2p, p2p)
 }
 
 #[cfg(test)]

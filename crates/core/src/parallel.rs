@@ -29,7 +29,7 @@
 use crate::domain::{decompose, Decomposition};
 use crate::gravity::{self, Accel, GravityConfig};
 use crate::hash::KeyMap;
-use crate::ilist::{select, Mask};
+use crate::ilist::{self, select, Mask};
 use crate::mac::Mac;
 use crate::morton::{Key, MAX_LEVEL};
 use crate::multipole::Multipole;
@@ -222,11 +222,11 @@ struct Walk {
     stack: Vec<(Node, Mask)>,
     /// Interaction lists accumulated across suspensions: each accepted
     /// multipole and gathered leaf body once, tagged with the bodies that
-    /// take it. A body's slice (the entries carrying its bit, in list
-    /// order) is evaluated exactly once, at walk completion, so the
-    /// floating-point summation order — and hence the accelerations —
-    /// are a pure function of the traversal, independent of where the
-    /// walk happened to suspend or how messages were scheduled.
+    /// take it. The lists are evaluated exactly once, at walk completion,
+    /// so the floating-point summation order — and hence the
+    /// accelerations — are a pure function of the traversal, independent
+    /// of where the walk happened to suspend or how messages were
+    /// scheduled.
     cells: Vec<Src>,
     bodies: Vec<Src>,
 }
@@ -270,6 +270,63 @@ struct PendingBodies {
     remaining: usize,
     bodies: Vec<BodyPart>,
     waiting: Vec<u32>,
+}
+
+/// What a list entry ([`Src`]) names: a cell or body of the local tree,
+/// or with [`GHOST`] set an imported one of the engine's.
+struct Sources<'s> {
+    tree: &'s Tree,
+    ghosts: &'s [GhostCell],
+    ghost_bodies: &'s [BodyPart],
+}
+
+impl Sources<'_> {
+    #[inline]
+    fn mom(&self, src: u32) -> &Multipole {
+        match src & GHOST {
+            0 => &self.tree.cells[src as usize].mom,
+            _ => &self.ghosts[(src ^ GHOST) as usize].mom,
+        }
+    }
+
+    #[inline]
+    fn body(&self, src: u32) -> ([f64; 3], f64) {
+        match src & GHOST {
+            0 => {
+                let b = &self.tree.bodies[src as usize];
+                (b.pos, b.mass)
+            }
+            _ => {
+                let p = &self.ghost_bodies[(src ^ GHOST) as usize];
+                (p.pos, p.mass)
+            }
+        }
+    }
+
+    /// Evaluate the completed walk `w` for its bodies `group`, adding into
+    /// `out` (one slot per body): each entry is read once and evaluated for
+    /// the whole group as lanes, `width` of them ([`ilist::eval_members`]).
+    /// Returns `(m2p, p2p)` interaction counts.
+    fn evaluate(
+        &self,
+        w: &Walk,
+        group: &[Body],
+        width: usize,
+        eps2: f64,
+        quadrupole: bool,
+        out: &mut [Accel],
+    ) -> (u64, u64) {
+        let cells = w.cells.iter().map(|&(mask, src)| (mask, self.mom(src)));
+        let bodies = w.bodies.iter().map(|&(mask, src)| {
+            let (pos, mass) = self.body(src);
+            (mask, pos, mass)
+        });
+        if width <= GROUP / 2 {
+            ilist::eval_members::<{ GROUP / 2 }>(group, cells, bodies, eps2, quadrupole, out)
+        } else {
+            ilist::eval_members::<GROUP>(group, cells, bodies, eps2, quadrupole, out)
+        }
+    }
 }
 
 /// Bodies of the local shard lying inside `key`'s range.
@@ -594,13 +651,13 @@ impl<'a> Engine<'a> {
     /// its mask; the bodies that accept share one list entry, the rest go
     /// on to the leaf's bodies, the children, or the fetch. The lists
     /// hold references and survive suspensions; on completion they are
-    /// written once into the thread-local shared list ([`crate::ilist`]),
-    /// and each body's slice is copied out by index and evaluated as
-    /// spans in one pass — the same engine the single-address-space
-    /// walks use. A single evaluation (rather than one per suspension)
-    /// means the summation order never depends on where remote fetches
-    /// happened to break the walk, so deferred and blocking traversals
-    /// produce bit-identical forces.
+    /// evaluated in one pass over their entries, in list order, with the
+    /// group's bodies as lanes ([`Sources::evaluate`]): each body gets what
+    /// the span kernels give its own slice of the lists, to the bit. A
+    /// single evaluation (rather than one per suspension) means the
+    /// summation order never depends on where remote fetches happened to
+    /// break the walk, so deferred and blocking traversals produce
+    /// bit-identical forces.
     fn run_walk(&mut self, comm: &mut Comm, w: &mut Walk, walk_id: u32) -> bool {
         let leaf_max = self.cfg.gravity.leaf_max;
         let tree = self.tree.expect("rank with no bodies has no walks");
@@ -700,38 +757,18 @@ impl<'a> Engine<'a> {
             return false;
         }
 
-        // Single evaluation of each body's slice of the gathered lists.
+        // Single evaluation of the gathered lists, for every body at once.
+        let sources = Sources {
+            tree,
+            ghosts: &self.ghosts,
+            ghost_bodies: &self.ghost_bodies,
+        };
+        let out = &mut self.accel[lo..lo + group.len()];
         let quadrupole = self.cfg.gravity.quadrupole;
-        crate::ilist::with_scratch(|sc| {
-            sc.clear_shared();
-            for &(mask, src) in &w.cells {
-                let mom = match src & GHOST {
-                    0 => &tree.cells[src as usize].mom,
-                    _ => &self.ghosts[(src ^ GHOST) as usize].mom,
-                };
-                sc.share_mom(mask, mom);
-            }
-            for &(mask, src) in &w.bodies {
-                let (pos, mass) = match src & GHOST {
-                    0 => {
-                        let b = &tree.bodies[src as usize];
-                        (b.pos, b.mass)
-                    }
-                    _ => {
-                        let p = &self.ghost_bodies[(src ^ GHOST) as usize];
-                        (p.pos, p.mass)
-                    }
-                };
-                sc.share_body(mask, pos, mass);
-            }
-            for (b, body) in group.iter().enumerate() {
-                crate::ilist::materialize_member(sc, b);
-                let (m2p, p2p) = sc.eval(body.pos, self.eps2, quadrupole, &mut self.accel[lo + b]);
-                self.stats.m2p += m2p;
-                self.stats.p2p += p2p;
-                self.uncharged += m2p + p2p;
-            }
-        });
+        let (m2p, p2p) = sources.evaluate(w, group, self.width, self.eps2, quadrupole, out);
+        self.stats.m2p += m2p;
+        self.stats.p2p += p2p;
+        self.uncharged += m2p + p2p;
         self.groups += 1;
         self.list_entries += (w.cells.len() + w.bodies.len()) as u64;
         #[cfg(test)]
@@ -1196,10 +1233,16 @@ mod tests {
     /// FNV-1a over the bits of `(id, acc, pot)` in id order, with the summed
     /// `(p2p, m2p)` counts and `(walk.groups, walk.list_entries)` counters,
     /// of a run of `width`-body walks on the Space Simulator fabric.
-    fn force_digest(all: &[Body], nranks: usize, width: usize) -> (u64, u64, u64, [u64; 2]) {
+    fn force_digest(
+        all: &[Body],
+        nranks: usize,
+        width: usize,
+        lane_by_entry: bool,
+    ) -> (u64, u64, u64, [u64; 2]) {
         let machine = msg::Machine::space_simulator_lam();
         let (outs, trace) = msg::run_observed(machine, nranks, |c| {
             FORCE_WIDTH.set(Some(width));
+            ilist::LANE_BY_ENTRY.set(lane_by_entry);
             let mine = split(all, nranks, c.rank());
             let r = parallel_accelerations(c, mine, &ParallelConfig::default());
             let forces: Vec<(u64, Accel)> = r.bodies.iter().map(|b| b.id).zip(r.accel).collect();
@@ -1225,12 +1268,26 @@ mod tests {
 
     #[test]
     fn shared_walk_reproduces_per_body_walk_bit_for_bit() {
+        assert_shared_walk_pins(false);
+    }
+
+    /// Teeth: a body that adds an entry into the lane of the entry's place
+    /// in the shared list, not of its own count, sums its slice in another
+    /// order and must move the pinned digests.
+    #[test]
+    #[should_panic(expected = "192 bodies on 1 ranks, width 8")]
+    fn lane_oracle_catches_a_lane_taken_by_entry() {
+        assert_shared_walk_pins(true);
+    }
+
+    fn assert_shared_walk_pins(lane_by_entry: bool) {
         // Recorded at the last commit whose engine walked one body at a
         // time (e6d39fe): the shared traversal must hand every body the
-        // interaction sequence its own walk produced, at either width.
-        // The walk and list counts are those of 8- and 16-body walks (the
-        // former recorded at cb89fb9): the width moves them, never the
-        // forces or the interaction counts.
+        // interaction sequence its own walk produced, at either width,
+        // and its lanes must sum it as the span kernels summed that walk's
+        // list. The walk and list counts are those of 8- and 16-body
+        // walks (the former recorded at cb89fb9): the width moves them,
+        // never the forces or the interaction counts.
         let small = plummer(192, 77);
         let pins = [
             (
@@ -1286,7 +1343,7 @@ mod tests {
         ];
         for (all, nranks, (digest, p2p, m2p, walks)) in pins {
             for (width, walks) in [GROUP / 2, GROUP].into_iter().zip(walks) {
-                let got = force_digest(all, nranks, width);
+                let got = force_digest(all, nranks, width, lane_by_entry);
                 let n = all.len();
                 let want = (digest, p2p, m2p, walks);
                 assert_eq!(got, want, "{n} bodies on {nranks} ranks, width {width}");
@@ -1348,6 +1405,177 @@ mod tests {
                     assert_eq!(interactions, serial_stats.interactions(), "{what}");
                 }
             }
+        }
+    }
+
+    /// The evaluation this engine had before a walk's bodies became lanes,
+    /// kept as the reference: each body's slice of the lists (the entries
+    /// carrying its bit, in list order, as `ilist::materialize` copies
+    /// them out) loaded into spans and streamed through the span kernels.
+    fn evaluate_per_body(
+        sources: &Sources,
+        w: &Walk,
+        group: &[Body],
+        eps2: f64,
+        quadrupole: bool,
+        out: &mut [Accel],
+    ) -> (u64, u64) {
+        let mut sc = ilist::IlistScratch::new();
+        let (mut m2p, mut p2p) = (0, 0);
+        for (b, (body, out)) in group.iter().zip(out).enumerate() {
+            sc.clear();
+            for &(_, src) in w.cells.iter().filter(|e| e.0 >> b & 1 != 0) {
+                let mom = sources.mom(src);
+                sc.push_mom(mom.com, mom);
+            }
+            for &(_, src) in w.bodies.iter().filter(|e| e.0 >> b & 1 != 0) {
+                let (pos, mass) = sources.body(src);
+                sc.push_body(pos, mass);
+            }
+            let (c, p) = sc.eval(body.pos, eps2, quadrupole, out);
+            m2p += c;
+            p2p += p;
+        }
+        (m2p, p2p)
+    }
+
+    /// Local and imported sources to point list entries at: the cells and
+    /// bodies of one Plummer tree, and as ghosts those of another.
+    struct SourceSet {
+        tree: Tree,
+        ghosts: Vec<GhostCell>,
+        ghost_bodies: Vec<BodyPart>,
+    }
+
+    impl SourceSet {
+        fn new(seed: u64) -> SourceSet {
+            let tree = Tree::build(plummer(48, seed), 4);
+            let other = Tree::build(plummer(40, seed + 1), 4);
+            let ghosts = other.cells.iter().map(|c| GhostCell {
+                key: c.key,
+                mom: c.mom,
+                side: c.side(),
+                nbody: c.nbody,
+                kids: None,
+                bodies: None,
+            });
+            let ghost_bodies = other.bodies.iter().map(|b| BodyPart {
+                cell: 0,
+                pos: b.pos,
+                mass: b.mass,
+                id: b.id,
+            });
+            SourceSet {
+                ghosts: ghosts.collect(),
+                ghost_bodies: ghost_bodies.collect(),
+                tree,
+            }
+        }
+
+        fn sources(&self) -> Sources<'_> {
+            Sources {
+                tree: &self.tree,
+                ghosts: &self.ghosts,
+                ghost_bodies: &self.ghost_bodies,
+            }
+        }
+
+        /// Entry `i` of a list of cells (`cell`) or bodies: local when `i`
+        /// is even, imported when odd, cycling through each table.
+        fn src(&self, i: usize, cell: bool) -> u32 {
+            let (local, ghost) = match cell {
+                true => (self.tree.cells.len(), self.ghosts.len()),
+                false => (self.tree.bodies.len(), self.ghost_bodies.len()),
+            };
+            match i % 2 {
+                0 => ((i / 2) % local) as u32,
+                _ => GHOST | ((i / 2) % ghost) as u32,
+            }
+        }
+    }
+
+    /// The lane evaluation of `w` for `group`, at both lane widths that
+    /// hold it, against [`evaluate_per_body`]:
+    /// `acc` and `pot` to the bit, and the same `(m2p, p2p)`.
+    fn assert_lanes_match_per_body(set: &SourceSet, w: &Walk, group: &[Body], quad: bool) {
+        let eps2 = 1e-4;
+        let sources = set.sources();
+        let mut want = vec![Accel::default(); group.len()];
+        let want_counts = evaluate_per_body(&sources, w, group, eps2, quad, &mut want);
+        let widths = [GROUP / 2, GROUP].into_iter().filter(|&w| group.len() <= w);
+        for width in widths {
+            let mut got = vec![Accel::default(); group.len()];
+            let counts = sources.evaluate(w, group, width, eps2, quad, &mut got);
+            let n = group.len();
+            let what = format!("{n} bodies in {width} lanes, quadrupole {quad}");
+            assert_eq!(counts, want_counts, "{what}");
+            let bits = |f: &Accel| (f.acc.map(f64::to_bits), f.pot.to_bits());
+            for (b, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(bits(g), bits(w), "{what}, body {b}");
+            }
+        }
+    }
+
+    fn walk_of(cells: Vec<Src>, bodies: Vec<Src>) -> Walk {
+        Walk {
+            first: 0,
+            stack: Vec::new(),
+            cells,
+            bodies,
+        }
+    }
+
+    #[test]
+    fn lane_evaluation_matches_per_body_spans_at_every_list_length() {
+        // Body `b` of the group takes `LENS[(b + shift) % 10]` entries of
+        // each list, so every group width (1–16, short groups included)
+        // sees lists of 1–7, 8, 9 and 17 entries: a sub-chunk list, a
+        // full chunk, a remainder of one and two chunks plus one. Empty
+        // masks are interleaved, sources alternate between local and
+        // imported, and one list at a time is left empty.
+        const LENS: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 17];
+        let set = SourceSet::new(3);
+        let targets = plummer(GROUP, 11);
+        for n in 1..=GROUP {
+            for shift in 0..LENS.len() {
+                let len = |b: usize| LENS[(b + shift) % LENS.len()];
+                let list = |cell: bool| -> Vec<Src> {
+                    let entries = (0..17).flat_map(|i| {
+                        let mask = select(Mask::MAX >> (16 - n), |b| i < len(b));
+                        [(mask, set.src(i, cell)), (0, set.src(i + 1, cell))]
+                    });
+                    entries.collect()
+                };
+                for quad in [false, true] {
+                    let group = &targets[..n];
+                    let w = walk_of(list(true), list(false));
+                    assert_lanes_match_per_body(&set, &w, group, quad);
+                    assert_lanes_match_per_body(&set, &walk_of(vec![], list(false)), group, quad);
+                    assert_lanes_match_per_body(&set, &walk_of(list(true), vec![]), group, quad);
+                }
+            }
+            let nothing = walk_of(vec![], vec![]);
+            assert_lanes_match_per_body(&set, &nothing, &targets[..n], true);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_lane_evaluation_matches_per_body_spans(
+            seed in 0u64..1000,
+            n in 1usize..=GROUP,
+            cells in proptest::collection::vec((0u16..=u16::MAX, 0usize..200), 0..40),
+            bodies in proptest::collection::vec((0u16..=u16::MAX, 0usize..200), 0..40),
+            quad in proptest::bool::ANY,
+        ) {
+            let set = SourceSet::new(seed);
+            let members = Mask::MAX >> (16 - n);
+            let list = |entries: &[(Mask, usize)], cell: bool| -> Vec<Src> {
+                entries.iter().map(|&(m, i)| (m & members, set.src(i, cell))).collect()
+            };
+            let w = walk_of(list(&cells, true), list(&bodies, false));
+            assert_lanes_match_per_body(&set, &w, &plummer(n, seed + 2), quad);
         }
     }
 
