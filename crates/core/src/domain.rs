@@ -17,11 +17,6 @@ use crate::tree::Body;
 use msg::payload::FixedWire;
 use msg::Comm;
 
-impl FixedWire for Body {
-    // pos + vel + mass + id + work
-    const WIRE: usize = 3 * 8 + 3 * 8 + 8 + 8 + 8;
-}
-
 #[cfg(test)]
 thread_local! {
     /// Mutation-teeth switch (test builds only): a rank publishes its

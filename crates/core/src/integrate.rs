@@ -17,8 +17,9 @@ use msg::Comm;
 use std::sync::Arc;
 
 /// Fraction of peak the force kernel sustains in the virtual-time model
-/// (the P4/gcc gravity micro-kernel).
-const CPU_EFF: f64 = 790.0 / 5060.0;
+/// (the P4/gcc gravity micro-kernel reaches 790 of 5060 Mflop/s). The
+/// replicated and the distributed force phases both charge at it.
+pub(crate) const CPU_EFF: f64 = 790.0 / 5060.0;
 
 /// One kick–drift–kick step of `dt`. Half kick and drift `bodies` with
 /// `accel` (index-aligned, the forces the last step closed with), then

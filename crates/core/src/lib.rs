@@ -31,6 +31,8 @@
 // iterator-adapter rewrites clippy suggests obscure that.
 #![allow(clippy::needless_range_loop)]
 
+pub use body::morton;
+
 pub mod direct;
 pub mod domain;
 pub mod gravity;
@@ -39,7 +41,6 @@ pub mod ilist;
 pub mod integrate;
 pub mod mac;
 pub mod models;
-pub mod morton;
 pub mod multipole;
 pub mod outofcore;
 pub mod parallel;

@@ -30,6 +30,7 @@ use crate::domain::{decompose, Decomposition};
 use crate::gravity::{self, Accel, GravityConfig};
 use crate::hash::KeyMap;
 use crate::ilist::{self, select, Mask};
+use crate::integrate::CPU_EFF;
 use crate::mac::Mac;
 use crate::morton::{Key, MAX_LEVEL};
 use crate::multipole::Multipole;
@@ -110,9 +111,6 @@ pub struct ParallelResult {
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelConfig {
     pub gravity: GravityConfig,
-    /// Fraction of peak the gravity inner loop sustains (for virtual-time
-    /// accounting; the P4/gcc micro-kernel reaches 790 of 5060 Mflop/s).
-    pub cpu_eff: f64,
     /// Disable latency hiding: process one walk to completion at a time,
     /// blocking on every remote fetch (the ablation baseline).
     pub latency_hiding: bool,
@@ -127,7 +125,6 @@ impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig {
             gravity: GravityConfig::default(),
-            cpu_eff: 790.0 / 5060.0,
             latency_hiding: true,
             adaptive: true,
         }
@@ -878,7 +875,7 @@ impl<'a> Engine<'a> {
         };
         // Interactions aren't split by kind here; charge the mean cost.
         let flops = self.uncharged as f64 * 0.5 * (gravity::P2P_FLOPS + m2p_flops);
-        comm.compute_eff(flops, 0.0, self.cfg.cpu_eff);
+        comm.compute_eff(flops, 0.0, CPU_EFF);
         self.uncharged = 0;
     }
 

@@ -63,10 +63,6 @@ pub struct RetransmitConfig {
     /// arbitrarily deep retransmit queue — every packet launched into an
     /// outage is a guaranteed future retransmission.
     pub window: usize,
-    /// Relative jitter applied to each backed-off RTO (`0.0` disables it
-    /// and consumes no RNG draws). With many senders timing out against
-    /// one slow peer, jitter de-synchronizes their retry bursts.
-    pub backoff_jitter: f64,
 }
 
 impl Default for RetransmitConfig {
@@ -80,7 +76,6 @@ impl Default for RetransmitConfig {
             poll_s: 5.0e-5,
             probe_s: 1.0e-6,
             window: 64,
-            backoff_jitter: 0.0,
         }
     }
 }
@@ -110,7 +105,6 @@ impl RetransmitConfig {
             poll_s: 0.0,
             probe_s: 0.0,
             window: usize::MAX,
-            backoff_jitter: 0.0,
         }
     }
 }

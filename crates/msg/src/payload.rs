@@ -9,6 +9,7 @@
 //! so they implement [`FixedWire`] for the element instead and the blanket
 //! impl here covers the vector.
 
+use body::Body;
 use std::any::Any;
 use std::mem;
 
@@ -108,6 +109,12 @@ impl FixedWire for (u64, u64) {
 
 impl FixedWire for (f64, f64) {
     const WIRE: usize = 16;
+}
+
+/// A body travels as its row: [`Body::ROW_BYTES`], the one place its
+/// byte layout is written down.
+impl FixedWire for Body {
+    const WIRE: usize = Body::ROW_BYTES;
 }
 
 impl<T: Payload> Payload for Option<T> {

@@ -27,6 +27,7 @@
 //! attempts, worlds or tests.
 
 use crate::comm::Comm;
+use body::Body;
 use std::any::{type_name, Any};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -56,6 +57,16 @@ macro_rules! bit_eq_by_eq {
     )*};
 }
 bit_eq_by_eq!(bool, u64, usize);
+
+impl BitEq for Body {
+    fn bit_eq(&self, o: &Self) -> bool {
+        self.pos.bit_eq(&o.pos)
+            && self.vel.bit_eq(&o.vel)
+            && self.mass.bit_eq(&o.mass)
+            && self.id == o.id
+            && self.work.bit_eq(&o.work)
+    }
+}
 
 impl<T: BitEq> BitEq for [T] {
     fn bit_eq(&self, other: &Self) -> bool {

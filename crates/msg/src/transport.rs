@@ -304,17 +304,8 @@ impl FaultCtx {
                 head.data.clone_box(),
             );
             tx.retries += 1;
-            let mut rto = (tx.rto_s * self.cfg.backoff).min(self.cfg.rto_max_s);
-            if self.cfg.backoff_jitter > 0.0 {
-                // Jitter de-synchronizes many senders backing off against
-                // one slow peer. The draw is gated on the knob so plans
-                // that leave it at 0.0 keep their replay-critical
-                // injection draw sequence unchanged.
-                rto *= 1.0 + self.cfg.backoff_jitter * (2.0 * self.rng.unit() - 1.0);
-                rto = rto.min(self.cfg.rto_max_s).max(self.cfg.rto0_s * 0.5);
-            }
-            tx.rto_s = rto;
-            tx.deadline = port.clock + rto;
+            tx.rto_s = (tx.rto_s * self.cfg.backoff).min(self.cfg.rto_max_s);
+            tx.deadline = port.clock + tx.rto_s;
             port.stats.fault.rto_expiries += 1;
             port.stats.fault.retransmits += 1;
             port.clock += port.machine.fabric.profile().send_overhead_s;

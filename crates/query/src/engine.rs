@@ -60,7 +60,7 @@ use std::sync::Arc;
 use store::{GenerationLog, SnapshotCache, StoreConfig};
 
 /// Engine knobs. `steps` simulation ticks are run; arrivals are batched
-/// into deterministic windows of `tick_window_s` (the last tick drains
+/// into deterministic windows of `TICK_WINDOW_S` (the last tick drains
 /// everything left, so every issued query is answered).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -70,8 +70,6 @@ pub struct EngineConfig {
     /// Commit a checkpoint generation every this many ticks (tick 0
     /// always commits, so time-travel queries always have a target).
     pub checkpoint_every: u64,
-    /// Virtual-time width of one tick's arrival window.
-    pub tick_window_s: f64,
     /// How many *materialized* generations may live in RAM at once:
     /// each one its encoded cells plus whichever of them time-travel
     /// queries have decoded so far (`store::Snapshot::cell`), dropped
@@ -89,7 +87,6 @@ impl Default for EngineConfig {
             dt: 0.01,
             steps: 4,
             checkpoint_every: 2,
-            tick_window_s: 4.0e-5,
             history_cache: 2,
             fleet: FleetConfig::default(),
         }
@@ -306,6 +303,9 @@ struct Pending {
     parts: Vec<Answer>,
 }
 
+/// Virtual-time width of one tick's arrival window.
+const TICK_WINDOW_S: f64 = 4.0e-5;
+
 /// Run the query engine on this rank. `ics` must be identical on every
 /// rank (the replicated-physics contract); ownership and answering are
 /// partitioned internally.
@@ -381,7 +381,7 @@ pub fn run(comm: &mut Comm, ics: Vec<Body>, cfg: &EngineConfig) -> EngineOutput 
         let cutoff = if last_tick {
             f64::INFINITY
         } else {
-            (t + 1) as f64 * cfg.tick_window_s
+            (t + 1) as f64 * TICK_WINDOW_S
         };
         // Dispatch happens when the window closes: clients issued up to
         // `cutoff` in virtual time, so the clock must reach it before

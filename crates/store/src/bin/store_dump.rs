@@ -10,6 +10,7 @@
 //! cargo run --release -p store --bin store_dump -- /tmp/snap.full --cell 0
 //! ```
 
+use body::Body;
 use store::{record_kind, Delta, RecordKind, Snapshot, ENC_SAME, ENC_XRLE};
 
 fn main() {
@@ -125,12 +126,32 @@ fn dump_delta(bytes: &[u8]) -> Result<(), store::StoreError> {
     Ok(())
 }
 
+/// 96 equal-mass bodies spread uniformly through the unit ball by the
+/// R3 low-discrepancy sequence (one coordinate each for radius³, cos θ
+/// and φ), each circling the z axis.
+fn demo_bodies() -> Vec<Body> {
+    const R3: [f64; 3] = [0.8191725133961644, 0.671043606703789, 0.5497004779019701];
+    (0..96u64)
+        .map(|i| {
+            let [a, b, c] = R3.map(|g| (0.5 + g * i as f64).fract());
+            let (r, z, phi) = (a.cbrt(), 1.0 - 2.0 * b, std::f64::consts::TAU * c);
+            let s = r * (1.0 - z * z).sqrt();
+            let pos = [s * phi.cos(), s * phi.sin(), r * z];
+            Body {
+                vel: [-pos[1], pos[0], 0.0],
+                id: i,
+                ..Body::at(pos, 1.0 / 96.0)
+            }
+        })
+        .collect()
+}
+
 /// Write a small deterministic snapshot + delta pair for inspection.
 fn demo(prefix: &str) {
-    let ics = hot::models::plummer(96, 42);
+    let ics = demo_bodies();
     let mut log = store::GenerationLog::new(store::StoreConfig::default(), 0);
-    log.commit(0, &ics, &[]).to_vec();
-    let moved: Vec<hot::Body> = ics
+    log.commit(0, &ics, &[]);
+    let moved: Vec<Body> = ics
         .iter()
         .map(|b| {
             let mut m = *b;

@@ -21,9 +21,8 @@ use crate::{
     put_f64_bits, put_u32, put_u64, Cur, StoreError, DELTA_MAGIC, ENC_IDS, ENC_SAME, ENC_SHUF,
     ENC_XRLE,
 };
+use body::morton::{BBox, MAX_LEVEL};
 use ckpt::crc32;
-use hot::morton::MAX_LEVEL;
-use hot::BBox;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaCell {

@@ -14,10 +14,12 @@
 //! and [`GenerationLog`] manages full/delta chains so a checkpoint
 //! commit costs only what actually changed.
 //!
-//! The crate is dependency-free (workspace `hot` for Morton keys and
-//! the `Body` row type, `ckpt` for the shared CRC-32): formats are
-//! hand-rolled, little-endian, and byte-deterministic — the same
-//! universe always serializes to the same bytes.
+//! The crate has no external dependencies and builds on two workspace
+//! leaves: `body` for the `Body` it stores and the Morton keys it
+//! partitions by, and `ckpt` for the shared CRC-32. It does not compile
+//! the treecode or the message layer. Formats are hand-rolled,
+//! little-endian and byte-deterministic: the same universe always
+//! serializes to the same bytes.
 
 pub mod column;
 pub mod delta;

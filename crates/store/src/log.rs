@@ -10,7 +10,8 @@
 use crate::delta::Delta;
 use crate::snapshot::Snapshot;
 use crate::{RecordKind, StoreError};
-use hot::{BBox, Body};
+use body::morton::BBox;
+use body::Body;
 
 /// Morton level of the cell partition (cells = octree nodes at this
 /// depth; 4 → up to 4096 cells).

@@ -20,9 +20,9 @@
 
 use crate::column::{decode_ids, encode_ids, shuffle_f64, unshuffle_f64};
 use crate::{put_f64_bits, put_u32, put_u64, Cur, StoreError, ENC_IDS, ENC_SHUF, MAGIC};
+use body::morton::{BBox, Key, MAX_LEVEL};
+use body::Body;
 use ckpt::crc32;
-use hot::morton::MAX_LEVEL;
-use hot::{BBox, Body, Key};
 use std::sync::OnceLock;
 
 /// Fixed columns before the aux lanes: ids, pos xyz, vel xyz, mass,

@@ -15,20 +15,21 @@ const ALLOWED: [&str; 2] = ["proptest", "rand"];
 /// any dependency table: one `package: crate crate …` line each.
 const PATH_EDGES: &str = "
     bench:           cluster cosmo hot kernels msg netsim nodesim obs query sph store
+    body:
     ckpt:
     cluster:         ckpt cosmo hot kernels msg netsim nodesim obs query store
     cosmo:           hot kernels
     hostbench:       ckpt cluster cosmo hot kernels msg netsim nodesim obs query sph store
-    hot:             msg
+    hot:             body msg
     kernels:         hot obs
-    msg:             netsim nodesim obs
+    msg:             body netsim nodesim obs
     netsim:          obs
     nodesim:
     obs:
     query:           ckpt hot msg obs store
     space-simulator: cluster cosmo hot kernels msg netsim nodesim obs query sph
     sph:             hot msg
-    store:           ckpt hot
+    store:           body ckpt hot
 ";
 
 /// A manifest's `[package]` name and the `(table, key, value)` entries
