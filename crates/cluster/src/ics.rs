@@ -11,6 +11,7 @@ use hot::gravity::GravityConfig;
 use hot::tree::Body;
 use msg::{FaultPlan, Machine, RetransmitConfig};
 
+pub use hot::models::golden_ics;
 pub use msg::SplitMix64;
 
 /// The golden run — "treecode16" everywhere it is named: 16 ranks on an
@@ -71,30 +72,6 @@ pub fn golden_run(
         steps,
         GOLDEN_DT,
     )
-}
-
-/// A cold-ish ball of bodies, by rejection sampling inside the unit
-/// sphere with small isotropic velocities. Pure arithmetic and
-/// comparisons — bit-identical on every IEEE-754 platform.
-pub fn golden_ics(n: usize, seed: u64) -> Vec<Body> {
-    let mut rng = SplitMix64(seed);
-    let mut ball = |scale: f64| -> [f64; 3] {
-        loop {
-            let p = [rng.sym(), rng.sym(), rng.sym()];
-            if p[0] * p[0] + p[1] * p[1] + p[2] * p[2] <= 1.0 {
-                return [scale * p[0], scale * p[1], scale * p[2]];
-            }
-        }
-    };
-    (0..n)
-        .map(|i| Body {
-            pos: ball(1.0),
-            vel: ball(0.2),
-            mass: 1.0 / n as f64,
-            id: i as u64,
-            work: 1.0,
-        })
-        .collect()
 }
 
 #[cfg(test)]

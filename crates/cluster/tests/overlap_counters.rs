@@ -1,11 +1,12 @@
 //! The latency-hiding telemetry contract: a distributed deferred-walk
 //! run must surface its overlap counters (`walk.deferred`,
-//! `walk.resumed`, `abm.coalesced`, and `abm.flush_deadline` whenever a
-//! batch aged past its deadline) and its sharing counters
+//! `walk.resumed`, `walk.prefetched`, `abm.coalesced`, and
+//! `abm.flush_deadline` whenever a batch aged past its deadline) and its
+//! sharing counters
 //! (`walk.groups`, `walk.list_entries`) in the structural summary, on a
 //! fault-free machine every parked walk must be
-//! resumed exactly as many times as it parked, and the bodies of a group
-//! must share their interaction-list entries. The golden-trace
+//! resumed exactly as many times as it parked (a prefetch wakes no one),
+//! and the bodies of a group must share their interaction-list entries. The golden-trace
 //! worlds replicate physics on every rank and never exercise the
 //! distributed engine, so this is the test that keeps the overlap
 //! telemetry observable end to end (engine -> Comm recorder -> merged
@@ -97,6 +98,10 @@ fn groups_share_their_interaction_lists() {
     let deferred = counter_total(&summary, "walk.deferred");
     assert!(deferred > 0, "no walk ever deferred on a remote fetch");
     assert_eq!(deferred, counter_total(&summary, "walk.resumed"));
+    // A parking walk also asks for the rest of the frontier it will open,
+    // with no walk waiting on those fetches.
+    let prefetched = counter_total(&summary, "walk.prefetched");
+    assert!(prefetched > 0, "no parking walk prefetched its frontier");
 
     let groups = counter_total(&summary, "walk.groups");
     assert!(

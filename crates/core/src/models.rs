@@ -68,6 +68,32 @@ pub fn cold_sphere(n: usize, seed: u64) -> Vec<Body> {
         .collect()
 }
 
+/// A cold-ish ball of bodies, by rejection sampling inside the unit
+/// sphere with small isotropic velocities: the golden run's ICs
+/// (`cluster::ics`). Pure arithmetic and comparisons on
+/// [`msg::SplitMix64`], no `rand` and no libm — bit-identical on every
+/// IEEE-754 platform and dependency version.
+pub fn golden_ics(n: usize, seed: u64) -> Vec<Body> {
+    let mut rng = msg::SplitMix64(seed);
+    let mut ball = |scale: f64| -> [f64; 3] {
+        loop {
+            let p = [rng.sym(), rng.sym(), rng.sym()];
+            if p[0] * p[0] + p[1] * p[1] + p[2] * p[2] <= 1.0 {
+                return [scale * p[0], scale * p[1], scale * p[2]];
+            }
+        }
+    };
+    (0..n)
+        .map(|i| Body {
+            pos: ball(1.0),
+            vel: ball(0.2),
+            mass: 1.0 / n as f64,
+            id: i as u64,
+            work: 1.0,
+        })
+        .collect()
+}
+
 /// Uniform random bodies in the unit cube (structureless stress test).
 pub fn uniform_cube(n: usize, seed: u64) -> Vec<Body> {
     assert!(n > 0);

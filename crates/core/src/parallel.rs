@@ -8,12 +8,18 @@
 //! 'context switching' using a software queue to keep track of which
 //! computations have been put aside waiting for messages to arrive."
 //!
-//! Concretely: a run of up to [`GROUP`] consecutive Morton-sorted local bodies
-//! shares one `Walk` with an explicit stack of `(cell, mask)`, the mask
-//! naming the bodies that still have to look at that cell. When a walk
-//! needs a cell that is not purely local and whose data has not yet
-//! arrived, the walk is parked on the pending request and the engine
-//! switches to another walk; requests accumulate in asynchronous batched
+//! Concretely: a run of up to 16 consecutive Morton-sorted local bodies (8
+//! on a rank of fewer than 1 024) shares one `Walk` with an explicit stack
+//! of `(cell, mask)`, the mask naming the bodies that still have to look
+//! at that cell. When a walk needs a cell that is not purely local and
+//! whose data has not yet arrived, the walk is parked on the pending
+//! request and the engine switches to another walk. Parking, the walk
+//! also asks for the rest of its known frontier: every imported cell on
+//! its stack, or below one whose children are in, that its bodies will
+//! open by the MAC and that is neither in nor on its way. Those requests
+//! have no waiter, so a walk crosses the remote tree in one round trip
+//! per level, not one per cell, and the rank fetches exactly the cells
+//! its walks open either way. Requests accumulate in asynchronous batched
 //! messages ([`msg::Abm`]) and the walk resumes when the merged reply is
 //! in. A rank with no runnable walk does not spin: it flushes its batches
 //! and sleeps until a request, a reply or the token arrives
@@ -207,6 +213,9 @@ thread_local! {
     static KEEP_SELF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     /// Walk width regardless of the rank's body count (test builds only).
     static FORCE_WIDTH: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+    /// Mutation-teeth switch (test builds only): a parking walk prefetches
+    /// every ghost on its stack and below, whether or not the MAC opens it.
+    static PREFETCH_PAST_MAC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// One traversal shared by local bodies `first .. first + width`.
@@ -250,6 +259,16 @@ struct GhostCell {
     kids: Option<Vec<Node>>,
     /// Range of `Engine::ghost_bodies`.
     bodies: Option<(u32, u32)>,
+    /// A fetch of the kids or bodies is in flight (has an entry in
+    /// `Engine::pending_children` or `Engine::pending_bodies`).
+    fetching: bool,
+}
+
+impl GhostCell {
+    /// Whether the walk takes this cell's bodies rather than its children.
+    fn is_leaf(&self, leaf_max: usize) -> bool {
+        self.nbody as usize <= leaf_max || self.key.level() == MAX_LEVEL
+    }
 }
 
 struct PendingChildren {
@@ -406,6 +425,11 @@ struct Engine<'a> {
     deferred: u64,
     /// Parked walks woken by a completed fetch.
     resumed: u64,
+    /// Fetches issued with no waiter: the frontier a parking walk will
+    /// open later ([`Engine::prefetch`]).
+    prefetched: u64,
+    /// The prefetch scan's stack, kept between suspensions.
+    frontier: Vec<(Node, Mask)>,
     /// Requests collapsed into an already-in-flight pending fetch: a
     /// second walk asking for a cell someone already requested joins the
     /// waiter list instead of generating wire traffic. The ABM batches
@@ -456,6 +480,8 @@ impl<'a> Engine<'a> {
             rep_bodies: tune(Abm::new(comm.size(), 4, ABM_BATCH * 4), cfg.adaptive),
             deferred: 0,
             resumed: 0,
+            prefetched: 0,
+            frontier: Vec::new(),
             coalesced: 0,
             groups: 0,
             list_entries: 0,
@@ -484,6 +510,7 @@ impl<'a> Engine<'a> {
             nbody,
             kids: None,
             bodies: None,
+            fetching: false,
         });
         Node::Ghost(slot)
     }
@@ -559,8 +586,10 @@ impl<'a> Engine<'a> {
                         wake.extend(done.waiting.iter().copied());
                         let first = self.ghost_bodies.len() as u32;
                         self.ghost_bodies.append(&mut done.bodies);
-                        self.ghost_mut(Key(p.cell)).bodies =
-                            Some((first, self.ghost_bodies.len() as u32));
+                        let last = self.ghost_bodies.len() as u32;
+                        let g = self.ghost_mut(Key(p.cell));
+                        g.bodies = Some((first, last));
+                        g.fetching = false;
                     }
                 } else {
                     pending.bodies.push(p);
@@ -587,24 +616,27 @@ impl<'a> Engine<'a> {
             let merged = Multipole::combine(&parts);
             kids.push(self.resolve(parent.child(oct), merged, nbody));
         }
-        self.ghost_mut(parent).kids = Some(kids);
+        let g = self.ghost_mut(parent);
+        g.kids = Some(kids);
+        g.fetching = false;
         wake.extend(done.waiting.iter().copied());
     }
 
-    /// Park `walk_id` on the merged children of ghost `slot`, requesting
-    /// them from every other possible owner unless a fetch is in flight.
-    fn request_children(&mut self, comm: &mut Comm, slot: u32, walk_id: u32) {
+    /// Park `waiter` (if any) on the merged children of ghost `slot`,
+    /// requesting them from every other possible owner unless a fetch is
+    /// in flight.
+    fn request_children(&mut self, comm: &mut Comm, slot: u32, waiter: Option<u32>) {
         let key = self.ghosts[slot as usize].key;
-        if let Some(p) = self.pending_children.get_mut(&key.0) {
-            p.waiting.push(walk_id);
-            self.coalesced += 1;
+        if !self.start_fetch(slot, waiter) {
+            let in_flight = self.pending_children.get_mut(&key.0).unwrap();
+            in_flight.waiting.extend(waiter);
             return;
         }
         let mut pending = PendingChildren {
             remaining: 0,
             moms: Default::default(),
             counts: [0; 8],
-            waiting: vec![walk_id],
+            waiting: Vec::from_iter(waiter),
         };
         for dst in self.decomp.owners_of(key).filter(|&r| r != self.rank) {
             self.req_children.post_unique(comm, dst, key.0);
@@ -620,19 +652,19 @@ impl<'a> Engine<'a> {
         self.pending_children.insert(key.0, pending);
     }
 
-    /// Park `walk_id` on the merged body list of ghost `slot`, as
+    /// Park `waiter` (if any) on the merged body list of ghost `slot`, as
     /// [`Engine::request_children`] does on its children.
-    fn request_bodies(&mut self, comm: &mut Comm, slot: u32, walk_id: u32) {
+    fn request_bodies(&mut self, comm: &mut Comm, slot: u32, waiter: Option<u32>) {
         let key = self.ghosts[slot as usize].key;
-        if let Some(p) = self.pending_bodies.get_mut(&key.0) {
-            p.waiting.push(walk_id);
-            self.coalesced += 1;
+        if !self.start_fetch(slot, waiter) {
+            let in_flight = self.pending_bodies.get_mut(&key.0).unwrap();
+            in_flight.waiting.extend(waiter);
             return;
         }
         let mut pending = PendingBodies {
             remaining: 0,
             bodies: partial_bodies(self.tree, key).collect(),
-            waiting: vec![walk_id],
+            waiting: Vec::from_iter(waiter),
         };
         for dst in self.decomp.owners_of(key).filter(|&r| r != self.rank) {
             self.req_bodies.post_unique(comm, dst, key.0);
@@ -640,6 +672,54 @@ impl<'a> Engine<'a> {
         }
         assert!(pending.remaining > 0, "a ghost cell has another owner");
         self.pending_bodies.insert(key.0, pending);
+    }
+
+    /// Mark ghost `slot`'s fetch as in flight; `false` when it already
+    /// was (a walk joining it is coalesced).
+    fn start_fetch(&mut self, slot: u32, waiter: Option<u32>) -> bool {
+        let g = &mut self.ghosts[slot as usize];
+        if g.fetching {
+            self.coalesced += 1;
+            return false;
+        }
+        g.fetching = true;
+        self.prefetched += waiter.is_none() as u64;
+        true
+    }
+
+    /// Request, with no waiter, every ghost below `stack` that the walk
+    /// whose positions are `at` will open and find neither in nor on its
+    /// way: its stacked ghosts, and through those whose children are in,
+    /// theirs. Each is opened by the test the walk runs when it pops the
+    /// entry, so the walk would request exactly these cells later, one
+    /// round trip each; asked now, they leave in the same batches.
+    fn prefetch(&mut self, comm: &mut Comm, stack: &[(Node, Mask)], at: &[[f64; GROUP]; 3]) {
+        let leaf_max = self.cfg.gravity.leaf_max;
+        let mut todo = std::mem::take(&mut self.frontier);
+        todo.extend(stack.iter().filter(|e| matches!(e.0, Node::Ghost(_))));
+        while let Some((node, mask)) = todo.pop() {
+            let Node::Ghost(slot) = node else { continue };
+            let g = &self.ghosts[slot as usize];
+            if g.nbody == 0 || g.fetching {
+                continue;
+            }
+            let open = mask & !self.mac.accept_lanes(g.side, &g.mom, at);
+            #[cfg(test)]
+            let open = if PREFETCH_PAST_MAC.get() { mask } else { open };
+            if open == 0 {
+                continue;
+            }
+            if g.is_leaf(leaf_max) {
+                if g.bodies.is_none() {
+                    self.request_bodies(comm, slot, None);
+                }
+            } else if let Some(kids) = &g.kids {
+                todo.extend(kids.iter().map(|&k| (k, open)));
+            } else {
+                self.request_children(comm, slot, None);
+            }
+        }
+        self.frontier = todo;
     }
 
     /// Advance one walk until it completes (`true`) or suspends.
@@ -728,7 +808,7 @@ impl<'a> Engine<'a> {
             if open == 0 {
                 continue;
             }
-            if g.nbody as usize <= leaf_max || g.key.level() == MAX_LEVEL {
+            if g.is_leaf(leaf_max) {
                 if let Some((a, b)) = g.bodies {
                     for i in a..b {
                         let id = self.ghost_bodies[i as usize].id;
@@ -739,18 +819,22 @@ impl<'a> Engine<'a> {
                     }
                     continue;
                 }
-                self.request_bodies(comm, slot, walk_id);
+                self.request_bodies(comm, slot, Some(walk_id));
             } else {
                 if let Some(kids) = &g.kids {
                     w.stack.extend(kids.iter().map(|&k| (k, open)));
                     continue;
                 }
-                self.request_children(comm, slot, walk_id);
+                self.request_children(comm, slot, Some(walk_id));
             }
             // Come back to this cell, for the bodies that opened it, once
-            // its data is in.
+            // its data is in; ask for the rest of the frontier meanwhile
+            // (the blocking ablation fetches one cell at a time).
             w.stack.push((node, open));
             self.deferred += 1;
+            if self.cfg.latency_hiding {
+                self.prefetch(comm, &w.stack, &at);
+            }
             return false;
         }
 
@@ -949,6 +1033,7 @@ pub fn accelerations_on(
     // aggregation reshaped wire traffic.
     comm.obs_count("walk.deferred", engine.deferred);
     comm.obs_count("walk.resumed", engine.resumed);
+    comm.obs_count("walk.prefetched", engine.prefetched);
     // Sharing telemetry: interactions per shared-list entry is how many
     // bodies of a group each gathered cell or leaf body served.
     comm.obs_count("walk.groups", engine.groups);
@@ -1134,15 +1219,20 @@ mod tests {
         }
     }
 
-    /// One rank's engine over its shard of `all`, run to completion, with
-    /// its forces by id: what `parallel_accelerations` does, engine kept.
+    /// One rank's engine over its shard of `all`, run to completion under
+    /// `cfg`, with its forces by id: what `parallel_accelerations` does,
+    /// engine kept. The caller's prefetch mutant switch is carried into
+    /// the rank threads.
     fn with_engine<T: Send>(
         all: &[Body],
         nranks: usize,
+        cfg: &ParallelConfig,
         look: impl Fn(&Engine, Vec<(u64, Accel)>) -> T + Sync,
     ) -> Vec<T> {
+        let past_mac = PREFETCH_PAST_MAC.get();
         msg::run(nranks, |c| {
-            let cfg = ParallelConfig::default();
+            PREFETCH_PAST_MAC.set(past_mac);
+            let cfg = *cfg;
             let (shard, decomp) = decompose(c, split(all, nranks, c.rank()));
             let global_n = c.allreduce(shard.len() as u64, |a, b| a + b);
             let tree = (!shard.is_empty())
@@ -1160,7 +1250,7 @@ mod tests {
         // Nobody else can own any of the root, so it resolves to local
         // cell 0 and the walk never names a ghost: none is ever made.
         let all = plummer(150, 7);
-        let mut runs = with_engine(&all, 1, |e, forces| {
+        let mut runs = with_engine(&all, 1, &ParallelConfig::default(), |e, forces| {
             assert_eq!(e.ghosts.len() + e.ghost_bodies.len() + e.ghost_at.len(), 0);
             forces
         });
@@ -1183,7 +1273,7 @@ mod tests {
         // so its tree stopped at a leaf above: a child that is all this
         // rank's has no local cell and is walked as a raw body range.
         let all = plummer(240, 101);
-        let ranges = with_engine(&all, 2, |e, _| {
+        let ranges = with_engine(&all, 2, &ParallelConfig::default(), |e, _| {
             let kids = e.ghosts.iter().flat_map(|g| g.kids.iter().flatten());
             let ranges = kids.filter_map(|kid| match *kid {
                 Node::Range(a, b) => Some((a, b)),
@@ -1208,13 +1298,85 @@ mod tests {
         assert_bit_identical(&deferred, &blocking, "2 ranks");
     }
 
+    /// The keys whose children (`false`) and whose bodies (`true`) a rank
+    /// fetched, sorted, and how many of those fetches had no waiter.
+    type FetchSet = (Vec<(u64, bool)>, u64);
+
+    /// Each rank's [`FetchSet`], with nothing left in flight.
+    fn fetch_sets(all: &[Body], nranks: usize, latency_hiding: bool) -> Vec<FetchSet> {
+        let cfg = ParallelConfig {
+            latency_hiding,
+            ..Default::default()
+        };
+        with_engine(all, nranks, &cfg, |e, _| {
+            assert!(e.pending_children.is_empty() && e.pending_bodies.is_empty());
+            assert!(e.ghosts.iter().all(|g| !g.fetching));
+            let kids = e.ghosts.iter().filter(|g| g.kids.is_some());
+            let bodies = e.ghosts.iter().filter(|g| g.bodies.is_some());
+            let mut keys: Vec<(u64, bool)> = kids
+                .map(|g| (g.key.0, false))
+                .chain(bodies.map(|g| (g.key.0, true)))
+                .collect();
+            keys.sort_unstable();
+            (keys, e.prefetched)
+        })
+    }
+
+    #[test]
+    fn prefetch_fetches_what_the_blocking_walk_fetches() {
+        assert_fetch_sets_match(false);
+    }
+
+    /// Teeth: prefetching every stacked ghost, MAC or no MAC, fetches cells
+    /// no walk opens.
+    #[test]
+    #[should_panic(expected = "plummer(1536) on 4 ranks, rank")]
+    fn fetch_oracle_catches_a_prefetch_past_the_mac() {
+        assert_fetch_sets_match(true);
+    }
+
+    fn assert_fetch_sets_match(past_mac: bool) {
+        // A parking walk asks for the whole frontier it will open, not only
+        // the cell it parked on: which cells a rank imports must not move,
+        // only when the requests leave. The blocking walk (no prefetch)
+        // fetches one cell at a time, each when a walk pops it.
+        let inputs = [
+            (plummer(1536, 42), "plummer(1536)"),
+            (crate::models::golden_ics(96, 42), "golden_ics(96)"),
+        ];
+        for (all, name) in &inputs {
+            let blocking = fetch_sets(all, 4, false);
+            PREFETCH_PAST_MAC.set(past_mac);
+            let deferred = fetch_sets(all, 4, true);
+            PREFETCH_PAST_MAC.set(false);
+            let prefetched: u64 = deferred.iter().map(|d| d.1).sum();
+            assert!(prefetched > 0, "{name}: no walk prefetched");
+            assert!(
+                blocking.iter().all(|b| b.1 == 0),
+                "{name}: blocking walk prefetched"
+            );
+            for (rank, (d, b)) in deferred.iter().zip(&blocking).enumerate() {
+                assert!(!b.0.is_empty(), "{name}: rank {rank} imported nothing");
+                let not_in = |a: &[(u64, bool)], b: &[(u64, bool)]| {
+                    a.iter().filter(|k| b.binary_search(k).is_err()).count()
+                };
+                let (extra, short) = (not_in(&d.0, &b.0), not_in(&b.0, &d.0));
+                assert!(
+                    extra + short == 0,
+                    "{name} on 4 ranks, rank {rank}: {extra} fetches beyond the blocking walk's {}, {short} short",
+                    b.0.len()
+                );
+            }
+        }
+    }
+
     #[test]
     fn parked_lists_weigh_two_words_an_entry_at_most() {
         // Every walk of a rank is parked at once, so the lists are the
         // rank's footprint: 8 B an entry, at most doubled by `Vec` growth
         // (they were 96 B a cell and 40 B a body when they held copies).
         // ≈ 1 500 bodies a rank: 16-wide walks.
-        let per_rank = with_engine(&plummer(6144, 5), 4, |e, _| {
+        let per_rank = with_engine(&plummer(6144, 5), 4, &ParallelConfig::default(), |e, _| {
             assert_eq!(e.width, GROUP);
             (e.list_bytes, e.list_entries)
         });
@@ -1455,6 +1617,7 @@ mod tests {
                 nbody: c.nbody,
                 kids: None,
                 bodies: None,
+                fetching: false,
             });
             let ghost_bodies = other.bodies.iter().map(|b| BodyPart {
                 cell: 0,

@@ -2,7 +2,8 @@
 //!
 //! The end-of-run aggregates in [`crate::recorder::RankTrace`] say *that*
 //! a run spent 50% of its horizon on the wire; the timeline says *when*.
-//! The recorder, when armed with [`Recorder::enable_timeline`], slices
+//! The recorder, when armed with
+//! [`Recorder::enable_timeline`](crate::Recorder::enable_timeline), slices
 //! its virtual timeline into fixed windows on an absolute grid (window
 //! `i` covers `[i·w, (i+1)·w)`) and seals one [`TimelineWindow`] per
 //! window as the clock crosses each boundary:
@@ -149,7 +150,7 @@ impl WorldTimeline {
     }
 
     /// World-merged series: one window per populated grid index, ranks
-    /// folded together ([`TimelineWindow::absorb`]), in grid order.
+    /// folded together (`TimelineWindow::absorb`), in grid order.
     pub fn merged(&self) -> Vec<TimelineWindow> {
         let mut grid: BTreeMap<u64, TimelineWindow> = BTreeMap::new();
         for r in &self.ranks {
