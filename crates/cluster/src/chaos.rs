@@ -72,6 +72,13 @@ pub(crate) fn adopt_stripe(
     accel[range].copy_from_slice(&accel_of(part));
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch (test builds only): ranks other than 0 charge
+    /// a whole-world commit as its frame less the 4-byte CRC.
+    static FRAME_LEN_WITHOUT_CRC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Give up after this many *consecutive* recoveries that resumed from
 /// the same commit (zero forward progress). An attacker scheduling
 /// crashes faster than the checkpoint cadence would otherwise burn all
@@ -473,6 +480,13 @@ fn run_treecode_impl(
         // degraded mode logs every rank's shard.
         let store: Mutex<Option<(u64, f64, Vec<u8>)>> = Mutex::new(None);
         let shard_log: Mutex<Vec<ShardCommit>> = Mutex::new(Vec::new());
+        // Every replica writes the same whole-state frame, and a frame of
+        // `n` bodies has one length whatever its step, time and values
+        // (fixed-width rows): each rank charges the step-0 frame's length,
+        // and rank 0 alone encodes the frame stable storage keeps.
+        let frame_len = committed.2.len();
+        #[cfg(test)]
+        let frame_len_without_crc = FRAME_LEN_WITHOUT_CRC.get();
         let start = &start;
         let shard_log_ref = &shard_log;
         let world = |comm: &mut Comm| {
@@ -562,12 +576,22 @@ fn run_treecode_impl(
                             .unwrap()
                             .push((step, comm.time(), comm.rank(), shard));
                     } else {
-                        let bytes = encode_state(step, time, &bodies, &accel);
-                        comm.obs_count("ckpt.bytes", bytes.len() as u64);
+                        let bytes =
+                            (comm.rank() == 0).then(|| encode_state(step, time, &bodies, &accel));
+                        if let Some(bytes) = &bytes {
+                            assert_eq!(bytes.len(), frame_len, "whole-state frame length moved");
+                        }
+                        #[allow(unused_mut)]
+                        let mut charged = frame_len;
+                        #[cfg(test)]
+                        if frame_len_without_crc && comm.rank() != 0 {
+                            charged -= 4;
+                        }
+                        comm.obs_count("ckpt.bytes", charged as u64);
                         comm.obs_count("ckpt.commits", 1);
-                        comm.elapse(io.snapshot_time(bytes.len() as f64 / size as f64));
+                        comm.elapse(io.snapshot_time(charged as f64 / size as f64));
                         comm.barrier();
-                        if comm.rank() == 0 {
+                        if let Some(bytes) = bytes {
                             *store.lock().unwrap() = Some((step, comm.time(), bytes));
                         }
                     }
@@ -844,6 +868,73 @@ mod tests {
         let back = decode_state(&bytes).expect("own frame decodes");
         assert_eq!((back.step, back.time), (7, 0.0703125));
         assert!(back.bodies.bit_eq(&bodies) && back.accel.bit_eq(&accel));
+    }
+
+    #[test]
+    fn checkpoint_charge_is_the_kept_frame_length() {
+        assert_checkpoint_charges(false);
+    }
+
+    /// Teeth: ranks that charge a frame without its CRC are 4 bytes a
+    /// commit short of the frame rank 0 keeps.
+    #[test]
+    #[should_panic(expected = "rank 1 charged")]
+    fn checkpoint_oracle_catches_a_frame_len_without_crc() {
+        assert_checkpoint_charges(true);
+    }
+
+    /// Every rank charges each whole-world commit at the length of the
+    /// frame rank 0 encodes and stable storage keeps, which is one length
+    /// for one body count whatever the step, time and values.
+    fn assert_checkpoint_charges(without_crc: bool) {
+        for n in [0, 1, 96] {
+            let lens: Vec<usize> = [(0, 0.0, 1), (3, 0.03, 2), (u64::MAX, -1e300, 3)]
+                .into_iter()
+                .map(|(step, time, seed)| {
+                    let bodies = crate::ics::golden_ics(n, seed);
+                    let accel: Vec<Accel> = bodies
+                        .iter()
+                        .map(|b| Accel {
+                            acc: b.vel,
+                            pot: b.mass * time,
+                        })
+                        .collect();
+                    encode_state(step, time, &bodies, &accel).len()
+                })
+                .collect();
+            assert!(lens.iter().all(|&l| l == lens[0]), "n = {n}: {lens:?}");
+        }
+        let chaos = ChaosConfig {
+            checkpoint_every: 1,
+            ..Default::default()
+        };
+        FRAME_LEN_WITHOUT_CRC.set(without_crc);
+        let (_, report, trace) = run_treecode_traced(
+            &ss_machine(),
+            4,
+            &FaultPlan::none(3),
+            &chaos,
+            crate::ics::golden_ics(96, 42),
+            &test_cfg(),
+            3,
+            0.01,
+        );
+        FRAME_LEN_WITHOUT_CRC.set(false);
+        assert!(report.completed && report.restarts == 0, "{report:?}");
+        let trace = trace.expect("a completed run has a trace");
+        assert_eq!(trace.size(), 4);
+        for r in &trace.ranks {
+            let commits = r.metrics.counter("ckpt.commits");
+            let bytes = r.metrics.counter("ckpt.bytes");
+            assert_eq!(commits, 3, "rank {} committed {commits} times", r.rank);
+            assert_eq!(
+                bytes,
+                commits * report.checkpoint_bytes as u64,
+                "rank {} charged {bytes} B for {commits} frames of {} B",
+                r.rank,
+                report.checkpoint_bytes
+            );
+        }
     }
 
     #[test]

@@ -228,6 +228,80 @@ fn committed_golden_snapshot_matches() {
     );
 }
 
+/// The golden world's happens-before edges, one record a line: per rank
+/// its horizon and modeled compute, its spans, its blocked receives and
+/// the sends those name — exactly what `obs`'s critical path and
+/// efficiency read. `obs` cannot run a world, so its unit tests analyse
+/// the golden world from this file (and check that it reproduces the
+/// summary's `analysis v1` block).
+fn edge_fixture(w: &WorldTrace) -> String {
+    use std::fmt::Write;
+    let mut out = format!("golden-edges v1\nranks {}\n", w.size());
+    for r in &w.ranks {
+        let compute = r.metrics.gauge("vt.compute_s").unwrap_or(0.0);
+        let _ = writeln!(
+            out,
+            "rank {} start {:?} end {:?} compute_s {compute:?}",
+            r.rank, r.start, r.end
+        );
+        for s in &r.spans {
+            let _ = writeln!(
+                out,
+                "span {} {:?} {:?} {} {}",
+                s.name, s.t0, s.t1, s.depth, s.seq
+            );
+        }
+        for rec in r.recvs.iter().filter(|rec| rec.wait > 0.0) {
+            let _ = writeln!(
+                out,
+                "recv {} {} {:?} {:?} {:?}",
+                rec.src, rec.seq, rec.arrival, rec.t_end, rec.wait
+            );
+        }
+        let named = |seq: u64| {
+            w.ranks.iter().any(|d| {
+                d.recvs
+                    .iter()
+                    .any(|rec| rec.wait > 0.0 && rec.src as usize == r.rank && rec.seq == seq)
+            })
+        };
+        for s in r.sends.iter().filter(|s| named(s.seq)) {
+            let _ = writeln!(
+                out,
+                "send {} {} {:?} {} {:?} {}",
+                s.dst,
+                s.seq,
+                s.t,
+                s.bytes,
+                s.queued,
+                s.link.name()
+            );
+        }
+    }
+    out
+}
+
+#[test]
+fn committed_edge_fixture_matches() {
+    let (_, trace) = golden_run(&golden_plan());
+    let got = edge_fixture(&trace);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/treecode16.edges");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &got).unwrap();
+        eprintln!("golden edges rewritten: {path}");
+        return;
+    }
+    let want = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!("cannot read golden edges {path}: {e}; regenerate with UPDATE_GOLDEN=1")
+    });
+    assert!(
+        got == want,
+        "edges drifted from the committed golden fixture.\n\
+         If the change is intentional, regenerate with:\n\
+         UPDATE_GOLDEN=1 cargo test -p cluster --test golden_trace"
+    );
+}
+
 /// The timeline CSV is its own committed artifact: wider than the
 /// summary's `timeline v1` block (per-rank rows, histogram percentiles,
 /// gauge levels), and exactly what the CI observability job uploads.

@@ -167,6 +167,13 @@ impl CriticalPath {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch (test builds only): the walk charges the first
+    /// cross-rank edge it reaches as a local wait instead of crossing it.
+    static DROP_CP_EDGE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Extract the critical path of a merged world trace. Total = O(path
 /// length × per-rank records); pure and deterministic.
 pub fn critical_path(w: &WorldTrace) -> CriticalPath {
@@ -190,6 +197,8 @@ pub fn critical_path(w: &WorldTrace) -> CriticalPath {
     // Backstop against malformed (e.g. fuzzed) traces; every iteration
     // of the real walk strictly decreases `cur`.
     let mut fuel = 10_000_000u64;
+    #[cfg(test)]
+    let mut edge_dropped = false;
     while cur > t_start && fuel > 0 {
         fuel -= 1;
         let r = &w.ranks[rank];
@@ -207,6 +216,13 @@ pub fn critical_path(w: &WorldTrace) -> CriticalPath {
             .get(rec.src as usize)
             .and_then(|s| s.send_by_seq(rec.seq))
             .copied();
+        #[cfg(test)]
+        let joined = if DROP_CP_EDGE.get() && !edge_dropped && rec.src as usize != rank {
+            edge_dropped = true;
+            None
+        } else {
+            joined
+        };
         match joined {
             Some(s) if s.t < cur => {
                 let lo = s.t.max(t_start);
@@ -557,6 +573,111 @@ mod tests {
         r1.metrics.set_gauge("vt.compute_s", 0.5);
         let t1 = r1.finish(2.0);
         WorldTrace::from_ranks(vec![t0, t1])
+    }
+
+    /// The golden world (`cluster::ics::golden_run`: 16 ranks, 4 steps)
+    /// rebuilt from the edge fixture `cluster`'s golden-trace test keeps
+    /// beside the golden summary: spans, blocked receives, the sends they
+    /// name and each rank's modeled compute.
+    fn golden_world() -> WorldTrace {
+        let text = include_str!("../../cluster/tests/golden/treecode16.edges");
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some("golden-edges v1"));
+        let size: usize = lines
+            .next()
+            .and_then(|l| l.strip_prefix("ranks "))
+            .expect("ranks line")
+            .parse()
+            .unwrap();
+        let mut ranks: Vec<RankTrace> = Vec::new();
+        for line in lines {
+            let t: Vec<&str> = line.split_whitespace().collect();
+            let f = |i: usize| -> f64 { t[i].parse().unwrap() };
+            let u = |i: usize| -> u64 { t[i].parse().unwrap() };
+            if t[0] == "rank" {
+                let mut metrics = crate::metrics::Registry::new();
+                metrics.set_gauge("vt.compute_s", f(7));
+                ranks.push(RankTrace {
+                    rank: t[1].parse().unwrap(),
+                    spans: Vec::new(),
+                    metrics,
+                    link_bytes: vec![0; size],
+                    link_msgs: vec![0; size],
+                    class_bytes: [0; 4],
+                    class_msgs: [0; 4],
+                    dropped_spans: 0,
+                    start: f(3),
+                    end: f(5),
+                    sends: Vec::new(),
+                    recvs: Vec::new(),
+                    timeline: None,
+                });
+                continue;
+            }
+            let r = ranks.last_mut().expect("a rank line first");
+            match t[0] {
+                "span" => r.spans.push(crate::recorder::Span {
+                    name: Box::leak(t[1].to_string().into_boxed_str()),
+                    t0: f(2),
+                    t1: f(3),
+                    depth: t[4].parse().unwrap(),
+                    seq: t[5].parse().unwrap(),
+                }),
+                "recv" => r.recvs.push(crate::recorder::RecvRec {
+                    src: t[1].parse().unwrap(),
+                    seq: u(2),
+                    arrival: f(3),
+                    t_end: f(4),
+                    wait: f(5),
+                }),
+                "send" => r.sends.push(crate::recorder::SendRec {
+                    dst: t[1].parse().unwrap(),
+                    seq: u(2),
+                    t: f(3),
+                    bytes: u(4),
+                    queued: f(5),
+                    link: *LinkClass::ALL
+                        .iter()
+                        .find(|c| c.name() == t[6])
+                        .expect("link class"),
+                }),
+                other => panic!("unknown fixture record {other:?}"),
+            }
+        }
+        WorldTrace::from_ranks(ranks)
+    }
+
+    #[test]
+    fn golden_edges_reproduce_the_golden_analysis() {
+        let summary = include_str!("../../cluster/tests/golden/treecode16.summary");
+        let block = &summary[summary.find("analysis v1").expect("analysis block")..];
+        assert_eq!(analysis_report(&golden_world()), block);
+    }
+
+    /// Teeth for `trace_dump --diff`: a critical path that charges one
+    /// cross-rank edge of the golden world as a local wait must show in
+    /// the diff of the two summaries, as a regression.
+    #[test]
+    fn diff_oracle_catches_a_dropped_critical_path_edge() {
+        let w = golden_world();
+        let clean = crate::export::structural_summary(&w);
+        assert_eq!(clean, crate::export::structural_summary(&w));
+        DROP_CP_EDGE.set(true);
+        let mutant = crate::export::structural_summary(&w);
+        DROP_CP_EDGE.set(false);
+        let d = crate::diff::diff_summaries(&clean, &mutant);
+        let moved: Vec<&str> = d
+            .entries
+            .iter()
+            .filter(|e| e.delta() != 0.0)
+            .map(|e| e.label.as_str())
+            .collect();
+        assert!(
+            moved.contains(&"cp:wire") || moved.contains(&"cp:wait"),
+            "the diff missed the dropped edge: {moved:?}"
+        );
+        let (text, regressed) = crate::diff::render_diff(&d, 0.0);
+        assert!(regressed, "{text}");
     }
 
     #[test]
