@@ -261,18 +261,22 @@ fn decode_state(bytes: &[u8]) -> Result<State, CkptError> {
     })
 }
 
-/// One complete per-rank shard generation in stable storage: `of_ranks`
-/// crc-framed fragments that together hold the integrator state at
-/// `step`. Two generations are retained so a shard discovered rotten at
-/// recovery time falls back to the previous complete commit.
 /// One rank's shard as logged from inside the faulted world:
 /// `(step, commit vtime, rank, crc-framed bytes)`.
 type ShardCommit = (u64, f64, usize, Vec<u8>);
+
+/// Whole-world stable storage for one attempt: how many commits rank 0
+/// wrote, and the newest as `(step, commit vtime, crc-framed state)`.
+type WorldStore = (u64, Option<(u64, f64, Vec<u8>)>);
 
 /// A possibly-incomplete generation being reassembled from the log:
 /// one `(commit vtime, bytes)` slot per rank.
 type ShardSlots = Vec<Option<(f64, Vec<u8>)>>;
 
+/// One complete per-rank shard generation in stable storage: `of_ranks`
+/// crc-framed fragments that together hold the integrator state at
+/// `step`. Two generations are retained so a shard discovered rotten at
+/// recovery time falls back to the previous complete commit.
 struct Gen {
     step: u64,
     /// Virtual commit time (max over ranks; the commit barrier keeps the
@@ -476,9 +480,10 @@ fn run_treecode_impl(
         };
         // Stable storage for commits made during this attempt: written
         // outside the faulted world, so a later crash cannot claw a
-        // commit back. Whole-world mode stores rank 0's full snapshot;
-        // degraded mode logs every rank's shard.
-        let store: Mutex<Option<(u64, f64, Vec<u8>)>> = Mutex::new(None);
+        // commit back. Whole-world mode keeps rank 0's newest full
+        // snapshot and counts every one written; degraded mode logs every
+        // rank's shard.
+        let store: Mutex<WorldStore> = Mutex::new((0, None));
         let shard_log: Mutex<Vec<ShardCommit>> = Mutex::new(Vec::new());
         // Every replica writes the same whole-state frame, and a frame of
         // `n` bodies has one length whatever its step, time and values
@@ -592,7 +597,9 @@ fn run_treecode_impl(
                         comm.elapse(io.snapshot_time(charged as f64 / size as f64));
                         comm.barrier();
                         if let Some(bytes) = bytes {
-                            *store.lock().unwrap() = Some((step, comm.time(), bytes));
+                            let mut store = store.lock().expect("no rank panics holding it");
+                            store.0 += 1;
+                            store.1 = Some((step, comm.time(), bytes));
                         }
                     }
                     comm.span_exit("chaos.checkpoint");
@@ -607,9 +614,10 @@ fn run_treecode_impl(
             .observe(traced)
             .run(world);
         // Commits outlive the attempt that made them.
-        if let Some((step, vtime, bytes)) = store.into_inner().unwrap() {
+        let (stored, newest) = store.into_inner().expect("no rank panics holding it");
+        if let Some((step, vtime, bytes)) = newest {
             if step > committed.0 {
-                report.commits += 1;
+                report.commits += stored;
                 report.checkpoint_bytes = bytes.len();
                 committed = (step, vtime, bytes);
             }
@@ -935,6 +943,9 @@ mod tests {
                 report.checkpoint_bytes
             );
         }
+        // Each of the three commits reached stable storage, although the
+        // store keeps only the newest frame.
+        assert_eq!(report.commits, 3, "stable storage saw {report:?}");
     }
 
     #[test]

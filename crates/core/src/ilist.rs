@@ -29,11 +29,11 @@
 //! tests can assert exactly that.
 
 use crate::gravity::{self, Accel, GravityConfig};
-use crate::mac::Mac;
 use crate::multipole::Multipole;
-use crate::traverse::TraverseStats;
+use crate::traverse::{self, Take, TraverseStats};
 use crate::tree::{Body, Cell, CellIdx, Tree, NO_CELL};
 use std::cell::RefCell;
+use std::convert::Infallible;
 
 /// Leaves per walk group of the serial group walk. Wider groups share
 /// more of the descent, but their members lie further apart, so masks
@@ -221,37 +221,6 @@ impl IlistScratch {
         self.bm.len()
     }
 
-    /// Append an accepted multipole, with its center of mass at `com`
-    /// (callers apply periodic image shifts before pushing).
-    #[inline]
-    pub fn push_mom(&mut self, com: [f64; 3], mom: &crate::multipole::Multipole) {
-        let a = &mut self.alloc_events;
-        push_tracked(&mut self.cx, a, com[0]);
-        push_tracked(&mut self.cy, a, com[1]);
-        push_tracked(&mut self.cz, a, com[2]);
-        push_tracked(&mut self.cm, a, mom.mass);
-        for (q, &m) in self.cq.iter_mut().zip(&mom.quad) {
-            push_tracked(q, a, m);
-        }
-    }
-
-    /// Append an accepted cell's moments.
-    #[inline]
-    pub fn push_cell(&mut self, com: [f64; 3], cell: &Cell) {
-        let mom = cell.mom;
-        self.push_mom(com, &mom);
-    }
-
-    /// Append one leaf body.
-    #[inline]
-    pub fn push_body(&mut self, pos: [f64; 3], mass: f64) {
-        let a = &mut self.alloc_events;
-        push_tracked(&mut self.bx, a, pos[0]);
-        push_tracked(&mut self.by, a, pos[1]);
-        push_tracked(&mut self.bz, a, pos[2]);
-        push_tracked(&mut self.bm, a, mass);
-    }
-
     /// Evaluate the gathered spans on a target at `tp`, adding into
     /// `out`. Returns `(m2p, p2p)` interaction counts.
     pub fn eval(&self, tp: [f64; 3], eps2: f64, quadrupole: bool, out: &mut Accel) -> (u64, u64) {
@@ -278,6 +247,30 @@ impl IlistScratch {
     }
 }
 
+/// The per-body walk's gather: what a descent takes lands in the spans.
+impl Take for IlistScratch {
+    #[inline]
+    fn cell(&mut self, mom: &Multipole) {
+        let a = &mut self.alloc_events;
+        push_tracked(&mut self.cx, a, mom.com[0]);
+        push_tracked(&mut self.cy, a, mom.com[1]);
+        push_tracked(&mut self.cz, a, mom.com[2]);
+        push_tracked(&mut self.cm, a, mom.mass);
+        for (q, &m) in self.cq.iter_mut().zip(&mom.quad) {
+            push_tracked(q, a, m);
+        }
+    }
+
+    #[inline]
+    fn body(&mut self, pos: [f64; 3], mass: f64) {
+        let a = &mut self.alloc_events;
+        push_tracked(&mut self.bx, a, pos[0]);
+        push_tracked(&mut self.by, a, pos[1]);
+        push_tracked(&mut self.bz, a, pos[2]);
+        push_tracked(&mut self.bm, a, mass);
+    }
+}
+
 thread_local! {
     static SCRATCH: RefCell<IlistScratch> = RefCell::new(IlistScratch::new());
 }
@@ -291,9 +284,9 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut IlistScratch) -> R) -> R {
 
 /// Per-body walk: gather the interaction list for the body at index `i`
 /// of `tree.bodies` into `sc`, then evaluate it with the span kernels.
-/// Exactly the same accept/open decisions as the scalar reference walk
-/// (`traverse::accel_on_scalar`), so force errors are identical; only
-/// the evaluation order changes.
+/// The descent is the scalar reference walk's
+/// ([`traverse::accel_on_scalar`]), so the accept/open decisions and
+/// force errors are identical; only the evaluation order changes.
 pub fn accel_on_with(
     tree: &Tree,
     i: usize,
@@ -301,50 +294,16 @@ pub fn accel_on_with(
     sc: &mut IlistScratch,
 ) -> (Accel, TraverseStats) {
     let pos = tree.bodies[i].pos;
-    let mac = Mac::new(cfg.mac, cfg.theta);
-    let eps2 = cfg.eps * cfg.eps;
-    let mut stats = TraverseStats::default();
     sc.clear();
-    push_tracked(&mut sc.stack, &mut sc.alloc_events, 0);
-    while let Some(ci) = sc.stack.pop() {
-        let cell = tree.cell(ci);
-        if cell.nbody == 0 {
-            continue;
-        }
-        // Periodic runs interact with the nearest image of each cell.
-        let com = match cfg.periodic {
-            Some(l) => gravity::nearest_image(pos, cell.mom.com, l),
-            None => cell.mom.com,
-        };
-        let mut mom = cell.mom;
-        mom.com = com;
-        if mac.accept_raw(cell.side(), &mom, pos) {
-            sc.push_cell(com, cell);
-        } else if cell.is_leaf {
-            let first = cell.first_body as usize;
-            for (j, b) in tree.leaf_bodies(cell).iter().enumerate() {
-                if first + j == i {
-                    continue; // no self-interaction
-                }
-                let sp = match cfg.periodic {
-                    Some(l) => gravity::nearest_image(pos, b.pos, l),
-                    None => b.pos,
-                };
-                sc.push_body(sp, b.mass);
-            }
-        } else {
-            stats.opened += 1;
-            for &ch in &cell.children {
-                if ch != NO_CELL {
-                    push_tracked(&mut sc.stack, &mut sc.alloc_events, ch);
-                }
-            }
-        }
-    }
+    let mut stack = std::mem::take(&mut sc.stack);
+    let cap = stack.capacity();
+    let leaf = |c: &Cell| Ok::<_, Infallible>(tree.leaf_bodies(c));
+    let Ok(stats) = traverse::descend(&tree.cells, i, pos, cfg, &mut stack, leaf, sc);
+    // The stack grows outside `push_tracked`: count a walk that grew it.
+    sc.alloc_events += u64::from(stack.capacity() != cap);
+    sc.stack = stack;
     let mut out = Accel::default();
-    let (m2p, p2p) = sc.eval(pos, eps2, cfg.quadrupole, &mut out);
-    stats.m2p += m2p;
-    stats.p2p += p2p;
+    sc.eval(pos, cfg.eps * cfg.eps, cfg.quadrupole, &mut out);
     (out, stats)
 }
 
@@ -663,11 +622,11 @@ mod tests {
                 gravity::MacKind::BmaxMac => 2.0 * cell.mom.bmax / cfg.theta,
             };
             if worst > cell.mom.bmax && worst > crit {
-                sc.push_cell(cell.mom.com, cell);
+                sc.cell(&cell.mom);
             } else if cell.is_leaf {
                 if ci != gi {
                     for b in tree.leaf_bodies(cell) {
-                        sc.push_body(b.pos, b.mass);
+                        sc.body(b.pos, b.mass);
                     }
                 }
             } else {

@@ -2,51 +2,52 @@
 //! larger simulations are possible using the out-of-core version of our
 //! code").
 //!
-//! Bodies live on disk, Morton-sorted, so any tree cell maps to a
-//! *contiguous* file range. In memory we keep only:
+//! Bodies live on disk in the tree's (Morton) order, so every cell of
+//! the tree is a *contiguous* file range: rows `first_body..first_body +
+//! nbody`. In memory we keep only:
 //!
-//! * the sorted keys (8 bytes per body) — the tree *structure*;
-//! * a metadata tree whose cells carry exact multipole moments (built
-//!   with one streaming pass over the file) but no bodies; its leaves
-//!   are "chunks" of at most `chunk` bodies;
+//! * the cells of [`Tree::build`] over the bodies — structure and exact
+//!   multipole moments, no bodies and no per-body index; its leaves hold
+//!   at most `chunk` bodies and are the unit of I/O ("chunks");
 //! * an LRU cache of recently loaded chunks.
 //!
-//! The force pass walks the metadata tree per target chunk: accepted
-//! cells interact through their moments; chunks that must be opened are
-//! fetched by ranged file read (and usually hit the cache, because
-//! Morton order makes the open set spatially local).
+//! The build holds the body set once, as the caller's `Vec` already did;
+//! the force pass holds one target chunk and the cache.
+//!
+//! The force pass is the in-memory scalar walk ([`crate::traverse`]),
+//! target chunk by target chunk: accepted cells interact through their
+//! moments; chunks that must be opened are fetched by ranged file read
+//! (and usually hit the cache, because Morton order makes the open set
+//! spatially local).
 
-use crate::gravity::{self, Accel, GravityConfig};
-use crate::morton::{BBox, Key, MAX_LEVEL};
-use crate::multipole::Multipole;
-use crate::traverse::TraverseStats;
-use crate::tree::Body;
+use crate::gravity::{Accel, GravityConfig};
+use crate::traverse::{self, TraverseStats};
+use crate::tree::{Body, Cell, Tree};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// A Morton-sorted body file plus its in-memory key index.
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch (test builds only): a ranged read that does
+    /// not start at the first row seeks one row early, so every chunk past
+    /// the first comes back holding its predecessor's last body.
+    static ROW_ONE_EARLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// A body file of fixed-width rows ([`Body::ROW_BYTES`]).
 pub struct OocStore {
     path: PathBuf,
-    pub bbox: BBox,
-    /// Full-depth key per body, sorted (the in-memory index).
-    pub keys: Vec<Key>,
+    len: usize,
 }
 
 impl OocStore {
-    /// Sort `bodies` by key and write them to `path`.
+    /// Write `bodies` to `path`, in the order given.
     pub fn create(path: &Path, bodies: Vec<Body>) -> std::io::Result<OocStore> {
         assert!(!bodies.is_empty());
-        let bbox = BBox::enclosing(bodies.iter().map(|b| b.pos));
-        let mut keyed: Vec<(Key, Body)> = bodies
-            .into_iter()
-            .map(|b| (bbox.key_of(b.pos), b))
-            .collect();
-        keyed.sort_by_key(|&(k, _)| k);
-        let keys: Vec<Key> = keyed.iter().map(|&(k, _)| k).collect();
-        let mut buf = Vec::with_capacity(keyed.len() * Body::ROW_BYTES);
-        for (_, b) in &keyed {
+        let mut buf = Vec::with_capacity(bodies.len() * Body::ROW_BYTES);
+        for b in &bodies {
             b.write_row(&mut buf);
         }
         let mut file = File::create(path)?;
@@ -54,40 +55,31 @@ impl OocStore {
         file.sync_all()?;
         Ok(OocStore {
             path: path.to_path_buf(),
-            bbox,
-            keys,
+            len: bodies.len(),
         })
     }
 
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len == 0
     }
 
     /// Read bodies `[a, b)` from disk.
     pub fn read_range(&self, a: usize, b: usize) -> std::io::Result<Vec<Body>> {
         let mut file = File::open(&self.path)?;
-        file.seek(SeekFrom::Start((a * Body::ROW_BYTES) as u64))?;
         let mut buf = vec![0u8; (b - a) * Body::ROW_BYTES];
+        #[cfg(test)]
+        let a = a - usize::from(ROW_ONE_EARLY.get() && a > 0);
+        file.seek(SeekFrom::Start((a * Body::ROW_BYTES) as u64))?;
         file.read_exact(&mut buf)?;
         Ok(buf
             .chunks_exact(Body::ROW_BYTES)
             .map(|row| Body::read_row(row.try_into().expect("chunks_exact")))
             .collect())
     }
-}
-
-/// Metadata cell: structure + exact moments, no body storage.
-struct MetaCell {
-    first: usize,
-    n: usize,
-    children: Vec<u32>,
-    mom: Multipole,
-    side: f64,
-    is_chunk: bool,
 }
 
 /// I/O statistics of an out-of-core force pass.
@@ -102,112 +94,52 @@ pub struct OocStats {
 /// The out-of-core gravity engine.
 pub struct OocGravity {
     store: OocStore,
-    cells: Vec<MetaCell>,
-    chunk: usize,
+    cells: Vec<Cell>,
     cache_cap: usize,
 }
 
 impl OocGravity {
-    /// Build the metadata tree with one streaming pass: leaves of at
-    /// most `chunk` bodies get exact P2M moments; internal cells M2M.
+    /// Build the tree over the store's bodies, with leaves ("chunks") of
+    /// at most `chunk` bodies, and rewrite the store in the tree's body
+    /// order, so that every cell is one file range. Only the cells stay
+    /// in memory.
     pub fn build(
         store: OocStore,
         chunk: usize,
         cache_chunks: usize,
     ) -> std::io::Result<OocGravity> {
-        assert!(chunk >= 1 && cache_chunks >= 1);
-        let mut g = OocGravity {
-            store,
-            cells: Vec::new(),
-            chunk,
+        assert!(cache_chunks >= 1);
+        let tree = Tree::build(store.read_range(0, store.len())?, chunk);
+        Ok(OocGravity {
+            store: OocStore::create(&store.path, tree.bodies)?,
+            cells: tree.cells,
             cache_cap: cache_chunks,
-        };
-        let n = g.store.len();
-        g.build_cell(Key::ROOT, 0, n)?;
-        Ok(g)
-    }
-
-    fn build_cell(&mut self, key: Key, first: usize, n: usize) -> std::io::Result<u32> {
-        let idx = self.cells.len() as u32;
-        let (_, half) = self.store.bbox.cell_geometry(key);
-        self.cells.push(MetaCell {
-            first,
-            n,
-            children: Vec::new(),
-            mom: Multipole::ZERO,
-            side: 2.0 * half,
-            is_chunk: true,
-        });
-        if n <= self.chunk || key.level() == MAX_LEVEL {
-            // Streaming P2M over the chunk's file range.
-            let bodies = self.store.read_range(first, first + n)?;
-            self.cells[idx as usize].mom =
-                Multipole::from_bodies(bodies.iter().map(|b| (&b.pos, b.mass)));
-            return Ok(idx);
-        }
-        let level = key.level();
-        let shift = 3 * (MAX_LEVEL - level - 1);
-        let mut children = Vec::new();
-        let mut start = first;
-        let end = first + n;
-        for oct in 0..8u8 {
-            let run_end = start
-                + self.store.keys[start..end]
-                    .partition_point(|k| ((k.0 >> shift) & 7) as u8 <= oct);
-            if run_end > start {
-                let c = self.build_cell(key.child(oct), start, run_end - start)?;
-                children.push(c);
-            }
-            start = run_end;
-        }
-        let moms: Vec<Multipole> = children
-            .iter()
-            .map(|&c| self.cells[c as usize].mom)
-            .collect();
-        let cell = &mut self.cells[idx as usize];
-        cell.children = children;
-        cell.is_chunk = false;
-        cell.mom = Multipole::combine(&moms);
-        Ok(idx)
-    }
-
-    /// Chunks (metadata leaves) in file order.
-    fn chunks(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = (0..self.cells.len() as u32)
-            .filter(|&i| self.cells[i as usize].is_chunk && self.cells[i as usize].n > 0)
-            .collect();
-        v.sort_by_key(|&i| self.cells[i as usize].first);
-        v
+        })
     }
 
     /// Out-of-core force pass: returns `(id, accel)` pairs in file order
     /// and the I/O statistics. Peak memory is one target chunk + the
-    /// cache + the key index — never the whole body set.
+    /// cache + the cells — never the whole body set.
     pub fn accelerations(
         &self,
         cfg: &GravityConfig,
     ) -> std::io::Result<(Vec<(u64, Accel)>, OocStats)> {
         assert!(cfg.periodic.is_none(), "out-of-core is vacuum-boundary");
-        let eps2 = cfg.eps * cfg.eps;
-        let mac = crate::mac::Mac::new(cfg.mac, cfg.theta);
         let mut stats = OocStats::default();
         let mut out = Vec::with_capacity(self.store.len());
-        // Tiny LRU: map chunk-cell -> (tick, bodies).
+        // Tiny LRU: a chunk's first body -> (tick, bodies).
         let mut cache: HashMap<u32, (u64, Vec<Body>)> = HashMap::new();
         let mut tick = 0u64;
-        let mut fetch = |gidx: u32,
-                         cache: &mut HashMap<u32, (u64, Vec<Body>)>,
-                         stats: &mut OocStats|
-         -> std::io::Result<Vec<Body>> {
+        let mut fetch = |cell: &Cell| -> std::io::Result<Vec<Body>> {
             tick += 1;
-            if let Some((t, bodies)) = cache.get_mut(&gidx) {
+            if let Some((t, bodies)) = cache.get_mut(&cell.first_body) {
                 *t = tick;
                 stats.cache_hits += 1;
                 return Ok(bodies.clone());
             }
-            let cell = &self.cells[gidx as usize];
-            let bodies = self.store.read_range(cell.first, cell.first + cell.n)?;
-            stats.bytes_read += (cell.n * Body::ROW_BYTES) as u64;
+            let first = cell.first_body as usize;
+            let bodies = self.store.read_range(first, first + cell.nbody as usize)?;
+            stats.bytes_read += (bodies.len() * Body::ROW_BYTES) as u64;
             stats.chunk_loads += 1;
             if cache.len() >= self.cache_cap {
                 // Evict least-recently-used.
@@ -215,46 +147,24 @@ impl OocGravity {
                     cache.remove(&old);
                 }
             }
-            cache.insert(gidx, (tick, bodies.clone()));
+            cache.insert(cell.first_body, (tick, bodies.clone()));
             Ok(bodies)
         };
 
-        for target_chunk in self.chunks() {
-            let targets = fetch(target_chunk, &mut cache, &mut stats)?;
-            for (ti, tb) in targets.iter().enumerate() {
-                let pos = tb.pos;
-                let mut acc = Accel::default();
-                let mut stack = vec![0u32];
-                while let Some(ci) = stack.pop() {
-                    let cell = &self.cells[ci as usize];
-                    if cell.n == 0 {
-                        continue;
-                    }
-                    if mac.accept_raw(cell.side, &cell.mom, pos) {
-                        gravity::m2p(pos, &cell.mom, eps2, cfg.quadrupole, &mut acc);
-                        stats.traversal.m2p += 1;
-                    } else if cell.is_chunk {
-                        let bodies = fetch(ci, &mut cache, &mut stats)?;
-                        let own = ci == target_chunk;
-                        for (j, b) in bodies.iter().enumerate() {
-                            if own && j == ti {
-                                continue;
-                            }
-                            gravity::p2p(pos, b.pos, b.mass, eps2, &mut acc);
-                            stats.traversal.p2p += 1;
-                        }
-                    } else {
-                        stats.traversal.opened += 1;
-                        stack.extend_from_slice(&cell.children);
-                    }
-                }
+        // The tree's leaves come out of its depth-first build in file order.
+        for target in self.cells.iter().filter(|c| c.is_leaf) {
+            let first = target.first_body as usize;
+            for (j, tb) in fetch(target)?.iter().enumerate() {
+                let (acc, s) =
+                    traverse::scalar_walk(&self.cells, first + j, tb.pos, cfg, &mut fetch)?;
+                stats.traversal.add(&s);
                 out.push((tb.id, acc));
             }
         }
         Ok((out, stats))
     }
 
-    /// Number of metadata cells (for tests).
+    /// Number of tree cells (for tests).
     pub fn n_cells(&self) -> usize {
         self.cells.len()
     }
@@ -264,12 +174,100 @@ impl OocGravity {
 mod tests {
     use super::*;
     use crate::direct::direct_accelerations;
+    use crate::gravity::MacKind;
     use crate::models::plummer;
+    use crate::traverse::accel_on_scalar;
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("hot_ooc_{tag}_{}.bin", std::process::id()));
         p
+    }
+
+    /// `(n, seed, chunk, cache, theta, mac, quadrupole)`: `plummer(n, seed)`
+    /// in leaves of at most `chunk` bodies with `cache` leaves cached, and
+    /// the pass's `(bytes_read, chunk_loads, cache_hits)` there. The I/O
+    /// was recorded at 7c09061, when the engine built its own metadata tree.
+    type OracleCase = (
+        (usize, u64, usize, usize, f64, MacKind, bool),
+        (u64, u64, u64),
+    );
+    const ORACLE_CASES: [OracleCase; 5] = [
+        (
+            (300, 5, 32, 4, 0.6, MacKind::BarnesHut, true),
+            (4_458_240, 7_166, 24),
+        ),
+        (
+            (600, 2, 64, 8, 0.5, MacKind::BmaxMac, false),
+            (22_855_608, 17_756, 70),
+        ),
+        (
+            (600, 4, 40, 2, 0.6, MacKind::BarnesHut, false),
+            (15_091_560, 17_389, 3),
+        ),
+        (
+            (800, 3, 50, 512, 0.7, MacKind::BmaxMac, true),
+            (57_600, 83, 23_963),
+        ),
+        // Ablation [7]'s pass.
+        (
+            (5_000, 31, 256, 512, 0.6, MacKind::BarnesHut, true),
+            (360_000, 176, 292_009),
+        ),
+    ];
+
+    /// The out-of-core pass is the in-memory scalar walk over
+    /// `Tree::build(bodies, chunk)`: body for body in tree order, the same
+    /// id, acceleration and potential to the bit and the same interaction
+    /// counts, over as many cells, with the recorded I/O.
+    fn assert_matches_tree_walk(tag: &str) {
+        for ((n, seed, chunk, cache, theta, mac, quadrupole), io) in ORACLE_CASES {
+            let case = format!("plummer({n}, {seed}) chunk {chunk} cache {cache}");
+            let cfg = GravityConfig {
+                theta,
+                eps: 0.01,
+                mac,
+                quadrupole,
+                ..Default::default()
+            };
+            let path = temp_path(&format!("{tag}_{n}_{chunk}"));
+            let store = OocStore::create(&path, plummer(n, seed)).unwrap();
+            let ooc = OocGravity::build(store, chunk, cache).unwrap();
+            let got = ooc.accelerations(&cfg);
+            std::fs::remove_file(&path).ok();
+            let (pairs, stats) = got.unwrap();
+            let tree = Tree::build(plummer(n, seed), chunk);
+            assert_eq!(ooc.n_cells(), tree.cells.len(), "{case}");
+            assert_eq!(pairs.len(), n, "{case}");
+            let mut want = TraverseStats::default();
+            for (i, (id, a)) in pairs.iter().enumerate() {
+                let (b, s) = accel_on_scalar(&tree, i, &cfg);
+                want.add(&s);
+                let bits = |a: &Accel| (a.acc.map(f64::to_bits), a.pot.to_bits());
+                assert_eq!(
+                    (*id, bits(a)),
+                    (tree.bodies[i].id, bits(&b)),
+                    "out-of-core body {i} of {case}"
+                );
+            }
+            assert_eq!(stats.traversal, want, "{case}");
+            let got_io = (stats.bytes_read, stats.chunk_loads, stats.cache_hits);
+            assert_eq!(got_io, io, "{case}");
+        }
+    }
+
+    #[test]
+    fn out_of_core_pass_is_the_tree_walk_bit_for_bit() {
+        assert_matches_tree_walk("oracle");
+    }
+
+    /// Teeth: leaves read one row early carry a neighbour's body, so the
+    /// forces stop matching the in-memory walk.
+    #[test]
+    #[should_panic(expected = "out-of-core body")]
+    fn leaf_oracle_catches_a_range_read_one_row_early() {
+        ROW_ONE_EARLY.set(true);
+        assert_matches_tree_walk("teeth");
     }
 
     #[test]
@@ -282,27 +280,15 @@ mod tests {
             b.id = 1000 + 7 * i as u64;
             b.work = 1.0 + i as f64 / 16.0;
         }
-        let by_pos: HashMap<[u64; 3], Body> = bodies
-            .iter()
-            .map(|b| (b.pos.map(f64::to_bits), *b))
-            .collect();
-        assert_eq!(by_pos.len(), 200, "positions are distinct");
-        let store = OocStore::create(&path, bodies).unwrap();
+        let store = OocStore::create(&path, bodies.clone()).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 72 * 200);
-        let all = store.read_range(0, store.len()).unwrap();
-        assert_eq!(all.len(), 200);
-        for b in &all {
-            let orig = by_pos[&b.pos.map(f64::to_bits)];
-            assert_eq!(b.vel, orig.vel);
-            assert_eq!(b.mass, orig.mass);
-            assert_eq!(b.id, orig.id);
-            assert_eq!(b.work, orig.work);
-        }
-        // Keys are sorted and match positions.
-        assert!(store.keys.windows(2).all(|w| w[0] <= w[1]));
-        for (k, b) in store.keys.iter().zip(&all) {
-            assert_eq!(*k, store.bbox.key_of(b.pos));
-        }
+        // Rows come back in the order written, every field intact.
+        assert_eq!(store.read_range(0, store.len()).unwrap(), bodies);
+        assert_eq!(store.read_range(150, 153).unwrap(), bodies[150..153]);
+        // The engine rewrites them in tree order: a cell is a file range.
+        let ooc = OocGravity::build(store, 8, 1).unwrap();
+        let tree = Tree::build(bodies, 8);
+        assert_eq!(ooc.store.read_range(0, 200).unwrap(), tree.bodies);
         std::fs::remove_file(&path).ok();
     }
 

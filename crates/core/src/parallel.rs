@@ -1068,7 +1068,7 @@ mod tests {
     use super::*;
     use crate::domain::decompose_with_health;
     use crate::models::plummer;
-    use crate::traverse::tree_accelerations;
+    use crate::traverse::{tree_accelerations, Take};
 
     fn split(bodies: &[Body], nranks: usize, rank: usize) -> Vec<Body> {
         bodies
@@ -1585,11 +1585,11 @@ mod tests {
             sc.clear();
             for &(_, src) in w.cells.iter().filter(|e| e.0 >> b & 1 != 0) {
                 let mom = sources.mom(src);
-                sc.push_mom(mom.com, mom);
+                sc.cell(mom);
             }
             for &(_, src) in w.bodies.iter().filter(|e| e.0 >> b & 1 != 0) {
                 let (pos, mass) = sources.body(src);
-                sc.push_body(pos, mass);
+                sc.body(pos, mass);
             }
             let (c, p) = sc.eval(body.pos, eps2, quadrupole, out);
             m2p += c;

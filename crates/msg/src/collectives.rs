@@ -208,45 +208,6 @@ impl Comm {
         }
         result.into_iter().map(Option::unwrap).collect()
     }
-
-    /// Exclusive prefix "sum" with `op`: rank r returns
-    /// `op(v₀, …, v_{r-1})`, and rank 0 returns `None`.
-    pub fn exscan<T, F>(&mut self, value: T, op: F) -> Option<T>
-    where
-        T: Payload + Clone,
-        F: Fn(&T, &T) -> T,
-    {
-        self.with_span("coll.exscan", |c| c.exscan_inner(value, op))
-    }
-
-    fn exscan_inner<T, F>(&mut self, value: T, op: F) -> Option<T>
-    where
-        T: Payload + Clone,
-        F: Fn(&T, &T) -> T,
-    {
-        let tag = self.coll_tag();
-        let (rank, size) = (self.rank(), self.size());
-        // Hillis–Steele: after round d, `incl` holds the inclusive prefix
-        // over the 2^(d+1) ranks ending at us.
-        let mut incl = value;
-        let mut excl: Option<T> = None;
-        let mut d = 1usize;
-        while d < size {
-            if rank + d < size {
-                self.send(rank + d, tag | (d as Tag), incl.clone());
-            }
-            if rank >= d {
-                let (_, v) = self.recv::<T>(Some(rank - d), tag | (d as Tag));
-                excl = Some(match &excl {
-                    None => v.clone(),
-                    Some(e) => op(&v, e),
-                });
-                incl = op(&v, &incl);
-            }
-            d <<= 1;
-        }
-        excl
-    }
 }
 
 #[cfg(test)]
@@ -346,18 +307,6 @@ mod tests {
         });
         assert_eq!(out[2][0], vec![1, 2, 3]);
         assert!(out[1].iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn exscan_prefix_sums() {
-        for size in [1usize, 2, 3, 8, 11] {
-            let out = run(size, |c| c.exscan((c.rank() + 1) as u64, |a, b| a + b));
-            assert_eq!(out[0], None);
-            for (r, v) in out.iter().enumerate().skip(1) {
-                let expect: u64 = (1..=r as u64).sum();
-                assert_eq!(*v, Some(expect), "rank {r}");
-            }
-        }
     }
 
     #[test]
@@ -504,18 +453,6 @@ mod reference_tests {
     }
 
     #[test]
-    fn exscan_all_sizes_vs_prefix_reference() {
-        for size in 1..=17usize {
-            let out = run(size, move |c| c.exscan(vec![contrib(c.rank())], concat));
-            assert_eq!(out[0], None, "size {size}");
-            for (r, v) in out.iter().enumerate().skip(1) {
-                let expect: Vec<u64> = (0..r).map(contrib).collect();
-                assert_eq!(v.as_ref(), Some(&expect), "size {size} rank {r}");
-            }
-        }
-    }
-
-    #[test]
     fn alltoallv_all_sizes_vs_transpose_reference() {
         for size in 1..=17usize {
             let out = run(size, move |c| {
@@ -601,16 +538,6 @@ mod prop_tests {
                 } else {
                     prop_assert_eq!(v, None);
                 }
-            }
-        }
-
-        #[test]
-        fn prop_exscan_matches_prefix(size in 1usize..10) {
-            let out = run(size, |c| c.exscan(c.rank() as u64 * 2 + 1, |a, b| a + b));
-            prop_assert_eq!(out[0], None);
-            for (r, v) in out.iter().enumerate().skip(1) {
-                let expect: u64 = (0..r as u64).map(|x| x * 2 + 1).sum();
-                prop_assert_eq!(*v, Some(expect));
             }
         }
     }
