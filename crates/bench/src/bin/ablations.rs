@@ -5,7 +5,7 @@
 //! 4. (retired: the ABM batch count is a constant, exhibit 9 ablates
 //!    the aggregation policy);
 //! 5. Barnes-Hut vs bmax MAC at matched accuracy;
-//! 6. per-body walks vs group (interaction-list) walks;
+//! 6. the per-body walk vs the group (interaction-list) walk;
 //! 7. in-core vs out-of-core traversal (I/O accounting);
 //! 8. fault injection: availability and restart overhead vs the §2.1
 //!    failure rates, time-compressed (virtual time on the chaos harness);
@@ -176,10 +176,9 @@ fn main() {
         );
     }
 
-    // 6. Walk strategy on a 100k Plummer model: the seed's per-body
-    // scalar walk, the per-body SoA walk, and the group walk over the
-    // SoA interaction-list engine — each with its interactions/s so the
-    // group+SoA speedup is a reproducible number.
+    // 6. Walk strategy on a 100k Plummer model: the per-body walk and
+    // the group walk over the SoA interaction-list engine, one timed pass
+    // each, with its interactions/s and the group+SoA speedup.
     {
         let bodies = plummer(100_000, 23);
         let tree = Tree::build(bodies, 16);
@@ -189,16 +188,6 @@ fn main() {
             ..Default::default()
         };
         let t = Instant::now();
-        let mut s0 = hot::traverse::TraverseStats::default();
-        let mut scalar_acc = Vec::with_capacity(tree.bodies.len());
-        for i in 0..tree.bodies.len() {
-            let (a, s) = hot::traverse::accel_on_scalar(&tree, i, &cfg);
-            scalar_acc.push(a);
-            s0.add(&s);
-        }
-        let per_body_scalar = t.elapsed().as_secs_f64();
-        std::hint::black_box(&scalar_acc);
-        let t = Instant::now();
         let (_, s1) = tree_accelerations(&tree, &cfg);
         let per_body = t.elapsed().as_secs_f64();
         let t = Instant::now();
@@ -206,11 +195,7 @@ fn main() {
         let grouped = t.elapsed().as_secs_f64();
         let rate = |ints: u64, secs: f64| ints as f64 / secs / 1e6;
         println!(
-            "[6] walks on 100k bodies (interactions/s):\n    per-body scalar {:.0} ms, {} ints, {:.1} M/s ({} opens)\n    per-body SoA    {:.0} ms, {} ints, {:.1} M/s ({} opens)\n    group SoA       {:.0} ms, {} ints, {:.1} M/s ({} opens)\n    group+SoA speedup over per-body scalar: x{:.2}",
-            per_body_scalar * 1e3,
-            s0.interactions(),
-            rate(s0.interactions(), per_body_scalar),
-            s0.opened,
+            "[6] walks on 100k bodies (interactions/s):\n    per-body        {:.0} ms, {} ints, {:.1} M/s ({} opens)\n    group SoA       {:.0} ms, {} ints, {:.1} M/s ({} opens)\n    group+SoA speedup over per-body: x{:.2}",
             per_body * 1e3,
             s1.interactions(),
             rate(s1.interactions(), per_body),
@@ -219,7 +204,7 @@ fn main() {
             s2.interactions(),
             rate(s2.interactions(), grouped),
             s2.opened,
-            rate(s2.interactions(), grouped) / rate(s0.interactions(), per_body_scalar)
+            rate(s2.interactions(), grouped) / rate(s1.interactions(), per_body)
         );
     }
 

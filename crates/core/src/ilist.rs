@@ -22,18 +22,21 @@
 //! that list once, entry by entry, with the walk's bodies as SIMD lanes
 //! (`eval_members`): no span is copied for it.
 //!
+//! A walk that shares nothing, the per-body walk of [`crate::traverse`],
+//! does not come here: gathering one body's list only to stream it once
+//! measured slower than summing each entry as the walk takes it.
+//!
 //! The scratch is allocation-free in steady state: buffers are
 //! truncated, never dropped, so after a warm-up pass the walk performs
-//! no heap allocation per body or per group. A debug counter
+//! no heap allocation per group. A debug counter
 //! ([`IlistScratch::alloc_events`]) records every capacity growth so
 //! tests can assert exactly that.
 
 use crate::gravity::{self, Accel, GravityConfig};
 use crate::multipole::Multipole;
-use crate::traverse::{self, Take, TraverseStats};
-use crate::tree::{Body, Cell, CellIdx, Tree, NO_CELL};
+use crate::traverse::TraverseStats;
+use crate::tree::{Body, CellIdx, Tree, NO_CELL};
 use std::cell::RefCell;
-use std::convert::Infallible;
 
 /// Leaves per walk group of the serial group walk. Wider groups share
 /// more of the descent, but their members lie further apart, so masks
@@ -83,7 +86,7 @@ struct SharedList {
     idx: Vec<u32>,
 }
 
-/// Reusable SoA gather buffers for one walk target (a body or a group).
+/// Reusable SoA gather buffers: one leaf's list of a walk group.
 #[derive(Default)]
 pub struct IlistScratch {
     /// Accepted-cell centers of mass and masses.
@@ -98,8 +101,6 @@ pub struct IlistScratch {
     pub by: Vec<f64>,
     pub bz: Vec<f64>,
     pub bm: Vec<f64>,
-    /// Traversal stack (reused across walks).
-    pub stack: Vec<CellIdx>,
     /// Leaf cells whose bodies need index-aware handling (the group's
     /// own leaf in a group walk).
     own_leaf: Option<CellIdx>,
@@ -144,23 +145,6 @@ fn gather_plane(dst: &mut Vec<f64>, allocs: &mut u64, src: &[f64], idx: &[u32]) 
 impl IlistScratch {
     pub fn new() -> IlistScratch {
         IlistScratch::default()
-    }
-
-    /// Empty the gathered lists, keeping every buffer's capacity.
-    pub fn clear(&mut self) {
-        self.cx.clear();
-        self.cy.clear();
-        self.cz.clear();
-        self.cm.clear();
-        for q in &mut self.cq {
-            q.clear();
-        }
-        self.bx.clear();
-        self.by.clear();
-        self.bz.clear();
-        self.bm.clear();
-        self.stack.clear();
-        self.own_leaf = None;
     }
 
     /// Buffer reallocations since construction — it stops growing once
@@ -247,30 +231,6 @@ impl IlistScratch {
     }
 }
 
-/// The per-body walk's gather: what a descent takes lands in the spans.
-impl Take for IlistScratch {
-    #[inline]
-    fn cell(&mut self, mom: &Multipole) {
-        let a = &mut self.alloc_events;
-        push_tracked(&mut self.cx, a, mom.com[0]);
-        push_tracked(&mut self.cy, a, mom.com[1]);
-        push_tracked(&mut self.cz, a, mom.com[2]);
-        push_tracked(&mut self.cm, a, mom.mass);
-        for (q, &m) in self.cq.iter_mut().zip(&mom.quad) {
-            push_tracked(q, a, m);
-        }
-    }
-
-    #[inline]
-    fn body(&mut self, pos: [f64; 3], mass: f64) {
-        let a = &mut self.alloc_events;
-        push_tracked(&mut self.bx, a, pos[0]);
-        push_tracked(&mut self.by, a, pos[1]);
-        push_tracked(&mut self.bz, a, pos[2]);
-        push_tracked(&mut self.bm, a, mass);
-    }
-}
-
 thread_local! {
     static SCRATCH: RefCell<IlistScratch> = RefCell::new(IlistScratch::new());
 }
@@ -280,31 +240,6 @@ thread_local! {
 /// allocate.
 pub fn with_scratch<R>(f: impl FnOnce(&mut IlistScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
-/// Per-body walk: gather the interaction list for the body at index `i`
-/// of `tree.bodies` into `sc`, then evaluate it with the span kernels.
-/// The descent is the scalar reference walk's
-/// ([`traverse::accel_on_scalar`]), so the accept/open decisions and
-/// force errors are identical; only the evaluation order changes.
-pub fn accel_on_with(
-    tree: &Tree,
-    i: usize,
-    cfg: &GravityConfig,
-    sc: &mut IlistScratch,
-) -> (Accel, TraverseStats) {
-    let pos = tree.bodies[i].pos;
-    sc.clear();
-    let mut stack = std::mem::take(&mut sc.stack);
-    let cap = stack.capacity();
-    let leaf = |c: &Cell| Ok::<_, Infallible>(tree.leaf_bodies(c));
-    let Ok(stats) = traverse::descend(&tree.cells, i, pos, cfg, &mut stack, leaf, sc);
-    // The stack grows outside `push_tracked`: count a walk that grew it.
-    sc.alloc_events += u64::from(stack.capacity() != cap);
-    sc.stack = stack;
-    let mut out = Accel::default();
-    sc.eval(pos, cfg.eps * cfg.eps, cfg.quadrupole, &mut out);
-    (out, stats)
 }
 
 /// Group walk, the shared descent: gather one list for the walk group
@@ -591,6 +526,47 @@ mod tests {
     use crate::tree::{Body, Tree};
     use proptest::prelude::*;
 
+    /// The span references' gather (here and in `parallel`'s tests):
+    /// entries pushed onto the spans one by one.
+    impl IlistScratch {
+        /// Empty the gathered lists, keeping every buffer's capacity.
+        pub(crate) fn clear(&mut self) {
+            self.cx.clear();
+            self.cy.clear();
+            self.cz.clear();
+            self.cm.clear();
+            for q in &mut self.cq {
+                q.clear();
+            }
+            self.bx.clear();
+            self.by.clear();
+            self.bz.clear();
+            self.bm.clear();
+            self.own_leaf = None;
+        }
+
+        /// Append an accepted cell's moments.
+        pub(crate) fn push_cell(&mut self, mom: &Multipole) {
+            let [x, y, z] = mom.com;
+            let planes = [&mut self.cx, &mut self.cy, &mut self.cz, &mut self.cm];
+            for (plane, v) in planes.into_iter().zip([x, y, z, mom.mass]) {
+                plane.push(v);
+            }
+            for (q, &m) in self.cq.iter_mut().zip(&mom.quad) {
+                q.push(m);
+            }
+        }
+
+        /// Append one body of an opened leaf.
+        pub(crate) fn push_body(&mut self, pos: [f64; 3], mass: f64) {
+            let [x, y, z] = pos;
+            let planes = [&mut self.bx, &mut self.by, &mut self.bz, &mut self.bm];
+            for (plane, v) in planes.into_iter().zip([x, y, z, mass]) {
+                plane.push(v);
+            }
+        }
+    }
+
     /// The walk this module had before leaves shared a descent — one full
     /// descent and one list per leaf — kept as the reference the shared
     /// walk's per-leaf lists must reproduce element for element.
@@ -602,8 +578,8 @@ mod tests {
         let mut opened = 0u64;
         sc.clear();
         sc.own_leaf = Some(gi);
-        push_tracked(&mut sc.stack, &mut sc.alloc_events, 0);
-        while let Some(ci) = sc.stack.pop() {
+        let mut stack = vec![0];
+        while let Some(ci) = stack.pop() {
             let cell = tree.cell(ci);
             if cell.nbody == 0 {
                 continue;
@@ -622,20 +598,16 @@ mod tests {
                 gravity::MacKind::BmaxMac => 2.0 * cell.mom.bmax / cfg.theta,
             };
             if worst > cell.mom.bmax && worst > crit {
-                sc.cell(&cell.mom);
+                sc.push_cell(&cell.mom);
             } else if cell.is_leaf {
                 if ci != gi {
                     for b in tree.leaf_bodies(cell) {
-                        sc.body(b.pos, b.mass);
+                        sc.push_body(b.pos, b.mass);
                     }
                 }
             } else {
                 opened += 1;
-                for &ch in &cell.children {
-                    if ch != NO_CELL {
-                        push_tracked(&mut sc.stack, &mut sc.alloc_events, ch);
-                    }
-                }
+                stack.extend(cell.children.iter().filter(|&&ch| ch != NO_CELL));
             }
         }
         opened
@@ -755,25 +727,6 @@ mod tests {
         assert!(warm > 0, "warm-up must have allocated");
         // Steady state: zero heap growth across a full second pass.
         pass(&mut sc);
-        assert_eq!(sc.alloc_events(), warm, "steady-state walk allocated");
-    }
-
-    #[test]
-    fn steady_state_body_walk_is_allocation_free() {
-        let tree = Tree::build(plummer(1_000, 17), 8);
-        let cfg = GravityConfig {
-            theta: 0.5,
-            eps: 0.01,
-            ..Default::default()
-        };
-        let mut sc = IlistScratch::new();
-        for i in 0..tree.bodies.len() {
-            accel_on_with(&tree, i, &cfg, &mut sc);
-        }
-        let warm = sc.alloc_events();
-        for i in 0..tree.bodies.len() {
-            accel_on_with(&tree, i, &cfg, &mut sc);
-        }
         assert_eq!(sc.alloc_events(), warm, "steady-state walk allocated");
     }
 

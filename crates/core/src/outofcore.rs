@@ -9,12 +9,13 @@
 //! * the cells of [`Tree::build`] over the bodies — structure and exact
 //!   multipole moments, no bodies and no per-body index; its leaves hold
 //!   at most `chunk` bodies and are the unit of I/O ("chunks");
-//! * an LRU cache of recently loaded chunks.
+//! * an LRU cache of recently loaded chunks, shared with the walk by
+//!   reference count, so a cache hit copies no body.
 //!
 //! The build holds the body set once, as the caller's `Vec` already did;
 //! the force pass holds one target chunk and the cache.
 //!
-//! The force pass is the in-memory scalar walk ([`crate::traverse`]),
+//! The force pass is the in-memory per-body walk ([`crate::traverse`]),
 //! target chunk by target chunk: accepted cells interact through their
 //! moments; chunks that must be opened are fetched by ranged file read
 //! (and usually hit the cache, because Morton order makes the open set
@@ -25,8 +26,10 @@ use crate::traverse::{self, TraverseStats};
 use crate::tree::{Body, Cell, Tree};
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
 #[cfg(test)]
 thread_local! {
@@ -36,9 +39,10 @@ thread_local! {
     static ROW_ONE_EARLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// A body file of fixed-width rows ([`Body::ROW_BYTES`]).
+/// A body file of fixed-width rows ([`Body::ROW_BYTES`]), held open.
 pub struct OocStore {
     path: PathBuf,
+    file: File,
     len: usize,
 }
 
@@ -55,6 +59,7 @@ impl OocStore {
         file.sync_all()?;
         Ok(OocStore {
             path: path.to_path_buf(),
+            file: File::open(path)?,
             len: bodies.len(),
         })
     }
@@ -69,12 +74,11 @@ impl OocStore {
 
     /// Read bodies `[a, b)` from disk.
     pub fn read_range(&self, a: usize, b: usize) -> std::io::Result<Vec<Body>> {
-        let mut file = File::open(&self.path)?;
         let mut buf = vec![0u8; (b - a) * Body::ROW_BYTES];
         #[cfg(test)]
         let a = a - usize::from(ROW_ONE_EARLY.get() && a > 0);
-        file.seek(SeekFrom::Start((a * Body::ROW_BYTES) as u64))?;
-        file.read_exact(&mut buf)?;
+        self.file
+            .read_exact_at(&mut buf, (a * Body::ROW_BYTES) as u64)?;
         Ok(buf
             .chunks_exact(Body::ROW_BYTES)
             .map(|row| Body::read_row(row.try_into().expect("chunks_exact")))
@@ -128,17 +132,20 @@ impl OocGravity {
         let mut stats = OocStats::default();
         let mut out = Vec::with_capacity(self.store.len());
         // Tiny LRU: a chunk's first body -> (tick, bodies).
-        let mut cache: HashMap<u32, (u64, Vec<Body>)> = HashMap::new();
+        let mut cache: HashMap<u32, (u64, Rc<[Body]>)> = HashMap::new();
         let mut tick = 0u64;
-        let mut fetch = |cell: &Cell| -> std::io::Result<Vec<Body>> {
+        let mut fetch = |cell: &Cell| -> std::io::Result<Rc<[Body]>> {
             tick += 1;
             if let Some((t, bodies)) = cache.get_mut(&cell.first_body) {
                 *t = tick;
                 stats.cache_hits += 1;
-                return Ok(bodies.clone());
+                return Ok(Rc::clone(bodies));
             }
             let first = cell.first_body as usize;
-            let bodies = self.store.read_range(first, first + cell.nbody as usize)?;
+            let bodies: Rc<[Body]> = self
+                .store
+                .read_range(first, first + cell.nbody as usize)?
+                .into();
             stats.bytes_read += (bodies.len() * Body::ROW_BYTES) as u64;
             stats.chunk_loads += 1;
             if cache.len() >= self.cache_cap {
@@ -147,16 +154,23 @@ impl OocGravity {
                     cache.remove(&old);
                 }
             }
-            cache.insert(cell.first_body, (tick, bodies.clone()));
+            cache.insert(cell.first_body, (tick, Rc::clone(&bodies)));
             Ok(bodies)
         };
 
         // The tree's leaves come out of its depth-first build in file order.
+        let mut stack = Vec::new();
         for target in self.cells.iter().filter(|c| c.is_leaf) {
             let first = target.first_body as usize;
             for (j, tb) in fetch(target)?.iter().enumerate() {
-                let (acc, s) =
-                    traverse::scalar_walk(&self.cells, first + j, tb.pos, cfg, &mut fetch)?;
+                let (acc, s) = traverse::scalar_walk(
+                    &self.cells,
+                    first + j,
+                    tb.pos,
+                    cfg,
+                    &mut stack,
+                    &mut fetch,
+                )?;
                 stats.traversal.add(&s);
                 out.push((tb.id, acc));
             }
@@ -176,7 +190,7 @@ mod tests {
     use crate::direct::direct_accelerations;
     use crate::gravity::MacKind;
     use crate::models::plummer;
-    use crate::traverse::accel_on_scalar;
+    use crate::traverse::accel_on;
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -216,7 +230,7 @@ mod tests {
         ),
     ];
 
-    /// The out-of-core pass is the in-memory scalar walk over
+    /// The out-of-core pass is the in-memory per-body walk over
     /// `Tree::build(bodies, chunk)`: body for body in tree order, the same
     /// id, acceleration and potential to the bit and the same interaction
     /// counts, over as many cells, with the recorded I/O.
@@ -240,8 +254,9 @@ mod tests {
             assert_eq!(ooc.n_cells(), tree.cells.len(), "{case}");
             assert_eq!(pairs.len(), n, "{case}");
             let mut want = TraverseStats::default();
+            let mut stack = Vec::new();
             for (i, (id, a)) in pairs.iter().enumerate() {
-                let (b, s) = accel_on_scalar(&tree, i, &cfg);
+                let (b, s) = accel_on(&tree, i, &cfg, &mut stack);
                 want.add(&s);
                 let bits = |a: &Accel| (a.acc.map(f64::to_bits), a.pot.to_bits());
                 assert_eq!(

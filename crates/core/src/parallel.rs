@@ -1068,7 +1068,7 @@ mod tests {
     use super::*;
     use crate::domain::decompose_with_health;
     use crate::models::plummer;
-    use crate::traverse::{tree_accelerations, Take};
+    use crate::traverse::tree_accelerations;
 
     fn split(bodies: &[Body], nranks: usize, rank: usize) -> Vec<Body> {
         bodies
@@ -1584,12 +1584,11 @@ mod tests {
         for (b, (body, out)) in group.iter().zip(out).enumerate() {
             sc.clear();
             for &(_, src) in w.cells.iter().filter(|e| e.0 >> b & 1 != 0) {
-                let mom = sources.mom(src);
-                sc.cell(mom);
+                sc.push_cell(sources.mom(src));
             }
             for &(_, src) in w.bodies.iter().filter(|e| e.0 >> b & 1 != 0) {
                 let (pos, mass) = sources.body(src);
-                sc.body(pos, mass);
+                sc.push_body(pos, mass);
             }
             let (c, p) = sc.eval(body.pos, eps2, quadrupole, out);
             m2p += c;

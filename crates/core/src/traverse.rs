@@ -5,16 +5,16 @@
 //! single-address-space version; [`crate::parallel`] adds the deferred
 //! walks and request traffic for distributed trees.
 //!
-//! Every per-body walk — the scalar reference, the SoA engine of
-//! [`crate::ilist`] and the out-of-core pass of [`crate::outofcore`] —
-//! makes its decisions in one descent, `descend`, and differs only in
-//! where an opened leaf's bodies come from and how the entries it hands
-//! back are evaluated.
+//! There is one per-body walk, [`accel_on`]: it sums each interaction as
+//! it decides it, with the scalar kernels. The out-of-core pass of
+//! [`crate::outofcore`] is the same walk with its leaves read from disk.
+//! Splitting the walk into a gather and a span evaluation pays off only
+//! when a list is shared, as in the group walk ([`crate::ilist`]); per
+//! body it measured slower (`ablations`, exhibit `[6]`).
 
 use crate::gravity::{self, Accel, GravityConfig};
 use crate::ilist;
 use crate::mac::Mac;
-use crate::multipole::Multipole;
 use crate::tree::{Body, Cell, CellIdx, Tree, NO_CELL};
 use std::convert::Infallible;
 
@@ -56,98 +56,52 @@ impl TraverseStats {
     }
 }
 
-/// Acceleration on the body at index `i` of `tree.bodies`.
-///
-/// Gathers the body's interaction list into this thread's reusable SoA
-/// scratch ([`crate::ilist`]) and evaluates it with the chunked span
-/// kernels — no per-body heap allocation, vectorizable inner loops.
-pub fn accel_on(tree: &Tree, i: usize, cfg: &GravityConfig) -> (Accel, TraverseStats) {
-    ilist::with_scratch(|sc| ilist::accel_on_with(tree, i, cfg, sc))
-}
-
-/// The seed's scalar per-body walk, kept as the reference the SoA
-/// engine is benchmarked and property-tested against (and as the
-/// fallback nothing depends on being fast).
-pub fn accel_on_scalar(tree: &Tree, i: usize, cfg: &GravityConfig) -> (Accel, TraverseStats) {
+/// Acceleration on the body at index `i` of `tree.bodies`: the per-body
+/// walk. `stack` is scratch; reused across bodies, as
+/// [`tree_accelerations`] does, the walk allocates nothing per body.
+pub fn accel_on(
+    tree: &Tree,
+    i: usize,
+    cfg: &GravityConfig,
+    stack: &mut Vec<CellIdx>,
+) -> (Accel, TraverseStats) {
     let pos = tree.bodies[i].pos;
-    let Ok(walk) = scalar_walk(&tree.cells, i, pos, cfg, |c| {
-        Ok::<_, Infallible>(tree.leaf_bodies(c))
-    });
+    let leaf = |c: &Cell| Ok::<_, Infallible>(tree.leaf_bodies(c));
+    let Ok(walk) = scalar_walk(&tree.cells, i, pos, cfg, stack, leaf);
     walk
 }
 
-/// [`accel_on_scalar`] over any leaf source: the body at global index
-/// `i`, at `pos`, evaluated entry by entry with the scalar kernels.
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch (test builds only): an opened cell's children
+    /// go on the stack in reverse octant order, so the walk takes the same
+    /// entries, as many of each kind, and sums them in another order.
+    static CHILDREN_REVERSED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The per-body walk over any leaf source: from the root of `cells`, the
+/// body at global index `i`, at `pos`, accepts each cell whose moments
+/// pass the MAC and opens the rest, children stacked in octant order.
+/// Each accepted cell ([`gravity::m2p`]) and each body of an opened leaf
+/// but the target itself ([`gravity::p2p`]) is summed as it is taken, at
+/// its nearest image of the target in a periodic box. `leaf` reads an
+/// opened leaf's bodies (tree order, so body `j` of a leaf is global body
+/// `first_body + j`); `stack` is scratch.
 pub(crate) fn scalar_walk<B: AsRef<[Body]>, E>(
-    cells: &[Cell],
-    i: usize,
-    pos: [f64; 3],
-    cfg: &GravityConfig,
-    leaf: impl FnMut(&Cell) -> Result<B, E>,
-) -> Result<(Accel, TraverseStats), E> {
-    let mut sum = Scalar {
-        pos,
-        eps2: cfg.eps * cfg.eps,
-        quadrupole: cfg.quadrupole,
-        out: Accel::default(),
-    };
-    let stats = descend(cells, i, pos, cfg, &mut Vec::new(), leaf, &mut sum)?;
-    Ok((sum.out, stats))
-}
-
-/// Where a per-body descent puts what it takes, each at its nearest
-/// image of the target in a periodic box. Implementations mark both
-/// methods `#[inline]`: called from a descent instantiated in another
-/// codegen unit, they otherwise stay out of line, and the SoA walk
-/// measured about 15 % slower that way.
-pub(crate) trait Take {
-    /// An accepted cell's moments.
-    fn cell(&mut self, mom: &Multipole);
-    /// One body of an opened leaf.
-    fn body(&mut self, pos: [f64; 3], mass: f64);
-}
-
-/// The scalar walk's sum: each entry's pull on a target at `pos`.
-struct Scalar {
-    pos: [f64; 3],
-    eps2: f64,
-    quadrupole: bool,
-    out: Accel,
-}
-
-impl Take for Scalar {
-    #[inline]
-    fn cell(&mut self, mom: &Multipole) {
-        gravity::m2p(self.pos, mom, self.eps2, self.quadrupole, &mut self.out);
-    }
-
-    #[inline]
-    fn body(&mut self, pos: [f64; 3], mass: f64) {
-        gravity::p2p(self.pos, pos, mass, self.eps2, &mut self.out);
-    }
-}
-
-/// The per-body descent: from the root of `cells`, the body at global
-/// index `i`, at `pos`, accepts each cell whose moments pass the MAC and
-/// opens the rest, children stacked in octant order. Each accepted cell
-/// and each body of an opened leaf but the target itself go to `take`,
-/// in walk order; `leaf` reads an opened leaf's bodies (tree order, so
-/// body `j` of a leaf is global body `first_body + j`). `stack` is
-/// scratch. Returns the interaction counts.
-pub(crate) fn descend<B: AsRef<[Body]>, E>(
     cells: &[Cell],
     i: usize,
     pos: [f64; 3],
     cfg: &GravityConfig,
     stack: &mut Vec<CellIdx>,
     mut leaf: impl FnMut(&Cell) -> Result<B, E>,
-    take: &mut impl Take,
-) -> Result<TraverseStats, E> {
+) -> Result<(Accel, TraverseStats), E> {
     let mac = Mac::new(cfg.mac, cfg.theta);
+    let eps2 = cfg.eps * cfg.eps;
     let image = |p| match cfg.periodic {
         Some(l) => gravity::nearest_image(pos, p, l),
         None => p,
     };
+    let mut out = Accel::default();
     let mut stats = TraverseStats::default();
     stack.clear();
     stack.push(0);
@@ -159,22 +113,28 @@ pub(crate) fn descend<B: AsRef<[Body]>, E>(
         let mut mom = cell.mom;
         mom.com = image(mom.com);
         if mac.accept_raw(cell.side(), &mom, pos) {
-            take.cell(&mom);
+            gravity::m2p(pos, &mom, eps2, cfg.quadrupole, &mut out);
             stats.m2p += 1;
         } else if cell.is_leaf {
             let first = cell.first_body as usize;
             for (j, b) in leaf(cell)?.as_ref().iter().enumerate() {
                 if first + j != i {
-                    take.body(image(b.pos), b.mass);
+                    gravity::p2p(pos, image(b.pos), b.mass, eps2, &mut out);
                     stats.p2p += 1;
                 }
             }
         } else {
             stats.opened += 1;
-            stack.extend(cell.children.iter().filter(|&&ch| ch != NO_CELL));
+            let kids = cell.children.iter().filter(|&&ch| ch != NO_CELL);
+            #[cfg(test)]
+            if CHILDREN_REVERSED.get() {
+                stack.extend(kids.rev());
+                continue;
+            }
+            stack.extend(kids);
         }
     }
-    Ok(stats)
+    Ok((out, stats))
 }
 
 /// Group-walk traversal: one interaction list per leaf cell, shared by
@@ -268,8 +228,9 @@ fn walk_digest((accels, stats): (Vec<Accel>, TraverseStats)) -> (u64, u64, u64, 
 pub fn tree_accelerations(tree: &Tree, cfg: &GravityConfig) -> (Vec<Accel>, TraverseStats) {
     let mut accels = Vec::with_capacity(tree.bodies.len());
     let mut stats = TraverseStats::default();
+    let mut stack = Vec::new();
     for i in 0..tree.bodies.len() {
-        let (a, s) = accel_on(tree, i, cfg);
+        let (a, s) = accel_on(tree, i, cfg, &mut stack);
         accels.push(a);
         stats.add(&s);
     }
@@ -607,11 +568,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn per_body_walk_reproduces_its_pins() {
-        // Recorded at 7c09061, before the scalar, SoA and out-of-core
-        // walks shared one descent. The periodic tree is the one
-        // `group_accelerations` falls back to this walk on.
+    /// The per-body walk's digests, `tree_accelerations` over a vacuum and
+    /// a periodic tree. The hashes were recorded at 53a40a9 from the scalar
+    /// walk, `accel_on_scalar` then, before it became the only per-body
+    /// walk; the counts are those of every per-body walk since 7c09061.
+    /// The periodic tree is the one `group_accelerations` falls back to
+    /// this walk on.
+    fn assert_per_body_pins() {
         let periodic = Tree::build_in(
             crate::models::uniform_cube(200, 5),
             crate::morton::BBox {
@@ -625,20 +588,20 @@ mod tests {
                 Tree::build(plummer(192, 77), 8),
                 None,
                 [
-                    (0x0894_881e_38b5_39f2, 17_019, 6_234, 3_492),
-                    (0xc87f_40eb_b548_6458, 17_019, 6_234, 3_492),
-                    (0x17d0_30d1_45c3_d6e3, 16_070, 9_170, 3_664),
-                    (0x004e_ecfe_1624_43d2, 16_070, 9_170, 3_664),
+                    (0x7c14_b787_6a6c_24be, 17_019, 6_234, 3_492),
+                    (0x32d3_e777_9c43_497e, 17_019, 6_234, 3_492),
+                    (0xd370_4554_d177_bf20, 16_070, 9_170, 3_664),
+                    (0xab14_0f1d_6125_3533, 16_070, 9_170, 3_664),
                 ],
             ),
             (
                 periodic,
                 Some(1.0),
                 [
-                    (0x5a8d_c11f_d059_4dea, 11_721, 8_985, 1_866),
-                    (0x7e11_b762_e8bf_88bb, 11_721, 8_985, 1_866),
-                    (0xe1bb_5321_1d65_71d2, 14_619, 9_579, 1_927),
-                    (0x2706_6f95_e72d_2c47, 14_619, 9_579, 1_927),
+                    (0x5da8_bac3_5dca_2453, 11_721, 8_985, 1_866),
+                    (0x7a8e_01c9_05ee_b0b5, 11_721, 8_985, 1_866),
+                    (0x1fe8_aa68_195f_03e4, 14_619, 9_579, 1_927),
+                    (0x328b_a618_018a_2dab, 14_619, 9_579, 1_927),
                 ],
             ),
         ];
@@ -659,35 +622,17 @@ mod tests {
     }
 
     #[test]
-    fn soa_walk_matches_scalar_walk() {
-        // The ilist engine re-orders the arithmetic (spans, mul_add);
-        // it must still agree with the seed scalar walk to ~1e-12 and
-        // produce identical interaction counts.
-        let bodies = plummer(400, 17);
-        let tree = Tree::build(bodies, 8);
-        for quadrupole in [false, true] {
-            let cfg = GravityConfig {
-                theta: 0.6,
-                eps: 0.01,
-                quadrupole,
-                ..Default::default()
-            };
-            for i in (0..tree.bodies.len()).step_by(7) {
-                let (a, s) = accel_on(&tree, i, &cfg);
-                let (b, t) = accel_on_scalar(&tree, i, &cfg);
-                assert_eq!((s.p2p, s.m2p), (t.p2p, t.m2p), "body {i}");
-                let scale = b.norm().max(1e-300);
-                for d in 0..3 {
-                    assert!(
-                        (a.acc[d] - b.acc[d]).abs() <= 1e-12 * scale,
-                        "body {i} dim {d}: {} vs {}",
-                        a.acc[d],
-                        b.acc[d]
-                    );
-                }
-                assert!((a.pot - b.pot).abs() <= 1e-12 * b.pot.abs().max(1e-300));
-            }
-        }
+    fn per_body_walk_reproduces_its_pins() {
+        assert_per_body_pins();
+    }
+
+    /// Teeth: children stacked in reverse take the same cells and bodies,
+    /// so only the digest of the sums can tell.
+    #[test]
+    #[should_panic(expected = "periodic None BarnesHut quad false")]
+    fn per_body_pin_oracle_catches_a_reversed_child_order() {
+        CHILDREN_REVERSED.set(true);
+        assert_per_body_pins();
     }
 
     #[test]
