@@ -31,7 +31,7 @@
 use crate::io::IoModel;
 use ckpt::CkptError;
 use hot::gravity::{Accel, GravityConfig};
-use hot::integrate::{self, Forces};
+use hot::integrate::{self, Forces, Kdk};
 use hot::tree::Body;
 use msg::{Comm, FaultPlan, Machine, World, WorldOutcome, WorldRun};
 use query::stripe;
@@ -515,8 +515,9 @@ fn run_treecode_impl(
             // within the attempt; promotion (outside the world)
             // materializes it back into full records.
             let mut log = GenerationLog::new(StoreConfig::default(), N_AUX as u32);
+            let kdk = Kdk::leapfrog(dt);
             while step < steps {
-                bodies = integrate::step(bodies, &mut accel, dt, |drifted, accel| {
+                bodies = integrate::step(bodies, &mut accel, kdk, |drifted, accel| {
                     comm.span_enter("chaos.force");
                     let forces = Forces::replicated(comm, "chaos.force", drifted, cfg);
                     comm.span_exit("chaos.force");

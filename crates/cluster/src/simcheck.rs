@@ -39,7 +39,7 @@
 use crate::chaos::{adopt_stripe, rows_of};
 use crate::golden_ics;
 use hot::gravity::{Accel, GravityConfig};
-use hot::integrate::{self, Forces};
+use hot::integrate::{self, Forces, Kdk};
 use hot::tree::Body;
 use msg::{
     Abm, Comm, FaultPlan, Machine, SchedPlan, ScheduleLog, SplitMix64, Termination, WorldOutcome,
@@ -298,8 +298,9 @@ fn treecode_world(
     });
     let mut bodies = initial.tree.bodies.clone();
     let mut accel = initial.accel.clone();
+    let kdk = Kdk::leapfrog(dt);
     for step in 0..steps {
-        bodies = integrate::step(bodies, &mut accel, dt, |drifted, accel| {
+        bodies = integrate::step(bodies, &mut accel, kdk, |drifted, accel| {
             comm.span_enter("simcheck.force");
             let forces = Forces::replicated(comm, "simcheck.force", drifted, gcfg);
             // The degraded world's straggler: one rank's force phase drags

@@ -5,12 +5,13 @@
 //! discretization error"; this module supplies the symplectic integrator
 //! those errors are measured against.
 //!
-//! [`step`] is the workspace's one KDK step; its callers differ only in
-//! where the forces come from: the serial tree ([`Forces::of`]) or one
+//! [`step`] is the workspace's one N-body KDK step, leapfrog or comoving
+//! ([`Kdk`]); its forces come from the serial tree ([`Forces::of`]) or one
 //! host evaluation per replicated world ([`Forces::replicated`]), which
 //! every rank [`charge`]s the same way.
 
 use crate::gravity::{Accel, GravityConfig};
+use crate::morton::BBox;
 use crate::traverse::{group_accelerations, TraverseStats};
 use crate::tree::{Body, Tree};
 use msg::Comm;
@@ -21,28 +22,45 @@ use std::sync::Arc;
 /// replicated and the distributed force phases both charge at it.
 pub(crate) const CPU_EFF: f64 = 790.0 / 5060.0;
 
-/// One kick–drift–kick step of `dt`. Half kick and drift `bodies` with
-/// `accel` (index-aligned, the forces the last step closed with), then
-/// `forces` leaves the forces at the drifted positions in `accel` and
-/// hands back the bodies in the order `accel` now follows — the tree it
-/// built over them, or for a replica that adopts its forces off the wire,
-/// the bare bodies — and those bodies are half kicked in place.
+/// The factors of one KDK [`step`]: velocities gain `open · acc`,
+/// positions `drift · vel`, then velocities `close · acc` at the new ones.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Kdk {
+    pub open: f64,
+    pub drift: f64,
+    pub close: f64,
+}
+
+impl Kdk {
+    /// The leapfrog step of `dt`: half kicks around a whole drift.
+    pub fn leapfrog(dt: f64) -> Kdk {
+        let (open, drift, close) = (0.5 * dt, dt, 0.5 * dt);
+        Kdk { open, drift, close }
+    }
+}
+
+/// One kick–drift–kick step. Kick and drift `bodies` with `accel`
+/// (index-aligned, the forces the last step closed with), then `forces`
+/// leaves the forces at the drifted positions in `accel` and hands back
+/// the bodies in the order `accel` now follows — the tree it built over
+/// them, or for a replica that adopts its forces off the wire, the bare
+/// bodies — and those bodies are kicked in place.
 pub fn step<T: AsMut<[Body]>>(
     mut bodies: Vec<Body>,
     accel: &mut Vec<Accel>,
-    dt: f64,
+    kdk: Kdk,
     forces: impl FnOnce(Vec<Body>, &mut Vec<Accel>) -> T,
 ) -> T {
     for (b, a) in bodies.iter_mut().zip(accel.iter()) {
         for d in 0..3 {
-            b.vel[d] += 0.5 * dt * a.acc[d];
-            b.pos[d] += dt * b.vel[d];
+            b.vel[d] += kdk.open * a.acc[d];
+            b.pos[d] += kdk.drift * b.vel[d];
         }
     }
     let mut out = forces(bodies, accel);
     for (b, a) in out.as_mut().iter_mut().zip(accel.iter()) {
         for d in 0..3 {
-            b.vel[d] += 0.5 * dt * a.acc[d];
+            b.vel[d] += kdk.close * a.acc[d];
         }
     }
     out
@@ -58,12 +76,38 @@ pub struct Forces {
 
 impl Forces {
     /// Build the tree over `bodies` and walk it for every body. The group
-    /// walk (SoA interaction-list engine) is the force path; it falls back
-    /// to the per-body walk on periodic configurations.
-    pub fn of(bodies: Vec<Body>, cfg: &GravityConfig) -> Forces {
-        let tree = Tree::build(bodies, cfg.leaf_max);
+    /// walk (SoA interaction-list engine) is the force path; a periodic
+    /// tree spans the box, positions folded in, and walks per body.
+    pub fn of(mut bodies: Vec<Body>, cfg: &GravityConfig) -> Forces {
+        let tree = match cfg.periodic {
+            None => Tree::build(bodies, cfg.leaf_max),
+            Some(l) => {
+                bodies
+                    .iter_mut()
+                    .for_each(|b| b.pos = b.pos.map(|x| x.rem_euclid(l)));
+                let bbox = BBox {
+                    center: [l / 2.0; 3],
+                    half: l / 2.0,
+                };
+                Tree::build_in(bodies, bbox, cfg.leaf_max)
+            }
+        };
         let (accel, stats) = group_accelerations(&tree, cfg);
         Forces { tree, accel, stats }
+    }
+
+    /// The serial force provider of a [`step`]: [`Forces::of`], its counts
+    /// added to `stats`; the step closes on the tree it built.
+    pub fn serial<'a>(
+        cfg: &'a GravityConfig,
+        stats: &'a mut TraverseStats,
+    ) -> impl FnOnce(Vec<Body>, &mut Vec<Accel>) -> Tree + 'a {
+        move |drifted, accel| {
+            let forces = Forces::of(drifted, cfg);
+            *accel = forces.accel;
+            stats.add(&forces.stats);
+            forces.tree
+        }
     }
 
     /// [`Forces::of`] on a body set every rank of `comm` holds: the host
@@ -126,15 +170,9 @@ impl Simulation {
     /// drift (bodies reorder, so positions, velocities and accelerations
     /// stay aligned by index) and dropped once its bodies are kicked.
     pub fn step(&mut self) {
-        let (cfg, stats) = (&self.cfg, &mut self.stats);
         let bodies = std::mem::take(&mut self.bodies);
-        let tree = step(bodies, &mut self.accel, self.dt, |drifted, accel| {
-            let forces = Forces::of(drifted, cfg);
-            *accel = forces.accel;
-            stats.add(&forces.stats);
-            forces.tree
-        });
-        self.bodies = tree.bodies;
+        let forces = Forces::serial(&self.cfg, &mut self.stats);
+        self.bodies = step(bodies, &mut self.accel, Kdk::leapfrog(self.dt), forces).bodies;
         self.time += self.dt;
         self.steps += 1;
     }
@@ -292,14 +330,11 @@ mod tests {
             let Forces {
                 mut tree,
                 mut accel,
-                ..
+                mut stats,
             } = Forces::of(bodies, &cfg);
             for _ in 0..3 {
-                tree = step(tree.bodies, &mut accel, 0.01, |drifted, accel| {
-                    let forces = Forces::of(drifted, &cfg);
-                    *accel = forces.accel;
-                    forces.tree
-                });
+                let forces = Forces::serial(&cfg, &mut stats);
+                tree = step(tree.bodies, &mut accel, Kdk::leapfrog(0.01), forces);
                 let fresh = Tree::build(tree.bodies.clone(), leaf_max);
                 assert_eq!(tree.keys.windows(2).any(|w| w[0] == w[1]), ties);
                 assert!(tree.bodies.bit_eq(&fresh.bodies));

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::rc::Rc;
 
 #[cfg(test)]
@@ -40,40 +40,33 @@ thread_local! {
 }
 
 /// A body file of fixed-width rows ([`Body::ROW_BYTES`]), held open.
-pub struct OocStore {
-    path: PathBuf,
+struct OocStore {
     file: File,
     len: usize,
 }
 
 impl OocStore {
     /// Write `bodies` to `path`, in the order given.
-    pub fn create(path: &Path, bodies: Vec<Body>) -> std::io::Result<OocStore> {
-        assert!(!bodies.is_empty());
+    fn create(path: &Path, bodies: &[Body]) -> std::io::Result<OocStore> {
         let mut buf = Vec::with_capacity(bodies.len() * Body::ROW_BYTES);
-        for b in &bodies {
+        for b in bodies {
             b.write_row(&mut buf);
         }
         let mut file = File::create(path)?;
         file.write_all(&buf)?;
         file.sync_all()?;
         Ok(OocStore {
-            path: path.to_path_buf(),
             file: File::open(path)?,
             len: bodies.len(),
         })
     }
 
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Read bodies `[a, b)` from disk.
-    pub fn read_range(&self, a: usize, b: usize) -> std::io::Result<Vec<Body>> {
+    fn read_range(&self, a: usize, b: usize) -> std::io::Result<Vec<Body>> {
         let mut buf = vec![0u8; (b - a) * Body::ROW_BYTES];
         #[cfg(test)]
         let a = a - usize::from(ROW_ONE_EARLY.get() && a > 0);
@@ -103,19 +96,20 @@ pub struct OocGravity {
 }
 
 impl OocGravity {
-    /// Build the tree over the store's bodies, with leaves ("chunks") of
-    /// at most `chunk` bodies, and rewrite the store in the tree's body
-    /// order, so that every cell is one file range. Only the cells stay
-    /// in memory.
-    pub fn build(
-        store: OocStore,
+    /// Build the tree over `bodies`, with leaves ("chunks") of at most
+    /// `chunk` bodies, and write the bodies to `path` in the tree's order,
+    /// so that every cell is one file range. Only the cells stay in
+    /// memory.
+    pub fn create(
+        path: &Path,
+        bodies: Vec<Body>,
         chunk: usize,
         cache_chunks: usize,
     ) -> std::io::Result<OocGravity> {
         assert!(cache_chunks >= 1);
-        let tree = Tree::build(store.read_range(0, store.len())?, chunk);
+        let tree = Tree::build(bodies, chunk);
         Ok(OocGravity {
-            store: OocStore::create(&store.path, tree.bodies)?,
+            store: OocStore::create(path, &tree.bodies)?,
             cells: tree.cells,
             cache_cap: cache_chunks,
         })
@@ -191,6 +185,7 @@ mod tests {
     use crate::gravity::MacKind;
     use crate::models::plummer;
     use crate::traverse::accel_on;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -245,8 +240,7 @@ mod tests {
                 ..Default::default()
             };
             let path = temp_path(&format!("{tag}_{n}_{chunk}"));
-            let store = OocStore::create(&path, plummer(n, seed)).unwrap();
-            let ooc = OocGravity::build(store, chunk, cache).unwrap();
+            let ooc = OocGravity::create(&path, plummer(n, seed), chunk, cache).unwrap();
             let got = ooc.accelerations(&cfg);
             std::fs::remove_file(&path).ok();
             let (pairs, stats) = got.unwrap();
@@ -295,13 +289,13 @@ mod tests {
             b.id = 1000 + 7 * i as u64;
             b.work = 1.0 + i as f64 / 16.0;
         }
-        let store = OocStore::create(&path, bodies.clone()).unwrap();
+        let store = OocStore::create(&path, &bodies).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 72 * 200);
         // Rows come back in the order written, every field intact.
         assert_eq!(store.read_range(0, store.len()).unwrap(), bodies);
         assert_eq!(store.read_range(150, 153).unwrap(), bodies[150..153]);
-        // The engine rewrites them in tree order: a cell is a file range.
-        let ooc = OocGravity::build(store, 8, 1).unwrap();
+        // The engine writes them in tree order: a cell is a file range.
+        let ooc = OocGravity::create(&path, bodies.clone(), 8, 1).unwrap();
         let tree = Tree::build(bodies, 8);
         assert_eq!(ooc.store.read_range(0, 200).unwrap(), tree.bodies);
         std::fs::remove_file(&path).ok();
@@ -311,8 +305,7 @@ mod tests {
     fn out_of_core_forces_match_direct() {
         let path = temp_path("forces");
         let bodies = plummer(600, 2);
-        let store = OocStore::create(&path, bodies).unwrap();
-        let ooc = OocGravity::build(store, 64, 8).unwrap();
+        let ooc = OocGravity::create(&path, bodies, 64, 8).unwrap();
         let cfg = GravityConfig {
             theta: 0.5,
             eps: 0.01,
@@ -343,11 +336,10 @@ mod tests {
         let path = temp_path("cache");
         let n = 800;
         let bodies = plummer(n, 3);
-        let store = OocStore::create(&path, bodies).unwrap();
         let file_bytes = (n * Body::ROW_BYTES) as u64;
         // Note: octant splitting makes far more (smaller) leaves than
         // n/chunk; size the cache for the leaf count.
-        let ooc = OocGravity::build(store, 50, 512).unwrap();
+        let ooc = OocGravity::create(&path, bodies, 50, 512).unwrap();
         let cfg = GravityConfig {
             theta: 0.7,
             eps: 0.01,
@@ -375,8 +367,7 @@ mod tests {
     fn smaller_cache_reads_more() {
         let path = temp_path("lru");
         let bodies = plummer(600, 4);
-        let store = OocStore::create(&path, bodies).unwrap();
-        let ooc = OocGravity::build(store, 40, 2).unwrap();
+        let ooc = OocGravity::create(&path, bodies, 40, 2).unwrap();
         let cfg = GravityConfig {
             theta: 0.6,
             eps: 0.01,
@@ -386,8 +377,7 @@ mod tests {
 
         let path2 = temp_path("lru2");
         let bodies = plummer(600, 4);
-        let store = OocStore::create(&path2, bodies).unwrap();
-        let ooc2 = OocGravity::build(store, 40, 64).unwrap();
+        let ooc2 = OocGravity::create(&path2, bodies, 40, 64).unwrap();
         let (_, big_cache) = ooc2.accelerations(&cfg).unwrap();
         assert!(
             small_cache.bytes_read > big_cache.bytes_read,
@@ -404,8 +394,7 @@ mod tests {
         let path = temp_path("moments");
         let bodies = plummer(300, 5);
         let total_mass: f64 = bodies.iter().map(|b| b.mass).sum();
-        let store = OocStore::create(&path, bodies).unwrap();
-        let ooc = OocGravity::build(store, 32, 4).unwrap();
+        let ooc = OocGravity::create(&path, bodies, 32, 4).unwrap();
         assert!((ooc.cells[0].mom.mass - total_mass).abs() < 1e-12);
         assert!(ooc.n_cells() > 8);
         std::fs::remove_file(&path).ok();

@@ -27,9 +27,6 @@ pub struct TraverseStats {
     pub m2p: u64,
     /// Cells opened.
     pub opened: u64,
-    /// Set when [`group_accelerations`] could not use the group walk
-    /// (periodic box) and fell back to the per-body walk.
-    pub group_fallback: bool,
 }
 
 impl TraverseStats {
@@ -37,7 +34,6 @@ impl TraverseStats {
         self.p2p += o.p2p;
         self.m2p += o.m2p;
         self.opened += o.opened;
-        self.group_fallback |= o.group_fallback;
     }
 
     /// Total flops by the paper's counting convention.
@@ -146,13 +142,9 @@ pub(crate) fn scalar_walk<B: AsRef<[Body]>, E>(
 /// descent.
 pub fn group_accelerations(tree: &Tree, cfg: &GravityConfig) -> (Vec<Accel>, TraverseStats) {
     if cfg.periodic.is_some() {
-        // The conservative group MAC has no nearest-image form yet:
-        // different bodies of one group can interact with different
-        // images of the same cell. Fall back to the per-body periodic
-        // walk and flag it, instead of panicking on periodic configs.
-        let (accels, mut stats) = tree_accelerations(tree, cfg);
-        stats.group_fallback = true;
-        return (accels, stats);
+        // The conservative group MAC has no nearest-image form yet: bodies
+        // of one group can see different images of one cell.
+        return tree_accelerations(tree, cfg);
     }
     // Leaves come out of the DFS build in body order, so the output
     // array splits into per-walk-group chunks without any reshuffling.
@@ -653,10 +645,8 @@ mod tests {
             periodic: Some(1.0),
             ..Default::default()
         };
-        let (grouped, gs) = group_accelerations(&tree, &cfg);
-        assert!(gs.group_fallback, "fallback flag not set");
-        let (per_body, ps) = tree_accelerations(&tree, &cfg);
-        assert!(!ps.group_fallback);
+        let (grouped, _) = group_accelerations(&tree, &cfg);
+        let (per_body, _) = tree_accelerations(&tree, &cfg);
         for (a, b) in grouped.iter().zip(&per_body) {
             assert_eq!(a.acc, b.acc);
             assert_eq!(a.pot, b.pot);

@@ -1,12 +1,13 @@
-//! The expanding-volume simulation driver for the spherical problem.
+//! The cosmological drivers, both stepping through [`integrate::step`].
 //!
-//! Physical (non-comoving) coordinates: the sphere's Hubble flow makes it
-//! expand like an EdS patch while perturbations collapse inside — exactly
-//! the "initial evolution of a cosmological N-body simulation" the
-//! paper's Table 6 workload measures.
+//! [`CosmoSimulation`] is the spherical problem in physical (non-comoving)
+//! coordinates: the sphere's Hubble flow makes it expand like an EdS patch
+//! while perturbations collapse inside — exactly the "initial evolution of
+//! a cosmological N-body simulation" the paper's Table 6 workload
+//! measures. [`BoxSimulation`] is the comoving periodic box of Figure 7.
 
-use hot::gravity::GravityConfig;
-use hot::integrate::Simulation;
+use hot::gravity::{Accel, GravityConfig};
+use hot::integrate::{self, Forces, Kdk, Simulation};
 use hot::traverse::TraverseStats;
 use hot::tree::{Body, Tree};
 
@@ -118,38 +119,40 @@ mod tests {
 /// configuration of the paper's Figure 7 production runs.
 ///
 /// Comoving positions `x` in a unit box, canonical momenta `p = a²ẋ`;
-/// the standard cosmological KDK with drift factor `∫da/(a³H)` and kick
-/// factor `∫da/(a²H)`. Gravity uses the minimum-image tree walk; a
-/// perfectly uniform distribution feels zero net minimum-image force,
-/// so the force is sourced by fluctuations, as the comoving equations
-/// require.
+/// the standard cosmological KDK, one [`integrate::step`] with kick
+/// factors `∫da/(a²H)` and drift factor `∫da/(a³H)`. Gravity is the
+/// minimum-image tree walk ([`Forces::of`]), once per step; a perfectly
+/// uniform distribution feels zero net minimum-image force, so the force
+/// is sourced by fluctuations, as the comoving equations require.
 pub struct BoxSimulation {
     /// Comoving positions in `[0, box_size)`; `vel` stores p = a²ẋ.
     pub bodies: Vec<Body>,
     pub a: f64,
-    pub box_size: f64,
     pub h0: f64,
     pub cfg: GravityConfig,
+    accel: Vec<Accel>,
     pub stats: TraverseStats,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Mutation-teeth switch (test builds only): the half kicks trade factors.
+    static KICKS_SWAPPED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 impl BoxSimulation {
     /// `bodies` must carry comoving positions and physical peculiar
     /// velocities `v_pec = a·ẋ` (what `zeldovich::particles` produces,
     /// in box units per 1/H0); they are converted to canonical momenta.
+    /// The initial forces are computed here, positions folded into the box.
     pub fn new(mut bodies: Vec<Body>, box_size: f64, a_start: f64, theta: f64, eps: f64) -> Self {
-        assert!(!bodies.is_empty());
-        let total_mass: f64 = bodies.iter().map(|b| b.mass).sum();
-        let rho_mean = total_mass / box_size.powi(3);
+        let rho_mean = bodies.iter().map(|b| b.mass).sum::<f64>() / box_size.powi(3);
         // EdS: H₀² = 8πGρ̄/3 with ρ̄ the comoving density and G = 1.
         let h0 = (8.0 * std::f64::consts::PI * rho_mean / 3.0).sqrt();
-        for b in &mut bodies {
-            for d in 0..3 {
-                // p = a²ẋ = a·v_pec; the ICs give v_pec in units of H₀·L,
-                // and our time unit makes H(a_start) = h0·a^(-3/2).
-                b.vel[d] *= a_start * h0;
-                b.pos[d] = b.pos[d].rem_euclid(box_size);
-            }
+        // p = a²ẋ = a·v_pec; the ICs give v_pec in units of H₀·L, and our
+        // time unit makes H(a_start) = h0·a^(-3/2).
+        for v in bodies.iter_mut().flat_map(|b| &mut b.vel) {
+            *v *= a_start * h0;
         }
         let cfg = GravityConfig {
             theta,
@@ -157,18 +160,15 @@ impl BoxSimulation {
             periodic: Some(box_size),
             ..GravityConfig::default()
         };
+        let Forces { tree, accel, stats } = Forces::of(bodies, &cfg);
         BoxSimulation {
-            bodies,
+            bodies: tree.bodies,
             a: a_start,
-            box_size,
             h0,
             cfg,
-            stats: TraverseStats::default(),
+            accel,
+            stats,
         }
-    }
-
-    fn h_of_a(&self, a: f64) -> f64 {
-        self.h0 * a.powf(-1.5) // EdS
     }
 
     /// ∫ f(a) da by midpoint rule over the step.
@@ -178,44 +178,21 @@ impl BoxSimulation {
         (0..n).map(|i| f(a0 + (i as f64 + 0.5) * da) * da).sum()
     }
 
-    fn forces(&mut self) -> Vec<hot::gravity::Accel> {
-        let tree = Tree::build_in(
-            std::mem::take(&mut self.bodies),
-            hot::morton::BBox {
-                center: [self.box_size / 2.0; 3],
-                half: self.box_size / 2.0,
-            },
-            self.cfg.leaf_max,
-        );
-        // group_accelerations detects the periodic config and falls back
-        // to the per-body minimum-image walk (stats.group_fallback).
-        let (acc, stats) = hot::traverse::group_accelerations(&tree, &self.cfg);
-        self.bodies = tree.bodies;
-        self.stats.add(&stats);
-        acc
-    }
-
-    /// One KDK step from `a` to `a + da`.
+    /// One KDK step from `a` to `a + da`: the half kicks integrate over
+    /// each half of the step in `a`, so unlike a leapfrog's they differ.
     pub fn step(&mut self, da: f64) {
         let (a0, a1) = (self.a, self.a + da);
         let am = 0.5 * (a0 + a1);
-        let kick_half_1 = self.integral(a0, am, |a| 1.0 / (a * a * self.h_of_a(a)));
-        let kick_half_2 = self.integral(am, a1, |a| 1.0 / (a * a * self.h_of_a(a)));
-        let drift = self.integral(a0, a1, |a| 1.0 / (a * a * a * self.h_of_a(a)));
-        let acc = self.forces();
-        let l = self.box_size;
-        for (b, g) in self.bodies.iter_mut().zip(&acc) {
-            for d in 0..3 {
-                b.vel[d] += g.acc[d] * kick_half_1;
-                b.pos[d] = (b.pos[d] + b.vel[d] * drift).rem_euclid(l);
-            }
-        }
-        let acc = self.forces();
-        for (b, g) in self.bodies.iter_mut().zip(&acc) {
-            for d in 0..3 {
-                b.vel[d] += g.acc[d] * kick_half_2;
-            }
-        }
+        let h_of_a = |a: f64| self.h0 * a.powf(-1.5); // EdS
+        let kick = |a: f64| 1.0 / (a * a * h_of_a(a));
+        let (open, close) = (self.integral(a0, am, kick), self.integral(am, a1, kick));
+        #[cfg(test)]
+        let (open, close) = [(open, close), (close, open)][usize::from(KICKS_SWAPPED.get())];
+        let drift = self.integral(a0, a1, |a| 1.0 / (a * a * a * h_of_a(a)));
+        let kdk = Kdk { open, drift, close };
+        let bodies = std::mem::take(&mut self.bodies);
+        let forces = Forces::serial(&self.cfg, &mut self.stats);
+        self.bodies = integrate::step(bodies, &mut self.accel, kdk, forces).bodies;
         self.a = a1;
     }
 
@@ -271,11 +248,8 @@ mod box_tests {
         );
     }
 
-    #[test]
-    fn uniform_lattice_stays_put() {
-        // A perfect lattice feels no minimum-image force: comoving
-        // positions must not move.
-        let n = 6;
+    /// A perfect `n`³ lattice of total mass 1 in the unit box.
+    fn lattice(n: usize) -> Vec<Body> {
         let mut bodies = Vec::new();
         for z in 0..n {
             for y in 0..n {
@@ -293,6 +267,89 @@ mod box_tests {
                 }
             }
         }
+        bodies
+    }
+
+    /// The Zel'dovich ICs of the end-to-end halo test: an 8³ grid in a
+    /// 30 Mpc/h box at a = 0.2, in unit-box coordinates.
+    fn halo_ics() -> Vec<Body> {
+        let ps = PowerSpectrum::new(Cosmology::eds());
+        let field = zeldovich::realize(&ps, 8, 30.0, 17);
+        let mut bodies = zeldovich::particles(&field, &Cosmology::eds(), 0.2, 1.0);
+        for b in &mut bodies {
+            for d in 0..3 {
+                b.pos[d] /= 30.0;
+                b.vel[d] /= 30.0;
+            }
+        }
+        bodies
+    }
+
+    /// FNV-1a over each body's `pos` and `vel` bits and its `id`, in the
+    /// simulation's body order.
+    fn end_state_digest(bodies: &[Body]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in bodies {
+            let words = b.pos.iter().chain(&b.vel).map(|v| v.to_bits());
+            for word in words.chain([b.id]) {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The box's end states: the halo ICs run to a = 0.8 in 30 steps and
+    /// the lattice to a = 0.15 in 5, and the interactions summed over
+    /// every force evaluation. The digests were recorded at 78e68c8, when
+    /// the box ran its own KDK loop and walked the tree twice a step; the
+    /// counts are one evaluation in `new` and one per step (5 097 160 and
+    /// 319 280 there).
+    fn assert_box_pins() {
+        let cases = [
+            (
+                "halos",
+                halo_ics(),
+                (0.2, 0.6, 0.01),
+                (0.8, 0.02),
+                (0xaa63_23d1_03ed_fc3f, 2_638_007),
+            ),
+            (
+                "lattice",
+                lattice(6),
+                (0.1, 0.5, 0.01),
+                (0.15, 0.01),
+                (0xad76_78c6_08a7_dc69, 191_568),
+            ),
+        ];
+        for (name, bodies, (a0, theta, eps), (a_end, da), want) in cases {
+            let mut sim = BoxSimulation::new(bodies, 1.0, a0, theta, eps);
+            sim.run_to(a_end, da);
+            let got = (end_state_digest(&sim.bodies), sim.stats.interactions());
+            assert_eq!(got, want, "box pin {name}");
+        }
+    }
+
+    #[test]
+    fn box_end_state_is_pinned() {
+        assert_box_pins();
+    }
+
+    /// Teeth: the box is the one caller whose half kicks differ, so only
+    /// its pin can tell the opening factor from the closing one.
+    #[test]
+    #[should_panic(expected = "box pin halos")]
+    fn box_oracle_catches_a_swapped_kick_pair() {
+        KICKS_SWAPPED.set(true);
+        assert_box_pins();
+    }
+
+    #[test]
+    fn uniform_lattice_stays_put() {
+        // A perfect lattice feels no minimum-image force: comoving
+        // positions must not move.
+        let bodies = lattice(6);
         let start = bodies.clone();
         let mut sim = BoxSimulation::new(bodies, 1.0, 0.1, 0.5, 0.01);
         sim.run_to(0.15, 0.01);

@@ -49,7 +49,7 @@ use crate::past;
 use crate::route::Directory;
 use crate::wire::{hit_order, reply_tag, Answer, Hit, Query, QueryKind, Reply, ReplyBatch};
 use ckpt::ShardHeader;
-use hot::integrate::{self, Forces, Simulation};
+use hot::integrate::{self, Forces, Kdk, Simulation};
 use hot::tree::Body;
 use hot::{Accel, GravityConfig, TraverseStats};
 use msg::comm::Comm;
@@ -278,11 +278,8 @@ impl Tick {
         let mut accel = self.accel.clone();
         let mut stats = TraverseStats::default();
         let bodies = self.index.bodies().to_vec();
-        let tree = integrate::step(bodies, &mut accel, cfg.dt, |drifted, accel| {
-            let forces = Forces::of(drifted, &cfg.gravity);
-            (*accel, stats) = (forces.accel, forces.stats);
-            forces.tree
-        });
+        let forces = Forces::serial(&cfg.gravity, &mut stats);
+        let tree = integrate::step(bodies, &mut accel, Kdk::leapfrog(cfg.dt), forces);
         Tick::of(Forces { tree, accel, stats }, size)
     }
 }

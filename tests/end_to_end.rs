@@ -63,7 +63,7 @@ fn neutrinos_carry_energy_out_during_collapse() {
 fn out_of_core_agrees_with_in_core_end_to_end() {
     use space_simulator::hot::gravity::GravityConfig;
     use space_simulator::hot::models::plummer;
-    use space_simulator::hot::outofcore::{OocGravity, OocStore};
+    use space_simulator::hot::outofcore::OocGravity;
     use space_simulator::hot::traverse::tree_accelerations;
     use space_simulator::hot::tree::Tree;
 
@@ -85,8 +85,7 @@ fn out_of_core_agrees_with_in_core_end_to_end() {
         .map(|(b, a)| (b.id, a.acc))
         .collect();
     // Out-of-core.
-    let store = OocStore::create(&path, bodies).unwrap();
-    let ooc = OocGravity::build(store, 64, 128).unwrap();
+    let ooc = OocGravity::create(&path, bodies, 64, 128).unwrap();
     let (pairs, _) = ooc.accelerations(&cfg).unwrap();
     let mut num = 0.0;
     let mut den = 0.0;
