@@ -28,9 +28,8 @@
 //!
 //! The scratch is allocation-free in steady state: buffers are
 //! truncated, never dropped, so after a warm-up pass the walk performs
-//! no heap allocation per group. A debug counter
-//! ([`IlistScratch::alloc_events`]) records every capacity growth so
-//! tests can assert exactly that.
+//! no heap allocation per group (`tests/group_walk_allocations.rs`
+//! counts every allocation of a second pass under a counting allocator).
 
 use crate::gravity::{self, Accel, GravityConfig};
 use crate::multipole::Multipole;
@@ -106,24 +105,13 @@ pub struct IlistScratch {
     own_leaf: Option<CellIdx>,
     /// The walk group's shared list ([`gather_leaves`]).
     shared: SharedList,
-    /// Number of buffer reallocations since the last reset.
-    alloc_events: u64,
-}
-
-#[inline]
-fn push_tracked<T>(v: &mut Vec<T>, allocs: &mut u64, x: T) {
-    if v.len() == v.capacity() {
-        *allocs += 1;
-    }
-    v.push(x);
 }
 
 /// Write the positions of the entries of `masks` carrying bit `k` to the
 /// front of `idx`, branch-free, and return how many there are.
 #[inline]
-fn indices_of(masks: &[Mask], k: usize, idx: &mut Vec<u32>, allocs: &mut u64) -> usize {
+fn indices_of(masks: &[Mask], k: usize, idx: &mut Vec<u32>) -> usize {
     if idx.len() < masks.len() {
-        *allocs += (idx.capacity() < masks.len()) as u64;
         idx.resize(masks.len(), 0);
     }
     let mut n = 0;
@@ -136,21 +124,14 @@ fn indices_of(masks: &[Mask], k: usize, idx: &mut Vec<u32>, allocs: &mut u64) ->
 
 /// Replace `dst` with `src[i]` for each `i` of `idx`.
 #[inline]
-fn gather_plane(dst: &mut Vec<f64>, allocs: &mut u64, src: &[f64], idx: &[u32]) {
+fn gather_plane(dst: &mut Vec<f64>, src: &[f64], idx: &[u32]) {
     dst.clear();
-    *allocs += (dst.capacity() < idx.len()) as u64;
     dst.extend(idx.iter().map(|&i| src[i as usize]));
 }
 
 impl IlistScratch {
     pub fn new() -> IlistScratch {
         IlistScratch::default()
-    }
-
-    /// Buffer reallocations since construction — it stops growing once
-    /// the scratch has warmed up.
-    pub fn alloc_events(&self) -> u64 {
-        self.alloc_events
     }
 
     /// Free the walk group's shared list (the spans keep their capacity).
@@ -174,25 +155,23 @@ impl IlistScratch {
     /// of `mask`.
     #[inline]
     fn share_mom(&mut self, mask: Mask, mom: &Multipole) {
-        let a = &mut self.alloc_events;
         let [x, y, z] = mom.com;
         let [q0, q1, q2, q3, q4, q5] = mom.quad;
         let planes = self.shared.cells.iter_mut();
         for (plane, v) in planes.zip([x, y, z, mom.mass, q0, q1, q2, q3, q4, q5]) {
-            push_tracked(plane, a, v);
+            plane.push(v);
         }
-        push_tracked(&mut self.shared.cell_masks, a, mask);
+        self.shared.cell_masks.push(mask);
     }
 
     /// Append one leaf body to the shared list, for the members of `mask`.
     #[inline]
     fn share_body(&mut self, mask: Mask, pos: [f64; 3], mass: f64) {
-        let a = &mut self.alloc_events;
         let [x, y, z] = pos;
         for (plane, v) in self.shared.bodies.iter_mut().zip([x, y, z, mass]) {
-            push_tracked(plane, a, v);
+            plane.push(v);
         }
-        push_tracked(&mut self.shared.body_masks, a, mask);
+        self.shared.body_masks.push(mask);
     }
 
     /// Number of accepted cells currently gathered.
@@ -282,7 +261,7 @@ pub fn gather_leaves(
     }
     let mut opened = 0u64;
     let all = Mask::MAX >> (Mask::BITS as usize - leaves.len());
-    push_tracked(&mut sc.shared.stack, &mut sc.alloc_events, (0, all));
+    sc.shared.stack.push((0, all));
     while let Some((ci, mask)) = sc.shared.stack.pop() {
         let cell = tree.cell(ci);
         if cell.nbody == 0 {
@@ -325,7 +304,7 @@ pub fn gather_leaves(
             opened += open.count_ones() as u64;
             for &ch in &cell.children {
                 if ch != NO_CELL {
-                    push_tracked(&mut sc.shared.stack, &mut sc.alloc_events, (ch, open));
+                    sc.shared.stack.push((ch, open));
                 }
             }
         }
@@ -337,22 +316,21 @@ pub fn gather_leaves(
 /// spans — the sub-sequence of shared entries carrying its bit, copied
 /// out by index — and return the leaf, ready for [`eval_group`].
 pub fn materialize(sc: &mut IlistScratch, k: usize) -> CellIdx {
-    let allocs = &mut sc.alloc_events;
     let sh = &mut sc.shared;
     assert!(k < sh.nleaves, "the gathered walk group has no leaf {k}");
     let leaf = sh.leaves[k];
-    let n = indices_of(&sh.cell_masks, k, &mut sh.idx, allocs);
+    let n = indices_of(&sh.cell_masks, k, &mut sh.idx);
     let [q0, q1, q2, q3, q4, q5] = &mut sc.cq;
     let spans = [
         &mut sc.cx, &mut sc.cy, &mut sc.cz, &mut sc.cm, q0, q1, q2, q3, q4, q5,
     ];
     for (dst, src) in spans.into_iter().zip(&sh.cells) {
-        gather_plane(dst, allocs, src, &sh.idx[..n]);
+        gather_plane(dst, src, &sh.idx[..n]);
     }
-    let n = indices_of(&sh.body_masks, k, &mut sh.idx, allocs);
+    let n = indices_of(&sh.body_masks, k, &mut sh.idx);
     let spans = [&mut sc.bx, &mut sc.by, &mut sc.bz, &mut sc.bm];
     for (dst, src) in spans.into_iter().zip(&sh.bodies) {
-        gather_plane(dst, allocs, src, &sh.idx[..n]);
+        gather_plane(dst, src, &sh.idx[..n]);
     }
     sc.own_leaf = Some(leaf);
     leaf
@@ -702,32 +680,6 @@ mod tests {
             };
             assert_lists_match_solo(&tree, &cfg);
         }
-    }
-
-    #[test]
-    fn steady_state_group_walk_is_allocation_free() {
-        let tree = Tree::build(plummer(2_000, 91), 16);
-        let cfg = GravityConfig {
-            theta: 0.6,
-            eps: 0.01,
-            ..Default::default()
-        };
-        let mut sc = IlistScratch::new();
-        let mut out = vec![Accel::default(); tree.leaf_max];
-        let mut pass = |sc: &mut IlistScratch| {
-            for_each_leaf_list(&tree, &cfg, sc, |gi, sc| {
-                let nb = tree.cell(gi).nbody as usize;
-                eval_group(&tree, gi, &cfg, sc, &mut out[..nb]);
-            });
-        };
-        // Warm-up pass: the shared list, its masks, the index buffer and
-        // the per-leaf spans grow to their steady-state capacity.
-        pass(&mut sc);
-        let warm = sc.alloc_events();
-        assert!(warm > 0, "warm-up must have allocated");
-        // Steady state: zero heap growth across a full second pass.
-        pass(&mut sc);
-        assert_eq!(sc.alloc_events(), warm, "steady-state walk allocated");
     }
 
     #[test]

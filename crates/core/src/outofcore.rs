@@ -171,11 +171,6 @@ impl OocGravity {
         }
         Ok((out, stats))
     }
-
-    /// Number of tree cells (for tests).
-    pub fn n_cells(&self) -> usize {
-        self.cells.len()
-    }
 }
 
 #[cfg(test)]
@@ -245,7 +240,7 @@ mod tests {
             std::fs::remove_file(&path).ok();
             let (pairs, stats) = got.unwrap();
             let tree = Tree::build(plummer(n, seed), chunk);
-            assert_eq!(ooc.n_cells(), tree.cells.len(), "{case}");
+            assert_eq!(ooc.cells.len(), tree.cells.len(), "{case}");
             assert_eq!(pairs.len(), n, "{case}");
             let mut want = TraverseStats::default();
             let mut stack = Vec::new();
@@ -396,7 +391,7 @@ mod tests {
         let total_mass: f64 = bodies.iter().map(|b| b.mass).sum();
         let ooc = OocGravity::create(&path, bodies, 32, 4).unwrap();
         assert!((ooc.cells[0].mom.mass - total_mass).abs() < 1e-12);
-        assert!(ooc.n_cells() > 8);
+        assert!(ooc.cells.len() > 8);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -957,7 +957,9 @@ impl<'a> Engine<'a> {
         } else {
             gravity::M2P_MONO_FLOPS
         };
-        // Interactions aren't split by kind here; charge the mean cost.
+        // `self.stats` counts p2p and m2p apart, but `uncharged` is their
+        // sum, charged at the mean of the two costs: below
+        // `TraverseStats::flops` when m2p dominates (ROADMAP item 15).
         let flops = self.uncharged as f64 * 0.5 * (gravity::P2P_FLOPS + m2p_flops);
         comm.compute_eff(flops, 0.0, CPU_EFF);
         self.uncharged = 0;

@@ -123,64 +123,3 @@ mod tests {
         assert_eq!(b.interactions(), 200);
     }
 }
-
-impl KernelBench {
-    /// One pass with the Karp kernel through a generic instrumentation
-    /// [`obs::Sink`]: a pass-level span plus per-target interaction
-    /// counting. With [`obs::NullSink`] every hook is an inlined no-op,
-    /// so this must compile to [`KernelBench::run_karp`]; the overhead
-    /// guard in the `bench` crate holds the compiler to that (≤2% in
-    /// release builds).
-    pub fn run_karp_observed<S: obs::Sink>(&self, sink: &mut S) -> Accel {
-        sink.span_enter(0.0, "kernel.karp_pass");
-        let mut total = Accel::default();
-        for &t in &self.targets {
-            let mut out = Accel::default();
-            for (s, m) in self.sources.iter().zip(&self.masses) {
-                p2p_karp(t, *s, *m, self.eps2, &mut out);
-            }
-            sink.count("kernel.interactions", self.sources.len() as u64);
-            if S::ENABLED {
-                // Argument preparation is itself gated: `norm()` costs a
-                // sqrt the disabled build must not pay.
-                sink.observe("kernel.acc_norm", out.norm());
-            }
-            total.add(&out);
-        }
-        sink.span_exit(0.0, "kernel.karp_pass");
-        total
-    }
-}
-
-#[cfg(test)]
-mod observed_tests {
-    use super::*;
-    use obs::Sink;
-
-    #[test]
-    fn observed_with_null_sink_equals_plain() {
-        let b = KernelBench::new(8, 64, 11);
-        let plain = b.run_karp();
-        let nulled = b.run_karp_observed(&mut obs::NullSink);
-        // Same code path, same float operations, bit-identical result.
-        assert_eq!(plain.acc, nulled.acc);
-        assert_eq!(plain.pot, nulled.pot);
-        const { assert!(!obs::NullSink::ENABLED) };
-    }
-
-    #[test]
-    fn observed_with_recorder_captures_the_pass() {
-        let b = KernelBench::new(8, 64, 11);
-        let mut rec = obs::Recorder::new(0, 1);
-        let observed = b.run_karp_observed(&mut rec);
-        assert_eq!(observed.acc, b.run_karp().acc);
-        let tr = rec.finish(0.0);
-        assert_eq!(tr.metrics.counter("kernel.interactions"), b.interactions());
-        assert_eq!(tr.spans.len(), 1);
-        assert_eq!(tr.spans[0].name, "kernel.karp_pass");
-        assert_eq!(
-            tr.metrics.histogram("kernel.acc_norm").unwrap().count(),
-            b.targets.len() as u64
-        );
-    }
-}

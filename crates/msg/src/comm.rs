@@ -1153,8 +1153,7 @@ pub(crate) mod tests {
         run(2, |c| c.try_recv::<u64>(Some(7), 1).is_some());
     }
 
-    /// On-CPU seconds of this thread (`CLOCK_THREAD_CPUTIME_ID`, read the
-    /// way `bench/tests/obs_overhead.rs` reads it).
+    /// On-CPU seconds of this thread (`CLOCK_THREAD_CPUTIME_ID`).
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     pub(crate) fn thread_cpu_s() -> f64 {
         /// `struct timespec` of 64-bit Linux.

@@ -11,40 +11,22 @@
 use crate::comm::Comm;
 use crate::payload::Payload;
 
-/// Sort items across ranks by `key`, balancing total `weight` per rank.
+/// Sort items across ranks by `key`, each rank's target fraction of the
+/// global `weight` proportional to `shares[rank]`.
 ///
 /// On return, each rank holds a locally sorted shard; shards are globally
 /// ordered by rank (every key on rank r ≤ every key on rank r+1, up to
 /// equal keys which may straddle a boundary), and each rank's share of the
-/// global weight is approximately `1/size` (sampling-limited).
+/// global weight is approximately its share of `shares` (sampling-limited).
 ///
-/// `oversample` controls splitter quality; 32–128 is typical.
-pub fn sample_sort_weighted<T, K, W>(
-    comm: &mut Comm,
-    local: Vec<T>,
-    key: K,
-    weight: W,
-    oversample: usize,
-) -> Vec<T>
-where
-    T: Send + 'static,
-    Vec<T>: Payload,
-    K: Fn(&T) -> u64,
-    W: Fn(&T) -> f64,
-{
-    let shares = vec![1.0; comm.size()];
-    sample_sort_weighted_shares(comm, local, key, weight, &shares, oversample)
-}
-
-/// Like [`sample_sort_weighted`], but each rank's target fraction of the
-/// global work is proportional to `shares[rank]` instead of uniform.
-///
-/// This is the degradation hook: a rank judged unhealthy (slow links,
-/// repeated suspicion by the failure detector) is handed a small share so
-/// it stops pacing the step barrier, without changing the sorted-shard
-/// ordering contract. All ranks must pass the same `shares` (it feeds
+/// Uneven shares are the degradation hook: a rank judged unhealthy (slow
+/// links, repeated suspicion by the failure detector) is handed a small
+/// share so it stops pacing the step barrier, without changing the
+/// sorted-shard ordering contract. All ranks must pass the same `shares` (it feeds
 /// splitter selection, which must agree globally); a rank's share may be
 /// zero, in which case it receives (almost) no work.
+///
+/// `oversample` controls splitter quality; 32–128 is typical.
 pub fn sample_sort_weighted_shares<T, K, W>(
     comm: &mut Comm,
     mut local: Vec<T>,
@@ -158,6 +140,12 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// Sort `u64` keys by themselves, every rank's share of the weight even.
+    fn even(c: &mut Comm, local: Vec<u64>, w: impl Fn(&u64) -> f64, over: usize) -> Vec<u64> {
+        let shares = vec![1.0; c.size()];
+        sample_sort_weighted_shares(c, local, |&k| k, w, &shares, over)
+    }
+
     fn check_global_order(shards: &[Vec<u64>]) {
         for shard in shards {
             assert!(shard.windows(2).all(|w| w[0] <= w[1]), "shard not sorted");
@@ -175,7 +163,7 @@ mod tests {
             let shards = run(size, |c| {
                 let mut rng = SmallRng::seed_from_u64(c.rank() as u64);
                 let local: Vec<u64> = (0..500).map(|_| rng.gen()).collect();
-                sample_sort_weighted(c, local, |&k| k, |_| 1.0, 64)
+                even(c, local, |_| 1.0, 64)
             });
             check_global_order(&shards);
             let total: usize = shards.iter().map(Vec::len).sum();
@@ -187,7 +175,7 @@ mod tests {
     fn preserves_multiset() {
         let shards = run(3, |c| {
             let local: Vec<u64> = (0..100).map(|i| (i * 7 + c.rank() as u64) % 50).collect();
-            sample_sort_weighted(c, local, |&k| k, |_| 1.0, 32)
+            even(c, local, |_| 1.0, 32)
         });
         let mut all: Vec<u64> = shards.into_iter().flatten().collect();
         all.sort_unstable();
@@ -203,7 +191,7 @@ mod tests {
         let shards = run(4, |c| {
             let mut rng = SmallRng::seed_from_u64(100 + c.rank() as u64);
             let local: Vec<u64> = (0..2000).map(|_| rng.gen()).collect();
-            sample_sort_weighted(c, local, |&k| k, |_| 1.0, 64)
+            even(c, local, |_| 1.0, 64)
         });
         let ideal = 2000.0;
         for s in &shards {
@@ -220,7 +208,7 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(5 + c.rank() as u64);
             let local: Vec<u64> = (0..3000).map(|_| rng.gen_range(0..1000)).collect();
             let w = |k: &u64| if *k < 500 { 10.0 } else { 1.0 };
-            sample_sort_weighted(c, local, |&k| k, w, 128)
+            even(c, local, w, 128)
         });
         check_global_order(&shards);
         let weight_of = |shard: &Vec<u64>| -> f64 {
@@ -282,7 +270,7 @@ mod tests {
             } else {
                 Vec::new()
             };
-            sample_sort_weighted(c, local, |&k| k, |_| 1.0, 16)
+            even(c, local, |_| 1.0, 16)
         });
         let total: usize = shards.iter().map(Vec::len).sum();
         assert_eq!(total, 90);
@@ -293,7 +281,7 @@ mod tests {
     fn handles_all_equal_keys() {
         let shards = run(4, |c| {
             let local = vec![42u64; 250 * (c.rank() + 1)];
-            sample_sort_weighted(c, local, |&k| k, |_| 1.0, 32)
+            even(c, local, |_| 1.0, 32)
         });
         let total: usize = shards.iter().map(Vec::len).sum();
         assert_eq!(total, 250 * (1 + 2 + 3 + 4));
@@ -307,7 +295,7 @@ mod tests {
         // sending the whole world to rank 0.
         let shards = run(8, |c| {
             let local = vec![7u64; 400];
-            sample_sort_weighted(c, local, |&k| k, |_| 1.0, 32)
+            even(c, local, |_| 1.0, 32)
         });
         let total: usize = shards.iter().map(Vec::len).sum();
         assert_eq!(total, 8 * 400);
@@ -339,7 +327,7 @@ mod tests {
                     }
                 })
                 .collect();
-            sample_sort_weighted(c, local, |&k| k, |_| 1.0, 64)
+            even(c, local, |_| 1.0, 64)
         });
         check_global_order(&shards);
         let total: usize = shards.iter().map(Vec::len).sum();

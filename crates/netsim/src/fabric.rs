@@ -96,22 +96,8 @@ pub struct FabricStats {
     pub link_degraded: u64,
 }
 
-/// Traffic accounting for one shared resource (uplink or trunk).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ResourceStats {
-    pub messages: u64,
-    pub bytes: u64,
-    /// Virtual seconds the resource was held serializing traffic. Held
-    /// time near the experiment's span means the segment is saturated.
-    pub held_s: f64,
-    /// Virtual seconds message heads spent queued waiting on this
-    /// resource specifically.
-    pub queued_s: f64,
-}
-
 struct State {
     busy_until: HashMap<Resource, f64>,
-    resource: HashMap<Resource, ResourceStats>,
     stats: FabricStats,
     /// Installed port faults. Empty in healthy fabrics — the per-transfer
     /// cost of the feature is one `is_empty` branch under the existing
@@ -133,7 +119,6 @@ impl Fabric {
             profile,
             state: Mutex::new(State {
                 busy_until: HashMap::new(),
-                resource: HashMap::new(),
                 stats: FabricStats::default(),
                 faults: Vec::new(),
             }),
@@ -241,13 +226,7 @@ impl Fabric {
             }
             let busy = st.busy_until.entry(r).or_insert(0.0);
             let start = t.max(*busy);
-            let hold = bytes as f64 / cap;
-            *busy = start + hold;
-            let rs = st.resource.entry(r).or_default();
-            rs.messages += 1;
-            rs.bytes += bytes as u64;
-            rs.held_s += hold;
-            rs.queued_s += start - t;
+            *busy = start + bytes as f64 / cap;
             t = start;
         }
         let queued = t - depart;
@@ -264,48 +243,10 @@ impl Fabric {
         self.state().stats
     }
 
-    /// Per-resource traffic accounting since the last [`Fabric::reset`],
-    /// in stable (uplinks by index, then trunk) order.
-    pub fn resource_stats(&self) -> Vec<(Resource, ResourceStats)> {
-        let mut v: Vec<_> = self
-            .state()
-            .resource
-            .iter()
-            .map(|(&r, &s)| (r, s))
-            .collect();
-        v.sort_by_key(|&(r, _)| r);
-        v
-    }
-
-    /// Fold fabric traffic and contention into a metrics registry under
-    /// the `net.` prefix — one counter/gauge set for the fabric plus one
-    /// per shared resource that saw traffic. Intended for single-driver
-    /// experiments (the fabric is shared, so folding it from every rank
-    /// of a world would double-count).
-    pub fn fold_metrics(&self, reg: &mut obs::Registry) {
-        let s = self.stats();
-        reg.add("net.messages", s.messages);
-        reg.add("net.bytes", s.bytes);
-        reg.add("net.link_dropped", s.link_dropped);
-        reg.add("net.link_degraded", s.link_degraded);
-        reg.set_gauge("net.queued_s", s.queued_s);
-        for (r, rs) in self.resource_stats() {
-            let name = match r {
-                Resource::ModuleUplink(m) => format!("net.uplink{m}"),
-                Resource::Trunk => "net.trunk".to_string(),
-            };
-            reg.add(&format!("{name}.messages"), rs.messages);
-            reg.add(&format!("{name}.bytes"), rs.bytes);
-            reg.set_gauge(&format!("{name}.held_s"), rs.held_s);
-            reg.set_gauge(&format!("{name}.queued_s"), rs.queued_s);
-        }
-    }
-
     /// Reset contention state and statistics (e.g. between experiments).
     pub fn reset(&self) {
         let mut st = self.state();
         st.busy_until.clear();
-        st.resource.clear();
         st.stats = FabricStats::default();
     }
 
@@ -347,6 +288,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GBIT;
 
     fn ss() -> Fabric {
         Fabric::space_simulator(LibraryProfile::tcp())
@@ -495,7 +437,14 @@ mod tests {
         assert_eq!(f.stats().messages, 2);
         f.reset();
         assert_eq!(f.stats(), FabricStats::default());
-        assert!(f.resource_stats().is_empty());
+    }
+
+    #[test]
+    fn trunk_capacity_matches_the_paper_figure() {
+        let f = ss();
+        assert!((f.topology().capacity(Resource::Trunk) - 8.0 * GBIT).abs() < 1.0);
+        // Module capacity is the *measured* 6 Gbit/s, not the nominal 8.
+        assert!((f.topology().capacity(Resource::ModuleUplink(0)) - 6.0 * GBIT).abs() < 1.0);
     }
 
     #[test]

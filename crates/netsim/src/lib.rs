@@ -23,7 +23,7 @@ pub mod netpipe;
 pub mod profiles;
 pub mod switch;
 
-pub use fabric::{Fabric, LinkFault, ResourceStats, TransferOutcome};
+pub use fabric::{Fabric, LinkFault, TransferOutcome};
 pub use netpipe::{netpipe_sweep, NetpipePoint};
 pub use profiles::LibraryProfile;
 pub use switch::{SwitchFabric, SwitchSpec};

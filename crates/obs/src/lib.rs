@@ -10,12 +10,11 @@
 //!
 //! Pieces:
 //!
-//! * [`Sink`] / [`NullSink`] — static-dispatch instrumentation points for
-//!   hot kernels. `NullSink` compiles to nothing; a bench guard asserts
-//!   the disabled configuration stays within budget.
-//! * [`Recorder`] — one per rank: a bounded span ring buffer, a metrics
-//!   [`Registry`] (counters / gauges / fixed-layout histograms), and O(1)
-//!   hot-path accumulators for per-link wire bytes.
+//! * [`Recorder`] — one per rank of a traced world: a bounded span ring
+//!   buffer, a metrics [`Registry`] (counters / gauges / fixed-layout
+//!   histograms), and O(1) hot-path accumulators for per-link wire bytes.
+//!   An untraced world has no recorder, and each event costs it one
+//!   branch on `None`.
 //! * [`RankTrace`] / [`WorldTrace`] — immutable snapshots extracted at the
 //!   end of a run; the world merge is sorted by `(virtual time, rank,
 //!   sequence)` and is what the exporters consume.
@@ -39,7 +38,6 @@ pub mod diff;
 pub mod export;
 pub mod metrics;
 pub mod recorder;
-pub mod sink;
 pub mod timeline;
 
 pub use analysis::{
@@ -50,7 +48,6 @@ pub use diff::{diff_summaries, parse_summary, render_diff, DiffEntry, SummaryDif
 pub use export::{chrome_trace_json, gantt, schedule_digest, schedule_summary, structural_summary};
 pub use metrics::{Histogram, Registry, FRACTION_BOUNDS, SIZE_BOUNDS_B, TIME_BOUNDS_S};
 pub use recorder::{LinkClass, RankTrace, Recorder, RecvRec, SendRec, Span, WorldTrace};
-pub use sink::{NullSink, Sink};
 pub use timeline::{
     sparkline, timeline_csv, timeline_json, timeline_summary, RankTimeline, TimelineWindow,
     WorldTimeline,

@@ -35,7 +35,7 @@
 //! diff, O(metrics) with tens of metrics). Choose `window_s` so the run
 //! spans tens-to-thousands of windows, not millions. With the timeline
 //! disarmed the recorder is unchanged, and with no recorder installed
-//! ([`crate::NullSink`] configurations) nothing here runs at all.
+//! (an untraced world) nothing here runs at all.
 //!
 //! Attribution granularity: events are stamped with the virtual time at
 //! which the recorder *learns* of them. A modeled compute interval or a

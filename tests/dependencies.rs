@@ -21,7 +21,7 @@ const PATH_EDGES: &str = "
     cosmo:           hot kernels
     hostbench:       ckpt cluster cosmo hot kernels msg netsim nodesim obs query sph store
     hot:             body msg
-    kernels:         hot obs
+    kernels:         hot
     msg:             body netsim nodesim obs
     netsim:          obs
     nodesim:
